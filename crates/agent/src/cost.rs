@@ -2,10 +2,14 @@
 //!
 //! The paper reports Scrub's host impact as CPU overhead (≤ 2.5%) and
 //! request latency inflation (~1%). In the simulator, the agent's work is
-//! converted to CPU time through this model; the per-operation constants
-//! default to values calibrated from the `tap` criterion microbenchmark in
-//! `crates/bench` (run on the build machine, see EXPERIMENTS.md), so the
-//! simulated overhead percentages inherit realistic magnitudes.
+//! converted to CPU time through this model. The per-operation constants
+//! are fixed inputs of the modeled plane (E07/E08/E19/E20 and the goldens
+//! are functions of them), of the magnitude the tap had when every
+//! subscription interpreted its own predicate. The compiled tap program
+//! (DESIGN.md, "Host tap program") decides most predicates without
+//! visiting them, so on a host with many selective queries the model now
+//! overstates the real cost; `scrub_perf`'s `agent.tap.log_ns_q*` is the
+//! measurement to recalibrate against (ROADMAP item 4).
 
 use serde::{Deserialize, Serialize};
 
@@ -32,9 +36,8 @@ pub struct CostModel {
 
 impl Default for CostModel {
     fn default() -> Self {
-        // Calibrated against the `tap` criterion bench (see EXPERIMENTS.md):
-        // disabled tap ~ a few ns, predicate ~ tens of ns, projection a few
-        // tens of ns per field.
+        // Disabled tap ~ a few ns, predicate ~ tens of ns, projection a
+        // few tens of ns per field (see the module docs for their standing).
         CostModel {
             tap_inactive_ns: 2.0,
             tap_active_ns: 30.0,

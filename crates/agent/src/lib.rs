@@ -8,6 +8,7 @@
 
 pub mod batch;
 pub mod cost;
+mod program;
 pub mod reliable;
 pub mod stats;
 pub mod tap;

@@ -9,8 +9,11 @@
 //! * **Minimal impact**: an event type with no active query costs one
 //!   relaxed atomic load. Everything heavier (predicates, projection)
 //!   happens only for active types, and per-query load shedding caps the
-//!   damage a hot query can do.
+//!   damage a hot query can do. On an active type, selection for all
+//!   subscriptions is one compiled program (the `program` module), so an
+//!   event pays for the queries it matches, not the queries installed.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -26,6 +29,7 @@ use scrub_obs::trace::{should_trace, trace_threshold, SpanKind, TraceSpan};
 
 use crate::batch::{BatchPayload, EventBatch};
 use crate::cost::CostModel;
+use crate::program::{Probe, Selection, TapProgram, TapSlot};
 use crate::stats::AgentStats;
 
 /// Maximum number of event types an agent supports (flags are a fixed
@@ -61,8 +65,8 @@ pub struct ScrubAgent {
 
 #[derive(Default)]
 struct Inner {
-    /// Subscriptions indexed by event type id.
-    subs: Vec<Vec<Subscription>>,
+    /// Taps indexed by event type id.
+    taps: Vec<TypeTap>,
     /// Batches ready to ship.
     outbox: Vec<EventBatch>,
     /// Trace spans currently buffered across all subscriptions, bounded
@@ -75,8 +79,38 @@ struct Inner {
     budget_window: (i64, f64),
 }
 
+/// Everything the tap holds for one event type.
+#[derive(Default)]
+struct TypeTap {
+    /// Subscriptions in install order.
+    subs: Vec<Subscription>,
+    /// Selection for all of `subs`, recompiled whenever `subs` changes.
+    program: TapProgram,
+    /// Events of this type that reached the active path — the tick the
+    /// program marks atoms with, and what a subscription's `seen` is
+    /// counted from.
+    events: u64,
+    /// How many of `subs` carry a predicate: the per-event bump of
+    /// `AgentStats::predicates_evaluated`.
+    with_predicate: u64,
+}
+
+impl TypeTap {
+    /// Recompile after `subs` changed.
+    fn rebuild(&mut self) {
+        self.program = TapProgram::build(self.subs.iter().map(|s| &s.selection.atoms[..]));
+        self.with_predicate = self
+            .subs
+            .iter()
+            .filter(|s| s.plan.predicate.is_some())
+            .count() as u64;
+    }
+}
+
 struct Subscription {
     plan: HostPlan,
+    /// `plan.predicate` split into indexed atoms and interpreted residual.
+    selection: Selection,
     /// xorshift64 state for per-event sampling.
     rng: u64,
     /// `next_u64 <= threshold` keeps the event.
@@ -93,9 +127,10 @@ struct Subscription {
     /// CPU budget (cumulative; a separate loss-ledger provenance from
     /// rate-based load shedding).
     budget_shed: u64,
-    /// Events of the subscribed type seen by the tap (pre-selection) —
-    /// the selection operator's input cardinality for `EXPLAIN ANALYZE`.
-    seen: u64,
+    /// `TypeTap::events` at install. Events of the subscribed type seen
+    /// by the tap (pre-selection) — the selection operator's input
+    /// cardinality for `EXPLAIN ANALYZE` — are the events since.
+    seen_base: u64,
     /// Bytes shipped in first-transmission batches.
     bytes: u64,
     /// Shedding window: (second, events this second).
@@ -110,7 +145,13 @@ struct Subscription {
 }
 
 impl Subscription {
-    fn new(plan: HostPlan, seed: u64, cost: &CostModel, format: WireFormat) -> Self {
+    fn new(
+        plan: HostPlan,
+        seed: u64,
+        seen_base: u64,
+        cost: &CostModel,
+        format: WireFormat,
+    ) -> Self {
         let threshold = if plan.event_fraction >= 1.0 {
             u64::MAX
         } else {
@@ -124,6 +165,7 @@ impl Subscription {
             cost.event_wire_bytes(plan.projection.len(), format),
         );
         Subscription {
+            selection: Selection::split(plan.predicate.as_ref(), plan.arity),
             plan,
             rng: seed | 1,
             sample_threshold: threshold,
@@ -133,7 +175,7 @@ impl Subscription {
             sampled: 0,
             shed: 0,
             budget_shed: 0,
-            seen: 0,
+            seen_base,
             bytes: 0,
             shed_window: (i64::MIN, 0),
             last_flush_ms: 0,
@@ -149,6 +191,45 @@ impl Subscription {
         x ^= x << 17;
         self.rng = x;
         x
+    }
+}
+
+/// What one `log()` call adds to [`AgentStats`], summed over the
+/// subscriptions it reached and published once.
+#[derive(Default)]
+struct Tally {
+    /// Subscriptions with a predicate, all decided for this event.
+    predicates: u64,
+    matched: u64,
+    sampled_out: u64,
+    shed: u64,
+    budget_shed: u64,
+    shipped: u64,
+    fields_projected: u64,
+    bytes_shipped: u64,
+    batches_flushed: u64,
+    trace_spans: u64,
+    trace_spans_shed: u64,
+}
+
+impl Tally {
+    fn publish(&self, stats: &AgentStats) {
+        let add = |counter: &AtomicU64, n: u64| {
+            if n != 0 {
+                stats.bump(counter, n);
+            }
+        };
+        add(&stats.predicates_evaluated, self.predicates);
+        add(&stats.events_matched, self.matched);
+        add(&stats.events_sampled_out, self.sampled_out);
+        add(&stats.events_shed, self.shed);
+        add(&stats.events_budget_shed, self.budget_shed);
+        add(&stats.events_shipped, self.shipped);
+        add(&stats.fields_projected, self.fields_projected);
+        add(&stats.bytes_shipped, self.bytes_shipped);
+        add(&stats.batches_flushed, self.batches_flushed);
+        add(&stats.trace_spans, self.trace_spans);
+        add(&stats.trace_spans_shed, self.trace_spans_shed);
     }
 }
 
@@ -183,12 +264,16 @@ impl ScrubAgent {
 
     /// The disabled-path check: is any query subscribed to this event type?
     /// One relaxed atomic load — the cost an idle Scrub imposes per event.
+    /// A type id past [`MAX_EVENT_TYPES`] cannot be installed, so it is
+    /// inactive: the tap runs inside the application's request path and
+    /// must not panic there.
     #[inline]
     pub fn is_active(&self, type_id: EventTypeId) -> bool {
         let t = type_id.0 as usize;
-        debug_assert!(t < MAX_EVENT_TYPES);
-        let word = self.active_mask[t >> 6].load(Ordering::Relaxed);
-        word & (1u64 << (t & 63)) != 0
+        match self.active_mask.get(t >> 6) {
+            Some(word) => word.load(Ordering::Relaxed) & (1u64 << (t & 63)) != 0,
+            None => false,
+        }
     }
 
     /// Install a host plan (a query object arriving from the query server).
@@ -200,25 +285,25 @@ impl ScrubAgent {
             )));
         }
         let mut inner = self.inner.lock();
-        if inner.subs.len() <= t {
-            inner.subs.resize_with(t + 1, Vec::new);
+        if inner.taps.len() <= t {
+            inner.taps.resize_with(t + 1, TypeTap::default);
         }
-        if inner.subs[t]
-            .iter()
-            .any(|s| s.plan.query_id == plan.query_id)
-        {
+        let tap = &mut inner.taps[t];
+        if tap.subs.iter().any(|s| s.plan.query_id == plan.query_id) {
             return Err(ScrubError::Lifecycle(format!(
                 "query {} already installed for type {}",
                 plan.query_id, plan.event_type
             )));
         }
         let seed = plan.query_id.0 ^ fxhash(self.host.as_bytes());
-        inner.subs[t].push(Subscription::new(
+        tap.subs.push(Subscription::new(
             plan,
             seed,
+            tap.events,
             &CostModel::default(),
             self.config.wire_format,
         ));
+        tap.rebuild();
         self.active_mask[t >> 6].fetch_or(1u64 << (t & 63), Ordering::Relaxed);
         self.any_active.store(true, Ordering::Relaxed);
         Ok(())
@@ -231,44 +316,45 @@ impl ScrubAgent {
     /// the query's delivery state.
     pub fn remove(&self, query_id: QueryId, now_ms: i64) -> Vec<EventBatch> {
         let mut inner = self.inner.lock();
-        let mut out = Vec::new();
-        let mut kept = Vec::with_capacity(inner.outbox.len());
-        for b in inner.outbox.drain(..) {
-            if b.query_id == query_id {
-                out.push(b);
-            } else {
-                kept.push(b);
-            }
-        }
-        inner.outbox = kept;
-        for t in 0..inner.subs.len() {
-            let mut removed = Vec::new();
-            let host = &self.host;
-            let fmt = self.config.wire_format;
-            inner.subs[t].retain_mut(|s| {
-                if s.plan.query_id == query_id {
-                    removed.push(make_batch(host, s, now_ms, fmt));
-                    false
-                } else {
-                    true
+        let Inner {
+            taps,
+            outbox,
+            spans_buffered,
+            ..
+        } = &mut *inner;
+        let (mut out, kept): (Vec<_>, Vec<_>) = std::mem::take(outbox)
+            .into_iter()
+            .partition(|b| b.query_id == query_id);
+        *outbox = kept;
+        for (t, tap) in taps.iter_mut().enumerate() {
+            let installed = tap.subs.len();
+            let events = tap.events;
+            tap.subs.retain_mut(|s| {
+                if s.plan.query_id != query_id {
+                    return true;
                 }
+                if let Some(b) = make_batch(&self.host, s, events, now_ms, self.config.wire_format)
+                {
+                    *spans_buffered -= b.spans.len();
+                    out.push(b);
+                }
+                false
             });
-            for b in removed.into_iter().flatten() {
-                inner.spans_buffered -= b.spans.len();
-                out.push(b);
+            if tap.subs.len() != installed {
+                tap.rebuild();
             }
-            if inner.subs[t].is_empty() {
+            if tap.subs.is_empty() {
                 self.active_mask[t >> 6].fetch_and(!(1u64 << (t & 63)), Ordering::Relaxed);
             }
         }
-        let any = inner.subs.iter().any(|v| !v.is_empty());
+        let any = taps.iter().any(|tap| !tap.subs.is_empty());
         self.any_active.store(any, Ordering::Relaxed);
         out
     }
 
     /// Number of installed (query, type) subscriptions.
     pub fn subscription_count(&self) -> usize {
-        self.inner.lock().subs.iter().map(Vec::len).sum()
+        self.inner.lock().taps.iter().map(|t| t.subs.len()).sum()
     }
 
     /// Ids of the queries currently subscribed on this host (sorted,
@@ -276,9 +362,9 @@ impl ScrubAgent {
     pub fn active_query_ids(&self) -> Vec<QueryId> {
         let inner = self.inner.lock();
         let mut ids: Vec<QueryId> = inner
-            .subs
+            .taps
             .iter()
-            .flatten()
+            .flat_map(|t| &t.subs)
             .map(|s| s.plan.query_id)
             .collect();
         ids.sort();
@@ -337,164 +423,180 @@ impl ScrubAgent {
         // every partition count traces the same requests.
         let traced = should_trace(request_id.0, self.trace_threshold);
         let mut inner = self.inner.lock();
-        let t = type_id.0 as usize;
         let Inner {
-            subs,
+            taps,
             outbox,
             spans_buffered,
             budget_window,
         } = &mut *inner;
-        let Some(type_subs) = subs.get_mut(t) else {
+        let Some(tap) = taps.get_mut(type_id.0 as usize) else {
             return;
         };
+        let TypeTap {
+            subs,
+            program,
+            events,
+            with_predicate,
+        } = tap;
+        *events += 1;
+        let tick = *events;
         if self.enforce_budget {
             let sec = timestamp_ms.div_euclid(1000);
             if budget_window.0 != sec {
                 *budget_window = (sec, 0.0);
             }
         }
-        for sub in type_subs.iter_mut() {
-            sub.seen += 1;
-            // The irreducible per-event cost (active tap + predicate) is
-            // incurred whether or not the event ships; charge it to the
-            // budget window so enforcement sees the host's true spend.
-            if self.enforce_budget {
-                budget_window.1 += sub.seen_cost_ns;
-            }
-            // selection
-            if let Some(pred) = &sub.plan.predicate {
-                self.stats.bump(&self.stats.predicates_evaluated, 1);
-                let arity = sub.plan.arity;
-                let matched = pred.eval_bool_by(&|slot| {
+
+        // selection, for every subscription of the type at once
+        program.probe(tick, |slot| match slot {
+            TapSlot::User(i) => values.get(i).map_or(Probe::Other, Probe::of),
+            TapSlot::RequestId => Probe::Num(request_id.0 as i64 as f64),
+            TapSlot::Timestamp => Probe::Num(timestamp_ms as f64),
+        });
+
+        let mut tally = Tally {
+            predicates: *with_predicate,
+            ..Tally::default()
+        };
+        // The irreducible per-event cost (active tap + predicate) is
+        // incurred by every subscription whether or not the event ships,
+        // and the budget window must hold, at each ship check, exactly
+        // what a walk over all subscriptions would have put there: `f64`
+        // addition does not reassociate, so the seen costs are added one
+        // by one in install order — up to a matched subscription before
+        // its check, the rest after the last. `charged` subscriptions
+        // have paid for this event so far.
+        let mut charged = 0;
+        for w in 0..program.words() {
+            let mut candidates = program.take_candidates(w);
+            while candidates != 0 {
+                let i = w * 64 + candidates.trailing_zeros() as usize;
+                candidates &= candidates - 1;
+                if !program.atoms_hold(i, tick) {
+                    continue;
+                }
+                let arity = subs[i].plan.arity;
+                let fetch = |slot: usize| -> Cow<'_, Value> {
                     if slot < arity {
-                        values.get(slot).cloned().unwrap_or(Value::Null)
+                        values
+                            .get(slot)
+                            .map_or(Cow::Owned(Value::Null), Cow::Borrowed)
                     } else if slot == arity {
-                        Value::Long(request_id.0 as i64)
+                        Cow::Owned(Value::Long(request_id.0 as i64))
                     } else {
-                        Value::DateTime(timestamp_ms)
+                        Cow::Owned(Value::DateTime(timestamp_ms))
                     }
-                });
-                if !matched {
-                    continue;
-                }
-            }
-            sub.matched += 1;
-            self.stats.bump(&self.stats.events_matched, 1);
-            if traced {
-                self.record_span(
-                    spans_buffered,
-                    &mut sub.trace,
-                    TraceSpan::new(request_id.0, SpanKind::Emit, timestamp_ms, 0),
-                );
-                self.record_span(
-                    spans_buffered,
-                    &mut sub.trace,
-                    TraceSpan::new(request_id.0, SpanKind::TapSelect, timestamp_ms, 0),
-                );
-            }
-
-            // per-event sampling (accuracy for impact, §3.2)
-            if sub.sample_threshold != u64::MAX && sub.next_u64() > sub.sample_threshold {
-                self.stats.bump(&self.stats.events_sampled_out, 1);
-                if traced {
-                    self.record_span(
-                        spans_buffered,
-                        &mut sub.trace,
-                        TraceSpan::new(request_id.0, SpanKind::SampledOut, timestamp_ms, 0),
-                    );
-                }
-                continue;
-            }
-
-            // load shedding: per-query events/sec budget
-            let sec = timestamp_ms.div_euclid(1000);
-            if sub.shed_window.0 != sec {
-                sub.shed_window = (sec, 0);
-            }
-            if sub.shed_window.1 >= self.config.agent_events_per_sec_budget {
-                sub.shed += 1;
-                self.stats.bump(&self.stats.events_shed, 1);
-                if traced {
-                    self.record_span(
-                        spans_buffered,
-                        &mut sub.trace,
-                        TraceSpan::new(request_id.0, SpanKind::Shed, timestamp_ms, 0),
-                    );
-                }
-                continue;
-            }
-            sub.shed_window.1 += 1;
-
-            // per-host CPU budget: shipping this event costs a known,
-            // model-priced amount; once the second's budget is spent the
-            // event is dropped *after* the sampling decision (so the
-            // estimator's m_i/M_i accounting stays intact) and attributed
-            // to the `budget_shed` loss provenance.
-            if self.enforce_budget {
-                if budget_window.1 + sub.ship_cost_ns > self.budget_ns_per_sec {
-                    sub.budget_shed += 1;
-                    self.stats.bump(&self.stats.events_budget_shed, 1);
-                    if traced {
-                        self.record_span(
-                            spans_buffered,
-                            &mut sub.trace,
-                            TraceSpan::new(request_id.0, SpanKind::BudgetShed, timestamp_ms, 0),
-                        );
-                    }
-                    continue;
-                }
-                budget_window.1 += sub.ship_cost_ns;
-            }
-            sub.sampled += 1;
-
-            // projection
-            let mut projected = Vec::with_capacity(sub.plan.projection.len());
-            for slot in &sub.plan.projection {
-                let v = match slot {
-                    FieldSlot::User(i) => values.get(*i).cloned().unwrap_or(Value::Null),
-                    FieldSlot::RequestId => Value::Long(request_id.0 as i64),
-                    FieldSlot::Timestamp => Value::DateTime(timestamp_ms),
                 };
-                projected.push(v);
-            }
-            self.stats
-                .bump(&self.stats.fields_projected, projected.len() as u64);
-            sub.batch
-                .push(Event::new(type_id, request_id, timestamp_ms, projected));
-            self.stats.bump(&self.stats.events_shipped, 1);
-            if traced {
-                self.record_span(
-                    spans_buffered,
-                    &mut sub.trace,
-                    TraceSpan::new(request_id.0, SpanKind::Enqueue, timestamp_ms, 0),
-                );
-            }
+                let residual = &subs[i].selection.residual;
+                if !residual.iter().all(|e| e.eval_bool_by(&fetch)) {
+                    continue;
+                }
+                if self.enforce_budget {
+                    for s in &subs[charged..=i] {
+                        budget_window.1 += s.seen_cost_ns;
+                    }
+                    charged = i + 1;
+                }
+                let sub = &mut subs[i];
+                sub.matched += 1;
+                tally.matched += 1;
+                let mut span = |sub: &mut Subscription, kind: SpanKind| {
+                    // Honor the hard per-host span budget: over budget the
+                    // span is dropped and counted, never allocated — the
+                    // host-impact contract holds no matter the trace rate.
+                    if *spans_buffered >= self.config.trace_span_budget {
+                        tally.trace_spans_shed += 1;
+                        return;
+                    }
+                    *spans_buffered += 1;
+                    tally.trace_spans += 1;
+                    sub.trace
+                        .push(TraceSpan::new(request_id.0, kind, timestamp_ms, 0));
+                };
+                if traced {
+                    span(sub, SpanKind::Emit);
+                    span(sub, SpanKind::TapSelect);
+                }
 
-            // size-triggered flush
-            if sub.batch.len() >= self.config.agent_batch_events {
-                if let Some(b) = make_batch(&self.host, sub, timestamp_ms, self.config.wire_format)
-                {
-                    *spans_buffered -= b.spans.len();
-                    self.stats
-                        .bump(&self.stats.bytes_shipped, b.approx_bytes() as u64);
-                    self.stats.bump(&self.stats.batches_flushed, 1);
-                    outbox.push(b);
+                // per-event sampling (accuracy for impact, §3.2)
+                if sub.sample_threshold != u64::MAX && sub.next_u64() > sub.sample_threshold {
+                    tally.sampled_out += 1;
+                    if traced {
+                        span(sub, SpanKind::SampledOut);
+                    }
+                    continue;
+                }
+
+                // load shedding: per-query events/sec budget
+                let sec = timestamp_ms.div_euclid(1000);
+                if sub.shed_window.0 != sec {
+                    sub.shed_window = (sec, 0);
+                }
+                if sub.shed_window.1 >= self.config.agent_events_per_sec_budget {
+                    sub.shed += 1;
+                    tally.shed += 1;
+                    if traced {
+                        span(sub, SpanKind::Shed);
+                    }
+                    continue;
+                }
+                sub.shed_window.1 += 1;
+
+                // per-host CPU budget: shipping this event costs a known,
+                // model-priced amount; once the second's budget is spent the
+                // event is dropped *after* the sampling decision (so the
+                // estimator's m_i/M_i accounting stays intact) and attributed
+                // to the `budget_shed` loss provenance.
+                if self.enforce_budget {
+                    if budget_window.1 + sub.ship_cost_ns > self.budget_ns_per_sec {
+                        sub.budget_shed += 1;
+                        tally.budget_shed += 1;
+                        if traced {
+                            span(sub, SpanKind::BudgetShed);
+                        }
+                        continue;
+                    }
+                    budget_window.1 += sub.ship_cost_ns;
+                }
+                sub.sampled += 1;
+
+                // projection
+                let mut projected = Vec::with_capacity(sub.plan.projection.len());
+                for slot in &sub.plan.projection {
+                    let v = match slot {
+                        FieldSlot::User(i) => values.get(*i).cloned().unwrap_or(Value::Null),
+                        FieldSlot::RequestId => Value::Long(request_id.0 as i64),
+                        FieldSlot::Timestamp => Value::DateTime(timestamp_ms),
+                    };
+                    projected.push(v);
+                }
+                tally.fields_projected += projected.len() as u64;
+                sub.batch
+                    .push(Event::new(type_id, request_id, timestamp_ms, projected));
+                tally.shipped += 1;
+                if traced {
+                    span(sub, SpanKind::Enqueue);
+                }
+
+                // size-triggered flush
+                if sub.batch.len() >= self.config.agent_batch_events {
+                    if let Some(b) =
+                        make_batch(&self.host, sub, tick, timestamp_ms, self.config.wire_format)
+                    {
+                        *spans_buffered -= b.spans.len();
+                        tally.bytes_shipped += b.approx_bytes() as u64;
+                        tally.batches_flushed += 1;
+                        outbox.push(b);
+                    }
                 }
             }
         }
-    }
-
-    /// Buffer one trace span, honoring the hard per-host span budget:
-    /// over budget the span is dropped and counted, never allocated — the
-    /// host-impact contract holds no matter the trace rate.
-    fn record_span(&self, spans_buffered: &mut usize, buf: &mut Vec<TraceSpan>, span: TraceSpan) {
-        if *spans_buffered >= self.config.trace_span_budget {
-            self.stats.bump(&self.stats.trace_spans_shed, 1);
-            return;
+        if self.enforce_budget {
+            for s in &subs[charged..] {
+                budget_window.1 += s.seen_cost_ns;
+            }
         }
-        *spans_buffered += 1;
-        self.stats.bump(&self.stats.trace_spans, 1);
-        buf.push(span);
+        tally.publish(&self.stats);
     }
 
     /// Collect batches due for shipment: size-flushed batches plus any
@@ -504,15 +606,17 @@ impl ScrubAgent {
         let mut inner = self.inner.lock();
         let mut out = std::mem::take(&mut inner.outbox);
         let Inner {
-            subs,
+            taps,
             spans_buffered,
             ..
         } = &mut *inner;
-        for type_subs in subs.iter_mut() {
-            for sub in type_subs.iter_mut() {
+        for tap in taps.iter_mut() {
+            for sub in tap.subs.iter_mut() {
                 let due = now_ms - sub.last_flush_ms >= self.config.agent_flush_interval_ms;
                 if due {
-                    if let Some(b) = make_batch(&self.host, sub, now_ms, self.config.wire_format) {
+                    if let Some(b) =
+                        make_batch(&self.host, sub, tap.events, now_ms, self.config.wire_format)
+                    {
                         *spans_buffered -= b.spans.len();
                         self.stats
                             .bump(&self.stats.bytes_shipped, b.approx_bytes() as u64);
@@ -528,10 +632,12 @@ impl ScrubAgent {
 
 /// Build a batch from a subscription's buffered events, encoding the
 /// payload in the configured wire format; `None` when there is nothing
-/// new to report. Always updates `last_flush_ms`.
+/// new to report. Always updates `last_flush_ms`. `type_events` is the
+/// subscription's `TypeTap::events`, from which `seen` is derived.
 fn make_batch(
     host: &str,
     sub: &mut Subscription,
+    type_events: u64,
     now_ms: i64,
     format: WireFormat,
 ) -> Option<EventBatch> {
@@ -552,7 +658,7 @@ fn make_batch(
         sampled: sub.sampled,
         shed: sub.shed,
         budget_shed: sub.budget_shed,
-        seen: sub.seen,
+        seen: type_events - sub.seen_base,
         bytes: 0,
         spans: std::mem::take(&mut sub.trace),
     };
@@ -615,6 +721,23 @@ mod tests {
         assert_eq!(s.events_seen, 1);
         assert_eq!(s.events_active, 0);
         assert!(a.take_batches(10_000).is_empty());
+    }
+
+    #[test]
+    fn out_of_range_type_id_is_inactive_not_a_panic() {
+        let a = agent();
+        a.install(plan_for("select COUNT(*) from bid", 1)).unwrap();
+        for t in [
+            MAX_EVENT_TYPES as u32,
+            MAX_EVENT_TYPES as u32 + 63,
+            u32::MAX,
+        ] {
+            assert!(!a.is_active(EventTypeId(t)));
+            a.log(EventTypeId(t), RequestId(1), 0, &[Value::Long(1)]);
+        }
+        let s = a.stats().snapshot();
+        assert_eq!(s.events_seen, 3);
+        assert_eq!(s.events_active, 0);
     }
 
     #[test]
@@ -960,6 +1083,104 @@ mod tests {
         let b = run("completely-different-host");
         assert_eq!(a, b, "trace pick depends only on the request id");
         assert!(!a.is_empty() && a.len() < 200);
+    }
+
+    #[test]
+    fn copies_of_one_query_share_atoms_but_nothing_else() {
+        let mut cfg = ScrubConfig::default();
+        cfg.agent_batch_events = 1_000_000;
+        let a = ScrubAgent::new("h1", cfg);
+        let copies = 6u64;
+        // even ids: the sampler's seed is `(id ^ host hash) | 1`
+        for q in (1..=copies).map(|q| 2 * q) {
+            a.install(plan_for(
+                "select bid.user_id from bid \
+                 where bid.bid_price > 1.0 and bid.user_id < 900 sample events 50%",
+                q,
+            ))
+            .unwrap();
+        }
+        // the same conjunction under another spelling shares them too
+        a.install(plan_for(
+            "select COUNT(*) from bid where 900 > bid.user_id and 1.0 < bid.bid_price",
+            2 * copies + 2,
+        ))
+        .unwrap();
+        assert_eq!(a.inner.lock().taps[0].program.atom_count(), 2);
+
+        for i in 0..1_000u64 {
+            let price = if i % 4 == 0 { 2.0 } else { 0.5 };
+            a.log(
+                EventTypeId(0),
+                RequestId(i),
+                0,
+                &[Value::Long(i as i64), Value::Double(price)],
+            );
+        }
+        // decided once per event for each subscription with a predicate
+        assert_eq!(
+            a.stats().snapshot().predicates_evaluated,
+            1_000 * (copies + 1)
+        );
+        let batches = a.take_batches(10_000);
+        assert_eq!(batches.len() as u64, copies + 1);
+        let mut kept = Vec::new();
+        for (b, q) in batches.iter().zip(1..) {
+            assert_eq!(b.query_id, QueryId(2 * q));
+            assert_eq!((b.seen, b.matched), (1_000, 225));
+            assert_eq!(b.len() as u64, b.sampled);
+            kept.push(
+                b.payload
+                    .to_rows()
+                    .iter()
+                    .map(|e| e.request_id.0)
+                    .collect::<Vec<_>>(),
+            );
+        }
+        assert_eq!(
+            kept[copies as usize].len(),
+            225,
+            "the unsampled copy keeps all"
+        );
+        // each sampled copy draws from its own stream
+        kept.truncate(copies as usize);
+        assert!(kept.iter().all(|k| (60..=165).contains(&k.len())));
+        kept.sort();
+        kept.dedup();
+        assert_eq!(kept.len() as u64, copies);
+    }
+
+    #[test]
+    fn seen_counts_events_since_install_across_churn() {
+        let a = agent();
+        let log = |n: u64| {
+            for i in 0..n {
+                a.log(
+                    EventTypeId(0),
+                    RequestId(i),
+                    0,
+                    &[Value::Long(1), Value::Double(1.0)],
+                );
+            }
+        };
+        a.install(plan_for("select COUNT(*) from bid", 1)).unwrap();
+        log(10);
+        a.install(plan_for(
+            "select COUNT(*) from bid where bid.bid_price > 5.0",
+            2,
+        ))
+        .unwrap();
+        log(5);
+        let tail = a.remove(QueryId(1), 0);
+        assert_eq!(tail.last().unwrap().seen, 15);
+        log(3);
+        // seen nothing match, so only `remove` has anything to say: nothing
+        assert!(a.remove(QueryId(2), 0).is_empty());
+        // an idle type sees nothing; a reinstall starts from zero
+        log(100);
+        a.install(plan_for("select COUNT(*) from bid", 3)).unwrap();
+        log(2);
+        assert_eq!(a.remove(QueryId(3), 0).last().unwrap().seen, 2);
     }
 
     #[test]

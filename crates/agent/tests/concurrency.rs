@@ -85,19 +85,30 @@ fn concurrent_taps_count_exactly() {
     assert_eq!(final_counters, THREADS * PER_THREAD);
 }
 
+/// Sets the flag when dropped, so a panicking thread still releases the
+/// threads that wait on it and the test fails instead of hanging.
+struct StopOnDrop(Arc<AtomicBool>);
+
+impl Drop for StopOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 #[test]
 fn install_remove_races_never_lose_or_corrupt() {
     let agent = Arc::new(ScrubAgent::new("mt-host", ScrubConfig::default()));
     let stop = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|s| {
-        // logger thread: hammers the tap the whole time
+        // logger thread: hammers the tap until the churn thread is done
+        // (bounded, should the flag never come)
         {
             let agent = Arc::clone(&agent);
             let stop = Arc::clone(&stop);
             s.spawn(move || {
                 let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                while !stop.load(Ordering::Relaxed) && i < 500_000_000 {
                     agent.log(
                         EventTypeId(0),
                         RequestId(i),
@@ -111,21 +122,31 @@ fn install_remove_races_never_lose_or_corrupt() {
         // churn thread: installs and removes queries repeatedly
         {
             let agent = Arc::clone(&agent);
-            let stop = Arc::clone(&stop);
+            let stop = StopOnDrop(Arc::clone(&stop));
             s.spawn(move || {
+                let _stop = stop;
                 for round in 0..200u64 {
                     let qid = 100 + round;
                     agent
                         .install(plan("select COUNT(*) from bid where bid.price > 0.1", qid))
                         .unwrap();
-                    // each removal flushes a consistent tail batch
+                    // Nothing else drains the agent, so the removal's tail
+                    // is every batch the query produced: together they
+                    // hold exactly the events its cumulative counters —
+                    // carried by the last batch — say were kept.
                     let tail = agent.remove(QueryId(qid), round as i64);
-                    for b in &tail {
-                        assert!(b.sampled <= b.matched);
-                        assert_eq!(b.len() as u64, b.sampled - b.shed.min(b.sampled));
+                    let Some(last) = tail.last() else {
+                        continue; // no event arrived while it was installed
+                    };
+                    let shipped: u64 = tail.iter().map(|b| b.len() as u64).sum();
+                    assert_eq!(shipped, last.sampled);
+                    assert_eq!(last.sampled + last.shed, last.matched);
+                    assert_eq!(last.matched, last.seen);
+                    for pair in tail.windows(2) {
+                        assert!(pair[0].sampled <= pair[1].sampled);
+                        assert!(pair[0].seen <= pair[1].seen);
                     }
                 }
-                stop.store(true, Ordering::Relaxed);
             });
         }
     });

@@ -4,6 +4,8 @@
 //! tests can compare the live sampled/windowed pipeline against ground
 //! truth.
 
+use std::borrow::Cow;
+
 use scrub_agent::{BatchPayload, EventBatch};
 use scrub_central::{QueryExecutor, QuerySummary, ResultRow};
 use scrub_core::event::Event;
@@ -63,11 +65,13 @@ pub fn apply_host_plan(plan: &HostPlan, ev: &Event) -> Option<Event> {
         let arity = plan.arity;
         let ok = pred.eval_bool_by(&|slot| {
             if slot < arity {
-                ev.values.get(slot).cloned().unwrap_or(Value::Null)
+                ev.values
+                    .get(slot)
+                    .map_or(Cow::Owned(Value::Null), Cow::Borrowed)
             } else if slot == arity {
-                Value::Long(ev.request_id.0 as i64)
+                Cow::Owned(Value::Long(ev.request_id.0 as i64))
             } else {
-                Value::DateTime(ev.timestamp)
+                Cow::Owned(Value::DateTime(ev.timestamp))
             }
         });
         if !ok {

@@ -4,6 +4,7 @@
 //! Hosts only selected/projected/sampled; everything here is the expensive
 //! part of the query, deliberately placed off the application hosts.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -472,8 +473,8 @@ impl QueryExecutor {
         // then the request-id and timestamp slots; out-of-block slots and
         // short chunks (arity < plan fields) read Null, extra trailing
         // columns are ignored — exactly the row builder's semantics.
-        let col_fetch = |i: usize, slot: usize| -> Value {
-            if slot >= off && slot < rid_slot {
+        let col_fetch = |i: usize, slot: usize| -> Cow<'_, Value> {
+            Cow::Owned(if slot >= off && slot < rid_slot {
                 match chunk.columns.get(slot - off) {
                     Some(col) => col.value_at(i),
                     None => Value::Null,
@@ -484,7 +485,7 @@ impl QueryExecutor {
                 Value::DateTime(chunk.timestamps[i])
             } else {
                 Value::Null
-            }
+            })
         };
         let OutputMode::Aggregate {
             group_by,
@@ -572,7 +573,7 @@ impl QueryExecutor {
                     cap,
                     group_by,
                     aggregates,
-                    &|e| e.eval_by(&fetch),
+                    &|e| e.eval_by(&fetch).into_owned(),
                     &mut scratch.keys,
                     &mut scratch.key_vals,
                 );

@@ -9,6 +9,8 @@
 //!   slots against a single event's tuple; ScrubCentral binds them against a
 //!   joined row. The hot evaluation path therefore never looks up strings.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ScrubError, ScrubResult};
@@ -500,93 +502,36 @@ impl ResolvedExpr {
     /// three-valued logic collapsed to two values: a comparison involving
     /// NULL is false; `AND`/`OR` treat NULL operands as false).
     pub fn eval(&self, row: &[Value]) -> Value {
-        match self {
-            ResolvedExpr::Literal(v) => v.clone(),
-            ResolvedExpr::Input(i) => row.get(*i).cloned().unwrap_or(Value::Null),
-            ResolvedExpr::Unary { op, expr } => {
-                let v = expr.eval(row);
-                match op {
-                    UnaryOp::Not => match v.as_bool() {
-                        Some(b) => Value::Bool(!b),
-                        None => Value::Bool(false),
-                    },
-                    UnaryOp::Neg => match v {
-                        Value::Int(x) => Value::Int(-x),
-                        Value::Long(x) => Value::Long(-x),
-                        Value::Float(x) => Value::Float(-x),
-                        Value::Double(x) => Value::Double(-x),
-                        _ => Value::Null,
-                    },
-                }
-            }
-            ResolvedExpr::Binary { op, lhs, rhs } => {
-                let l = lhs.eval(row);
-                match op {
-                    BinOp::And => {
-                        // short-circuit
-                        if l.as_bool() != Some(true) {
-                            return Value::Bool(false);
-                        }
-                        Value::Bool(rhs.eval(row).as_bool() == Some(true))
-                    }
-                    BinOp::Or => {
-                        if l.as_bool() == Some(true) {
-                            return Value::Bool(true);
-                        }
-                        Value::Bool(rhs.eval(row).as_bool() == Some(true))
-                    }
-                    _ => {
-                        let r = rhs.eval(row);
-                        eval_binop(*op, &l, &r)
-                    }
-                }
-            }
-            ResolvedExpr::Call { func, args } => {
-                let vs: Vec<Value> = args.iter().map(|a| a.eval(row)).collect();
-                eval_fn(*func, &vs)
-            }
-            ResolvedExpr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let v = expr.eval(row);
-                if v.is_null() {
-                    return Value::Bool(false);
-                }
-                let found = list.iter().any(|x| x.loose_eq(&v));
-                Value::Bool(found != *negated)
-            }
-            ResolvedExpr::IsNull { expr, negated } => {
-                let v = expr.eval(row);
-                Value::Bool(v.is_null() != *negated)
-            }
-        }
+        self.eval_by(&lend(row)).into_owned()
     }
 
     /// Evaluate as a predicate: true iff the expression evaluates to
     /// `Bool(true)`.
     pub fn eval_bool(&self, row: &[Value]) -> bool {
-        self.eval(row).as_bool() == Some(true)
+        self.eval_bool_by(&lend(row))
     }
 
-    /// Evaluate with a slot accessor instead of a materialized row.
+    /// Evaluate with a slot accessor instead of a materialized row — the
+    /// one interpreter body; [`ResolvedExpr::eval`] is a wrapper over it.
     ///
-    /// The host-side hot path uses this to avoid cloning a full event tuple
-    /// per predicate evaluation — only the slots the expression actually
-    /// references are fetched.
-    pub fn eval_by(&self, fetch: &dyn Fn(usize) -> Value) -> Value {
-        match self {
-            ResolvedExpr::Literal(v) => v.clone(),
-            ResolvedExpr::Input(i) => fetch(*i),
+    /// Values are borrowed wherever they already exist: literals from the
+    /// expression, inputs from whatever `fetch` can lend
+    /// (`Cow::Borrowed`); only computed results are owned. The host-side
+    /// hot path relies on this — a string comparison that says "no"
+    /// allocates nothing.
+    pub fn eval_by<'a, 'v: 'a, F>(&'a self, fetch: &F) -> Cow<'a, Value>
+    where
+        F: Fn(usize) -> Cow<'v, Value> + ?Sized,
+    {
+        let is_true = |e: &'a ResolvedExpr| e.eval_by(fetch).as_bool() == Some(true);
+        Cow::Owned(match self {
+            ResolvedExpr::Literal(v) => return Cow::Borrowed(v),
+            ResolvedExpr::Input(i) => return fetch(*i),
             ResolvedExpr::Unary { op, expr } => {
                 let v = expr.eval_by(fetch);
                 match op {
-                    UnaryOp::Not => match v.as_bool() {
-                        Some(b) => Value::Bool(!b),
-                        None => Value::Bool(false),
-                    },
-                    UnaryOp::Neg => match v {
+                    UnaryOp::Not => Value::Bool(v.as_bool() == Some(false)),
+                    UnaryOp::Neg => match *v {
                         Value::Int(x) => Value::Int(-x),
                         Value::Long(x) => Value::Long(-x),
                         Value::Float(x) => Value::Float(-x),
@@ -595,30 +540,17 @@ impl ResolvedExpr {
                     },
                 }
             }
-            ResolvedExpr::Binary { op, lhs, rhs } => {
-                let l = lhs.eval_by(fetch);
-                match op {
-                    BinOp::And => {
-                        if l.as_bool() != Some(true) {
-                            return Value::Bool(false);
-                        }
-                        Value::Bool(rhs.eval_by(fetch).as_bool() == Some(true))
-                    }
-                    BinOp::Or => {
-                        if l.as_bool() == Some(true) {
-                            return Value::Bool(true);
-                        }
-                        Value::Bool(rhs.eval_by(fetch).as_bool() == Some(true))
-                    }
-                    _ => {
-                        let r = rhs.eval_by(fetch);
-                        eval_binop(*op, &l, &r)
-                    }
-                }
-            }
+            ResolvedExpr::Binary { op, lhs, rhs } => match op {
+                // short-circuit
+                BinOp::And => Value::Bool(is_true(lhs) && is_true(rhs)),
+                BinOp::Or => Value::Bool(is_true(lhs) || is_true(rhs)),
+                _ => eval_binop(*op, &lhs.eval_by(fetch), &rhs.eval_by(fetch)),
+            },
             ResolvedExpr::Call { func, args } => {
-                let vs: Vec<Value> = args.iter().map(|a| a.eval_by(fetch)).collect();
-                eval_fn(*func, &vs)
+                // every built-in takes one or two arguments
+                let a = args.first().map(|a| a.eval_by(fetch));
+                let b = args.get(1).map(|a| a.eval_by(fetch));
+                eval_fn(*func, a.as_deref(), b.as_deref())
             }
             ResolvedExpr::InList {
                 expr,
@@ -627,20 +559,22 @@ impl ResolvedExpr {
             } => {
                 let v = expr.eval_by(fetch);
                 if v.is_null() {
-                    return Value::Bool(false);
+                    return Cow::Owned(Value::Bool(false));
                 }
                 let found = list.iter().any(|x| x.loose_eq(&v));
                 Value::Bool(found != *negated)
             }
             ResolvedExpr::IsNull { expr, negated } => {
-                let v = expr.eval_by(fetch);
-                Value::Bool(v.is_null() != *negated)
+                Value::Bool(expr.eval_by(fetch).is_null() != *negated)
             }
-        }
+        })
     }
 
     /// Predicate form of [`ResolvedExpr::eval_by`].
-    pub fn eval_bool_by(&self, fetch: &dyn Fn(usize) -> Value) -> bool {
+    pub fn eval_bool_by<'v, F>(&self, fetch: &F) -> bool
+    where
+        F: Fn(usize) -> Cow<'v, Value> + ?Sized,
+    {
         self.eval_by(fetch).as_bool() == Some(true)
     }
 
@@ -656,6 +590,12 @@ impl ResolvedExpr {
             ResolvedExpr::IsNull { expr, .. } => expr.max_slot(),
         }
     }
+}
+
+/// Slot accessor over a materialized row: lends the value, `Null` past
+/// the end.
+fn lend<'a>(row: &'a [Value]) -> impl Fn(usize) -> Cow<'a, Value> {
+    move |i| row.get(i).map_or(Cow::Owned(Value::Null), Cow::Borrowed)
 }
 
 fn max_opt(a: Option<usize>, b: Option<usize>) -> Option<usize> {
@@ -738,53 +678,39 @@ fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Value {
     })
 }
 
-fn eval_fn(func: ScalarFn, args: &[Value]) -> Value {
-    let num = |i: usize| args.get(i).and_then(Value::as_f64);
+fn eval_fn(func: ScalarFn, a: Option<&Value>, b: Option<&Value>) -> Value {
+    let num = a.and_then(Value::as_f64);
+    let double = |x: Option<f64>| x.map_or(Value::Null, Value::Double);
     match func {
-        ScalarFn::Abs => num(0)
-            .map(|x| Value::Double(x.abs()))
-            .unwrap_or(Value::Null),
-        ScalarFn::Log => num(0)
-            .filter(|x| *x > 0.0)
-            .map(|x| Value::Double(x.ln()))
-            .unwrap_or(Value::Null),
-        ScalarFn::Log10 => num(0)
-            .filter(|x| *x > 0.0)
-            .map(|x| Value::Double(x.log10()))
-            .unwrap_or(Value::Null),
-        ScalarFn::Sqrt => num(0)
-            .filter(|x| *x >= 0.0)
-            .map(|x| Value::Double(x.sqrt()))
-            .unwrap_or(Value::Null),
-        ScalarFn::Floor => num(0)
-            .map(|x| Value::Double(x.floor()))
-            .unwrap_or(Value::Null),
-        ScalarFn::Ceil => num(0)
-            .map(|x| Value::Double(x.ceil()))
-            .unwrap_or(Value::Null),
-        ScalarFn::Lower => match args.first() {
+        ScalarFn::Abs => double(num.map(f64::abs)),
+        ScalarFn::Log => double(num.filter(|x| *x > 0.0).map(f64::ln)),
+        ScalarFn::Log10 => double(num.filter(|x| *x > 0.0).map(f64::log10)),
+        ScalarFn::Sqrt => double(num.filter(|x| *x >= 0.0).map(f64::sqrt)),
+        ScalarFn::Floor => double(num.map(f64::floor)),
+        ScalarFn::Ceil => double(num.map(f64::ceil)),
+        ScalarFn::Lower => match a {
             Some(Value::Str(s)) => Value::Str(s.to_lowercase()),
             _ => Value::Null,
         },
-        ScalarFn::Upper => match args.first() {
+        ScalarFn::Upper => match a {
             Some(Value::Str(s)) => Value::Str(s.to_uppercase()),
             _ => Value::Null,
         },
-        ScalarFn::Length => match args.first() {
+        ScalarFn::Length => match a {
             Some(Value::Str(s)) => Value::Long(s.chars().count() as i64),
             Some(Value::List(vs)) => Value::Long(vs.len() as i64),
             _ => Value::Null,
         },
-        ScalarFn::Contains => match (args.first(), args.get(1)) {
+        ScalarFn::Contains => match (a, b) {
             (Some(Value::Str(h)), Some(Value::Str(n))) => Value::Bool(h.contains(n.as_str())),
             (Some(Value::List(vs)), Some(v)) => Value::Bool(vs.iter().any(|x| x.loose_eq(v))),
             _ => Value::Bool(false),
         },
-        ScalarFn::StartsWith => match (args.first(), args.get(1)) {
+        ScalarFn::StartsWith => match (a, b) {
             (Some(Value::Str(h)), Some(Value::Str(n))) => Value::Bool(h.starts_with(n.as_str())),
             _ => Value::Bool(false),
         },
-        ScalarFn::EndsWith => match (args.first(), args.get(1)) {
+        ScalarFn::EndsWith => match (a, b) {
             (Some(Value::Str(h)), Some(Value::Str(n))) => Value::Bool(h.ends_with(n.as_str())),
             _ => Value::Bool(false),
         },
@@ -862,6 +788,21 @@ mod tests {
         }
     }
 
+    impl ResolvedExpr {
+        /// `eval`, checked against `eval_by` over an accessor that owns
+        /// every value it hands out — the opposite of `eval`'s lending one,
+        /// through the same interpreter body. (Compared as text: NaN.)
+        fn eval_both(&self, row: &[Value]) -> Value {
+            let lent = self.eval(row);
+            let owned = self
+                .eval_by(&|i| Cow::Owned(row.get(i).cloned().unwrap_or(Value::Null)))
+                .into_owned();
+            assert_eq!(format!("{lent:?}"), format!("{owned:?}"), "{self:?}");
+            assert_eq!(self.eval_bool(row), lent.as_bool() == Some(true));
+            lent
+        }
+    }
+
     fn resolve_simple(e: &Expr, fields: &[&str]) -> ResolvedExpr {
         let mut b = SlotBinder::new();
         for f in fields {
@@ -874,32 +815,32 @@ mod tests {
     fn arithmetic_integer_exactness() {
         let e = bin(BinOp::Mul, lit(1000i64), lit(3i64));
         let r = resolve_simple(&e, &[]);
-        assert_eq!(r.eval(&[]), Value::Long(3000));
+        assert_eq!(r.eval_both(&[]), Value::Long(3000));
     }
 
     #[test]
     fn arithmetic_mixed_promotes_to_double() {
         let e = bin(BinOp::Add, lit(1i64), lit(0.5f64));
         let r = resolve_simple(&e, &[]);
-        assert_eq!(r.eval(&[]), Value::Double(1.5));
+        assert_eq!(r.eval_both(&[]), Value::Double(1.5));
     }
 
     #[test]
     fn division_by_zero_is_null() {
         let e = bin(BinOp::Div, lit(1i64), lit(0i64));
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Null);
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Null);
         let e = bin(BinOp::Div, lit(1.0f64), lit(0.0f64));
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Null);
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Null);
         let e = bin(BinOp::Mod, lit(1i64), lit(0i64));
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Null);
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Null);
     }
 
     #[test]
     fn comparisons_across_numeric_widths() {
         let e = bin(BinOp::Eq, lit(5i32), lit(5i64));
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(true));
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Bool(true));
         let e = bin(BinOp::Lt, lit(5i32), lit(5.5f64));
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(true));
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Bool(true));
     }
 
     #[test]
@@ -909,7 +850,7 @@ mod tests {
             lhs: Box::new(Expr::Literal(Value::Null)),
             rhs: Box::new(lit(1i64)),
         };
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(false));
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Bool(false));
     }
 
     #[test]
@@ -920,9 +861,9 @@ mod tests {
             lit(false),
             bin(BinOp::Eq, bin(BinOp::Div, lit(1i64), lit(0i64)), lit(1i64)),
         );
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(false));
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Bool(false));
         let e = bin(BinOp::Or, lit(true), lit(false));
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(true));
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Bool(true));
     }
 
     #[test]
@@ -933,8 +874,14 @@ mod tests {
             lit(1.0f64),
         );
         let r = resolve_simple(&e, &["exchange_id", "bid_price"]);
-        assert!(r.eval_bool(&[Value::Long(1), Value::Double(2.0)]));
-        assert!(!r.eval_bool(&[Value::Long(1), Value::Double(0.5)]));
+        assert_eq!(
+            r.eval_both(&[Value::Long(1), Value::Double(2.0)]),
+            Value::Bool(true)
+        );
+        assert_eq!(
+            r.eval_both(&[Value::Long(1), Value::Double(0.5)]),
+            Value::Bool(false)
+        );
     }
 
     #[test]
@@ -954,13 +901,13 @@ mod tests {
             list: vec![Value::Long(1), Value::Long(3)],
             negated: false,
         };
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(true));
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Bool(true));
         let e = Expr::InList {
             expr: Box::new(lit(3i64)),
             list: vec![Value::Long(1)],
             negated: true,
         };
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(true));
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Bool(true));
     }
 
     #[test]
@@ -969,23 +916,23 @@ mod tests {
             expr: Box::new(Expr::Literal(Value::Null)),
             negated: false,
         };
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(true));
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Bool(true));
         let e = Expr::IsNull {
             expr: Box::new(lit(1i64)),
             negated: true,
         };
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(true));
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Bool(true));
     }
 
     #[test]
     fn string_functions() {
         let call = |f, args| Expr::Call { func: f, args };
         assert_eq!(
-            resolve_simple(&call(ScalarFn::Lower, vec![lit("ABC")]), &[]).eval(&[]),
+            resolve_simple(&call(ScalarFn::Lower, vec![lit("ABC")]), &[]).eval_both(&[]),
             Value::Str("abc".into())
         );
         assert_eq!(
-            resolve_simple(&call(ScalarFn::Length, vec![lit("abc")]), &[]).eval(&[]),
+            resolve_simple(&call(ScalarFn::Length, vec![lit("abc")]), &[]).eval_both(&[]),
             Value::Long(3)
         );
         assert_eq!(
@@ -993,7 +940,7 @@ mod tests {
                 &call(ScalarFn::Contains, vec![lit("hello"), lit("ell")]),
                 &[]
             )
-            .eval(&[]),
+            .eval_both(&[]),
             Value::Bool(true)
         );
         assert_eq!(
@@ -1001,7 +948,7 @@ mod tests {
                 &call(ScalarFn::StartsWith, vec![lit("hello"), lit("he")]),
                 &[]
             )
-            .eval(&[]),
+            .eval_both(&[]),
             Value::Bool(true)
         );
     }
@@ -1010,15 +957,15 @@ mod tests {
     fn math_functions_domain_errors_are_null() {
         let call = |f, args| Expr::Call { func: f, args };
         assert_eq!(
-            resolve_simple(&call(ScalarFn::Log, vec![lit(-1.0f64)]), &[]).eval(&[]),
+            resolve_simple(&call(ScalarFn::Log, vec![lit(-1.0f64)]), &[]).eval_both(&[]),
             Value::Null
         );
         assert_eq!(
-            resolve_simple(&call(ScalarFn::Sqrt, vec![lit(-1.0f64)]), &[]).eval(&[]),
+            resolve_simple(&call(ScalarFn::Sqrt, vec![lit(-1.0f64)]), &[]).eval_both(&[]),
             Value::Null
         );
         assert_eq!(
-            resolve_simple(&call(ScalarFn::Log10, vec![lit(100.0f64)]), &[]).eval(&[]),
+            resolve_simple(&call(ScalarFn::Log10, vec![lit(100.0f64)]), &[]).eval_both(&[]),
             Value::Double(2.0)
         );
     }
@@ -1106,8 +1053,21 @@ mod tests {
     }
 
     #[test]
+    fn inputs_and_literals_are_lent_not_cloned() {
+        let row = [Value::Str("de".into()), Value::Long(7)];
+        let literal = ResolvedExpr::Literal(Value::Str("fr".into()));
+        assert!(matches!(literal.eval_by(&lend(&row)), Cow::Borrowed(_)));
+        let input = ResolvedExpr::Input(0);
+        assert!(matches!(input.eval_by(&lend(&row)), Cow::Borrowed(v) if *v == row[0]));
+        // a comparison owns only its boolean
+        let e = bin(BinOp::Eq, Expr::Field(FieldRef::bare("c")), lit("fr"));
+        let r = resolve_simple(&e, &["c", "n"]);
+        assert_eq!(r.eval_both(&row), Value::Bool(false));
+    }
+
+    #[test]
     fn missing_slot_evaluates_to_null() {
         let r = ResolvedExpr::Input(5);
-        assert_eq!(r.eval(&[Value::Int(1)]), Value::Null);
+        assert_eq!(r.eval_both(&[Value::Int(1)]), Value::Null);
     }
 }
