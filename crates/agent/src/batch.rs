@@ -14,10 +14,11 @@ use scrub_obs::TraceSpan;
 /// `Rows` is the v1 wire format: materialised row events. `Columnar` is
 /// the v2 format: the agent encoded its flush buffer into per-column
 /// segments at ship time, so what rides the wire (and what byte
-/// accounting charges) is the actual encoded frame. ScrubCentral's
-/// vectorized operators consume the columnar frame directly; `Rows`
-/// survives as the compatibility path and as the hand-off shape for
-/// request-id-sharded joins.
+/// accounting charges) is the actual encoded frame. ScrubCentral decodes
+/// the frame into column chunks once and runs every operator over them;
+/// `Rows` survives as the compatibility wire format and as the hand-off
+/// shape for request-id-sharded joins, and is transposed into the same
+/// chunks at ingest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BatchPayload {
     /// Interleaved row events (wire format v1).
@@ -87,15 +88,6 @@ impl BatchPayload {
                 debug_assert!(res.is_ok(), "columnar payload decode failed: {res:?}");
                 out
             }
-        }
-    }
-
-    /// Like [`BatchPayload::to_rows`] but consumes the payload, avoiding
-    /// the clone in the `Rows` case.
-    pub fn into_rows(self) -> Vec<Event> {
-        match self {
-            BatchPayload::Rows(evs) => evs,
-            BatchPayload::Columnar(_) => self.to_rows(),
         }
     }
 

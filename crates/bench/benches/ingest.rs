@@ -111,7 +111,8 @@ fn bench_ingest(c: &mut Criterion) {
     g.throughput(Throughput::Elements(N));
 
     // Aggregate mode: routing + threaded ingest + merged window close,
-    // per wire format (row = v1 event loop, col = vectorized columnar).
+    // per wire format (row = rows transposed into column chunks at central,
+    // col = one frame decode).
     for parts in [1usize, 4] {
         for (fmt_name, fmt) in [("row", WireFormat::Row), ("col", WireFormat::Columnar)] {
             let name = format!("aggregate_{fmt_name}_p{parts}_10k");
@@ -159,8 +160,8 @@ fn bench_ingest(c: &mut Criterion) {
     }
 
     // The partitions=1 fast path: pure ingest, no advance — isolates the
-    // per-event decode+fold cost per wire format (the tentpole
-    // comparison: vectorized columnar vs the v1 row loop).
+    // per-event decode+fold cost per wire format (frame decode vs row
+    // transposition in front of the same column passes).
     for (fmt_name, fmt) in [("row", WireFormat::Row), ("col", WireFormat::Columnar)] {
         let name = format!("inline_ingest_only_{fmt_name}_10k");
         g.bench_function(&name, |b| {

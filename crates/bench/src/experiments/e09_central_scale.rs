@@ -228,7 +228,8 @@ pub fn run(quick: bool) -> Report {
     };
     let col_bytes_per_event = payload_bytes(&batches);
     let row_bytes_per_event = payload_bytes(&row_batches);
-    // Single-partition decode+fold throughput of the v1 row path, for the
+    // Single-partition throughput of the row wire format (transposed into
+    // column chunks at central, then the same fold), for the
     // columnar-speedup figure reported below.
     let (row_eps, row_rows, _) = throughput(&row_batches, 1);
     let parts_list = [1usize, 2, 4, 8];

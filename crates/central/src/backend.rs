@@ -104,6 +104,10 @@ pub trait IngestBackend: private::Sealed + Send {
     /// backend, as of the latest barrier for the threaded one.
     fn gauges(&self) -> (usize, u64);
 
+    /// Columnar frames that failed to decode and were dropped — live for
+    /// the inline backend, as of the latest barrier for the threaded one.
+    fn decode_failures(&self) -> u64;
+
     /// Per-worker busy/idle attribution (empty inline).
     fn worker_times(&self) -> Vec<WorkerTime>;
 }
@@ -185,6 +189,10 @@ impl IngestBackend for InlineBackend {
             self.exec.open_windows(),
             (self.exec.buffered_events() + self.exec.open_groups()) as u64,
         )
+    }
+
+    fn decode_failures(&self) -> u64 {
+        self.exec.decode_failures
     }
 
     fn worker_times(&self) -> Vec<WorkerTime> {

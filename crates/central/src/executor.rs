@@ -3,6 +3,11 @@
 //!
 //! Hosts only selected/projected/sampled; everything here is the expensive
 //! part of the query, deliberately placed off the application hosts.
+//!
+//! Every batch is consumed as column chunks: a columnar frame is decoded
+//! once, a row payload is transposed once, and from there selection,
+//! residual, folds, stream projection and the join all read chunk columns
+//! through a slot accessor — no row `Event` is built per input event.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -10,10 +15,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use scrub_agent::{BatchPayload, EventBatch};
-use scrub_core::columnar::{ColumnChunk, ColumnarFrame};
-use scrub_core::event::Event;
+use scrub_core::columnar::{ColumnChunk, ColumnarBatch};
 use scrub_core::expr::ResolvedExpr;
-use scrub_core::plan::{CentralPlan, OperatorKind, OutputCol, OutputMode};
+use scrub_core::plan::{AggSpec, CentralPlan, OperatorKind, OutputCol, OutputMode};
 use scrub_core::value::{GroupKey, Value};
 use scrub_obs::{OperatorStats, PlanProfile};
 use scrub_sketch::{estimate_total, HostSample, Welford};
@@ -25,6 +29,11 @@ use crate::totals::{HostId, TotalsTracker};
 /// Safety cap on the per-request join cross-product (a request with tens of
 /// thousands of exclusions joined to several bids could otherwise explode).
 pub const MAX_JOIN_ROWS_PER_REQUEST: usize = 100_000;
+
+/// Joined rows enumerated before the probe runs its residual and fold
+/// passes over them: large enough that the per-pass clock reads vanish,
+/// small enough that the pending combinations stay in cache.
+const PROBE_BLOCK_ROWS: usize = 1024;
 
 /// Central-side operator counters for `EXPLAIN ANALYZE`. One partition's
 /// executor counts only the (disjoint) event slice routed to it, so the
@@ -47,12 +56,12 @@ struct CentralOpCounters {
     /// Wall-clock ingest time net of the residual/group/stream/build time
     /// accounted below.
     decode_ns: u64,
-    /// Events entering the join build side (each buffered copy counted
-    /// once per covering window on the way out).
+    /// Events entering the join build side (each buffered reference
+    /// counted once per covering window on the way out).
     join_build_rows_in: u64,
     join_build_rows_out: u64,
     join_build_ns: u64,
-    /// Buffered events consumed when a join window closes, and joined
+    /// Buffered references consumed when a join window closes, and joined
     /// rows actually enumerated (post cross-product cap).
     join_probe_rows_in: u64,
     join_probe_rows_out: u64,
@@ -68,17 +77,6 @@ struct CentralOpCounters {
     stream_ns: u64,
 }
 
-/// Reusable per-executor buffers for the event hot path: the joined row
-/// and the group key are rebuilt for every event, so they are cleared and
-/// refilled instead of reallocated (single-key group-bys in particular
-/// used to allocate a one-element `Vec<GroupKey>` per event).
-#[derive(Debug, Default)]
-struct EventScratch {
-    row: Vec<Value>,
-    keys: Vec<GroupKey>,
-    key_vals: Vec<Value>,
-}
-
 /// Per-(window, group) state.
 #[derive(Debug, Clone)]
 pub struct GroupState {
@@ -92,19 +90,119 @@ pub struct GroupState {
     pub rows: u64,
 }
 
+/// One window's groups, keyed and ordered by canonical group key.
+pub type Groups = BTreeMap<Vec<GroupKey>, GroupState>;
+
+/// What one joined-row slot reads within its input's block.
+#[derive(Debug, Clone, Copy)]
+enum SlotCol {
+    /// The i-th projected user field.
+    Field(usize),
+    RequestId,
+    Timestamp,
+}
+
+/// Where a joined-row slot lives: block layout is `fields...` then
+/// `request_id` then `timestamp`, one block per input.
+#[derive(Debug, Clone, Copy)]
+struct SlotSrc {
+    input: usize,
+    col: SlotCol,
+}
+
+/// The slot → source table of a plan's joined-row layout (`None` for a
+/// slot no input block covers).
+fn slot_table(plan: &CentralPlan) -> Arc<[Option<SlotSrc>]> {
+    let mut slots = vec![None; plan.row_width];
+    for (input, spec) in plan.inputs.iter().enumerate() {
+        let nfields = spec.fields.len();
+        let cols = (0..nfields)
+            .map(SlotCol::Field)
+            .chain([SlotCol::RequestId, SlotCol::Timestamp]);
+        for (pos, col) in cols.enumerate() {
+            if let Some(slot) = slots.get_mut(spec.block_offset + pos) {
+                *slot = Some(SlotSrc { input, col });
+            }
+        }
+    }
+    slots.into()
+}
+
+/// One slot of a chunk row, lent where the chunk already holds a `Value`.
+/// A short chunk (arity below the plan's fields) reads `Null`; extra
+/// trailing columns are never addressed.
+fn chunk_value(chunk: &ColumnChunk, row: usize, col: SlotCol) -> Cow<'_, Value> {
+    match col {
+        SlotCol::Field(i) => match chunk.columns.get(i) {
+            Some(column) => column.value_ref(row),
+            None => Cow::Owned(Value::Null),
+        },
+        SlotCol::RequestId => Cow::Owned(Value::Long(chunk.request_ids[row] as i64)),
+        SlotCol::Timestamp => Cow::Owned(Value::DateTime(chunk.timestamps[row])),
+    }
+}
+
+/// Slot accessor over the rows of one chunk of input `input`: `(row,
+/// slot)` reads inside that input's block, `Null` everywhere else.
+fn chunk_rows<'c>(
+    slots: &'c [Option<SlotSrc>],
+    chunk: &'c ColumnChunk,
+    input: usize,
+) -> impl Fn(usize, usize) -> Cow<'c, Value> {
+    move |row, slot| match slots.get(slot) {
+        Some(Some(src)) if src.input == input => chunk_value(chunk, row, src.col),
+        _ => Cow::Owned(Value::Null),
+    }
+}
+
+/// One buffered join event: its key and where its fields live. Sixteen
+/// bytes, so a sliding window replicates references, never events.
+#[derive(Debug, Clone, Copy)]
+struct JoinRef {
+    request_id: u64,
+    /// Index into the owning window's [`JoinBuffer::chunks`].
+    chunk: u32,
+    row: u32,
+}
+
+/// A join window's build side.
+struct JoinBuffer {
+    /// Every decoded chunk with an event in this window, shared (not
+    /// copied) with the other windows it covers.
+    chunks: Vec<Arc<ColumnChunk>>,
+    /// Per input, the window's events in arrival order.
+    sides: Vec<Vec<JoinRef>>,
+}
+
 enum WindowState {
     /// Single-input aggregate mode: aggregated eagerly, memory O(groups).
     /// The map is bounded at `CentralPlan::max_groups` by keeping the
     /// smallest group keys (see [`update_groups`]); `overflow_rows`
     /// counts the rows this window dropped to stay under the cap.
-    Eager {
-        groups: BTreeMap<Vec<GroupKey>, GroupState>,
-        overflow_rows: u64,
-    },
-    /// Join queries buffer per request id until the window closes.
-    Buffered {
-        per_request: HashMap<u64, Vec<Vec<Event>>>,
-    },
+    Eager { groups: Groups, overflow_rows: u64 },
+    /// Join queries buffer references until the window closes.
+    Buffered(JoinBuffer),
+}
+
+/// The closed window's sorted sides as the probe reads them.
+struct ProbeSides<'w> {
+    chunks: &'w [Arc<ColumnChunk>],
+    sides: &'w [Vec<JoinRef>],
+    slots: &'w [Option<SlotSrc>],
+}
+
+impl<'w> ProbeSides<'w> {
+    /// Slot accessor over one joined row; `combo[i]` is a position in
+    /// side `i`. Values are lent from the chunks, whatever `combo`'s life.
+    fn row<'c>(&'c self, combo: &'c [usize]) -> impl Fn(usize) -> Cow<'w, Value> + 'c {
+        move |slot| match self.slots.get(slot) {
+            Some(Some(src)) => {
+                let r = self.sides[src.input][combo[src.input]];
+                chunk_value(&self.chunks[r.chunk as usize], r.row as usize, src.col)
+            }
+            _ => Cow::Owned(Value::Null),
+        }
+    }
 }
 
 /// A closed window's partial results, for merging across partitions.
@@ -229,6 +327,9 @@ pub struct QueryExecutor {
     /// Shared, immutable compiled plan — partitions of the same query all
     /// point at one allocation instead of deep-cloning the plan each.
     plan: Arc<CentralPlan>,
+    /// The plan's joined-row slot layout (shared for the same reason the
+    /// plan is: the hot loops hold it across `&mut self` updates).
+    slots: Arc<[Option<SlotSrc>]>,
     grace_ms: i64,
     windows: BTreeMap<i64, WindowState>,
     /// Interned host names plus cumulative per-(host, subscription) header
@@ -242,14 +343,17 @@ pub struct QueryExecutor {
     /// Per-host value moments per aggregate (only for estimator-eligible
     /// queries: single input, ungrouped, sampled).
     host_moments: HashMap<HostId, Vec<Welford>>,
-    /// Hot-path scratch buffers, reused across events.
-    scratch: EventScratch,
+    /// The group key of the row being folded, rebuilt in place per row
+    /// (see [`update_groups`]).
+    key_scratch: Vec<GroupKey>,
     stream_out: Vec<ResultRow>,
     windows_emitted: u64,
     /// Join rows dropped by the cross-product cap.
     pub join_rows_capped: u64,
     /// Late events dropped because their window already closed.
     pub late_events_dropped: u64,
+    /// Columnar frames that failed to decode; their events were dropped.
+    pub decode_failures: u64,
     closed_before_ms: i64,
     /// Hosts suspected dead (no heartbeat/batch within the grace period).
     /// Their already-ingested events stay, but their samples leave the
@@ -271,17 +375,20 @@ impl QueryExecutor {
     /// or a shared `Arc<CentralPlan>` (partitions of one query share the
     /// compiled plan instead of cloning it).
     pub fn new(plan: impl Into<Arc<CentralPlan>>, grace_ms: i64) -> Self {
+        let plan = plan.into();
         QueryExecutor {
-            plan: plan.into(),
+            slots: slot_table(&plan),
+            plan,
             grace_ms,
             windows: BTreeMap::new(),
             totals: TotalsTracker::default(),
             host_moments: HashMap::new(),
-            scratch: EventScratch::default(),
+            key_scratch: Vec::new(),
             stream_out: Vec::new(),
             windows_emitted: 0,
             join_rows_capped: 0,
             late_events_dropped: 0,
+            decode_failures: 0,
             closed_before_ms: i64::MIN,
             dead_hosts: std::collections::HashSet::new(),
             duplicate_batches: 0,
@@ -315,17 +422,15 @@ impl QueryExecutor {
         self.windows.len()
     }
 
-    /// Events currently buffered for the join (0 for single-input plans,
-    /// whose windows hold aggregate state instead).
+    /// Events currently buffered for the join, one per covering window
+    /// (0 for single-input plans, whose windows hold aggregate state
+    /// instead).
     pub fn buffered_events(&self) -> usize {
         self.windows
             .values()
             .map(|w| match w {
                 WindowState::Eager { .. } => 0,
-                WindowState::Buffered { per_request } => per_request
-                    .values()
-                    .map(|slots| slots.iter().map(Vec::len).sum::<usize>())
-                    .sum(),
+                WindowState::Buffered(buf) => buf.sides.iter().map(Vec::len).sum(),
             })
             .sum()
     }
@@ -336,17 +441,9 @@ impl QueryExecutor {
             .values()
             .map(|w| match w {
                 WindowState::Eager { groups, .. } => groups.len(),
-                WindowState::Buffered { .. } => 0,
+                WindowState::Buffered(_) => 0,
             })
             .sum()
-    }
-
-    fn is_join(&self) -> bool {
-        self.plan.inputs.len() > 1
-    }
-
-    fn estimator_eligible(&self) -> bool {
-        plan_estimator_eligible(&self.plan)
     }
 
     /// Current scale-up factor compensating host and event sampling:
@@ -374,223 +471,134 @@ impl QueryExecutor {
         self.ingest_payload(hid, batch.payload);
     }
 
-    /// Dispatch on the wire shape: row batches walk the v1 event loop;
-    /// columnar frames take the vectorized column path (falling back to
-    /// materialised rows only where the plan itself wants events — join
-    /// buffering and stream emission).
+    /// Turn the payload into column chunks — one decode for a columnar
+    /// frame, one transposition for rows — and ingest each. A frame that
+    /// does not decode is counted and dropped whole; it must never take
+    /// ScrubCentral down, in any build.
     fn ingest_payload(&mut self, hid: HostId, payload: BatchPayload) {
-        match payload {
-            BatchPayload::Rows(events) => self.ingest_events(hid, events),
-            BatchPayload::Columnar(frame) => self.ingest_columnar(hid, &frame),
-        }
-    }
-
-    fn ingest_events(&mut self, hid: HostId, events: Vec<Event>) {
         let t0 = Instant::now();
-        // Downstream-operator ns accounted inside the loop is subtracted
-        // from the decode attribution below.
+        let batch = match payload {
+            BatchPayload::Rows(events) => ColumnarBatch::from_events(&events),
+            BatchPayload::Columnar(frame) => match frame.decode() {
+                Ok(batch) => batch,
+                Err(_) => {
+                    self.decode_failures += 1;
+                    return;
+                }
+            },
+        };
+        // Downstream-operator ns accounted per chunk is subtracted from
+        // the decode attribution below.
         let inner_before = self.inner_op_ns();
-        let eligible = self.estimator_eligible();
-        // Take the scratch buffers for the duration of the batch (they
-        // cannot stay borrowed through the `&mut self` calls below).
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for ev in events {
-            self.opc.decode_rows_in += 1;
-            let Some(input_idx) = self.plan.input_index(ev.type_id) else {
-                continue; // not part of this query
-            };
-            if eligible {
-                self.build_row_into(&mut scratch.row, &ev, input_idx);
-                self.update_moments(hid, &scratch.row);
-            }
-            self.ingest_event(ev, input_idx, &mut scratch);
+        for chunk in batch.chunks {
+            self.ingest_chunk(hid, chunk);
         }
-        self.scratch = scratch;
         let inner_spent = self.inner_op_ns().saturating_sub(inner_before);
         self.opc.decode_ns += (t0.elapsed().as_nanos() as u64).saturating_sub(inner_spent);
     }
 
-    /// Ingest a columnar frame. Single-input aggregate plans consume the
-    /// column slices directly — no per-event `Event` materialisation, the
-    /// late-window selection reads only the timestamp column, and the
-    /// residual/group passes fetch just the slots their expressions
-    /// reference. Join and stream plans (and any decode failure, which
-    /// in-process frames cannot hit) fall back to materialised rows and
-    /// the v1 loop, so their buffering/emission semantics are untouched.
-    fn ingest_columnar(&mut self, hid: HostId, frame: &ColumnarFrame) {
-        let vectorize = !self.is_join() && matches!(self.plan.mode, OutputMode::Aggregate { .. });
-        let t0 = Instant::now();
-        let decoded = if vectorize { frame.decode().ok() } else { None };
-        match decoded {
-            Some(batch) => {
-                let inner_before = self.inner_op_ns();
-                let eligible = self.estimator_eligible();
-                let mut scratch = std::mem::take(&mut self.scratch);
-                for chunk in &batch.chunks {
-                    self.ingest_chunk(hid, chunk, eligible, &mut scratch);
-                }
-                self.scratch = scratch;
-                let inner_spent = self.inner_op_ns().saturating_sub(inner_before);
-                self.opc.decode_ns += (t0.elapsed().as_nanos() as u64).saturating_sub(inner_spent);
-            }
-            None => {
-                let mut rows = Vec::with_capacity(frame.len());
-                let res = frame.decode_rows_into(&mut rows);
-                debug_assert!(res.is_ok(), "columnar frame decode failed: {res:?}");
-                // materialisation cost is decode work; the row loop times
-                // itself from here
-                self.opc.decode_ns += t0.elapsed().as_nanos() as u64;
-                self.ingest_events(hid, rows);
-            }
-        }
-    }
-
-    /// Vectorized ingest of one column chunk into a single-input eager
-    /// aggregate plan. Mirrors the row path pass-for-pass so every integer
-    /// counter (`decode_rows_*`, `residual_rows_*`, `group_rows_in`,
-    /// `late_events_dropped`, group/overflow state, estimator moments) is
-    /// bit-identical to feeding the same events through
-    /// [`QueryExecutor::ingest_events`].
-    fn ingest_chunk(
-        &mut self,
-        hid: HostId,
-        chunk: &ColumnChunk,
-        eligible: bool,
-        scratch: &mut EventScratch,
-    ) {
-        let n = chunk.len();
-        self.opc.decode_rows_in += n as u64;
+    /// Ingest one column chunk as a sequence of per-column passes:
+    /// estimator moments, window selection over the timestamps, then
+    /// either the join build or residual plus the mode's fold/projection.
+    /// Within a pass rows keep their batch order, so every integer counter
+    /// and every float fold sees events in arrival order.
+    fn ingest_chunk(&mut self, hid: HostId, chunk: ColumnChunk) {
+        self.opc.decode_rows_in += chunk.len() as u64;
         let Some(input_idx) = self.plan.input_index(chunk.type_id) else {
             return; // not part of this query
         };
+        if plan_estimator_eligible(&self.plan) {
+            self.update_moments(hid, &chunk, input_idx);
+        }
+        let (wins, mut sel) = self.select_rows(&chunk.timestamps);
+        if self.plan.is_join() {
+            self.buffer_chunk(Arc::new(chunk), input_idx, &wins, &sel);
+            return;
+        }
+
+        // The handles are cheap to clone and untie the plan borrow from
+        // the `&mut self` updates below.
         let plan = Arc::clone(&self.plan);
-        let input = &plan.inputs[input_idx];
-        let off = input.block_offset;
-        let nfields = input.fields.len();
-        let rid_slot = off + nfields;
-        let ts_slot = rid_slot + 1;
-        // Slot accessor mirroring `fill_block`: projected columns first,
-        // then the request-id and timestamp slots; out-of-block slots and
-        // short chunks (arity < plan fields) read Null, extra trailing
-        // columns are ignored — exactly the row builder's semantics.
-        let col_fetch = |i: usize, slot: usize| -> Cow<'_, Value> {
-            Cow::Owned(if slot >= off && slot < rid_slot {
-                match chunk.columns.get(slot - off) {
-                    Some(col) => col.value_at(i),
-                    None => Value::Null,
-                }
-            } else if slot == rid_slot {
-                Value::Long(chunk.request_ids[i] as i64)
-            } else if slot == ts_slot {
-                Value::DateTime(chunk.timestamps[i])
-            } else {
-                Value::Null
-            })
-        };
-        let OutputMode::Aggregate {
-            group_by,
-            aggregates,
-            ..
-        } = &plan.mode
-        else {
-            unreachable!("columnar vectorization is aggregate-only");
-        };
+        let slots = Arc::clone(&self.slots);
+        let fetch_row = chunk_rows(&slots, &chunk, input_idx);
 
-        // Estimator moments fold every arriving event of this input —
-        // before late-window filtering, same as the row path.
-        if eligible {
-            let moments = self
-                .host_moments
-                .entry(hid)
-                .or_insert_with(|| vec![Welford::new(); aggregates.len()]);
-            for i in 0..n {
-                let fetch = |slot: usize| col_fetch(i, slot);
-                for (j, agg) in aggregates.iter().enumerate() {
-                    let v = match &agg.arg {
-                        Some(a) => a.eval_by(&fetch).as_f64(),
-                        None => Some(1.0), // COUNT(*)
-                    };
-                    if let Some(x) = v {
-                        moments[j].add(x);
-                    }
-                }
-            }
-        }
-
-        // Selection pass over the timestamp column alone: surviving events
-        // record their covering window starts in a flat arena.
-        let closed = self.closed_before_ms;
-        let mut wins: Vec<i64> = Vec::with_capacity(n);
-        let mut sel: Vec<(u32, u32, u32)> = Vec::with_capacity(n);
-        for (i, &ts) in chunk.timestamps.iter().enumerate() {
-            let lo = wins.len() as u32;
-            wins.extend(self.covered_windows(ts).filter(|w| *w >= closed));
-            let hi = wins.len() as u32;
-            if lo == hi {
-                self.late_events_dropped += 1;
-            } else {
-                self.opc.decode_rows_out += 1;
-                sel.push((i as u32, lo, hi));
-            }
-        }
-
-        // Residual pass: one per-column evaluation per surviving event,
-        // shrinking the selection in place.
+        // Residual pass: one evaluation per surviving event, shrinking
+        // the selection in place.
         if let Some(res) = &plan.residual {
             let t_res = Instant::now();
-            sel.retain(|&(i, _, _)| {
-                self.opc.residual_rows_in += 1;
-                let fetch = |slot: usize| col_fetch(i as usize, slot);
-                let pass = res.eval_bool_by(&fetch);
-                if pass {
-                    self.opc.residual_rows_out += 1;
-                }
-                pass
-            });
+            self.opc.residual_rows_in += sel.len() as u64;
+            sel.retain(|&(i, _, _)| res.eval_bool_by(&|slot| fetch_row(i as usize, slot)));
+            self.opc.residual_rows_out += sel.len() as u64;
             self.opc.residual_ns += t_res.elapsed().as_nanos() as u64;
         }
 
-        // Fold pass: group state folds straight off the columns.
-        let t_fold = Instant::now();
-        let cap = plan.max_groups.max(1);
-        for &(i, lo, hi) in &sel {
-            let fetch = |slot: usize| col_fetch(i as usize, slot);
-            for &w in &wins[lo as usize..hi as usize] {
-                let state = self.windows.entry(w).or_insert_with(|| WindowState::Eager {
-                    groups: BTreeMap::new(),
-                    overflow_rows: 0,
-                });
-                let WindowState::Eager {
-                    groups,
-                    overflow_rows,
-                } = state
-                else {
-                    unreachable!("single-input aggregate plans are eager");
-                };
-                self.opc.group_rows_in += 1;
-                let dropped = update_groups_with(
-                    groups,
-                    cap,
-                    group_by,
-                    aggregates,
-                    &|e| e.eval_by(&fetch).into_owned(),
-                    &mut scratch.keys,
-                    &mut scratch.key_vals,
-                );
-                *overflow_rows += dropped;
-                self.groups_overflow += dropped;
+        let t_out = Instant::now();
+        match &plan.mode {
+            OutputMode::Stream(exprs) => {
+                for &(i, _, hi) in &sel {
+                    let fetch = |slot| fetch_row(i as usize, slot);
+                    self.stream_out.push(ResultRow {
+                        query_id: plan.query_id,
+                        window_start_ms: wins[hi as usize - 1],
+                        values: exprs
+                            .iter()
+                            .map(|e| e.eval_by(&fetch).into_owned())
+                            .collect(),
+                        degraded: false,
+                    });
+                }
+                self.opc.stream_rows_in += sel.len() as u64;
+                self.opc.stream_rows_out += sel.len() as u64;
+                self.opc.stream_ns += t_out.elapsed().as_nanos() as u64;
+            }
+            OutputMode::Aggregate {
+                group_by,
+                aggregates,
+                ..
+            } => {
+                // Fold pass: group state folds straight off the columns.
+                let cap = plan.max_groups.max(1);
+                for &(i, lo, hi) in &sel {
+                    let fetch = |slot| fetch_row(i as usize, slot);
+                    for &w in &wins[lo as usize..hi as usize] {
+                        let state = self.windows.entry(w).or_insert_with(|| WindowState::Eager {
+                            groups: BTreeMap::new(),
+                            overflow_rows: 0,
+                        });
+                        let WindowState::Eager {
+                            groups,
+                            overflow_rows,
+                        } = state
+                        else {
+                            unreachable!("single-input plans never buffer");
+                        };
+                        self.opc.group_rows_in += 1;
+                        let dropped = update_groups(
+                            groups,
+                            cap,
+                            group_by,
+                            aggregates,
+                            &|e| e.eval_by(&fetch),
+                            &mut self.key_scratch,
+                        );
+                        *overflow_rows += dropped;
+                        self.groups_overflow += dropped;
+                    }
+                }
+                self.opc.group_ns += t_out.elapsed().as_nanos() as u64;
             }
         }
-        self.opc.group_ns += t_fold.elapsed().as_nanos() as u64;
     }
 
-    /// Sum of the operator ns accounted *inside* the ingest loop (used to
+    /// Sum of the operator ns accounted *inside* chunk ingest (used to
     /// keep decode/route from double-counting downstream time).
     fn inner_op_ns(&self) -> u64 {
         self.opc.join_build_ns + self.opc.residual_ns + self.opc.group_ns + self.opc.stream_ns
     }
 
-    fn update_moments(&mut self, host: HostId, row: &[Value]) {
+    /// Estimator moments fold every arriving event of the input — before
+    /// late-window filtering.
+    fn update_moments(&mut self, host: HostId, chunk: &ColumnChunk, input_idx: usize) {
         let OutputMode::Aggregate { aggregates, .. } = &self.plan.mode else {
             return;
         };
@@ -598,36 +606,19 @@ impl QueryExecutor {
             .host_moments
             .entry(host)
             .or_insert_with(|| vec![Welford::new(); aggregates.len()]);
-        for (i, agg) in aggregates.iter().enumerate() {
-            let v = match &agg.arg {
-                Some(a) => a.eval(row).as_f64(),
-                None => Some(1.0), // COUNT(*)
-            };
-            if let Some(x) = v {
-                moments[i].add(x);
+        let fetch_row = chunk_rows(&self.slots, chunk, input_idx);
+        for i in 0..chunk.len() {
+            let fetch = |slot| fetch_row(i, slot);
+            for (agg, moment) in aggregates.iter().zip(moments.iter_mut()) {
+                let v = match &agg.arg {
+                    Some(a) => a.eval_by(&fetch).as_f64(),
+                    None => Some(1.0), // COUNT(*)
+                };
+                if let Some(x) = v {
+                    moment.add(x);
+                }
             }
         }
-    }
-
-    /// Build the full-width joined row for a single event (other blocks
-    /// stay Null — correct for single-input plans where they don't exist).
-    /// Reuses `row`'s allocation across events.
-    fn build_row_into(&self, row: &mut Vec<Value>, ev: &Event, input_idx: usize) {
-        row.clear();
-        row.resize(self.plan.row_width, Value::Null);
-        self.fill_block(row, ev, input_idx);
-    }
-
-    fn fill_block(&self, row: &mut [Value], ev: &Event, input_idx: usize) {
-        let input = &self.plan.inputs[input_idx];
-        let off = input.block_offset;
-        for (i, v) in ev.values.iter().enumerate() {
-            if i < input.fields.len() {
-                row[off + i] = v.clone();
-            }
-        }
-        row[off + input.fields.len()] = Value::Long(ev.request_id.0 as i64);
-        row[off + input.fields.len() + 1] = Value::DateTime(ev.timestamp);
     }
 
     /// Window starts covering a timestamp: every `w = k · slide` with
@@ -642,113 +633,72 @@ impl QueryExecutor {
         (k_min..=k_max).map(move |k| k * s)
     }
 
-    fn ingest_event(&mut self, ev: Event, input_idx: usize, scratch: &mut EventScratch) {
+    /// Selection pass over the timestamp column alone. Returns a flat
+    /// arena of window starts and, per surviving row, `(row, lo, hi)` with
+    /// its still-open covering windows at `arena[lo..hi]` (ascending, never
+    /// empty). A row whose windows have all closed is counted late.
+    fn select_rows(&mut self, timestamps: &[i64]) -> (Vec<i64>, Vec<(u32, u32, u32)>) {
         let closed = self.closed_before_ms;
-        let covered: Vec<i64> = self
-            .covered_windows(ev.timestamp)
-            .filter(|w| *w >= closed)
-            .collect();
-        if covered.is_empty() {
-            self.late_events_dropped += 1;
-            return;
-        }
-        self.opc.decode_rows_out += 1;
-        if self.is_join() {
-            let t0 = Instant::now();
-            self.opc.join_build_rows_in += 1;
-            self.opc.join_build_rows_out += covered.len() as u64;
-            for &w in &covered {
-                let state = self
-                    .windows
-                    .entry(w)
-                    .or_insert_with(|| WindowState::Buffered {
-                        per_request: HashMap::new(),
-                    });
-                let WindowState::Buffered { per_request } = state else {
-                    unreachable!("join plans always buffer");
-                };
-                let slots = per_request
-                    .entry(ev.request_id.0)
-                    .or_insert_with(|| vec![Vec::new(); self.plan.inputs.len()]);
-                slots[input_idx].push(ev.clone());
+        let mut wins: Vec<i64> = Vec::with_capacity(timestamps.len());
+        let mut sel: Vec<(u32, u32, u32)> = Vec::with_capacity(timestamps.len());
+        for (i, &ts) in timestamps.iter().enumerate() {
+            let lo = wins.len() as u32;
+            wins.extend(self.covered_windows(ts).filter(|w| *w >= closed));
+            let hi = wins.len() as u32;
+            if lo == hi {
+                self.late_events_dropped += 1;
+            } else {
+                self.opc.decode_rows_out += 1;
+                sel.push((i as u32, lo, hi));
             }
-            self.opc.join_build_ns += t0.elapsed().as_nanos() as u64;
-            return;
         }
+        (wins, sel)
+    }
 
-        // Single input. The plan handle is cheap to clone and unties the
-        // plan borrow from the `self.windows` mutation below.
-        let plan = Arc::clone(&self.plan);
+    /// Join build: leave one reference per selected row in every window
+    /// covering it. The chunk itself is shared by those windows and freed
+    /// when the last of them closes.
+    fn buffer_chunk(
+        &mut self,
+        chunk: Arc<ColumnChunk>,
+        input_idx: usize,
+        wins: &[i64],
+        sel: &[(u32, u32, u32)],
+    ) {
         let t0 = Instant::now();
-        match &plan.mode {
-            OutputMode::Stream(exprs) => {
-                self.build_row_into(&mut scratch.row, &ev, input_idx);
-                self.opc.stream_rows_in += 1;
-                if let Some(res) = &plan.residual {
-                    self.opc.residual_rows_in += 1;
-                    let pass = res.eval_bool(&scratch.row);
-                    self.opc.residual_ns += t0.elapsed().as_nanos() as u64;
-                    if !pass {
-                        return;
-                    }
-                    self.opc.residual_rows_out += 1;
-                }
-                let t1 = Instant::now();
-                let values: Vec<Value> = exprs.iter().map(|e| e.eval(&scratch.row)).collect();
-                self.stream_out.push(ResultRow {
-                    query_id: plan.query_id,
-                    window_start_ms: *covered.last().expect("checked non-empty"),
-                    values,
-                    degraded: false,
-                });
-                self.opc.stream_rows_out += 1;
-                self.opc.stream_ns += t1.elapsed().as_nanos() as u64;
-            }
-            OutputMode::Aggregate {
-                group_by,
-                aggregates,
-                ..
-            } => {
-                self.build_row_into(&mut scratch.row, &ev, input_idx);
-                if let Some(res) = &plan.residual {
-                    self.opc.residual_rows_in += 1;
-                    let pass = res.eval_bool(&scratch.row);
-                    self.opc.residual_ns += t0.elapsed().as_nanos() as u64;
-                    if !pass {
-                        return;
-                    }
-                    self.opc.residual_rows_out += 1;
-                }
-                let t1 = Instant::now();
-                let cap = plan.max_groups.max(1);
-                for &w in &covered {
-                    let state = self.windows.entry(w).or_insert_with(|| WindowState::Eager {
-                        groups: BTreeMap::new(),
-                        overflow_rows: 0,
-                    });
-                    let WindowState::Eager {
-                        groups,
-                        overflow_rows,
-                    } = state
-                    else {
-                        unreachable!("single-input aggregate plans are eager");
-                    };
-                    self.opc.group_rows_in += 1;
-                    let dropped = update_groups(
-                        groups,
-                        cap,
-                        group_by,
-                        aggregates,
-                        &scratch.row,
-                        &mut scratch.keys,
-                        &mut scratch.key_vals,
-                    );
-                    *overflow_rows += dropped;
-                    self.groups_overflow += dropped;
-                }
-                self.opc.group_ns += t1.elapsed().as_nanos() as u64;
-            }
+        self.opc.join_build_rows_in += sel.len() as u64;
+        self.opc.join_build_rows_out += wins.len() as u64;
+        // distinct window starts; batches run in time order, so dropping
+        // adjacent repeats first leaves the sort next to nothing
+        let mut starts = wins.to_vec();
+        starts.dedup();
+        starts.sort_unstable();
+        starts.dedup();
+        let inputs = self.plan.inputs.len();
+        for w in starts {
+            let state = self.windows.entry(w).or_insert_with(|| {
+                WindowState::Buffered(JoinBuffer {
+                    chunks: Vec::new(),
+                    sides: vec![Vec::new(); inputs],
+                })
+            });
+            let WindowState::Buffered(buf) = state else {
+                unreachable!("join plans always buffer");
+            };
+            let chunk_idx = buf.chunks.len() as u32;
+            buf.chunks.push(Arc::clone(&chunk));
+            // a row's windows are contiguous starts, so covering `w` is a
+            // range test
+            let covered = sel
+                .iter()
+                .filter(|&&(_, lo, hi)| wins[lo as usize] <= w && w <= wins[hi as usize - 1]);
+            buf.sides[input_idx].extend(covered.map(|&(row, _, _)| JoinRef {
+                request_id: chunk.request_ids[row as usize],
+                chunk: chunk_idx,
+                row,
+            }));
         }
+        self.opc.join_build_ns += t0.elapsed().as_nanos() as u64;
     }
 
     /// Advance the watermark: emit stream rows and close every window whose
@@ -793,130 +743,176 @@ impl QueryExecutor {
     }
 
     fn close_window(&mut self, w: i64, state: WindowState) -> WindowPartial {
-        let mut groups_out: Vec<(Vec<GroupKey>, GroupState)> = Vec::new();
-        let mut stream_rows: Vec<ResultRow> = Vec::new();
-        let mut capped = 0u64;
-        let mut overflow_rows = 0u64;
-        match state {
+        let (groups, overflow_rows) = match state {
             WindowState::Eager {
                 groups,
-                overflow_rows: of,
-            } => {
-                overflow_rows = of;
-                groups_out.extend(groups);
-            }
-            WindowState::Buffered { per_request } => {
-                let t_close = Instant::now();
-                // downstream time accounted inside the combo loop, carved
-                // out of the probe attribution at the end
-                let mut res_ns = 0u64;
-                let mut fold_ns = 0u64;
-                let OutputModeRef {
-                    group_by,
-                    aggregates,
-                    stream,
-                } = mode_ref(&self.plan.mode);
-                let cap = self.plan.max_groups.max(1);
-                let mut groups: BTreeMap<Vec<GroupKey>, GroupState> = BTreeMap::new();
-                let mut scratch = EventScratch::default();
-                let mut row = vec![Value::Null; self.plan.row_width];
-                let mut req_ids: Vec<u64> = per_request.keys().copied().collect();
-                req_ids.sort_unstable();
-                self.opc.join_probe_rows_in += per_request
-                    .values()
-                    .map(|slots| slots.iter().map(Vec::len).sum::<usize>() as u64)
-                    .sum::<u64>();
-                for rid in req_ids {
-                    let slots = &per_request[&rid];
-                    // inner join: every input must have at least one event
-                    if slots.iter().any(Vec::is_empty) {
-                        continue;
-                    }
-                    let total: usize = slots.iter().map(Vec::len).product();
-                    let emit = total.min(MAX_JOIN_ROWS_PER_REQUEST);
-                    capped += (total - emit) as u64;
-                    self.opc.join_probe_rows_out += emit as u64;
-                    let mut combo = vec![0usize; slots.len()];
-                    for _ in 0..emit {
-                        // reuse one row buffer across the cross-product
-                        for v in row.iter_mut() {
-                            *v = Value::Null;
-                        }
-                        for (i, slot) in slots.iter().enumerate() {
-                            self.fill_block(&mut row, &slot[combo[i]], i);
-                        }
-                        let passes = match self.plan.residual.as_ref() {
-                            Some(r) => {
-                                let t_res = Instant::now();
-                                self.opc.residual_rows_in += 1;
-                                let ok = r.eval_bool(&row);
-                                res_ns += t_res.elapsed().as_nanos() as u64;
-                                if ok {
-                                    self.opc.residual_rows_out += 1;
-                                }
-                                ok
-                            }
-                            None => true,
-                        };
-                        if passes {
-                            let t_fold = Instant::now();
-                            if let Some(exprs) = stream {
-                                let values: Vec<Value> =
-                                    exprs.iter().map(|e| e.eval(&row)).collect();
-                                stream_rows.push(ResultRow {
-                                    query_id: self.plan.query_id,
-                                    window_start_ms: w,
-                                    values,
-                                    degraded: false,
-                                });
-                                self.opc.stream_rows_in += 1;
-                                self.opc.stream_rows_out += 1;
-                            } else {
-                                self.opc.group_rows_in += 1;
-                                let dropped = update_groups(
-                                    &mut groups,
-                                    cap,
-                                    group_by,
-                                    aggregates,
-                                    &row,
-                                    &mut scratch.keys,
-                                    &mut scratch.key_vals,
-                                );
-                                overflow_rows += dropped;
-                                self.groups_overflow += dropped;
-                            }
-                            fold_ns += t_fold.elapsed().as_nanos() as u64;
-                        }
-                        // advance the mixed-radix combination counter
-                        for i in (0..combo.len()).rev() {
-                            combo[i] += 1;
-                            if combo[i] < slots[i].len() {
-                                break;
-                            }
-                            combo[i] = 0;
-                        }
-                    }
-                }
-                groups_out.extend(groups);
-                self.opc.residual_ns += res_ns;
-                if stream.is_some() {
-                    self.opc.stream_ns += fold_ns;
-                } else {
-                    self.opc.group_ns += fold_ns;
-                }
-                self.opc.join_probe_ns += (t_close.elapsed().as_nanos() as u64)
-                    .saturating_sub(res_ns)
-                    .saturating_sub(fold_ns);
-            }
-        }
-        self.stream_out.extend(stream_rows);
-        self.join_rows_capped += capped;
-        // groups_out came out of a BTreeMap, so it is already key-sorted
+                overflow_rows,
+            } => (groups, overflow_rows),
+            WindowState::Buffered(buf) => self.probe_window(w, buf),
+        };
         WindowPartial {
             window_start_ms: w,
-            groups: groups_out,
+            // a BTreeMap drains key-sorted
+            groups: groups.into_iter().collect(),
             overflow_rows,
         }
+    }
+
+    /// Join probe of a closed window: sort each side by request id and
+    /// merge the sides k-way. The sort is stable, so joined rows come out
+    /// by ascending request id, within a request in arrival order with
+    /// the last input varying fastest — one fixed enumeration order,
+    /// which is what makes float folds and first-seen key values
+    /// reproducible whatever order the batches arrived in across inputs.
+    /// Returns the window's groups and the rows its `max_groups` cap
+    /// dropped; stream-mode rows go to `stream_out`.
+    fn probe_window(&mut self, w: i64, buf: JoinBuffer) -> (Groups, u64) {
+        let t_close = Instant::now();
+        let folded_before = self.opc.residual_ns + self.opc.group_ns + self.opc.stream_ns;
+        let plan = Arc::clone(&self.plan);
+        let slots = Arc::clone(&self.slots);
+        let JoinBuffer { chunks, mut sides } = buf;
+        self.opc.join_probe_rows_in += sides.iter().map(Vec::len).sum::<usize>() as u64;
+        for side in &mut sides {
+            side.sort_by_key(|r| r.request_id);
+        }
+        let probe = ProbeSides {
+            chunks: &chunks,
+            sides: &sides,
+            slots: &slots,
+        };
+        let k = sides.len();
+        let mut folded = (Groups::new(), 0u64);
+        // positions into `sides`, k per pending joined row
+        let mut block: Vec<usize> = Vec::with_capacity(PROBE_BLOCK_ROWS * k);
+        // each side's run of the current request id is `cur[i]..end[i]`
+        let mut cur = vec![0usize; k];
+        let mut end = vec![0usize; k];
+        let mut combo = vec![0usize; k];
+        'merge: loop {
+            // Inner join: only a request id present on every side emits,
+            // and none below the largest head can be.
+            let mut rid = 0u64;
+            for (side, &c) in sides.iter().zip(&cur) {
+                match side.get(c) {
+                    Some(r) => rid = rid.max(r.request_id),
+                    None => break 'merge,
+                }
+            }
+            let mut on_every_side = true;
+            for (side, c) in sides.iter().zip(&mut cur) {
+                *c += side[*c..].iter().take_while(|r| r.request_id < rid).count();
+                on_every_side &= side.get(*c).is_some_and(|r| r.request_id == rid);
+            }
+            if !on_every_side {
+                continue;
+            }
+            let mut total = 1usize;
+            for ((side, &c), e) in sides.iter().zip(&cur).zip(&mut end) {
+                let run = side[c..].iter().take_while(|r| r.request_id == rid).count();
+                *e = c + run;
+                total = total.saturating_mul(run);
+            }
+            let emit = total.min(MAX_JOIN_ROWS_PER_REQUEST);
+            self.join_rows_capped += (total - emit) as u64;
+            self.opc.join_probe_rows_out += emit as u64;
+            combo.copy_from_slice(&cur);
+            for _ in 0..emit {
+                block.extend_from_slice(&combo);
+                if block.len() == PROBE_BLOCK_ROWS * k {
+                    self.fold_block(&plan, w, &probe, &mut block, &mut folded);
+                }
+                // advance the mixed-radix combination counter
+                for i in (0..k).rev() {
+                    combo[i] += 1;
+                    if combo[i] < end[i] {
+                        break;
+                    }
+                    combo[i] = cur[i];
+                }
+            }
+            cur.copy_from_slice(&end);
+        }
+        self.fold_block(&plan, w, &probe, &mut block, &mut folded);
+        let folded_ns =
+            (self.opc.residual_ns + self.opc.group_ns + self.opc.stream_ns) - folded_before;
+        self.opc.join_probe_ns += (t_close.elapsed().as_nanos() as u64).saturating_sub(folded_ns);
+        folded
+    }
+
+    /// Run the residual and then the fold (or stream projection) over a
+    /// block of enumerated joined rows, in enumeration order, and empty
+    /// the block. `folded` is the window's `(groups, overflow_rows)`.
+    fn fold_block(
+        &mut self,
+        plan: &CentralPlan,
+        w: i64,
+        probe: &ProbeSides<'_>,
+        block: &mut Vec<usize>,
+        folded: &mut (Groups, u64),
+    ) {
+        let k = probe.sides.len();
+        if let Some(res) = &plan.residual {
+            let t_res = Instant::now();
+            let rows = block.len() / k;
+            let mut kept = 0;
+            for j in 0..rows {
+                let at = j * k..(j + 1) * k;
+                if res.eval_bool_by(&probe.row(&block[at.clone()])) {
+                    block.copy_within(at, kept * k);
+                    kept += 1;
+                }
+            }
+            block.truncate(kept * k);
+            self.opc.residual_rows_in += rows as u64;
+            self.opc.residual_rows_out += kept as u64;
+            self.opc.residual_ns += t_res.elapsed().as_nanos() as u64;
+        }
+        let t_out = Instant::now();
+        let rows = (block.len() / k) as u64;
+        match &plan.mode {
+            OutputMode::Stream(exprs) => {
+                for combo in block.chunks_exact(k) {
+                    let fetch = probe.row(combo);
+                    self.stream_out.push(ResultRow {
+                        query_id: plan.query_id,
+                        window_start_ms: w,
+                        values: exprs
+                            .iter()
+                            .map(|e| e.eval_by(&fetch).into_owned())
+                            .collect(),
+                        degraded: false,
+                    });
+                }
+                self.opc.stream_rows_in += rows;
+                self.opc.stream_rows_out += rows;
+                self.opc.stream_ns += t_out.elapsed().as_nanos() as u64;
+            }
+            OutputMode::Aggregate {
+                group_by,
+                aggregates,
+                ..
+            } => {
+                let cap = plan.max_groups.max(1);
+                let (groups, overflow_rows) = folded;
+                for combo in block.chunks_exact(k) {
+                    let fetch = probe.row(combo);
+                    let dropped = update_groups(
+                        groups,
+                        cap,
+                        group_by,
+                        aggregates,
+                        &|e| e.eval_by(&fetch),
+                        &mut self.key_scratch,
+                    );
+                    *overflow_rows += dropped;
+                    self.groups_overflow += dropped;
+                }
+                self.opc.group_rows_in += rows;
+                self.opc.group_ns += t_out.elapsed().as_nanos() as u64;
+            }
+        }
+        block.clear();
     }
 
     /// Render a closed window's partial into final result rows.
@@ -1077,34 +1073,10 @@ impl QueryExecutor {
     }
 }
 
-struct OutputModeRef<'a> {
-    group_by: &'a [scrub_core::expr::ResolvedExpr],
-    aggregates: &'a [scrub_core::plan::AggSpec],
-    stream: Option<&'a [scrub_core::expr::ResolvedExpr]>,
-}
-
-fn mode_ref(mode: &OutputMode) -> OutputModeRef<'_> {
-    match mode {
-        OutputMode::Stream(exprs) => OutputModeRef {
-            group_by: &[],
-            aggregates: &[],
-            stream: Some(exprs),
-        },
-        OutputMode::Aggregate {
-            group_by,
-            aggregates,
-            ..
-        } => OutputModeRef {
-            group_by,
-            aggregates,
-            stream: None,
-        },
-    }
-}
-
 /// Fold one row into the group map, holding it to at most `cap` groups.
 /// Returns the number of rows dropped by the bound (0 when the row was
-/// folded without evicting anything).
+/// folded without evicting anything). The row is whatever `eval` reads
+/// its expressions from — a chunk row, or a joined row across chunks.
 ///
 /// The overflow policy keeps the `cap` *smallest* group keys: a new key
 /// larger than the current maximum is rejected outright (its row is
@@ -1116,90 +1088,62 @@ fn mode_ref(mode: &OutputMode) -> OutputModeRef<'_> {
 /// identical whether the rows pass through one executor or are split
 /// across N partitions and re-capped at the merge.
 ///
-/// `keys`/`key_vals` are caller-owned scratch: the group key is built
-/// into them and only cloned into the map when a *new* group appears, so
-/// the steady state (existing groups — single-key group-bys especially)
-/// allocates nothing for the key.
-fn update_groups(
-    groups: &mut BTreeMap<Vec<GroupKey>, GroupState>,
+/// `keys` is caller-owned scratch: the group key is written over the last
+/// row's key in place (string buffers reused) from whatever `eval` lends,
+/// looked up once, and key values are cloned only when a *new* group
+/// appears — so folding into existing groups allocates nothing.
+pub fn update_groups<'e, F>(
+    groups: &mut Groups,
     cap: usize,
-    group_by: &[ResolvedExpr],
-    aggregates: &[scrub_core::plan::AggSpec],
-    row: &[Value],
+    group_by: &'e [ResolvedExpr],
+    aggregates: &'e [AggSpec],
+    eval: &F,
     keys: &mut Vec<GroupKey>,
-    key_vals: &mut Vec<Value>,
-) -> u64 {
-    update_groups_with(
-        groups,
-        cap,
-        group_by,
-        aggregates,
-        &|e| e.eval(row),
-        keys,
-        key_vals,
-    )
-}
-
-/// [`update_groups`] behind an expression evaluator instead of a
-/// materialised row — the columnar fold pass plugs in a column-slot
-/// accessor here and skips row building entirely.
-fn update_groups_with(
-    groups: &mut BTreeMap<Vec<GroupKey>, GroupState>,
-    cap: usize,
-    group_by: &[ResolvedExpr],
-    aggregates: &[scrub_core::plan::AggSpec],
-    eval: &dyn Fn(&ResolvedExpr) -> Value,
-    keys: &mut Vec<GroupKey>,
-    key_vals: &mut Vec<Value>,
-) -> u64 {
-    keys.clear();
-    key_vals.clear();
-    for g in group_by {
-        let v = eval(g);
-        keys.push(v.group_key());
-        key_vals.push(v);
+) -> u64
+where
+    F: Fn(&'e ResolvedExpr) -> Cow<'e, Value>,
+{
+    keys.resize(group_by.len(), GroupKey::Null);
+    for (g, key) in group_by.iter().zip(keys.iter_mut()) {
+        eval(g).write_group_key(key);
+    }
+    let fold = |group: &mut GroupState| {
+        group.rows += 1;
+        for (state, agg) in group.aggs.iter_mut().zip(aggregates) {
+            state.update(agg.arg.as_ref().map(eval).as_deref());
+        }
+    };
+    if let Some(group) = groups.get_mut(keys.as_slice()) {
+        fold(group);
+        return 0;
     }
     let mut dropped = 0u64;
-    // Lookup borrows the scratch as a slice (`Vec<GroupKey>: Borrow<[GroupKey]>`).
-    if !groups.contains_key(keys.as_slice()) {
-        if groups.len() >= cap {
-            let new_is_largest = groups
-                .last_key_value()
-                .map(|(k, _)| k.as_slice() < keys.as_slice())
-                .unwrap_or(false);
-            if new_is_largest || cap == 0 {
-                // the new key ranks past the cap — drop this row
-                return 1;
-            }
-            // the new key displaces the current largest group
-            let (_, evicted) = groups.pop_last().expect("len >= cap >= 1");
-            dropped += evicted.rows;
+    if groups.len() >= cap {
+        let new_is_largest = groups
+            .last_key_value()
+            .is_some_and(|(k, _)| k.as_slice() < keys.as_slice());
+        if new_is_largest || cap == 0 {
+            // the new key ranks past the cap — drop this row
+            return 1;
         }
-        groups.insert(
-            keys.clone(),
-            GroupState {
-                keys: key_vals.clone(),
-                aggs: aggregates.iter().map(AggState::new).collect(),
-                rows: 0,
-            },
-        );
+        // the new key displaces the current largest group
+        let (_, evicted) = groups.pop_last().expect("len >= cap >= 1");
+        dropped += evicted.rows;
     }
-    let entry = groups
-        .get_mut(keys.as_slice())
-        .expect("group just ensured present");
-    entry.rows += 1;
-    for (i, agg) in aggregates.iter().enumerate() {
-        let v = agg.arg.as_ref().map(eval);
-        entry.aggs[i].update(v.as_ref());
-    }
+    fold(groups.entry(keys.clone()).or_insert_with(|| GroupState {
+        keys: group_by.iter().map(|g| eval(g).into_owned()).collect(),
+        aggs: aggregates.iter().map(AggState::new).collect(),
+        rows: 0,
+    }));
     dropped
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scrub_core::columnar::ColumnarFrame;
     use scrub_core::config::ScrubConfig;
-    use scrub_core::event::RequestId;
+    use scrub_core::event::{Event, RequestId};
     use scrub_core::plan::{compile, HostSampleInfo, QueryId};
     use scrub_core::ql::parser::parse_query;
     use scrub_core::schema::{EventSchema, EventTypeId, FieldDef, FieldType, SchemaRegistry};
@@ -1500,13 +1444,62 @@ mod tests {
         ex.ingest(batch("h1", vec![ev(55, 1, 0, vec![])], 1, 1));
         assert!(ex.advance(60_000).is_empty());
     }
+
+    /// A well-formed columnar batch of `type_id` events carrying a string
+    /// column, and two ways to break its frame.
+    fn columnar(type_id: u32, rids: std::ops::Range<u64>) -> EventBatch {
+        let events: Vec<Event> = rids
+            .map(|rid| {
+                let fields = vec![Value::Double(1.0), Value::Str("abc".into())];
+                ev(type_id, rid, 1_000, fields)
+            })
+            .collect();
+        let n = events.len() as u64;
+        let mut b = batch("h1", Vec::new(), n, n);
+        b.type_id = EventTypeId(type_id);
+        b.payload = BatchPayload::Columnar(ColumnarFrame::from_events(&events));
+        b
+    }
+
+    fn corrupt(mut b: EventBatch, damage: impl Fn(&mut Vec<u8>)) -> EventBatch {
+        let BatchPayload::Columnar(frame) = &mut b.payload else {
+            panic!("columnar batch expected");
+        };
+        damage(&mut frame.bytes);
+        assert!(frame.decode().is_err(), "damage must break the frame");
+        b
+    }
+
+    #[test]
+    fn undecodable_frames_are_counted_and_dropped() {
+        let truncate = |bytes: &mut Vec<u8>| bytes.truncate(bytes.len() - 3);
+        // the frame ends with the string column's last dictionary index
+        let bad_dict_index = |bytes: &mut Vec<u8>| *bytes.last_mut().unwrap() = 0x7f;
+        for query in [
+            "select COUNT(*) from bid window 10 s",
+            "select COUNT(*) from bid, impression window 10 s",
+        ] {
+            let mut ex = executor(query);
+            ex.ingest(columnar(0, 0..4));
+            ex.ingest(corrupt(columnar(0, 4..8), truncate));
+            ex.ingest(corrupt(columnar(1, 0..8), bad_dict_index));
+            assert_eq!(ex.decode_failures, 2, "{query}");
+            // later batches still fold: 6 bids in all, 2 of them joined
+            ex.ingest(columnar(0, 8..10));
+            ex.ingest(columnar(1, 2..4));
+            let rows = ex.advance(60_000);
+            let expect = if ex.plan().is_join() { 2 } else { 6 };
+            assert_eq!(rows[0].values, vec![Value::Long(expect)], "{query}");
+            assert_eq!(ex.decode_failures, 2);
+        }
+    }
 }
 
 #[cfg(test)]
 mod sliding_tests {
     use super::*;
     use scrub_core::config::ScrubConfig;
-    use scrub_core::event::RequestId;
+    use scrub_core::event::{Event, RequestId};
     use scrub_core::plan::{compile, QueryId};
     use scrub_core::ql::parser::parse_query;
     use scrub_core::schema::{EventSchema, EventTypeId, FieldDef, FieldType, SchemaRegistry};
@@ -1644,13 +1637,58 @@ mod sliding_tests {
             .collect();
         assert_eq!(counts, vec![(0, 1), (5_000, 1)]);
     }
+
+    #[test]
+    fn sliding_join_shares_one_chunk_across_covering_windows() {
+        let reg = SchemaRegistry::new();
+        reg.register(EventSchema::new("a", vec![FieldDef::new("x", FieldType::Long)]).unwrap())
+            .unwrap();
+        reg.register(EventSchema::new("b", vec![]).unwrap())
+            .unwrap();
+        let spec = parse_query("select COUNT(*) from a, b window 10 s slide 2 s").unwrap();
+        let cq = compile(&spec, &reg, &ScrubConfig::default(), QueryId(3)).unwrap();
+        let mut ex = QueryExecutor::new(cq.central, 0);
+        let mut batch = one(9_000); // covers starts 0, 2, 4, 6 and 8 s
+        let BatchPayload::Rows(events) = &mut batch.payload else {
+            unreachable!();
+        };
+        events.push(events[0].clone());
+        ex.ingest(batch);
+
+        // two events in each of five windows ...
+        assert_eq!(ex.open_windows(), 5);
+        assert_eq!(ex.buffered_events(), 10);
+        // ... but one decoded chunk, held once per window
+        let chunks: Vec<&Arc<ColumnChunk>> = ex
+            .windows
+            .values()
+            .map(|w| match w {
+                WindowState::Buffered(buf) => {
+                    assert_eq!(buf.chunks.len(), 1);
+                    &buf.chunks[0]
+                }
+                WindowState::Eager { .. } => panic!("join windows buffer"),
+            })
+            .collect();
+        assert!(chunks.iter().all(|c| Arc::ptr_eq(c, chunks[0])));
+        assert_eq!(Arc::strong_count(chunks[0]), 5);
+
+        // closing the first two windows releases their holds
+        let _ = ex.advance(13_000);
+        assert_eq!(ex.open_windows(), 3);
+        assert_eq!(ex.buffered_events(), 6);
+        let WindowState::Buffered(buf) = ex.windows.values().next().unwrap() else {
+            panic!("join windows buffer");
+        };
+        assert_eq!(Arc::strong_count(&buf.chunks[0]), 3);
+    }
 }
 
 #[cfg(test)]
 mod memory_tests {
     use super::*;
     use scrub_core::config::ScrubConfig;
-    use scrub_core::event::RequestId;
+    use scrub_core::event::{Event, RequestId};
     use scrub_core::plan::{compile, QueryId};
     use scrub_core::ql::parser::parse_query;
     use scrub_core::schema::{EventSchema, EventTypeId, FieldDef, FieldType, SchemaRegistry};

@@ -211,6 +211,7 @@ impl PartitionedExecutor {
             windows_emitted: self.windows_emitted,
             open_windows,
             join_rows_held,
+            decode_failures: self.backend.decode_failures(),
             advance_barriers: self.advance_barriers,
             advances_skipped: self.advances_skipped,
             workers: self.backend.worker_times(),
@@ -656,6 +657,53 @@ mod tests {
         assert_eq!(rows.len(), 10);
     }
 
+    /// Every backend counts an undecodable frame where it meets it — the
+    /// inline executor, a threaded worker, or the router splitting a join
+    /// batch — and the query carries on.
+    #[test]
+    fn stats_report_decode_failures_on_every_backend() {
+        use scrub_core::columnar::ColumnarFrame;
+
+        let good = |seq: u64| {
+            let events: Vec<Event> = (0..10)
+                .map(|i| ev(0, seq * 10 + i, 1_000, vec![]))
+                .collect();
+            EventBatch {
+                seq,
+                payload: BatchPayload::Columnar(ColumnarFrame::from_events(&events)),
+                ..feed(0)
+            }
+        };
+        let bad = |seq: u64| {
+            let mut batch = good(seq);
+            let BatchPayload::Columnar(frame) = &mut batch.payload else {
+                unreachable!();
+            };
+            frame.bytes.truncate(frame.bytes.len() - 2);
+            batch
+        };
+        for src in [
+            "select COUNT(*) from bid window 10 s",
+            "select COUNT(*) from bid, impression window 10 s",
+        ] {
+            for partitions in [1, 4] {
+                let mut exec = PartitionedExecutor::new(plan_for(src), 0, partitions);
+                exec.ingest(good(0));
+                exec.ingest(bad(1));
+                exec.ingest(good(2));
+                let rows = exec.advance(60_000);
+                assert_eq!(exec.stats().decode_failures, 1, "{src} p={partitions}");
+                if !exec.plan().is_join() {
+                    assert_eq!(
+                        rows[0].values,
+                        vec![Value::Long(20)],
+                        "{src} p={partitions}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn split_routes_every_event_exactly_once() {
         let batch = feed(10_000);
@@ -665,7 +713,7 @@ mod tests {
             .iter()
             .map(|e| e.request_id.0)
             .collect();
-        let shards = split_by_request_id(batch, 7);
+        let shards = split_by_request_id(batch, 7).unwrap();
         // Only non-empty shards come back, each tagged with its partition.
         assert!(shards.len() <= 7);
         assert!(shards.iter().all(|(_, s)| !s.is_empty()));

@@ -62,6 +62,10 @@ pub struct ExecutorStats {
     /// Events buffered for the join across open windows; same barrier
     /// staleness as `open_windows`.
     pub join_rows_held: u64,
+    /// Columnar frames that failed to decode; their events were dropped
+    /// and later batches still fold. Same barrier staleness as
+    /// `open_windows`.
+    pub decode_failures: u64,
     /// Advance calls that paid the cross-partition barrier.
     pub advance_barriers: u64,
     /// Advance calls answered from the watermark alone — no window could

@@ -45,6 +45,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use scrub_agent::{BatchPayload, EventBatch};
+use scrub_core::error::ScrubResult;
 use scrub_core::event::Event;
 use scrub_core::plan::{CentralPlan, OutputMode};
 use scrub_obs::PlanProfile;
@@ -87,6 +88,7 @@ struct AdvanceReply {
     partials: Vec<WindowPartial>,
     open_windows: usize,
     join_rows_held: u64,
+    decode_failures: u64,
 }
 
 enum ReplyBody {
@@ -143,6 +145,10 @@ pub struct ThreadedBackend {
     /// own the live state; these lag by at most one barrier).
     open_windows: usize,
     join_rows_held: u64,
+    /// Frames that failed to decode: the workers' own count as of the
+    /// latest barrier, and join batches the router could not split.
+    worker_decode_failures: u64,
+    split_decode_failures: u64,
 }
 
 impl ThreadedBackend {
@@ -186,6 +192,8 @@ impl ThreadedBackend {
             max_start: i64::MIN,
             open_windows: 0,
             join_rows_held: 0,
+            worker_decode_failures: 0,
+            split_decode_failures: 0,
         }
     }
 
@@ -279,8 +287,15 @@ impl IngestBackend for ThreadedBackend {
         }
         let mut stalls = 0;
         if self.is_join {
-            for (part, shard) in split_by_request_id(batch, self.workers.len()) {
-                stalls += self.send_ingest(part, shard);
+            match split_by_request_id(batch, self.workers.len()) {
+                Ok(shards) => {
+                    for (part, shard) in shards {
+                        stalls += self.send_ingest(part, shard);
+                    }
+                }
+                // same policy as a worker's own decode: count the frame,
+                // drop its events, carry on
+                Err(_) => self.split_decode_failures += 1,
             }
         } else {
             let part = self.rr;
@@ -321,6 +336,7 @@ impl IngestBackend for ThreadedBackend {
         });
         self.open_windows = replies.iter().map(|r| r.open_windows).max().unwrap_or(0);
         self.join_rows_held = replies.iter().map(|r| r.join_rows_held).sum();
+        self.worker_decode_failures = replies.iter().map(|r| r.decode_failures).sum();
         let mut stream_rows = Vec::new();
         let mut partials = Vec::new();
         for reply in replies {
@@ -451,6 +467,10 @@ impl IngestBackend for ThreadedBackend {
         (self.open_windows, self.join_rows_held)
     }
 
+    fn decode_failures(&self) -> u64 {
+        self.worker_decode_failures + self.split_decode_failures
+    }
+
     fn worker_times(&self) -> Vec<WorkerTime> {
         self.workers
             .iter()
@@ -517,6 +537,7 @@ fn worker_loop(
                     partials,
                     open_windows: exec.open_windows(),
                     join_rows_held: (exec.buffered_events() + exec.open_groups()) as u64,
+                    decode_failures: exec.decode_failures,
                 };
                 if reply_tx
                     .send(Reply {
@@ -564,16 +585,26 @@ fn worker_loop(
 /// estimator moments) but zero the cumulative counters — the router
 /// already observed them, and replicating them is exactly the
 /// double-count hazard the old protocol had to max-merge around.
+///
+/// Fails only when a columnar frame does not decode.
 pub(crate) fn split_by_request_id(
     batch: EventBatch,
     partitions: usize,
-) -> Vec<(usize, EventBatch)> {
+) -> ScrubResult<Vec<(usize, EventBatch)>> {
     let p = partitions as u64;
     let mut shards: Vec<Vec<Event>> = (0..partitions).map(|_| Vec::new()).collect();
     let total = batch.len();
-    // Joins shard by request id, so columnar frames materialise here —
-    // the per-request buffers hold events anyway.
-    for ev in batch.payload.into_rows() {
+    // Joins shard by request id, so columnar frames materialise here;
+    // each worker transposes its row shard back into columns.
+    let events = match batch.payload {
+        BatchPayload::Rows(events) => events,
+        BatchPayload::Columnar(frame) => {
+            let mut events = Vec::new();
+            frame.decode_rows_into(&mut events)?;
+            events
+        }
+    };
+    for ev in events {
         let shard = (mix(ev.request_id.0) % p) as usize;
         shards[shard].push(ev);
     }
@@ -582,7 +613,7 @@ pub(crate) fn split_by_request_id(
         total,
         "split must route every event to exactly one partition"
     );
-    shards
+    Ok(shards
         .into_iter()
         .enumerate()
         .filter(|(_, events)| !events.is_empty())
@@ -606,7 +637,7 @@ pub(crate) fn split_by_request_id(
                 },
             )
         })
-        .collect()
+        .collect())
 }
 
 /// splitmix64-style mixer for request-id routing.

@@ -5,9 +5,10 @@
 //! rows: one tag byte per column, contiguous zigzag-varint runs for
 //! ints/datetimes, a per-column string dictionary, and a null bitmap.
 //! ScrubCentral decodes a frame into [`ColumnarBatch`] — full-length typed
-//! vectors per column — so residual filters, group-key hashing and
-//! aggregate folds run as tight per-column loops without materialising a
-//! row `Event` per input event.
+//! vectors per column — so residual filters, group-key hashing, aggregate
+//! folds and the request-id join read columns in place, lending values
+//! ([`Column::value_ref`]) without materialising a row `Event` per input
+//! event.
 //!
 //! Frame layout (after the 2-byte `[0x00, format]` header written by
 //! [`crate::encode::encode_batch_format`]):
@@ -30,8 +31,9 @@
 //! to the row format. Exact `Value` variants always round-trip — `Int` is
 //! never widened to `Long` nor `Float` to `Double` — because decoded
 //! values feed group keys and MIN/MAX aggregates whose rendered output
-//! must be bit-identical to the row path.
+//! must be bit-identical to what the row format carries.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -163,6 +165,25 @@ pub struct ColumnarBatch {
 }
 
 impl ColumnarBatch {
+    /// Transpose row events straight into typed columns: the same
+    /// `(type_id, arity)` run chunking and column typing as the encoder,
+    /// so the result equals `ColumnarFrame::from_events(events).decode()`
+    /// chunk for chunk without the byte round trip.
+    pub fn from_events(events: &[Event]) -> ColumnarBatch {
+        ColumnarBatch {
+            chunks: chunk_runs(events)
+                .map(|run| ColumnChunk {
+                    type_id: run[0].type_id,
+                    request_ids: run.iter().map(|ev| ev.request_id.0).collect(),
+                    timestamps: run.iter().map(|ev| ev.timestamp).collect(),
+                    columns: (0..run[0].values.len())
+                        .map(|col| transpose_column(run, col))
+                        .collect(),
+                })
+                .collect(),
+        }
+    }
+
     /// Total events across all chunks.
     pub fn event_count(&self) -> usize {
         self.chunks.iter().map(|c| c.len()).sum()
@@ -238,8 +259,9 @@ pub enum ColumnData {
     DateTime(Vec<i64>),
     /// String column: first-seen-order dictionary plus per-row indices.
     Str {
-        /// Distinct strings in first-seen order.
-        dict: Vec<String>,
+        /// Distinct strings in first-seen order, each a `Value::Str` so a
+        /// row's value can be lent without cloning the string.
+        dict: Vec<Value>,
         /// Per-row dictionary index (placeholder 0 at null rows).
         idx: Vec<u32>,
     },
@@ -250,12 +272,19 @@ pub enum ColumnData {
 impl Column {
     /// The value at row `i`, reconstructing the exact original variant.
     pub fn value_at(&self, i: usize) -> Value {
+        self.value_ref(i).into_owned()
+    }
+
+    /// The value at row `i`, lent where it already exists as a `Value`
+    /// (dictionary strings, fallback columns); scalars are rebuilt, which
+    /// allocates nothing.
+    pub fn value_ref(&self, i: usize) -> Cow<'_, Value> {
         if let Some(v) = &self.validity {
             if !v[i] {
-                return Value::Null;
+                return Cow::Owned(Value::Null);
             }
         }
-        match &self.data {
+        Cow::Owned(match &self.data {
             ColumnData::Null => Value::Null,
             ColumnData::Bool(v) => Value::Bool(v[i]),
             ColumnData::Int(v) => Value::Int(v[i]),
@@ -263,9 +292,9 @@ impl Column {
             ColumnData::Float(v) => Value::Float(v[i]),
             ColumnData::Double(v) => Value::Double(v[i]),
             ColumnData::DateTime(v) => Value::DateTime(v[i]),
-            ColumnData::Str { dict, idx } => Value::Str(dict[idx[i] as usize].clone()),
-            ColumnData::Mixed(v) => v[i].clone(),
-        }
+            ColumnData::Str { dict, idx } => return Cow::Borrowed(&dict[idx[i] as usize]),
+            ColumnData::Mixed(v) => return Cow::Borrowed(&v[i]),
+        })
     }
 
     /// True when row `i` is null.
@@ -287,16 +316,9 @@ impl Column {
 pub(crate) fn encode_columnar_body(buf: &mut BytesMut, events: &[Event]) {
     put_varint(buf, events.len() as u64);
     let mut scratch = BytesMut::new();
-    let mut i = 0;
-    while i < events.len() {
-        let type_id = events[i].type_id;
-        let arity = events[i].values.len();
-        let mut j = i + 1;
-        while j < events.len() && events[j].type_id == type_id && events[j].values.len() == arity {
-            j += 1;
-        }
-        let chunk = &events[i..j];
-        put_varint(buf, type_id.0 as u64);
+    for chunk in chunk_runs(events) {
+        let arity = chunk[0].values.len();
+        put_varint(buf, chunk[0].type_id.0 as u64);
         put_varint(buf, arity as u64);
         put_varint(buf, chunk.len() as u64);
         for ev in chunk {
@@ -308,8 +330,13 @@ pub(crate) fn encode_columnar_body(buf: &mut BytesMut, events: &[Event]) {
         for col in 0..arity {
             encode_column(buf, &mut scratch, chunk, col);
         }
-        i = j;
     }
+}
+
+/// Maximal runs of consecutive events with equal `(type_id, arity)`: one
+/// chunk each, for the encoder and the in-memory transposition alike.
+fn chunk_runs(events: &[Event]) -> impl Iterator<Item = &[Event]> {
+    events.chunk_by(|a, b| a.type_id == b.type_id && a.values.len() == b.values.len())
 }
 
 /// Pick the column representation: a single base tag, plus whether a
@@ -446,6 +473,69 @@ fn encode_column(buf: &mut BytesMut, scratch: &mut BytesMut, chunk: &[Event], co
     buf.put_u8(base | if has_nulls { COL_NULLABLE } else { 0 });
     put_varint(buf, scratch.len() as u64);
     buf.put_slice(scratch.as_ref());
+}
+
+/// A typed column vector holding the decoder's `fill` placeholder wherever
+/// `pick` declines — null rows, as a single-variant column has no other
+/// mismatch.
+fn typed<'a, T: Clone>(
+    cells: impl Iterator<Item = &'a Value>,
+    fill: T,
+    mut pick: impl FnMut(&'a Value) -> Option<T>,
+) -> Vec<T> {
+    cells
+        .map(|v| pick(v).unwrap_or_else(|| fill.clone()))
+        .collect()
+}
+
+/// Column `col` of a chunk as the decoder would rebuild it from
+/// [`encode_column`]'s bytes: same representation, same placeholder at
+/// null rows, dictionary in first-seen order.
+fn transpose_column(chunk: &[Event], col: usize) -> Column {
+    let (base, has_nulls) = classify_column(chunk, col);
+    let cells = || chunk.iter().map(|ev| &ev.values[col]);
+    let data = match base {
+        COL_NULL => ColumnData::Null,
+        COL_MIXED => ColumnData::Mixed(cells().cloned().collect()),
+        COL_BOOL => ColumnData::Bool(typed(cells(), false, Value::as_bool)),
+        COL_INT => ColumnData::Int(typed(cells(), 0, |v| match v {
+            Value::Int(x) => Some(*x),
+            _ => None,
+        })),
+        COL_LONG => ColumnData::Long(typed(cells(), 0, |v| match v {
+            Value::Long(x) => Some(*x),
+            _ => None,
+        })),
+        COL_DATETIME => ColumnData::DateTime(typed(cells(), 0, |v| match v {
+            Value::DateTime(x) => Some(*x),
+            _ => None,
+        })),
+        COL_FLOAT => ColumnData::Float(typed(cells(), 0.0, |v| match v {
+            Value::Float(x) => Some(*x),
+            _ => None,
+        })),
+        COL_DOUBLE => ColumnData::Double(typed(cells(), 0.0, |v| match v {
+            Value::Double(x) => Some(*x),
+            _ => None,
+        })),
+        COL_STR => {
+            let mut dict: Vec<Value> = Vec::new();
+            let mut lookup: HashMap<&str, u32> = HashMap::new();
+            let idx = typed(cells(), 0, |v| match v {
+                Value::Str(s) => Some(*lookup.entry(s.as_str()).or_insert_with(|| {
+                    dict.push(v.clone());
+                    (dict.len() - 1) as u32
+                })),
+                _ => None,
+            });
+            ColumnData::Str { dict, idx }
+        }
+        _ => unreachable!("classify_column only returns known tags"),
+    };
+    Column {
+        validity: has_nulls.then(|| cells().map(|v| !v.is_null()).collect()),
+        data,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -623,7 +713,7 @@ fn decode_column(buf: &mut Bytes, n: usize) -> ScrubResult<Column> {
             }
             let mut dict = Vec::with_capacity(dict_len);
             for _ in 0..dict_len {
-                dict.push(get_string(&mut body)?);
+                dict.push(Value::Str(get_string(&mut body)?));
             }
             let mut idx = Vec::with_capacity(m.min(body.remaining()));
             for _ in 0..m {

@@ -105,6 +105,7 @@ pub struct CentralNode<E: ScrubEnvelope> {
     m_ingest_latency: Arc<Histogram>,
     m_budget_shed: Arc<Counter>,
     m_groups_overflow: Arc<Counter>,
+    m_decode_failures: Arc<Counter>,
     m_retransmitted: Arc<Counter>,
     m_batch_dropped: Arc<Counter>,
     m_trace_dropped: Arc<Counter>,
@@ -153,6 +154,7 @@ pub struct CentralNode<E: ScrubEnvelope> {
 struct FoldSeen {
     budget_shed: u64,
     groups_overflow: u64,
+    decode_failures: u64,
     retransmitted: u64,
     batch_dropped: u64,
     trace_dropped: u64,
@@ -183,6 +185,7 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         let m_ingest_latency = obs.histogram("central.ingest_latency_ms");
         let m_budget_shed = obs.counter("overload.budget_shed_events");
         let m_groups_overflow = obs.counter("overload.groups_overflow");
+        let m_decode_failures = obs.counter("central.decode_failures");
         let m_retransmitted = obs.counter("agent.retransmitted_batches");
         let m_batch_dropped = obs.counter("ledger.batch_dropped");
         let m_trace_dropped = obs.counter("trace.dropped_spans");
@@ -231,6 +234,7 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             m_ingest_latency,
             m_budget_shed,
             m_groups_overflow,
+            m_decode_failures,
             m_retransmitted,
             m_batch_dropped,
             m_trace_dropped,
@@ -572,16 +576,20 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             .add(stats.advance_barriers.saturating_sub(seen.advance_barriers));
         self.m_advances_skipped
             .add(stats.advances_skipped.saturating_sub(seen.advances_skipped));
-        // groups_overflow comes from inside the executor, where the
-        // inline backend accrues mid-window but the threaded backend's
-        // snapshot refreshes only at advance barriers. Both agree at
-        // window-close ticks, so the fold is gated on closes — that is
-        // what keeps alert firing ticks identical at 1 vs N partitions.
+        // groups_overflow and decode_failures come from inside the
+        // executor, where the inline backend accrues mid-window but the
+        // threaded backend's snapshot refreshes only at advance barriers.
+        // Both agree at window-close ticks, so the fold is gated on
+        // closes — that is what keeps alert firing ticks identical at 1
+        // vs N partitions.
         let mut d_overflow = 0u64;
         if !closes.is_empty() {
             d_overflow = overflow_total.saturating_sub(seen.groups_overflow);
             self.m_groups_overflow.add(d_overflow);
             seen.groups_overflow = overflow_total.max(seen.groups_overflow);
+            self.m_decode_failures
+                .add(stats.decode_failures.saturating_sub(seen.decode_failures));
+            seen.decode_failures = stats.decode_failures.max(seen.decode_failures);
         }
         seen.budget_shed = budget_shed_total.max(seen.budget_shed);
         seen.retransmitted = retransmitted_total.max(seen.retransmitted);
