@@ -4,6 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use scrub_core::columnar::ColumnarFrame;
 use scrub_core::config::WireFormat;
+use scrub_core::error::ScrubResult;
 use scrub_core::event::Event;
 use scrub_core::plan::QueryId;
 use scrub_core::schema::EventTypeId;
@@ -16,9 +17,8 @@ use scrub_obs::TraceSpan;
 /// segments at ship time, so what rides the wire (and what byte
 /// accounting charges) is the actual encoded frame. ScrubCentral decodes
 /// the frame into column chunks once and runs every operator over them;
-/// `Rows` survives as the compatibility wire format and as the hand-off
-/// shape for request-id-sharded joins, and is transposed into the same
-/// chunks at ingest.
+/// `Rows` survives as the compatibility wire format and is transposed
+/// into the same chunks at ingest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BatchPayload {
     /// Interleaved row events (wire format v1).
@@ -64,13 +64,15 @@ impl BatchPayload {
     }
 
     /// Visit `(request_id, timestamp)` for every event in order, without
-    /// materialising rows (columnar frames scan chunk headers only).
-    pub fn for_each_meta(&self, mut f: impl FnMut(u64, i64)) {
+    /// materialising rows (columnar frames scan chunk headers only; one
+    /// that does not scan is an `Err`).
+    pub fn for_each_meta(&self, mut f: impl FnMut(u64, i64)) -> ScrubResult<()> {
         match self {
             BatchPayload::Rows(evs) => {
                 for ev in evs {
                     f(ev.request_id.0, ev.timestamp);
                 }
+                Ok(())
             }
             BatchPayload::Columnar(fr) => fr.for_each_meta(f),
         }
@@ -276,10 +278,12 @@ mod tests {
             .collect();
         let mut row_meta = Vec::new();
         BatchPayload::from_events(events.clone(), WireFormat::Row)
-            .for_each_meta(|r, t| row_meta.push((r, t)));
+            .for_each_meta(|r, t| row_meta.push((r, t)))
+            .unwrap();
         let mut col_meta = Vec::new();
         BatchPayload::from_events(events, WireFormat::Columnar)
-            .for_each_meta(|r, t| col_meta.push((r, t)));
+            .for_each_meta(|r, t| col_meta.push((r, t)))
+            .unwrap();
         assert_eq!(row_meta, col_meta);
     }
 }

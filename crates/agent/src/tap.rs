@@ -419,8 +419,8 @@ impl ScrubAgent {
         self.stats.bump(&self.stats.events_active, 1);
         // Lifecycle tracing: one integer compare when disabled (threshold
         // 0 short-circuits before hashing); one hash of the request id
-        // when enabled. Deterministic in the request id, so every host and
-        // every partition count traces the same requests.
+        // when enabled. Deterministic in the request id, so every host
+        // traces the same requests.
         let traced = should_trace(request_id.0, self.trace_threshold);
         let mut inner = self.inner.lock();
         let Inner {

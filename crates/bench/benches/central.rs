@@ -1,11 +1,10 @@
 //! Criterion benchmarks of ScrubCentral's ingest path: grouped
-//! aggregation, the request-id equi-join, and partitioned execution
-//! (batch-granularity hand-off behind the `IngestBackend` split).
+//! aggregation, stream projection and the request-id equi-join.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 use scrub_agent::{BatchPayload, EventBatch};
-use scrub_central::{PartitionedExecutor, QueryExecutor};
+use scrub_central::QueryExecutor;
 use scrub_core::config::ScrubConfig;
 use scrub_core::event::{Event, RequestId};
 use scrub_core::plan::{compile, CentralPlan, QueryId};
@@ -96,7 +95,7 @@ fn bench_central(c: &mut Criterion) {
             || (QueryExecutor::new(p.clone(), 0), bid_batch(N)),
             |(mut exec, batch)| {
                 exec.ingest(batch);
-                exec.advance_stream_only()
+                exec.advance(0)
             },
             BatchSize::SmallInput,
         )
@@ -137,18 +136,6 @@ fn bench_central(c: &mut Criterion) {
             |(mut exec, bids, imps)| {
                 exec.ingest(bids);
                 exec.ingest(imps);
-                exec.advance(i64::MAX / 4)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-
-    g.bench_function("partitioned_4_grouped_count_10k", |b| {
-        let p = plan("select bid.user_id, COUNT(*) from bid group by bid.user_id window 10 s");
-        b.iter_batched(
-            || (PartitionedExecutor::new(p.clone(), 0, 4), bid_batch(N)),
-            |(mut exec, batch)| {
-                exec.ingest(batch);
                 exec.advance(i64::MAX / 4)
             },
             BatchSize::SmallInput,

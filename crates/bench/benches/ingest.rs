@@ -1,12 +1,11 @@
-//! Criterion benchmarks of the parallel ingest pipeline: whole-batch
-//! hand-off + per-partition pre-folding for aggregate queries and
-//! request-id-split routing for joins (the `ThreadedBackend`), against
-//! the `partitions = 1` `InlineBackend` fast path.
+//! Criterion benchmarks of ScrubCentral ingest per wire format: a frame
+//! decode (columnar) against a row transposition in front of the same
+//! column passes, with and without the window close, plus the join.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 use scrub_agent::{BatchPayload, EventBatch};
-use scrub_central::PartitionedExecutor;
+use scrub_central::QueryExecutor;
 use scrub_core::config::{ScrubConfig, WireFormat};
 use scrub_core::event::{Event, RequestId};
 use scrub_core::plan::{compile, CentralPlan, QueryId};
@@ -110,48 +109,17 @@ fn bench_ingest(c: &mut Criterion) {
     let mut g = c.benchmark_group("ingest");
     g.throughput(Throughput::Elements(N));
 
-    // Aggregate mode: routing + threaded ingest + merged window close,
-    // per wire format (row = rows transposed into column chunks at central,
-    // col = one frame decode).
-    for parts in [1usize, 4] {
-        for (fmt_name, fmt) in [("row", WireFormat::Row), ("col", WireFormat::Columnar)] {
-            let name = format!("aggregate_{fmt_name}_p{parts}_10k");
-            g.bench_function(&name, |b| {
-                let p = plan(agg_src);
-                b.iter_batched(
-                    || {
-                        (
-                            PartitionedExecutor::new(p.clone(), 0, parts),
-                            bid_batch(N, fmt),
-                        )
-                    },
-                    |(mut exec, batch)| {
-                        exec.ingest(batch);
-                        exec.advance(i64::MAX / 4)
-                    },
-                    BatchSize::SmallInput,
-                )
-            });
-        }
-    }
-
-    // Join mode: request-id shard routing keeps the join partition-local
-    // (the only plan shape that still splits batches).
-    for parts in [1usize, 4] {
-        let name = format!("join_p{parts}_10k");
+    // Aggregate mode, ingest through window close, per wire format (row =
+    // rows transposed into column chunks at central, col = one frame
+    // decode).
+    for (fmt_name, fmt) in [("row", WireFormat::Row), ("col", WireFormat::Columnar)] {
+        let name = format!("aggregate_{fmt_name}_10k");
         g.bench_function(&name, |b| {
-            let p = plan(join_src);
+            let p = plan(agg_src);
             b.iter_batched(
-                || {
-                    (
-                        PartitionedExecutor::new(p.clone(), 0, parts),
-                        bid_batch(N / 2, WireFormat::Row),
-                        imp_batch(N / 2, WireFormat::Row),
-                    )
-                },
-                |(mut exec, bids, imps)| {
-                    exec.ingest(bids);
-                    exec.ingest(imps);
+                || (QueryExecutor::new(p.clone(), 0), bid_batch(N, fmt)),
+                |(mut exec, batch)| {
+                    exec.ingest(batch);
                     exec.advance(i64::MAX / 4)
                 },
                 BatchSize::SmallInput,
@@ -159,15 +127,33 @@ fn bench_ingest(c: &mut Criterion) {
         });
     }
 
-    // The partitions=1 fast path: pure ingest, no advance — isolates the
-    // per-event decode+fold cost per wire format (frame decode vs row
-    // transposition in front of the same column passes).
+    g.bench_function("join_10k", |b| {
+        let p = plan(join_src);
+        b.iter_batched(
+            || {
+                (
+                    QueryExecutor::new(p.clone(), 0),
+                    bid_batch(N / 2, WireFormat::Row),
+                    imp_batch(N / 2, WireFormat::Row),
+                )
+            },
+            |(mut exec, bids, imps)| {
+                exec.ingest(bids);
+                exec.ingest(imps);
+                exec.advance(i64::MAX / 4)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
+    // Pure ingest, no advance — isolates the per-event decode+fold cost
+    // per wire format.
     for (fmt_name, fmt) in [("row", WireFormat::Row), ("col", WireFormat::Columnar)] {
-        let name = format!("inline_ingest_only_{fmt_name}_10k");
+        let name = format!("ingest_only_{fmt_name}_10k");
         g.bench_function(&name, |b| {
             let p = plan(agg_src);
             b.iter_batched(
-                || (PartitionedExecutor::new(p.clone(), 0, 1), bid_batch(N, fmt)),
+                || (QueryExecutor::new(p.clone(), 0), bid_batch(N, fmt)),
                 |(mut exec, batch)| exec.ingest(batch),
                 BatchSize::SmallInput,
             )

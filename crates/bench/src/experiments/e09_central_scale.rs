@@ -1,21 +1,19 @@
-//! E09 — ScrubCentral ingest scalability (§9; reconstructed — the paper
-//! runs ScrubCentral as a small dedicated cluster; here its parallelism is
-//! partitioned execution).
+//! E09 — ScrubCentral ingest throughput (§9; reconstructed — the paper
+//! runs ScrubCentral as a small dedicated cluster, which here is whole
+//! queries spread across central nodes, so the figure that sizes the
+//! cluster is what one executor sustains on one core).
 //!
 //! Method (real wall-clock measurement, not simulation): a grouped-count
 //! query ingests a fixed stream of pre-built batches through the
-//! *production* [`PartitionedExecutor`] — the same single-pass router,
-//! bounded channels and worker threads the central node runs — at
-//! partitions 1, 2, 4 and 8. Rendered rows must be identical across
-//! partition counts (the distributed-correctness half of the experiment);
-//! throughput scales with the machine's parallelism (the perf half).
-//! Results land in `BENCH_central_ingest.json` at the workspace root so
-//! later changes have a baseline to compare against.
+//! *production* [`QueryExecutor`], once columnar-encoded and once
+//! row-encoded. Rendered rows must be identical across the two wire
+//! formats. Results land in `BENCH_central_ingest.json` at the workspace
+//! root so later changes have a baseline to compare against.
 
 use std::time::Instant;
 
 use scrub_agent::{BatchPayload, EventBatch};
-use scrub_central::{ExecutorStats, PartitionedExecutor, ResultRow};
+use scrub_central::{QueryExecutor, ResultRow};
 use scrub_core::config::{ScrubConfig, WireFormat};
 use scrub_core::event::{Event, RequestId};
 use scrub_core::plan::{compile, CentralPlan, QueryId};
@@ -173,19 +171,16 @@ fn make_batches(n: usize, format: WireFormat) -> Vec<EventBatch> {
     batches
 }
 
-/// Ingest the batch feed through the production executor at `parts`
-/// partitions; returns (events/sec, sorted rendered rows, the final
-/// executor stats snapshot — backpressure stalls plus per-worker
-/// busy/idle clocks).
-fn throughput(batches: &[EventBatch], parts: usize) -> (f64, Vec<ResultRow>, ExecutorStats) {
-    // Warm-up: run a slice of the feed through a throwaway executor with
-    // the same partition count, so thread spawn, allocator growth and the
-    // ingest code paths are hot before the timed section. (The timed
-    // executor must be fresh — re-ingesting into the warm one would drop
-    // everything as late after its advance.)
+/// Ingest the batch feed through the production executor; returns
+/// (events/sec, sorted rendered rows).
+fn throughput(batches: &[EventBatch]) -> (f64, Vec<ResultRow>) {
+    // Warm-up: run a slice of the feed through a throwaway executor, so
+    // allocator growth and the ingest code paths are hot before the timed
+    // section. (The timed executor must be fresh — re-ingesting into the
+    // warm one would drop everything as late after its advance.)
     {
         let take = (batches.len() / 4).max(1);
-        let mut warm = PartitionedExecutor::new(plan(), 0, parts);
+        let mut warm = QueryExecutor::new(plan(), 0);
         for batch in batches.iter().take(take).cloned() {
             warm.ingest(batch);
         }
@@ -193,7 +188,7 @@ fn throughput(batches: &[EventBatch], parts: usize) -> (f64, Vec<ResultRow>, Exe
     }
 
     let n: usize = batches.iter().map(EventBatch::len).sum();
-    let mut exec = PartitionedExecutor::new(plan(), 0, parts);
+    let mut exec = QueryExecutor::new(plan(), 0);
     let feed = batches.to_vec(); // clone outside the timed section
 
     let start = Instant::now();
@@ -203,14 +198,13 @@ fn throughput(batches: &[EventBatch], parts: usize) -> (f64, Vec<ResultRow>, Exe
     let mut rows = exec.advance(i64::MAX / 4);
     let elapsed = start.elapsed().as_secs_f64();
 
-    let stats = exec.stats();
     rows.sort_by_key(|r| {
         (
             r.window_start_ms,
             r.values.iter().map(Value::group_key).collect::<Vec<_>>(),
         )
     });
-    (n as f64 / elapsed, rows, stats)
+    (n as f64 / elapsed, rows)
 }
 
 /// Run E09.
@@ -228,102 +222,49 @@ pub fn run(quick: bool) -> Report {
     };
     let col_bytes_per_event = payload_bytes(&batches);
     let row_bytes_per_event = payload_bytes(&row_batches);
-    // Single-partition throughput of the row wire format (transposed into
-    // column chunks at central, then the same fold), for the
-    // columnar-speedup figure reported below.
-    let (row_eps, row_rows, _) = throughput(&row_batches, 1);
-    let parts_list = [1usize, 2, 4, 8];
+    // The row wire format is transposed into column chunks at central and
+    // then takes the same fold.
+    let (row_eps, row_rows) = throughput(&row_batches);
+    let (eps, rows) = throughput(&batches);
+    let same_answers = row_rows == rows;
+    let col_vs_row = if row_eps > 0.0 { eps / row_eps } else { 0.0 };
 
     let mut t = Table::new(&[
-        "partitions",
+        "wire_format",
         "events_per_sec",
-        "speedup",
+        "bytes_per_event",
         "result_rows",
-        "backpressure",
-        "worker_busy",
     ]);
-    let mut base = 0.0;
-    let mut results: Vec<(usize, f64, ExecutorStats)> = Vec::new();
-    let mut reference_rows: Option<Vec<ResultRow>> = None;
-    let mut same_answers = true;
-    let mut warnings = String::new();
-    for &parts in &parts_list {
-        if parts > cores {
-            warnings.push_str(&format!(
-                "WARNING: {parts} partitions on {cores} effective core(s) — threads \
-                 time-slice instead of running in parallel; expect no speedup at \
-                 this point, only the threading overhead.\n"
-            ));
-        }
-        let (eps, rows, stats) = throughput(&batches, parts);
-        if parts == 1 {
-            base = eps;
-            // row-format and columnar-format answers must agree too
-            if row_rows != rows {
-                same_answers = false;
-            }
-            reference_rows = Some(rows.clone());
-        } else if reference_rows.as_deref() != Some(&rows) {
-            same_answers = false;
-        }
-        // Mean busy share across workers: near 1.0 means the fold is the
-        // bottleneck, low values point at the router / hand-off.
-        let busy_share = {
-            let (busy, total) = stats.workers.iter().fold((0u64, 0u64), |(b, t), w| {
-                (b + w.busy_ns, t + w.busy_ns + w.idle_ns)
-            });
-            (total > 0).then(|| busy as f64 / total as f64)
-        };
-        t.row(vec![
-            parts.to_string(),
-            format!("{eps:.0}"),
-            format!("{:.2}x", eps / base),
-            rows.len().to_string(),
-            stats.backpressure_stalls.to_string(),
-            busy_share.map_or("-".into(), |s| format!("{:.0}%", s * 100.0)),
-        ]);
-        results.push((parts, eps, stats));
-    }
-
-    let speedup_at_4 = results
-        .iter()
-        .find(|(p, _, _)| *p == 4)
-        .map(|(_, e, _)| e / base)
-        .unwrap_or(0.0);
-    let col_vs_row = if row_eps > 0.0 { base / row_eps } else { 0.0 };
+    t.row(vec![
+        "columnar".into(),
+        format!("{eps:.0}"),
+        format!("{col_bytes_per_event:.1}"),
+        rows.len().to_string(),
+    ]);
+    t.row(vec![
+        "row".into(),
+        format!("{row_eps:.0}"),
+        format!("{row_bytes_per_event:.1}"),
+        row_rows.len().to_string(),
+    ]);
     write_bench_json(
         &signals,
         n,
         quick,
-        base,
-        &results,
+        eps,
         row_eps,
         row_bytes_per_event,
         col_bytes_per_event,
     );
-    // Speedup is bounded by the machine's parallelism. On a single-core
-    // box a channel-fed worker pool can only lose wall-clock (context
-    // switches and the merge fan-in with no parallel work to win it back),
-    // so the binding assertion there is the distributed-correctness half —
-    // identical rows — plus a bound on how much the threading costs.
-    let speedup_ok = if cores >= 4 {
-        speedup_at_4 > 1.5
-    } else if cores >= 2 {
-        speedup_at_4 > 1.1
-    } else {
-        speedup_at_4 > 0.25 // threading overhead stays bounded
-    };
-    let pass = same_answers && speedup_ok && base > 100_000.0;
+    let pass = same_answers && eps > 100_000.0;
     Report {
         id: "E09",
-        title: "ScrubCentral ingest scalability (§9, reconstructed)",
-        paper: "a small centralized cluster suffices: throughput scales with \
-                partitions (up to the machine's parallelism), and merged results \
-                are identical",
+        title: "ScrubCentral ingest throughput (§9, reconstructed)",
+        paper: "a small centralized cluster suffices: one executor on one core \
+                sustains far more than a query ships, and whole queries spread \
+                across central nodes",
         body: format!(
-            "{t}\n{warnings}columnar vs row (1 partition): {col_vs_row:.2}x \
-             ({base:.0} vs {row_eps:.0} events/s); wire bytes/event: \
-             columnar {col_bytes_per_event:.1} vs row {row_bytes_per_event:.1}\n\
+            "{t}\ncolumnar vs row: {col_vs_row:.2}x\n\
              effective cores: {cores} (available_parallelism {}, \
              /proc/cpuinfo {}, cgroup quota {})\n",
             signals.available_parallelism,
@@ -334,9 +275,9 @@ pub fn run(quick: bool) -> Report {
         ),
         pass,
         verdict: format!(
-            "single-partition {base:.0} events/s ({col_vs_row:.2}x vs row format), \
-             {speedup_at_4:.2}x at 4 partitions on a {cores}-core machine, identical \
-             rows across partition counts and wire formats: {same_answers}"
+            "one executor sustains {eps:.0} events/s ({col_vs_row:.2}x vs row format) \
+             on a {cores}-core machine, identical rows across wire formats: \
+             {same_answers}"
         ),
     }
 }
@@ -345,41 +286,15 @@ pub fn run(quick: bool) -> Report {
 /// the repo's perf trajectory for central ingest. Results are only
 /// comparable across runs on machines with the same *effective* core
 /// count, so every detection signal is persisted alongside the numbers.
-#[allow(clippy::too_many_arguments)]
 fn write_bench_json(
     signals: &CoreSignals,
     events: usize,
     quick: bool,
-    base: f64,
-    results: &[(usize, f64, ExecutorStats)],
+    eps: f64,
     row_eps: f64,
     row_bytes_per_event: f64,
     col_bytes_per_event: f64,
 ) {
-    let runs: Vec<String> = results
-        .iter()
-        .map(|(parts, eps, stats)| {
-            let workers: Vec<String> = stats
-                .workers
-                .iter()
-                .map(|w| {
-                    format!(
-                        "{{ \"partition\": {}, \"busy_ns\": {}, \"idle_ns\": {} }}",
-                        w.partition, w.busy_ns, w.idle_ns
-                    )
-                })
-                .collect();
-            format!(
-                "    {{ \"partitions\": {parts}, \"events_per_sec\": {:.0}, \
-                 \"speedup_vs_1\": {:.3}, \"backpressure_stalls\": {}, \
-                 \"workers\": [{}] }}",
-                eps,
-                if base > 0.0 { eps / base } else { 0.0 },
-                stats.backpressure_stalls,
-                workers.join(", ")
-            )
-        })
-        .collect();
     let doc = format!(
         "{{\n  \"bench\": \"central_ingest\",\n  \"experiment\": \"E09\",\n  \
          \"workload\": \"grouped count+avg, 10 s windows, 5000 groups\",\n  \
@@ -389,17 +304,16 @@ fn write_bench_json(
          \"wire_format\": \"columnar\",\n  \
          \"wire_bytes_per_event\": {{ \"row\": {row_bytes_per_event:.2}, \
          \"columnar\": {col_bytes_per_event:.2} }},\n  \
+         \"events_per_sec\": {eps:.0},\n  \
          \"row_format_events_per_sec\": {row_eps:.0},\n  \
-         \"columnar_speedup_vs_row\": {:.3},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
+         \"columnar_speedup_vs_row\": {:.3}\n}}\n",
         signals.effective(),
         signals.available_parallelism,
         signals.cpuinfo.map_or("null".into(), |n| n.to_string()),
         signals
             .cgroup_quota
             .map_or("null".into(), |n| n.to_string()),
-        if row_eps > 0.0 { base / row_eps } else { 0.0 },
-        runs.join(",\n")
+        if row_eps > 0.0 { eps / row_eps } else { 0.0 },
     );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

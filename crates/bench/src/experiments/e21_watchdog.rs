@@ -20,8 +20,7 @@
 //!
 //! Determinism is part of the contract: the chaos run's alert log and
 //! flight-recorder timeline must render byte-identically across two
-//! runs, and identically at `central_partitions` 1 vs 4. Results land in
-//! `BENCH_watchdog.json` at the workspace root (CI validates the schema
+//! runs. Results land in `BENCH_watchdog.json` at the workspace root (CI validates the schema
 //! and that the clean twin fired zero alerts).
 
 use adplatform::PlatformMsg;
@@ -137,13 +136,12 @@ fn check_provenance(p: &adplatform::Platform, fired: &[AlertEvent]) -> ProvCheck
 
 /// One chaos (or fault-free twin) run: E16's scenario with tracing on,
 /// watched by the default alert rules.
-fn run_chaos(faults: bool, partitions: usize, minutes: i64) -> (Observed, ProvChecks) {
+fn run_chaos(faults: bool, minutes: i64) -> (Observed, ProvChecks) {
     let mut cfg = adplatform::scenario::spam_under_chaos();
     if !faults {
         cfg.faults = None;
     }
     cfg.scrub.trace_sample_rate = 0.05;
-    cfg.scrub.central_partitions = partitions;
     let mut p = adplatform::build_platform(cfg);
     let q = ScrubClient::new(&p.scrub)
         .submit(
@@ -213,16 +211,13 @@ fn run_overload(quick: bool) -> (Observed, ProvChecks) {
 pub fn run(quick: bool) -> Report {
     let minutes = if quick { 3 } else { 5 };
 
-    let (chaos, chaos_prov) = run_chaos(true, 1, minutes);
-    let (chaos_again, _) = run_chaos(true, 1, minutes);
-    let (chaos_p4, _) = run_chaos(true, 4, minutes);
-    let (clean, _) = run_chaos(false, 1, minutes);
+    let (chaos, chaos_prov) = run_chaos(true, minutes);
+    let (chaos_again, _) = run_chaos(true, minutes);
+    let (clean, _) = run_chaos(false, minutes);
     let (overload, overload_prov) = run_overload(quick);
 
     let byte_stable = chaos.alert_render == chaos_again.alert_render
         && chaos.timeline_render == chaos_again.timeline_render;
-    let partition_invariant = chaos.alert_render == chaos_p4.alert_render
-        && chaos.timeline_render == chaos_p4.timeline_render;
 
     let mut t = Table::new(&["run", "alerts_fired", "rules", "anomalies"]);
     for (name, o) in [
@@ -238,14 +233,7 @@ pub fn run(quick: bool) -> Report {
         ]);
     }
 
-    write_bench_json(
-        quick,
-        &chaos,
-        &clean,
-        &overload,
-        byte_stable,
-        partition_invariant,
-    );
+    write_bench_json(quick, &chaos, &clean, &overload, byte_stable);
 
     let chaos_rules = rules_of(&chaos);
     let overload_rules = rules_of(&overload);
@@ -267,7 +255,6 @@ pub fn run(quick: bool) -> Report {
         && provenance_ok
         && clean_silent
         && byte_stable
-        && partition_invariant
         && journal_complete;
     Report {
         id: "E21",
@@ -277,13 +264,12 @@ pub fn run(quick: bool) -> Report {
                 and the E20 overload (envelope_breach, groups_overflow) with provenance \
                 that resolves to real ledger rows and trace ids, a fault-free twin stays \
                 silent, and the alert log + flight recorder render deterministically \
-                across runs and partition counts",
+                across runs",
         body: t.to_string(),
         pass,
         verdict: format!(
             "chaos fired [{}] (prov ok: {}), overload fired [{}] (prov ok: {}), \
-             clean twin fired {}, byte-stable {byte_stable}, partition-invariant \
-             {partition_invariant}",
+             clean twin fired {}, byte-stable {byte_stable}",
             chaos_rules.join(","),
             chaos_prov.host_dead_ok && chaos_prov.retransmit_rid_ok,
             overload_rules.join(","),
@@ -301,7 +287,6 @@ fn write_bench_json(
     clean: &Observed,
     overload: &Observed,
     byte_stable: bool,
-    partition_invariant: bool,
 ) {
     let opt_u64 = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
     let opt_str = |v: Option<&String>| v.map_or("null".to_string(), |s| format!("{s:?}"));
@@ -338,7 +323,6 @@ fn write_bench_json(
         "{{\n  \"bench\": \"watchdog\",\n  \"experiment\": \"E21\",\n  \
          \"workload\": \"E16 chaos + E20 protected overload, watched by the default alert rules\",\n  \
          \"quick\": {quick},\n  \"byte_stable\": {byte_stable},\n  \
-         \"partition_invariant\": {partition_invariant},\n  \
          \"clean_alerts_fired\": {},\n  \"runs\": [\n{},\n{},\n{}\n  ]\n}}\n",
         clean.fired.len(),
         run_json("chaos", chaos),

@@ -22,16 +22,15 @@
 //!   meta-stream (`SUM(scrub_metric.delta)` in 20 s windows) returns, for
 //!   interior windows, exactly the sums of the raw tier's per-tick deltas
 //!   for the same metric.
-//! - **determinism**: `range`-style renders of every partition-invariant
-//!   metric are byte-identical across two seeded runs, and the rolled
-//!   tiers are identical at `central_partitions` 1 vs 4.
+//! - **determinism**: `range`-style renders of every run-invariant
+//!   metric are byte-identical across two seeded runs.
 //!
 //! Results land in `BENCH_tsdb.json` at the workspace root (CI validates
 //! the schema: three tiers, coarse coverage spanning the crash, and a
 //! compression ratio above 1).
 
 use adplatform::{scenario, PlatformMsg};
-use scrub_obs::{partition_invariant, Resolution, RolledPoint};
+use scrub_obs::{run_invariant, Resolution, RolledPoint};
 use scrub_server::{CentralNode, QueryState, ScrubClient};
 use scrub_simnet::SimTime;
 
@@ -68,10 +67,8 @@ struct TierRow {
 
 /// Everything one run leaves behind.
 struct Observed {
-    /// `render_range` of every partition-invariant metric, mid + coarse —
-    /// compared across partition counts.
-    renders_rolled: String,
-    /// Same plus the raw tier — the two-seeded-runs byte-stability probe.
+    /// `render_range` of every run-invariant metric at every resolution —
+    /// the two-seeded-runs byte-stability probe.
     renders_all: String,
     raw_cover: (i64, i64),
     coarse_cover: (i64, i64),
@@ -101,11 +98,10 @@ struct Observed {
 }
 
 /// One chaos run with the short raw ring and rolled tiers dialed in.
-fn run_once(partitions: usize, quick: bool) -> Observed {
+fn run_once(quick: bool) -> Observed {
     let run_secs: i64 = if quick { 660 } else { 900 };
     let mut cfg = scenario::spam_under_chaos();
     cfg.scrub.trace_sample_rate = 0.05;
-    cfg.scrub.central_partitions = partitions;
     cfg.scrub.obs_history_len = RAW_RING;
     cfg.scrub.tsdb_mid_factor = MID_FACTOR;
     cfg.scrub.tsdb_coarse_factor = COARSE_FACTOR;
@@ -177,17 +173,12 @@ fn run_once(partitions: usize, quick: bool) -> Observed {
     let invariant: Vec<String> = store
         .metric_names()
         .into_iter()
-        .filter(|m| partition_invariant(m))
+        .filter(|m| run_invariant(m))
         .collect();
-    let mut renders_rolled = String::new();
     let mut renders_all = String::new();
     for m in &invariant {
         for res in Resolution::ALL {
-            let r = store.render_range(m, res, None);
-            if res != Resolution::Raw {
-                renders_rolled.push_str(&r);
-            }
-            renders_all.push_str(&r);
+            renders_all.push_str(&store.render_range(m, res, None));
         }
     }
 
@@ -242,7 +233,6 @@ fn run_once(partitions: usize, quick: bool) -> Observed {
     let mid_buckets_elapsed = (p.sim.now().as_ms() as f64 / (tick_ms * MID_FACTOR as f64)) as usize;
 
     Observed {
-        renders_rolled,
         renders_all,
         raw_cover: store.covered_range(Resolution::Raw).unwrap_or((0, 0)),
         coarse_cover: store.covered_range(Resolution::Coarse).unwrap_or((0, 0)),
@@ -267,12 +257,10 @@ fn fmt_cover(c: Option<(i64, i64)>) -> String {
 
 /// Run E22.
 pub fn run(quick: bool) -> Report {
-    let a = run_once(1, quick);
-    let b = run_once(1, quick);
-    let p4 = run_once(4, quick);
+    let a = run_once(quick);
+    let b = run_once(quick);
 
     let byte_stable = a.renders_all == b.renders_all;
-    let partition_inv = a.renders_rolled == p4.renders_rolled;
     let crash_ms = scenario::CHAOS_CRASH_AT_SECS * 1000;
     let crash_older = a.raw_cover.0 > crash_ms;
     // The in-progress coarse bucket is not sealed yet, so the coarse
@@ -317,7 +305,7 @@ pub fn run(quick: bool) -> Report {
     });
     let body = format!("{t}\n{onset_line}\n\nmeta-query vs raw tier ({PROBE_METRIC}):\n{mt}");
 
-    write_bench_json(quick, &a, byte_stable, partition_inv, crash_ms);
+    write_bench_json(quick, &a, byte_stable, crash_ms);
 
     let pass = crash_older
         && coarse_covers
@@ -327,7 +315,6 @@ pub fn run(quick: bool) -> Report {
         && compression
         && bounded
         && byte_stable
-        && partition_inv
         && meta_match;
     Report {
         id: "E22",
@@ -335,16 +322,15 @@ pub fn run(quick: bool) -> Report {
         paper: "a bounded multi-resolution store lets a troubleshooter localize a fault \
                 that happened long before the raw snapshot ring's horizon: the coarse \
                 tier brackets the crash-suspicion tick, its exemplar resolves to a real \
-                trace, rollups stay bounded and deterministic across runs and partition \
-                counts, and ScrubQL over the scrub_metric stream reproduces the raw \
-                tier's windowed sums",
+                trace, rollups stay bounded and deterministic across runs, and ScrubQL \
+                over the scrub_metric stream reproduces the raw tier's windowed sums",
         body,
         pass,
         verdict: format!(
             "crash at {crash_ms} ms vs raw tier starting {} ms (invisible: {}), onset \
              located {onset_located}, exemplar trace ok {}, compression {:.1}x, mid tier \
              ≤{} pts/metric over {} sealed buckets, byte-stable {byte_stable}, \
-             partition-invariant {partition_inv}, meta-query matches {meta_match}",
+             meta-query matches {meta_match}",
             a.raw_cover.0,
             a.raw_flat,
             a.exemplar_trace_ok,
@@ -357,13 +343,7 @@ pub fn run(quick: bool) -> Report {
 
 /// Persist the run as `BENCH_tsdb.json` at the workspace root (CI
 /// validates the schema, coarse coverage and the compression ratio).
-fn write_bench_json(
-    quick: bool,
-    a: &Observed,
-    byte_stable: bool,
-    partition_invariant: bool,
-    crash_ms: i64,
-) {
+fn write_bench_json(quick: bool, a: &Observed, byte_stable: bool, crash_ms: i64) {
     let tier_json = |tr: &TierRow| {
         let (c0, c1) = tr.cover.unwrap_or((0, 0));
         format!(
@@ -400,7 +380,7 @@ fn write_bench_json(
          \"tiers\": [\n{}\n  ],\n  \"compression_ratio\": {:.1},\n  \
          \"bounded\": {{ \"tier_cap\": {TIER_CAP}, \"mid_max_points_per_metric\": {}, \
          \"mid_buckets_elapsed\": {} }},\n  \"out_of_order_dropped\": {},\n  \
-         \"byte_stable\": {byte_stable},\n  \"partition_invariant\": {partition_invariant},\n  \
+         \"byte_stable\": {byte_stable},\n  \
          \"meta_query\": {{ \"metric\": \"{PROBE_METRIC}\", \"done\": {}, \
          \"windows\": [\n{}\n    ], \"matches\": {meta_match} }}\n}}\n",
         a.run_secs,

@@ -1,8 +1,8 @@
 //! Aggregation operator states for ScrubCentral.
 //!
-//! Every state is *mergeable* so the partitioned executor can combine
-//! partial aggregates computed on different partitions of the same window
-//! (and so could a multi-node ScrubCentral cluster).
+//! Every state is *mergeable* — the paper's sketch property, and what a
+//! tree of ScrubCentral nodes would need to combine partial aggregates of
+//! the same window.
 
 use serde::{Deserialize, Serialize};
 
@@ -131,7 +131,7 @@ impl AggState {
         }
     }
 
-    /// Merge a partial state produced on another partition.
+    /// Merge a partial state of the same aggregate computed elsewhere.
     pub fn merge(&mut self, other: &AggState) {
         match (self, other) {
             (AggState::Count(a), AggState::Count(b)) => *a += b,
@@ -239,7 +239,7 @@ impl AggState {
     }
 }
 
-/// Stable 64-bit hash of a canonical group key (for HLL and partitioning).
+/// Stable 64-bit hash of a canonical group key (for HLL).
 pub fn group_key_hash(key: &GroupKey) -> u64 {
     use scrub_sketch::hash64;
     fn feed(key: &GroupKey, out: &mut Vec<u8>) {

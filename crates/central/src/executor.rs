@@ -10,7 +10,7 @@
 //! through a slot accessor — no row `Event` is built per input event.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -24,6 +24,7 @@ use scrub_sketch::{estimate_total, HostSample, Welford};
 
 use crate::agg::AggState;
 use crate::row::{QuerySummary, ResultRow};
+use crate::stats::ExecutorStats;
 use crate::totals::{HostId, TotalsTracker};
 
 /// Safety cap on the per-request join cross-product (a request with tens of
@@ -35,18 +36,9 @@ pub const MAX_JOIN_ROWS_PER_REQUEST: usize = 100_000;
 /// small enough that the pending combinations stay in cache.
 const PROBE_BLOCK_ROWS: usize = 1024;
 
-/// Central-side operator counters for `EXPLAIN ANALYZE`. One partition's
-/// executor counts only the (disjoint) event slice routed to it, so the
-/// partitioned router merges these by summing — unlike the host-side
-/// operators, which are reconstructed from the replicated batch headers
-/// and merge by max. `ns` fields are wall-clock and nondeterministic;
-/// everything else is integer-exact across partition counts.
-///
-/// Counters that are *not* partition-invariant under summation — rendered
-/// group rows, windows closed (every partition closes its own copy of the
-/// same window), decode bytes (sub-batch headers replicate) — are left at
-/// zero here and overlaid by the router, where merged rendering actually
-/// happens.
+/// Central-side operator counters for `EXPLAIN ANALYZE`. `ns` fields are
+/// wall-clock and nondeterministic; everything else is integer-exact
+/// across seeded runs.
 #[derive(Debug, Default, Clone, Copy)]
 struct CentralOpCounters {
     /// Events arriving in ingested batches (post-dedup).
@@ -84,9 +76,8 @@ pub struct GroupState {
     pub keys: Vec<Value>,
     /// One state per aggregate in the plan.
     pub aggs: Vec<AggState>,
-    /// Rows folded into this group (additive across partitions; when a
-    /// group is evicted by the `max_groups` cap these rows become
-    /// `groups_overflow`).
+    /// Rows folded into this group (when a group is evicted by the
+    /// `max_groups` cap these rows become `groups_overflow`).
     pub rows: u64,
 }
 
@@ -205,57 +196,23 @@ impl<'w> ProbeSides<'w> {
     }
 }
 
-/// A closed window's partial results, for merging across partitions.
-pub struct WindowPartial {
+/// One aggregate window closing (for self-observability: ScrubCentral
+/// taps a `scrub_window` meta-event per close and feeds the per-query
+/// profile).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowClose {
     /// Window start (ms).
     pub window_start_ms: i64,
-    /// Aggregate-mode groups (empty in stream mode), sorted by key.
-    pub groups: Vec<(Vec<GroupKey>, GroupState)>,
-    /// Rows dropped by the `max_groups` cap while this window was open
-    /// (additive across partitions; the router adds its own re-cap drops
-    /// on top).
-    pub overflow_rows: u64,
-}
-
-/// One host's contribution to the two-stage estimator, exported from an
-/// executor so partitions can be merged: interned host ids are
-/// partition-local, so the export keys on the host *name*, and the
-/// per-aggregate [`Welford`] moments merge exactly (Chan et al.).
-#[derive(Debug, Clone)]
-pub struct HostEstimatorState {
-    /// Host name (globally unique, unlike the partition-local id).
-    pub host: String,
-    /// `M_i`: the host's cumulative matched-event count from batch
-    /// headers. Headers replicate to every partition, so cross-partition
-    /// merge takes the max, mirroring the in-executor monotonic merge.
-    pub matched: u64,
-    /// Per-aggregate moments of the values this executor sampled (empty
-    /// when the host shipped no estimator-eligible events here).
-    pub moments: Vec<Welford>,
-}
-
-impl HostEstimatorState {
-    /// Fold another partition's view of the same host into this one.
-    pub fn merge(&mut self, other: HostEstimatorState) {
-        debug_assert_eq!(self.host, other.host);
-        self.matched = self.matched.max(other.matched);
-        if self.moments.is_empty() {
-            self.moments = other.moments;
-            return;
-        }
-        for (i, m) in other.moments.into_iter().enumerate() {
-            if let Some(dst) = self.moments.get_mut(i) {
-                dst.merge(&m);
-            } else {
-                self.moments.push(m);
-            }
-        }
-    }
+    /// Rows the window rendered.
+    pub rows: u64,
+    /// Whether the window closed short of its full input: a targeted host
+    /// was suspected dead, or the `max_groups` bound dropped rows.
+    pub degraded: bool,
 }
 
 /// Whether a plan's summary gets Eq 1–3 two-stage estimates: single
 /// input, ungrouped aggregation, under host or event sampling.
-pub fn plan_estimator_eligible(plan: &CentralPlan) -> bool {
+fn plan_estimator_eligible(plan: &CentralPlan) -> bool {
     if plan.inputs.len() > 1 {
         return false;
     }
@@ -270,75 +227,19 @@ pub fn plan_estimator_eligible(plan: &CentralPlan) -> bool {
     )
 }
 
-/// Compute the per-column two-stage estimates (Eqs 1–3) from per-host
-/// estimator state. `states` must be in a deterministic host order (the
-/// executor exports first-seen order) — the floating-point reduction
-/// order follows it.
-pub fn estimates_from_states(
-    plan: &CentralPlan,
-    states: &[HostEstimatorState],
-    dead_hosts: &std::collections::HashSet<String>,
-) -> Vec<Option<scrub_sketch::TwoStageEstimate>> {
-    let OutputMode::Aggregate {
-        aggregates, output, ..
-    } = &plan.mode
-    else {
-        return vec![None; plan.headers.len()];
-    };
-    if !plan_estimator_eligible(plan) {
-        return vec![None; output.len()];
-    }
-    let n_total = if plan.host_info.matching > 0 {
-        plan.host_info.matching
-    } else {
-        states.len()
-    };
-    output
-        .iter()
-        .map(|col| {
-            let OutputCol::Agg(i) = col else {
-                return None;
-            };
-            use scrub_core::ql::ast::AggFn;
-            if !matches!(aggregates[*i].func, AggFn::Count | AggFn::Sum) {
-                return None;
-            }
-            let mut hosts: Vec<HostSample> = Vec::new();
-            for st in states {
-                // A dead host's counters stopped at an unknown point;
-                // dropping its sample shrinks n, so the two-stage bounds
-                // widen instead of silently biasing (Eqs 1–3).
-                if dead_hosts.contains(&st.host) {
-                    continue;
-                }
-                let stats = st.moments.get(*i).copied().unwrap_or_default();
-                hosts.push(HostSample {
-                    population: st.matched,
-                    stats,
-                });
-            }
-            Some(estimate_total(n_total, &hosts, 0.95))
-        })
-        .collect()
-}
-
-/// Executes one compiled query at ScrubCentral.
+/// Executes one compiled query at ScrubCentral, on the caller's thread.
+/// ScrubCentral scales out by query — whole queries are assigned across
+/// central nodes — so one query's state is never shared between threads.
 pub struct QueryExecutor {
-    /// Shared, immutable compiled plan — partitions of the same query all
-    /// point at one allocation instead of deep-cloning the plan each.
+    /// Shared, immutable compiled plan (the hot loops hold a handle to it
+    /// across `&mut self` updates).
     plan: Arc<CentralPlan>,
-    /// The plan's joined-row slot layout (shared for the same reason the
-    /// plan is: the hot loops hold it across `&mut self` updates).
+    /// The plan's joined-row slot layout (shared for the same reason).
     slots: Arc<[Option<SlotSrc>]>,
     grace_ms: i64,
     windows: BTreeMap<i64, WindowState>,
     /// Interned host names plus cumulative per-(host, subscription) header
-    /// counters (see [`TotalsTracker`]). Under the batch pipeline only the
-    /// component that sees every batch once holds authoritative totals:
-    /// this executor when fed through [`QueryExecutor::ingest`], the
-    /// router when this executor is a partition worker fed through
-    /// [`QueryExecutor::ingest_routed`] (which interns but never observes
-    /// headers, leaving the totals here empty).
+    /// counters (see [`TotalsTracker`]).
     totals: TotalsTracker,
     /// Per-host value moments per aggregate (only for estimator-eligible
     /// queries: single input, ungrouped, sampled).
@@ -347,33 +248,43 @@ pub struct QueryExecutor {
     /// (see [`update_groups`]).
     key_scratch: Vec<GroupKey>,
     stream_out: Vec<ResultRow>,
+    /// Events ingested, and the accounted bytes of their batches.
+    events_routed: u64,
+    decode_bytes: u64,
+    /// Windows closed; those that closed holding at least one group; the
+    /// group rows they rendered and the wall-clock spent rendering.
+    windows_closed: u64,
     windows_emitted: u64,
+    rendered_rows: u64,
+    render_ns: u64,
+    /// Window closes since the last [`Self::take_window_closes`] drain.
+    closes: Vec<WindowClose>,
     /// Join rows dropped by the cross-product cap.
     pub join_rows_capped: u64,
     /// Late events dropped because their window already closed.
     pub late_events_dropped: u64,
     /// Columnar frames that failed to decode; their events were dropped.
-    pub decode_failures: u64,
+    decode_failures: u64,
     closed_before_ms: i64,
     /// Hosts suspected dead (no heartbeat/batch within the grace period).
     /// Their already-ingested events stay, but their samples leave the
     /// estimator — the survivors' scaled estimate plus a wider bound is
-    /// more honest than pretending the dead host's counters are current.
-    dead_hosts: std::collections::HashSet<String>,
+    /// more honest than pretending the dead host's counters are current —
+    /// and rows emitted while the set is non-empty are marked degraded.
+    dead_hosts: HashSet<String>,
+    degraded_rows: u64,
     /// Batches discarded as duplicate (host, query, seq) retransmissions.
-    pub duplicate_batches: u64,
-    /// Rows dropped by the `max_groups` bound on group state (counted at
-    /// the moment they are dropped or their group is evicted).
-    pub groups_overflow: u64,
+    duplicate_batches: u64,
+    /// Rows dropped by the `max_groups` bound on group state, counted when
+    /// the window that dropped them closes.
+    groups_overflow: u64,
     /// Central-side per-operator counters for `EXPLAIN ANALYZE`.
     opc: CentralOpCounters,
 }
 
 impl QueryExecutor {
     /// Create an executor for a central plan. `grace_ms` is how long after
-    /// a window's end it stays open for stragglers. Accepts a plain plan
-    /// or a shared `Arc<CentralPlan>` (partitions of one query share the
-    /// compiled plan instead of cloning it).
+    /// a window's end it stays open for stragglers.
     pub fn new(plan: impl Into<Arc<CentralPlan>>, grace_ms: i64) -> Self {
         let plan = plan.into();
         QueryExecutor {
@@ -385,25 +296,33 @@ impl QueryExecutor {
             host_moments: HashMap::new(),
             key_scratch: Vec::new(),
             stream_out: Vec::new(),
+            events_routed: 0,
+            decode_bytes: 0,
+            windows_closed: 0,
             windows_emitted: 0,
+            rendered_rows: 0,
+            render_ns: 0,
+            closes: Vec::new(),
             join_rows_capped: 0,
             late_events_dropped: 0,
             decode_failures: 0,
             closed_before_ms: i64::MIN,
-            dead_hosts: std::collections::HashSet::new(),
+            dead_hosts: HashSet::new(),
+            degraded_rows: 0,
             duplicate_batches: 0,
             groups_overflow: 0,
             opc: CentralOpCounters::default(),
         }
     }
 
-    /// Replace the set of hosts currently suspected dead.
-    pub fn set_dead_hosts(&mut self, hosts: std::collections::HashSet<String>) {
+    /// Replace the set of hosts suspected dead: future rows are marked
+    /// degraded and the dead hosts' samples leave the estimator.
+    pub fn set_dead_hosts(&mut self, hosts: HashSet<String>) {
         self.dead_hosts = hosts;
     }
 
     /// Hosts currently suspected dead.
-    pub fn dead_hosts(&self) -> &std::collections::HashSet<String> {
+    pub fn dead_hosts(&self) -> &HashSet<String> {
         &self.dead_hosts
     }
 
@@ -412,9 +331,29 @@ impl QueryExecutor {
         self.plan.as_ref()
     }
 
-    /// Shared handle to the plan (cheap to clone across partitions).
-    pub fn plan_arc(&self) -> Arc<CentralPlan> {
-        Arc::clone(&self.plan)
+    /// Record a batch discarded as a duplicate retransmission.
+    pub fn note_duplicate(&mut self) {
+        self.duplicate_batches += 1;
+    }
+
+    /// Drain the window closes recorded since the last call.
+    pub fn take_window_closes(&mut self) -> Vec<WindowClose> {
+        std::mem::take(&mut self.closes)
+    }
+
+    /// Snapshot every observable counter in one call; all fields are
+    /// cumulative (see [`ExecutorStats`]).
+    pub fn stats(&self) -> ExecutorStats {
+        ExecutorStats {
+            events_routed: self.events_routed,
+            degraded_rows: self.degraded_rows,
+            duplicate_batches: self.duplicate_batches,
+            groups_overflow: self.groups_overflow,
+            windows_emitted: self.windows_emitted,
+            open_windows: self.open_windows(),
+            join_rows_held: (self.buffered_events() + self.open_groups()) as u64,
+            decode_failures: self.decode_failures,
+        }
     }
 
     /// Number of windows currently open (not yet past grace).
@@ -453,21 +392,13 @@ impl QueryExecutor {
         self.totals.scale(&self.plan)
     }
 
-    /// Ingest one batch from a host agent, folding the header totals here
-    /// (the inline path: this executor sees every batch exactly once).
+    /// Ingest one batch from a host agent. Every batch passes here exactly
+    /// once, so this is where its header totals fold.
     pub fn ingest(&mut self, batch: EventBatch) {
         debug_assert_eq!(batch.query_id, self.plan.query_id);
+        self.events_routed += batch.len() as u64;
+        self.decode_bytes += batch.approx_bytes() as u64;
         let hid = self.totals.observe_header(&batch);
-        self.ingest_payload(hid, batch.payload);
-    }
-
-    /// Ingest a batch routed down from a partitioned router that already
-    /// observed the header: the host is interned (estimator moments key on
-    /// it) but the cumulative counters are *not* folded here — the router
-    /// is authoritative for totals, scale, and host-side profile figures.
-    pub fn ingest_routed(&mut self, batch: EventBatch) {
-        debug_assert_eq!(batch.query_id, self.plan.query_id);
-        let hid = self.totals.intern(&batch.host);
         self.ingest_payload(hid, batch.payload);
     }
 
@@ -582,7 +513,6 @@ impl QueryExecutor {
                             &mut self.key_scratch,
                         );
                         *overflow_rows += dropped;
-                        self.groups_overflow += dropped;
                     }
                 }
                 self.opc.group_ns += t_out.elapsed().as_nanos() as u64;
@@ -701,61 +631,87 @@ impl QueryExecutor {
         self.opc.join_build_ns += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Advance the watermark: emit stream rows and close every window whose
-    /// grace period has elapsed, returning finished result rows.
+    /// Advance the watermark: emit stream rows, then close and render every
+    /// window whose grace period has elapsed. (Rows a join window streams
+    /// while closing surface on the next advance: the drain comes first.)
     pub fn advance(&mut self, now_ms: i64) -> Vec<ResultRow> {
         let mut out = std::mem::take(&mut self.stream_out);
-        let scale = self.scale();
-        for p in self.take_closed_partials(now_ms) {
-            self.render_partial(p, scale, &mut out);
+        let host_dead = !self.dead_hosts.is_empty();
+        if host_dead {
+            out.iter_mut().for_each(|row| row.degraded = true);
+            self.degraded_rows += out.len() as u64;
         }
-        out
-    }
-
-    /// Close due windows and return their *partial* group states (used by
-    /// the partitioned executor; aggregate mode only — stream rows still
-    /// come out of [`QueryExecutor::advance_stream_only`]).
-    pub fn take_closed_partials(&mut self, now_ms: i64) -> Vec<WindowPartial> {
+        let scale = self.scale();
         let cutoff = now_ms
             .saturating_sub(self.plan.window_ms)
             .saturating_sub(self.grace_ms);
-        let mut due: Vec<i64> = self
-            .windows
-            .keys()
-            .copied()
-            .filter(|w| *w <= cutoff)
-            .collect();
-        due.sort_unstable();
-        let mut out = Vec::new();
+        let due: Vec<i64> = self.windows.range(..=cutoff).map(|(w, _)| *w).collect();
         for w in due {
-            let state = self.windows.remove(&w).expect("key just listed");
-            out.push(self.close_window(w, state));
+            let (groups, overflow_rows) = match self.windows.remove(&w).expect("key just listed") {
+                WindowState::Eager {
+                    groups,
+                    overflow_rows,
+                } => (groups, overflow_rows),
+                WindowState::Buffered(buf) => self.probe_window(w, buf),
+            };
             // every window with start <= w is now closed; the next open one
             // starts one slide later
             self.closed_before_ms = self.closed_before_ms.max(w + self.plan.slide_ms);
+            self.windows_closed += 1;
+            if !groups.is_empty() {
+                self.windows_emitted += 1;
+            }
+            self.groups_overflow += overflow_rows;
+            // A window that dropped rows to the group cap is missing them
+            // from its aggregates: what it renders is degraded, same as
+            // rows emitted under a dead host.
+            let degraded = host_dead || overflow_rows > 0;
+            let rows = self.render_window(w, groups, scale, degraded, &mut out);
+            self.rendered_rows += rows;
+            if degraded {
+                self.degraded_rows += rows;
+            }
+            self.closes.push(WindowClose {
+                window_start_ms: w,
+                rows,
+                degraded,
+            });
         }
         out
     }
 
-    /// Drain stream-mode rows without touching windows.
-    pub fn advance_stream_only(&mut self) -> Vec<ResultRow> {
-        std::mem::take(&mut self.stream_out)
-    }
-
-    fn close_window(&mut self, w: i64, state: WindowState) -> WindowPartial {
-        let (groups, overflow_rows) = match state {
-            WindowState::Eager {
-                groups,
-                overflow_rows,
-            } => (groups, overflow_rows),
-            WindowState::Buffered(buf) => self.probe_window(w, buf),
+    /// Render a closed window's groups, in key order, onto `out`; returns
+    /// the row count (0 in stream mode, whose rows were emitted as they
+    /// passed).
+    fn render_window(
+        &mut self,
+        w: i64,
+        groups: Groups,
+        scale: f64,
+        degraded: bool,
+        out: &mut Vec<ResultRow>,
+    ) -> u64 {
+        let OutputMode::Aggregate { output, .. } = &self.plan.mode else {
+            return 0;
         };
-        WindowPartial {
-            window_start_ms: w,
-            // a BTreeMap drains key-sorted
-            groups: groups.into_iter().collect(),
-            overflow_rows,
-        }
+        let t_render = Instant::now();
+        let rows = groups.len() as u64;
+        out.extend(groups.into_values().map(|g| {
+            ResultRow {
+                query_id: self.plan.query_id,
+                window_start_ms: w,
+                values: output
+                    .iter()
+                    .map(|col| match col {
+                        OutputCol::Group(i) => g.keys.get(*i).cloned().unwrap_or(Value::Null),
+                        OutputCol::Agg(i) => g.aggs[*i].finish(scale),
+                    })
+                    .collect(),
+                degraded,
+            }
+        }));
+        self.render_ns += t_render.elapsed().as_nanos() as u64;
+        rows
     }
 
     /// Join probe of a closed window: sort each side by request id and
@@ -906,7 +862,6 @@ impl QueryExecutor {
                         &mut self.key_scratch,
                     );
                     *overflow_rows += dropped;
-                    self.groups_overflow += dropped;
                 }
                 self.opc.group_rows_in += rows;
                 self.opc.group_ns += t_out.elapsed().as_nanos() as u64;
@@ -915,37 +870,10 @@ impl QueryExecutor {
         block.clear();
     }
 
-    /// Render a closed window's partial into final result rows.
-    pub fn render_partial(&mut self, p: WindowPartial, scale: f64, out: &mut Vec<ResultRow>) {
-        let OutputMode::Aggregate { output, .. } = &self.plan.mode else {
-            return; // stream rows were already emitted
-        };
-        let had_groups = !p.groups.is_empty();
-        for (_key, g) in p.groups {
-            let values: Vec<Value> = output
-                .iter()
-                .map(|col| match col {
-                    OutputCol::Group(i) => g.keys.get(*i).cloned().unwrap_or(Value::Null),
-                    OutputCol::Agg(i) => g.aggs[*i].finish(scale),
-                })
-                .collect();
-            out.push(ResultRow {
-                query_id: self.plan.query_id,
-                window_start_ms: p.window_start_ms,
-                values,
-                degraded: false,
-            });
-        }
-        if had_groups {
-            self.windows_emitted += 1;
-        }
-    }
-
     /// Close everything and produce the end-of-query summary.
     pub fn finish(&mut self) -> (Vec<ResultRow>, QuerySummary) {
         let rows = self.advance(i64::MAX / 4);
         let (total_matched, total_sampled, total_shed, total_budget_shed) = self.totals.sums();
-        let estimates = self.compute_estimates();
         let summary = QuerySummary {
             query_id: self.plan.query_id,
             hosts_reporting: self.totals.hosts_reporting(),
@@ -954,53 +882,78 @@ impl QueryExecutor {
             total_shed,
             total_budget_shed,
             windows_emitted: self.windows_emitted,
-            estimates,
+            estimates: self.compute_estimates(),
             hosts_targeted: self.plan.host_info.selected,
             hosts_live: self.totals.hosts_live(&self.dead_hosts),
-            degraded_rows: 0,
+            degraded_rows: self.degraded_rows,
             duplicate_batches: self.duplicate_batches,
             groups_overflow: self.groups_overflow,
         };
         (rows, summary)
     }
 
-    /// Export this executor's per-host estimator state (host-name keyed,
-    /// in first-seen host order so the floating-point reduction order is
-    /// deterministic). Partitions of one query export independently and
-    /// the router merges by host name — see
-    /// [`HostEstimatorState::merge`].
-    ///
-    /// Hosts appear if they contributed header totals *or* moments: a
-    /// partition worker fed through [`QueryExecutor::ingest_routed`] holds
-    /// moments but no totals (the router is authoritative for `matched`
-    /// there), so the export must not key on totals alone.
-    pub fn export_estimator_state(&self) -> Vec<HostEstimatorState> {
+    /// The per-column two-stage estimates (Eqs 1–3). Hosts reduce in
+    /// first-seen order, which fixes the floating-point reduction order.
+    fn compute_estimates(&self) -> Vec<Option<scrub_sketch::TwoStageEstimate>> {
+        let OutputMode::Aggregate {
+            aggregates, output, ..
+        } = &self.plan.mode
+        else {
+            return vec![None; self.plan.headers.len()];
+        };
+        if !plan_estimator_eligible(&self.plan) {
+            return vec![None; output.len()];
+        }
+        // a host counts once it contributed header totals or moments
         let mut per_host = self.totals.per_host_matched();
         for h in self.host_moments.keys() {
             per_host.entry(*h).or_insert(0);
         }
-        per_host
-            .into_iter()
-            .map(|(h, matched)| HostEstimatorState {
-                host: self.totals.name(h).to_string(),
-                matched,
-                moments: self.host_moments.get(&h).cloned().unwrap_or_default(),
+        let n_total = if self.plan.host_info.matching > 0 {
+            self.plan.host_info.matching
+        } else {
+            per_host.len()
+        };
+        output
+            .iter()
+            .map(|col| {
+                let OutputCol::Agg(i) = col else {
+                    return None;
+                };
+                use scrub_core::ql::ast::AggFn;
+                if !matches!(aggregates[*i].func, AggFn::Count | AggFn::Sum) {
+                    return None;
+                }
+                let hosts: Vec<HostSample> = per_host
+                    .iter()
+                    // A dead host's counters stopped at an unknown point;
+                    // dropping its sample shrinks n, so the two-stage bounds
+                    // widen instead of silently biasing (Eqs 1–3).
+                    .filter(|(h, _)| !self.dead_hosts.contains(self.totals.name(**h)))
+                    .map(|(h, &matched)| HostSample {
+                        population: matched,
+                        stats: self
+                            .host_moments
+                            .get(h)
+                            .and_then(|m| m.get(*i))
+                            .copied()
+                            .unwrap_or_default(),
+                    })
+                    .collect();
+                Some(estimate_total(n_total, &hosts, 0.95))
             })
             .collect()
     }
 
-    fn compute_estimates(&self) -> Vec<Option<scrub_sketch::TwoStageEstimate>> {
-        estimates_from_states(&self.plan, &self.export_estimator_state(), &self.dead_hosts)
-    }
-
-    /// The central-side operator skeleton with this executor's wall-clock
-    /// counters filled in — host-side operators and notes left empty.
-    /// This is what partition workers return from the profile barrier:
-    /// central ops count only the (disjoint) event slice routed to each
-    /// worker and merge by summing, while host ops and notes derive from
-    /// header totals the workers never observe — the router overlays those
-    /// from its own `TotalsTracker`.
-    pub fn plan_profile_partial(&self) -> PlanProfile {
+    /// Assemble this query's `EXPLAIN ANALYZE` profile.
+    ///
+    /// Host-side operators are reconstructed *deterministically* from the
+    /// cumulative batch-header counters through the agent's `CostModel`
+    /// — the paper's host agents never time their own hot path (that
+    /// would be overhead), so central attributes host ns from the same
+    /// model that the ≤2.5 % CPU envelope is audited against. Central
+    /// operators report the wall-clock counters accumulated above.
+    pub fn plan_profile(&self) -> PlanProfile {
         let mut profile = PlanProfile {
             query_id: self.plan.query_id.0,
             ops: Vec::new(),
@@ -1011,7 +964,6 @@ impl QueryExecutor {
                 id: desc.id.0,
                 label: desc.label.clone(),
                 host_side: desc.host_side,
-                merge_max: desc.host_side,
                 est_selectivity: desc.est_selectivity,
                 ..Default::default()
             };
@@ -1021,6 +973,7 @@ impl QueryExecutor {
                     op.rows_in = self.opc.decode_rows_in;
                     op.rows_out = self.opc.decode_rows_out;
                     op.ns = self.opc.decode_ns;
+                    op.bytes = self.decode_bytes;
                 }
                 OperatorKind::JoinBuild => {
                     op.rows_in = self.opc.join_build_rows_in;
@@ -1039,9 +992,14 @@ impl QueryExecutor {
                 }
                 OperatorKind::GroupAgg => {
                     op.rows_in = self.opc.group_rows_in;
+                    op.rows_out = self.rendered_rows;
                     op.ns = self.opc.group_ns;
                 }
-                OperatorKind::WindowClose => {}
+                OperatorKind::WindowClose => {
+                    op.rows_in = self.windows_closed;
+                    op.rows_out = self.windows_emitted;
+                    op.ns = self.render_ns;
+                }
                 OperatorKind::Stream => {
                     op.rows_in = self.opc.stream_rows_in;
                     op.rows_out = self.opc.stream_rows_out;
@@ -1050,25 +1008,16 @@ impl QueryExecutor {
             }
             profile.ops.push(op);
         }
-        profile
-    }
-
-    /// Assemble this executor's full `EXPLAIN ANALYZE` profile.
-    ///
-    /// Host-side operators are reconstructed *deterministically* from the
-    /// cumulative batch-header counters through the agent's `CostModel`
-    /// — the paper's host agents never time their own hot path (that
-    /// would be overhead), so central attributes host ns from the same
-    /// model that the ≤2.5 % CPU envelope is audited against. Central
-    /// operators report the wall-clock counters accumulated above.
-    ///
-    /// Counters that are not partition-invariant (rendered rows, windows
-    /// closed, decode bytes) stay zero here; the partitioned router
-    /// overlays them after merging — see `CentralOpCounters`.
-    pub fn plan_profile(&self) -> PlanProfile {
-        let mut profile = self.plan_profile_partial();
         self.totals.fill_host_ops(&self.plan, &mut profile);
         profile.notes = self.totals.profile_notes(&self.plan);
+        if self.groups_overflow > 0 {
+            profile.notes.push(format!(
+                "group state capped at {} groups: groups_kept {} (rendered), groups_dropped {} rows past the cap",
+                self.plan.max_groups.max(1),
+                self.rendered_rows,
+                self.groups_overflow
+            ));
+        }
         profile
     }
 }
@@ -1083,10 +1032,7 @@ impl QueryExecutor {
 /// dropped), and a new key smaller than the maximum evicts the largest
 /// group (all rows already folded into it count as dropped). The policy
 /// is deterministic in the key values alone — arrival order never
-/// matters, and a key's rank in any subset of the keys is at most its
-/// global rank, so the kept set and the *total* dropped-row count are
-/// identical whether the rows pass through one executor or are split
-/// across N partitions and re-capped at the merge.
+/// matters to the kept set or the total dropped-row count.
 ///
 /// `keys` is caller-owned scratch: the group key is written over the last
 /// row's key in place (string buffers reused) from whatever `eval` lends,
@@ -1265,9 +1211,158 @@ mod tests {
             1,
             1,
         ));
-        let rows = ex.advance_stream_only();
+        // no window has to close for a stream row to come out
+        let rows = ex.advance(0);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].values, vec![Value::Long(42)]);
+    }
+
+    /// `n` bids at t = 1 s spread over seven users.
+    fn feed(n: u64) -> EventBatch {
+        let events = (0..n)
+            .map(|i| ev(0, i, 1_000, vec![Value::Long((i % 7) as i64)]))
+            .collect();
+        batch("h1", events, n, n)
+    }
+
+    #[test]
+    fn stream_rows_pass_through() {
+        let mut ex = executor("select bid.user_id from bid");
+        ex.ingest(feed(10));
+        assert_eq!(ex.advance(60_000).len(), 10);
+        assert_eq!(ex.stats().events_routed, 10);
+        assert!(ex.take_window_closes().is_empty());
+    }
+
+    /// Headers are cumulative per (host, subscription): a later batch
+    /// raises the totals, it does not add to them.
+    #[test]
+    fn finish_summary_not_double_counted() {
+        let mut ex = executor("select COUNT(*) from bid window 10 s");
+        ex.ingest(batch("h1", vec![ev(0, 1, 1_000, vec![])], 60, 60));
+        ex.ingest(batch("h1", vec![ev(0, 2, 1_000, vec![])], 100, 100));
+        let (rows, summary) = ex.finish();
+        assert_eq!(rows[0].values, vec![Value::Long(2)]);
+        assert_eq!(summary.total_matched, 100);
+        assert_eq!(summary.hosts_reporting, 1);
+        assert_eq!(summary.windows_emitted, 1);
+    }
+
+    /// The decode operator's profiled byte total is the sum of the
+    /// batches' accounted sizes, and for columnar payloads that accounted
+    /// size is the *exact* encoded frame length — no modeled
+    /// approximation anywhere in the chain.
+    #[test]
+    fn profile_bytes_equal_encoded_columnar_lengths() {
+        use scrub_core::config::WireFormat;
+        use scrub_core::encode::encode_batch_format;
+
+        let mut ex =
+            executor("select bid.user_id, COUNT(*) from bid group by bid.user_id window 10 s");
+        let mut expect = 0u64;
+        for b in 0..4u64 {
+            let events: Vec<Event> = (0..50)
+                .map(|i| ev(0, b * 50 + i, 1_000, vec![Value::Long((i % 7) as i64)]))
+                .collect();
+            let frame = encode_batch_format(&events, WireFormat::Columnar);
+            let mut batch = batch("h1", Vec::new(), 50, 50);
+            batch.seq = b;
+            batch.payload = BatchPayload::from_events(events, WireFormat::Columnar);
+            assert_eq!(
+                batch.payload.approx_bytes(),
+                frame.len(),
+                "columnar payload accounting must be the encoded frame length"
+            );
+            expect += batch.approx_bytes() as u64;
+            ex.ingest(batch);
+        }
+        ex.advance(60_000);
+        let profile = ex.plan_profile();
+        let op = |prefix: &str| {
+            profile
+                .ops
+                .iter()
+                .find(|op| op.label.starts_with(prefix))
+                .unwrap_or_else(|| panic!("{prefix} operator in profile"))
+        };
+        assert_eq!(op("decode").bytes, expect);
+        // seven groups rendered by the one window that closed
+        assert_eq!(op("group").rows_out, 7);
+        let close = op("window");
+        assert_eq!((close.rows_in, close.rows_out), (1, 1));
+    }
+
+    #[test]
+    fn rows_and_closes_degrade_under_dead_hosts() {
+        let mut ex =
+            executor("select bid.user_id, COUNT(*) from bid group by bid.user_id window 10 s");
+        ex.ingest(feed(300));
+        ex.set_dead_hosts(["h9".to_string()].into_iter().collect());
+        let rows = ex.advance(60_000);
+        assert_eq!(rows.len(), 7);
+        assert!(rows.iter().all(|r| r.degraded));
+        assert_eq!(
+            ex.take_window_closes(),
+            vec![WindowClose {
+                window_start_ms: 0,
+                rows: 7,
+                degraded: true,
+            }]
+        );
+        assert!(ex.take_window_closes().is_empty(), "closes drain");
+        assert_eq!(ex.stats().degraded_rows, 7);
+        // the suspect host never reported, so every reporting host is live
+        let (_, summary) = ex.finish();
+        assert_eq!(summary.degraded_rows, 7);
+        assert_eq!(summary.hosts_live, 1);
+    }
+
+    #[test]
+    fn max_groups_overflow_degrades_the_window_and_counts_dropped_rows() {
+        let spec =
+            parse_query("select bid.user_id, COUNT(*) from bid group by bid.user_id window 10 s")
+                .unwrap();
+        let config = ScrubConfig {
+            max_groups: 3,
+            ..ScrubConfig::default()
+        };
+        let cq = compile(&spec, &registry(), &config, QueryId(9)).unwrap();
+        let mut ex = QueryExecutor::new(cq.central, 0);
+        // 70 rows over users 0..7, then a clean second window
+        ex.ingest(feed(70));
+        ex.ingest(batch(
+            "h1",
+            vec![ev(0, 900, 11_000, vec![Value::Long(1)])],
+            71,
+            71,
+        ));
+        // nothing is counted until the window that dropped the rows closes
+        assert_eq!(ex.stats().groups_overflow, 0);
+        let rows = ex.advance(60_000);
+        // the three smallest keys survive; users 3..7 lost 10 rows each
+        let w0: Vec<&ResultRow> = rows.iter().filter(|r| r.window_start_ms == 0).collect();
+        let users: Vec<&Value> = w0.iter().map(|r| &r.values[0]).collect();
+        assert_eq!(users, [&Value::Long(0), &Value::Long(1), &Value::Long(2)]);
+        assert!(w0
+            .iter()
+            .all(|r| r.degraded && r.values[1] == Value::Long(10)));
+        let w1: Vec<&ResultRow> = rows.iter().filter(|r| r.window_start_ms != 0).collect();
+        assert_eq!(w1.len(), 1);
+        assert!(!w1[0].degraded);
+        let stats = ex.stats();
+        assert_eq!(stats.groups_overflow, 40);
+        assert_eq!(stats.degraded_rows, 3);
+        let closes = ex.take_window_closes();
+        assert_eq!(
+            closes.iter().map(|c| c.degraded).collect::<Vec<_>>(),
+            [true, false]
+        );
+        assert!(ex
+            .plan_profile()
+            .notes
+            .iter()
+            .any(|n| n.contains("groups_dropped 40 rows")));
+        assert_eq!(ex.finish().1.groups_overflow, 40);
     }
 
     #[test]
@@ -1483,14 +1578,14 @@ mod tests {
             ex.ingest(columnar(0, 0..4));
             ex.ingest(corrupt(columnar(0, 4..8), truncate));
             ex.ingest(corrupt(columnar(1, 0..8), bad_dict_index));
-            assert_eq!(ex.decode_failures, 2, "{query}");
+            assert_eq!(ex.stats().decode_failures, 2, "{query}");
             // later batches still fold: 6 bids in all, 2 of them joined
             ex.ingest(columnar(0, 8..10));
             ex.ingest(columnar(1, 2..4));
             let rows = ex.advance(60_000);
             let expect = if ex.plan().is_join() { 2 } else { 6 };
             assert_eq!(rows[0].values, vec![Value::Long(expect)], "{query}");
-            assert_eq!(ex.decode_failures, 2);
+            assert_eq!(ex.stats().decode_failures, 2);
         }
     }
 }

@@ -3,31 +3,47 @@
 //! ScrubCentral (§4): the dedicated centralized facility where everything
 //! expensive happens — tumbling-window management, the request-id
 //! equi-join, group-by, and exact + probabilistic aggregation — so that
-//! none of it runs on the hosts serving the application. Partitioned
-//! execution with mergeable aggregate states provides the scaling the
-//! paper's deployment gets from a small ScrubCentral cluster.
+//! none of it runs on the hosts serving the application.
 //!
-//! Ingest runs behind the sealed [`IngestBackend`] trait: the
-//! single-threaded [`InlineBackend`] is the deterministic reference, the
-//! [`ThreadedBackend`] hands whole batches to partition workers over deep
-//! bounded channels and merges pre-folded per-partition states at window
-//! close. [`PartitionedExecutor::new`] picks the backend from the
-//! partition count; [`PartitionedExecutor::stats`] snapshots every
-//! observable counter in one [`ExecutorStats`].
+//! One [`QueryExecutor`] runs one query on the caller's thread, and
+//! [`QueryExecutor::stats`] snapshots every observable counter in one
+//! [`ExecutorStats`]. The scaling the paper's deployment gets from a small
+//! ScrubCentral cluster comes from assigning whole queries across central
+//! nodes; aggregate states stay mergeable ([`AggState::merge`]) for the
+//! day a tree of centrals needs it.
 
 pub mod agg;
-pub mod backend;
 pub mod executor;
-pub mod partition;
 pub mod row;
 pub mod stats;
-pub mod threaded;
 mod totals;
 
 pub use agg::AggState;
-pub use backend::{IngestBackend, InlineBackend};
-pub use executor::{HostEstimatorState, QueryExecutor, WindowPartial, MAX_JOIN_ROWS_PER_REQUEST};
-pub use partition::{PartitionedExecutor, WindowClose};
+pub use executor::{QueryExecutor, WindowClose, MAX_JOIN_ROWS_PER_REQUEST};
 pub use row::{QuerySummary, ResultRow};
-pub use stats::{ExecutorStats, WorkerTime};
-pub use threaded::ThreadedBackend;
+pub use stats::ExecutorStats;
+
+/// Forwarding shim: `scrub_perf/src/layers.rs` names these five calls and
+/// sits under a benchmark path this change may not edit. The next
+/// benchmark PR re-points that seam at [`QueryExecutor`] and deletes this.
+#[doc(hidden)]
+pub struct PartitionedExecutor(QueryExecutor);
+
+#[doc(hidden)]
+impl PartitionedExecutor {
+    pub fn new(plan: scrub_core::plan::CentralPlan, grace_ms: i64, _partitions: usize) -> Self {
+        PartitionedExecutor(QueryExecutor::new(plan, grace_ms))
+    }
+    pub fn ingest(&mut self, batch: scrub_agent::EventBatch) {
+        self.0.ingest(batch)
+    }
+    pub fn advance(&mut self, now_ms: i64) -> Vec<ResultRow> {
+        self.0.advance(now_ms)
+    }
+    pub fn finish(&mut self) -> (Vec<ResultRow>, QuerySummary) {
+        self.0.finish()
+    }
+    pub fn plan_profile(&self) -> scrub_obs::PlanProfile {
+        self.0.plan_profile()
+    }
+}

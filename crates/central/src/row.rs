@@ -74,7 +74,7 @@ pub struct QuerySummary {
     #[serde(default)]
     pub duplicate_batches: u64,
     /// Rows dropped because group state hit the `max_groups` bound (the
-    /// keep-smallest-keys overflow policy; partition-count invariant).
+    /// keep-smallest-keys overflow policy).
     #[serde(default)]
     pub groups_overflow: u64,
 }

@@ -1,16 +1,10 @@
-//! Per-host header accounting, shared by the inline executor and the
-//! batch-pipeline router.
+//! Per-host header accounting for the executor.
 //!
 //! Batch headers carry each host's *cumulative* matched/sampled/shed
-//! counters. Exactly one place must fold them — the component that sees
-//! every batch exactly once. For the inline backend that is the
-//! [`QueryExecutor`](crate::executor::QueryExecutor) itself; for the
-//! threaded backend it is the router, which observes each header before
-//! handing the whole batch to one partition (workers fold events only and
-//! never see authoritative totals). Both embed a [`TotalsTracker`], so
-//! scale, summary totals, host-side `EXPLAIN ANALYZE` operators and the
-//! profile notes are computed by the same code and agree bit-for-bit
-//! across backends.
+//! counters. The [`QueryExecutor`](crate::executor::QueryExecutor) sees
+//! every batch exactly once and folds them into a [`TotalsTracker`], from
+//! which scale, summary totals, host-side `EXPLAIN ANALYZE` operators and
+//! the profile notes all derive.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -62,7 +56,7 @@ impl HostTable {
 }
 
 /// Interner + cumulative per-(host, subscription) header counters, plus
-/// every derived figure the equality contract cares about.
+/// every figure derived from them.
 #[derive(Debug, Default)]
 pub(crate) struct TotalsTracker {
     hosts: HostTable,
@@ -70,13 +64,6 @@ pub(crate) struct TotalsTracker {
 }
 
 impl TotalsTracker {
-    /// Intern a host name without observing any counters (used by
-    /// partition workers, which track estimator moments per host but are
-    /// not authoritative for totals).
-    pub fn intern(&mut self, host: &str) -> HostId {
-        self.hosts.intern(host)
-    }
-
     pub fn name(&self, id: HostId) -> &str {
         self.hosts.name(id)
     }
@@ -216,9 +203,7 @@ impl TotalsTracker {
     }
 
     /// The profile annotation notes derived from plan constants and the
-    /// observed totals. Computed by whichever component is authoritative
-    /// for the totals, so inline and threaded backends produce identical
-    /// strings.
+    /// observed totals.
     pub fn profile_notes(&self, plan: &CentralPlan) -> Vec<String> {
         let mut notes = Vec::new();
         let hi = &plan.host_info;

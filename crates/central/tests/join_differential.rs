@@ -47,7 +47,11 @@ struct RefJoin {
     windows: BTreeMap<i64, HashMap<u64, Vec<Vec<Event>>>>,
     closed_before_ms: i64,
     stream_out: Vec<ResultRow>,
+    windows_closed: u64,
     windows_emitted: u64,
+    rendered_rows: u64,
+    degraded_rows: u64,
+    decode_bytes: u64,
     join_rows_capped: u64,
     late_events_dropped: u64,
     groups_overflow: u64,
@@ -67,7 +71,11 @@ impl RefJoin {
             windows: BTreeMap::new(),
             closed_before_ms: i64::MIN,
             stream_out: Vec::new(),
+            windows_closed: 0,
             windows_emitted: 0,
+            rendered_rows: 0,
+            degraded_rows: 0,
+            decode_bytes: 0,
             join_rows_capped: 0,
             late_events_dropped: 0,
             groups_overflow: 0,
@@ -88,6 +96,7 @@ impl RefJoin {
             payload: BatchPayload::Rows(Vec::new()),
             ..batch.clone()
         });
+        self.decode_bytes += batch.approx_bytes() as u64;
         for ev in batch.payload.to_rows() {
             self.counters.decode_rows_in += 1;
             let Some(input_idx) = self.plan.input_index(ev.type_id) else {
@@ -140,14 +149,20 @@ impl RefJoin {
         let due: Vec<i64> = self.windows.range(..=cutoff).map(|(w, _)| *w).collect();
         for w in due {
             let per_request = self.windows.remove(&w).expect("key just listed");
+            let overflow_before = self.groups_overflow;
             let groups = self.close_window(w, per_request);
+            // a window that dropped rows to the group cap renders degraded
+            let degraded = self.groups_overflow > overflow_before;
             self.closed_before_ms = self.closed_before_ms.max(w + self.plan.slide_ms);
+            self.windows_closed += 1;
             let OutputMode::Aggregate { output, .. } = &self.plan.mode else {
                 continue;
             };
             if !groups.is_empty() {
                 self.windows_emitted += 1;
             }
+            self.rendered_rows += groups.len() as u64;
+            self.degraded_rows += if degraded { groups.len() as u64 } else { 0 };
             for g in groups.into_values() {
                 out.push(ResultRow {
                     query_id: self.plan.query_id,
@@ -159,7 +174,7 @@ impl RefJoin {
                             OutputCol::Agg(i) => g.aggs[*i].finish(scale),
                         })
                         .collect(),
-                    degraded: false,
+                    degraded,
                 });
             }
         }
@@ -276,6 +291,7 @@ impl RefJoin {
         let rows = self.advance(i64::MAX / 4);
         let mut summary = self.headers.finish().1;
         summary.windows_emitted = self.windows_emitted;
+        summary.degraded_rows = self.degraded_rows;
         summary.groups_overflow = self.groups_overflow;
         (rows, summary)
     }
@@ -288,14 +304,26 @@ impl RefJoin {
         for desc in self.plan.operators() {
             let op = profile.op_mut(desc.id.0).expect("operator in skeleton");
             (op.rows_in, op.rows_out) = match desc.kind {
-                OperatorKind::Decode => (c.decode_rows_in, c.decode_rows_out),
+                OperatorKind::Decode => {
+                    op.bytes = self.decode_bytes;
+                    (c.decode_rows_in, c.decode_rows_out)
+                }
                 OperatorKind::JoinBuild => (c.join_build_rows_in, c.join_build_rows_out),
                 OperatorKind::JoinProbe => (c.join_probe_rows_in, c.join_probe_rows_out),
                 OperatorKind::Residual => (c.residual_rows_in, c.residual_rows_out),
-                OperatorKind::GroupAgg => (c.group_rows_in, 0),
+                OperatorKind::GroupAgg => (c.group_rows_in, self.rendered_rows),
+                OperatorKind::WindowClose => (self.windows_closed, self.windows_emitted),
                 OperatorKind::Stream => (c.stream_rows_in, c.stream_rows_out),
                 _ => continue,
             };
+        }
+        if self.groups_overflow > 0 {
+            profile.notes.push(format!(
+                "group state capped at {} groups: groups_kept {} (rendered), groups_dropped {} rows past the cap",
+                self.plan.max_groups.max(1),
+                self.rendered_rows,
+                self.groups_overflow
+            ));
         }
         profile
     }
@@ -567,7 +595,7 @@ fn check(plan: CentralPlan, steps: &[Step]) {
     );
     // a join that streams its last windows at finish holds the rows back
     assert_eq!(
-        debug(&exec.advance_stream_only()),
+        debug(&exec.advance(i64::MAX / 4)),
         debug(&std::mem::take(&mut oracle.stream_out))
     );
 }

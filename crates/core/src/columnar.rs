@@ -140,11 +140,10 @@ impl ColumnarFrame {
     /// scanning only chunk headers — column bodies are skipped via their
     /// length prefixes. Used by header-level consumers (window-loss
     /// attribution, trace annotation) that must not pay full decode.
-    pub fn for_each_meta(&self, mut f: impl FnMut(u64, i64)) {
-        // Frames are self-produced in-process; a scan error indicates a
-        // bug, not bad input. Surface it in debug builds, skip in release.
-        let res = strip_header(&self.bytes).and_then(|body| scan_meta(body, &mut f));
-        debug_assert!(res.is_ok(), "columnar meta scan failed: {res:?}");
+    /// A frame that does not scan is an `Err`; `f` may already have seen
+    /// the events ahead of the damage.
+    pub fn for_each_meta(&self, mut f: impl FnMut(u64, i64)) -> ScrubResult<()> {
+        strip_header(&self.bytes).and_then(|body| scan_meta(body, &mut f))
     }
 }
 
@@ -941,7 +940,7 @@ mod tests {
             .collect();
         let frame = ColumnarFrame::from_events(&events);
         let mut seen = Vec::new();
-        frame.for_each_meta(|rid, ts| seen.push((rid, ts)));
+        frame.for_each_meta(|rid, ts| seen.push((rid, ts))).unwrap();
         let expect: Vec<(u64, i64)> = events
             .iter()
             .map(|e| (e.request_id.0, e.timestamp))

@@ -24,16 +24,6 @@ pub struct ScrubConfig {
     /// Agent: per-query budget of matched events per second before load
     /// shedding kicks in (accuracy traded for host impact, §2).
     pub agent_events_per_sec_budget: u64,
-    /// Central: number of parallel partitions for executing a query.
-    /// Defaults to `1`, the deterministic inline reference path — the
-    /// same binary and seed then reproduce every figure on any machine.
-    /// Parallel ingest is an explicit opt-in (set this to
-    /// [`ScrubConfig::auto_partitions`] or a fixed count); with
-    /// `partitions >= 2` summary estimates match the reference only up to
-    /// floating-point rounding and scheduling-dependent counters (ingest
-    /// backpressure) become machine-dependent.
-    #[serde(default = "default_central_partitions")]
-    pub central_partitions: usize,
     /// Central: extra time after a window closes before it is finalized,
     /// to absorb host->central delivery skew (ms).
     pub window_grace_ms: i64,
@@ -99,13 +89,12 @@ pub struct ScrubConfig {
     /// Agent: enforce `host_cpu_budget` at the tap — once the modeled ns
     /// spent this second exceed the budget, further per-event ship work
     /// is shed and counted as `budget_shed` in the loss ledger. Off by
-    /// default: enforcement changes results, so it is an explicit opt-in
-    /// (like parallel ingest).
+    /// default: enforcement changes results, so it is an explicit opt-in.
     #[serde(default = "default_enforce_host_budget")]
     pub enforce_host_budget: bool,
     /// Central: cap on distinct group-by keys held per window. Overflow
     /// follows a deterministic keep-smallest-keys policy (the same key
-    /// set survives for any partition count); dropped rows are counted
+    /// set survives whatever the arrival order); dropped rows are counted
     /// in `groups_overflow` and surviving rows of the window are marked
     /// degraded. The default is far above every reproduced workload's
     /// cardinality, so results are unchanged unless a run opts into a
@@ -134,7 +123,7 @@ pub struct ScrubConfig {
     /// Central: evaluate the health plane's alert rules at every
     /// metrics-history tick. On by default — evaluation is a handful of
     /// integer comparisons per rule per advance and only watches
-    /// partition-invariant metrics, so it cannot perturb results.
+    /// deterministic metrics, so it cannot perturb results.
     #[serde(default = "default_alerts_enabled")]
     pub alerts_enabled: bool,
     /// Central: capacity of the bounded alert log (oldest evicted and
@@ -158,10 +147,9 @@ pub struct ScrubConfig {
     #[serde(default = "default_anomaly_min_intervals")]
     pub anomaly_min_intervals: usize,
     /// Anomaly detection: watched metric names. The default watches
-    /// central ingest volume; entries must be per-tick
-    /// partition-invariant metrics (never `_ns` wall-clock values or
-    /// `central.ingest_backpressure`) or the determinism contract of
-    /// the alert log breaks.
+    /// central ingest volume; entries must be per-tick deterministic
+    /// metrics (never `_ns` wall-clock values) or the determinism
+    /// contract of the alert log breaks.
     #[serde(default = "default_anomaly_metrics")]
     pub anomaly_metrics: Vec<String>,
     /// Server/central: per-query flight-recorder capacity (lifecycle
@@ -216,9 +204,6 @@ fn default_agent_heartbeat_interval_ms() -> i64 {
 }
 fn default_host_grace_ms() -> i64 {
     5_000
-}
-fn default_central_partitions() -> usize {
-    1
 }
 fn default_trace_sample_rate() -> f64 {
     0.0
@@ -275,22 +260,6 @@ fn default_flight_recorder_cap() -> usize {
     256
 }
 
-impl ScrubConfig {
-    /// Opt-in parallelism for `central_partitions`: the machine's
-    /// available parallelism, clamped to `1..=8`. Deliberately **not**
-    /// the default — partition count affects floating-point rounding of
-    /// the merged estimates and per-machine counters, so deterministic
-    /// simulation/experiment entry points stay at `1` unless a run asks
-    /// for parallel ingest explicitly. Note each installed query costs
-    /// one worker thread (plus one bounded channel) per partition.
-    pub fn auto_partitions() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 8)
-    }
-}
-
 impl Default for ScrubConfig {
     fn default() -> Self {
         ScrubConfig {
@@ -301,7 +270,6 @@ impl Default for ScrubConfig {
             agent_batch_events: 256,
             agent_flush_interval_ms: 1_000,
             agent_events_per_sec_budget: 50_000,
-            central_partitions: default_central_partitions(),
             window_grace_ms: 2_000,
             agent_retry_base_ms: default_agent_retry_base_ms(),
             agent_retry_max_ms: default_agent_retry_max_ms(),
@@ -342,8 +310,6 @@ mod tests {
         assert_eq!(c.default_window_ms, 10_000);
         assert!(c.default_duration_ms < c.max_duration_ms);
         assert!(c.agent_batch_events > 0);
-        // Determinism-first: parallel ingest is opt-in, never the default.
-        assert_eq!(c.central_partitions, 1);
         // Host-impact-first: tracing is opt-in, never the default.
         assert_eq!(c.trace_sample_rate, 0.0);
         assert!(c.trace_span_budget > 0);
@@ -365,8 +331,7 @@ mod tests {
         assert_eq!(c.wire_format, WireFormat::Columnar);
         // Health plane: alerts are on by default (pure observation —
         // they cannot change results), with bounded logs/journals and
-        // an anomaly watchlist restricted to partition-invariant
-        // metrics.
+        // an anomaly watchlist restricted to deterministic metrics.
         assert!(c.alerts_enabled);
         assert!(c.alert_log_cap > 0);
         assert!(c.alert_for_ticks >= 1);
@@ -376,8 +341,17 @@ mod tests {
         assert_eq!(c.anomaly_metrics, vec!["central.events_ingested"]);
         assert!(!c.anomaly_metrics.iter().any(|m| m.ends_with("_ns")));
         assert!(c.flight_recorder_cap >= 4);
-        let auto = ScrubConfig::auto_partitions();
-        assert!((1..=8).contains(&auto));
+    }
+
+    /// A config stored before intra-query partitions were removed still
+    /// loads; the dead key is ignored.
+    #[test]
+    fn stored_config_with_central_partitions_still_loads() {
+        let mut json = serde_json::to_string(&ScrubConfig::default()).unwrap();
+        assert!(!json.contains("central_partitions"));
+        json.insert_str(1, "\"central_partitions\": 4, ");
+        let back: ScrubConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, ScrubConfig::default());
     }
 
     #[test]

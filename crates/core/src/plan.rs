@@ -186,8 +186,8 @@ pub struct CentralPlan {
     pub residual_selectivity: f64,
     /// Cap on distinct group-by keys held per window (from
     /// `ScrubConfig::max_groups`). Overflow keeps the `max_groups`
-    /// smallest keys — deterministic and identical for every partition
-    /// count — and counts dropped rows in `groups_overflow`.
+    /// smallest keys — deterministic in the key values alone — and counts
+    /// dropped rows in `groups_overflow`.
     #[serde(default)]
     pub max_groups: usize,
 }
@@ -316,8 +316,8 @@ pub const OPS_PER_HOST_PLAN: usize = 3;
 /// Stable identifier of one operator in a compiled plan. Host plans get
 /// [`OPS_PER_HOST_PLAN`] consecutive ids each, in FROM order; central
 /// operators follow at fixed slots after them, so the same query shape
-/// always yields the same ids — profiles from different partitions (or
-/// runs) merge by id.
+/// always yields the same ids — profiles from different runs line up by
+/// id.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
 )]
@@ -339,7 +339,7 @@ pub enum OperatorKind {
     Sampling,
     /// Host-side field projection of shipped events.
     Projection,
-    /// Central batch decode + partition routing.
+    /// Central batch decode + window selection (labelled `decode/route`).
     Decode,
     /// Central equi-join build (buffering events per request id).
     JoinBuild,

@@ -111,7 +111,7 @@ proptest! {
         let frame = ColumnarFrame::from_events(&events);
         prop_assert_eq!(frame.len(), events.len());
         let mut meta = Vec::new();
-        frame.for_each_meta(|rid, ts| meta.push((rid, ts)));
+        frame.for_each_meta(|rid, ts| meta.push((rid, ts))).unwrap();
         let expect: Vec<(u64, i64)> =
             events.iter().map(|e| (e.request_id.0, e.timestamp)).collect();
         prop_assert_eq!(meta, expect);

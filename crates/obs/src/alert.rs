@@ -31,10 +31,9 @@
 //! Everything here is driven by sim time and the seeded run: evaluated
 //! over the same history, the engine emits the same events in the same
 //! order — alerts obey the same determinism contract as the loss ledger
-//! and must fire identically across partition counts (enforced by the
-//! differential tests). Rules should therefore only watch metrics that
-//! are themselves per-tick partition-invariant (not `_ns` wall-clock
-//! values, not `central.ingest_backpressure`).
+//! and must fire identically on every run of a seed (enforced by the
+//! golden tests). Rules should therefore only watch metrics that are
+//! themselves deterministic per tick (not `_ns` wall-clock values).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -554,9 +553,8 @@ impl AlertEngine {
 }
 
 /// The built-in rules for Scrub's known failure modes. All watch
-/// node-side, per-tick partition-invariant metrics — never wall-clock
-/// (`_ns`) values or backend-dependent counters like
-/// `central.ingest_backpressure`.
+/// node-side, per-tick deterministic metrics — never wall-clock (`_ns`)
+/// values.
 pub fn default_rules(for_ticks: u32, clear_ticks: u32) -> Vec<AlertRule> {
     let mk = |id: &str, metric: &str, kind: RuleKind| AlertRule {
         id: id.into(),

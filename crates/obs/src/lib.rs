@@ -75,6 +75,4 @@ pub use timeline::{
     FlightRecorder, DEFAULT_FLIGHT_RECORDER_CAP,
 };
 pub use trace::{should_trace, trace_threshold, SpanKind, TraceSpan, TraceStore};
-pub use tsdb::{
-    fmt_milli, partition_invariant, Resolution, RolledPoint, RollupKind, TelemetryStore,
-};
+pub use tsdb::{fmt_milli, run_invariant, Resolution, RolledPoint, RollupKind, TelemetryStore};

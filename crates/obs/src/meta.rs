@@ -45,9 +45,9 @@ scrub_event! {
     /// tier exposed as an event stream, so ScrubQL windowed group-by
     /// queries run over Scrub's own time series. `kind` is `counter` or
     /// `gauge`; `delta` is the change since the previous tick; `value`
-    /// is the value at the tick. Only partition-invariant metrics are
-    /// streamed (no `_ns` gauges, no `central.ingest_backpressure`), so
-    /// meta-query results keep the determinism contract.
+    /// is the value at the tick. Only deterministic metrics are streamed
+    /// (no `_ns` gauges), so meta-query results keep the determinism
+    /// contract.
     pub struct ScrubMetricEvent("scrub_metric") {
         metric: string,
         kind: string,

@@ -11,23 +11,9 @@
 //! assembled [`PlanProfile`] pairs each operator's *actual* selectivity
 //! and cardinality against the planner's *estimates*.
 //!
-//! # Partition-merge contract
-//!
-//! Profiles merge across threaded partitions exactly like
-//! [`MetricsSnapshot`](crate::MetricsSnapshot) merges, with one twist per
-//! counter class:
-//!
-//! * **host-side operators** (`merge_max == true`): derived from batch
-//!   headers, which replicate to *every* partition, so the counters are
-//!   merged by componentwise `max` (the cumulative streams are monotone
-//!   and identical across partitions);
-//! * **central-side operators** (`merge_max == false`): each partition
-//!   counts only the disjoint slice of events routed to it, so the
-//!   counters are summed.
-//!
-//! Wall-clock `ns` figures are nondeterministic (they time real work on
-//! real threads) and are excluded from differential comparisons and
-//! masked in golden renderings; everything else is integer-exact.
+//! Wall-clock `ns` figures are nondeterministic (they time real work) and
+//! are excluded from differential comparisons and masked in golden
+//! renderings; everything else is integer-exact.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -41,9 +27,6 @@ pub struct OperatorStats {
     pub label: String,
     /// True for the host-side trio (selection / sampling / projection).
     pub host_side: bool,
-    /// Partition-merge rule: componentwise max (host-header-derived
-    /// counters) instead of sum (per-partition disjoint counters).
-    pub merge_max: bool,
     /// Planner's selectivity estimate for this operator.
     pub est_selectivity: f64,
     /// Rows (events, joined rows, groups — the operator's unit) entering.
@@ -76,22 +59,6 @@ impl OperatorStats {
         self.actual_selectivity()
             .map(|act| (self.est_selectivity - act).abs())
             .unwrap_or(0.0)
-    }
-
-    /// Fold `other` (the same operator observed by another partition)
-    /// into `self`, honoring the merge rule.
-    fn merge(&mut self, other: &OperatorStats) {
-        if self.merge_max {
-            self.rows_in = self.rows_in.max(other.rows_in);
-            self.rows_out = self.rows_out.max(other.rows_out);
-            self.bytes = self.bytes.max(other.bytes);
-            self.ns = self.ns.max(other.ns);
-        } else {
-            self.rows_in += other.rows_in;
-            self.rows_out += other.rows_out;
-            self.bytes += other.bytes;
-            self.ns += other.ns;
-        }
     }
 
     /// The label reduced to the Prometheus-safe charset (for per-operator
@@ -128,22 +95,6 @@ pub struct PlanProfile {
 }
 
 impl PlanProfile {
-    /// Merge another partition's profile into this one (operators match
-    /// by id; unseen operators are appended). Notes are taken from the
-    /// profile that has them — partitions produce identical notes.
-    pub fn merge(&mut self, other: &PlanProfile) {
-        for op in &other.ops {
-            match self.ops.iter_mut().find(|o| o.id == op.id) {
-                Some(mine) => mine.merge(op),
-                None => self.ops.push(op.clone()),
-            }
-        }
-        self.ops.sort_by_key(|o| o.id);
-        if self.notes.is_empty() {
-            self.notes = other.notes.clone();
-        }
-    }
-
     /// Look up an operator by id.
     pub fn op(&self, id: u32) -> Option<&OperatorStats> {
         self.ops.iter().find(|o| o.id == id)
@@ -261,7 +212,6 @@ mod tests {
             id,
             label: label.to_string(),
             host_side: host,
-            merge_max: host,
             est_selectivity: 0.5,
             rows_in,
             rows_out,
@@ -279,52 +229,6 @@ mod tests {
         let empty = op(1, "sampling(bid)", true, 0, 0);
         assert_eq!(empty.actual_selectivity(), None);
         assert_eq!(empty.estimate_error(), 0.0);
-    }
-
-    #[test]
-    fn merge_respects_max_vs_sum() {
-        let mut a = PlanProfile {
-            query_id: 7,
-            ops: vec![
-                op(0, "selection(bid)", true, 100, 40),
-                op(3, "decode/route", false, 40, 40),
-            ],
-            notes: vec![],
-        };
-        let b = PlanProfile {
-            query_id: 7,
-            ops: vec![
-                op(0, "selection(bid)", true, 90, 40),
-                op(3, "decode/route", false, 25, 24),
-            ],
-            notes: vec!["note".into()],
-        };
-        a.merge(&b);
-        // host-side: componentwise max (headers replicate to partitions)
-        assert_eq!(a.op(0).unwrap().rows_in, 100);
-        assert_eq!(a.op(0).unwrap().rows_out, 40);
-        // central-side: sum (partitions see disjoint slices)
-        assert_eq!(a.op(3).unwrap().rows_in, 65);
-        assert_eq!(a.op(3).unwrap().rows_out, 64);
-        assert_eq!(a.notes, vec!["note".to_string()]);
-    }
-
-    #[test]
-    fn merge_appends_unknown_ops_sorted() {
-        let mut a = PlanProfile {
-            query_id: 1,
-            ops: vec![op(4, "group/aggregate", false, 5, 2)],
-            notes: vec![],
-        };
-        let b = PlanProfile {
-            query_id: 1,
-            ops: vec![op(0, "selection(bid)", true, 10, 5)],
-            notes: vec![],
-        };
-        a.merge(&b);
-        assert_eq!(a.ops.len(), 2);
-        assert_eq!(a.ops[0].id, 0);
-        assert_eq!(a.ops[1].id, 4);
     }
 
     #[test]

@@ -129,10 +129,6 @@ pub struct QueryProfile {
     pub join_rows_held: u64,
     /// Result rows emitted.
     pub rows_emitted: u64,
-    /// Parallel-ingest backpressure stalls: sub-batch sends that found a
-    /// partition channel full and had to block (0 when `partitions = 1`).
-    #[serde(default)]
-    pub ingest_backpressure: u64,
     /// Batch ingest latency: newest event timestamp in a batch to its
     /// arrival at central, on the sim clock.
     pub ingest_latency_ms: HistogramSnapshot,
@@ -154,7 +150,6 @@ impl QueryProfile {
             windows_degraded: 0,
             join_rows_held: 0,
             rows_emitted: 0,
-            ingest_backpressure: 0,
             ingest_latency_ms: HistogramSnapshot {
                 bounds: DEFAULT_LATENCY_BOUNDS_MS.to_vec(),
                 buckets: vec![0; DEFAULT_LATENCY_BOUNDS_MS.len() + 1],
@@ -238,11 +233,6 @@ impl QueryProfile {
         self.rows_emitted += n;
     }
 
-    /// Record parallel-ingest backpressure stalls.
-    pub fn observe_backpressure(&mut self, n: u64) {
-        self.ingest_backpressure += n;
-    }
-
     fn record_latency(&mut self, v: i64) {
         let v = v.max(0);
         let h = &mut self.ingest_latency_ms;
@@ -292,7 +282,6 @@ impl QueryProfile {
         self.windows_degraded += other.windows_degraded;
         self.join_rows_held += other.join_rows_held;
         self.rows_emitted += other.rows_emitted;
-        self.ingest_backpressure += other.ingest_backpressure;
         self.ingest_latency_ms.merge(&other.ingest_latency_ms);
     }
 }

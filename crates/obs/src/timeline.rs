@@ -236,8 +236,7 @@ impl FlightRecorder {
 
 /// Merge journals from several sources (server + central) into one
 /// timeline, ordered by `(at_ms, source index, journal order)` — a
-/// stable merge, so the render is byte-identical across runs and
-/// partition counts.
+/// stable merge, so the render is byte-identical across runs.
 pub fn merge_timelines(sources: &[&FlightRecorder]) -> Vec<FlightEvent> {
     let mut tagged: Vec<(i64, usize, usize, &FlightEvent)> = Vec::new();
     for (si, rec) in sources.iter().enumerate() {

@@ -7,8 +7,8 @@
 //! events by request id; marked events accumulate causally-ordered
 //! [`TraceSpan`]s at every hop of the pipeline (tap selection on the
 //! host, batch enqueue, shipment and retransmission, central ingest,
-//! partition routing, window assignment and close), timestamped on the
-//! sim clock. Spans ride to ScrubCentral piggybacked on the
+//! window assignment and close), timestamped on the sim clock. Spans ride
+//! to ScrubCentral piggybacked on the
 //! [`EventBatch`](../../scrub_agent/struct.EventBatch.html)es the agent
 //! ships anyway, and central assembles them into per-query trace trees
 //! (a [`TraceStore`]) queryable via `scrubql trace <qid> [request-id]`.
@@ -17,8 +17,8 @@
 //!
 //! The sampling decision is a pure function of the request id — a seeded
 //! splitmix64 hash compared against a threshold precomputed from
-//! `ScrubConfig::trace_sample_rate` — so every host, every partition
-//! count and every rerun of a seeded scenario traces exactly the same
+//! `ScrubConfig::trace_sample_rate` — so every host, every central node
+//! and every rerun of a seeded scenario traces exactly the same
 //! requests. Tracing must never violate the host-impact contract: the
 //! disabled path (`trace_sample_rate == 0`, the default) is a single
 //! integer compare against a precomputed threshold of 0, and enabled
@@ -32,8 +32,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::{Deserialize, Serialize};
 
 /// Fixed seed for the trace sampler's request-id hash. A constant (not a
-/// config knob) so agents, central and any partition count agree on which
-/// requests are traced without coordination.
+/// config knob) so agents and every central node agree on which requests
+/// are traced without coordination.
 pub const TRACE_SEED: u64 = 0x5c12_abd1_a902_77e5;
 
 /// One hop in an event's lifecycle. The declaration order is the causal
@@ -60,9 +60,6 @@ pub enum SpanKind {
     Retransmit,
     /// ScrubCentral ingested the (fresh) batch.
     Ingest,
-    /// The router assigned the event to a partition (`detail` =
-    /// partition index; machine-local for `partitions >= 2`).
-    Route,
     /// The event was assigned to a tumbling window (`detail` = window
     /// start ms).
     WindowAssign,
@@ -88,8 +85,8 @@ pub struct TraceSpan {
     #[serde(default)]
     pub host: String,
     /// Hop-specific detail: seq for [`SpanKind::Send`], attempt for
-    /// [`SpanKind::Retransmit`], partition for [`SpanKind::Route`],
-    /// window start for the window hops, 0 otherwise.
+    /// [`SpanKind::Retransmit`], window start for the window hops, 0
+    /// otherwise.
     #[serde(default)]
     pub detail: i64,
 }
@@ -110,8 +107,8 @@ impl TraceSpan {
     }
 }
 
-/// splitmix64 finalizer — the same mixer the partition router uses, so
-/// the hash is cheap and well distributed over sequential request ids.
+/// splitmix64 finalizer: cheap and well distributed over sequential
+/// request ids.
 #[inline]
 fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -133,8 +130,7 @@ pub fn trace_threshold(rate: f64) -> u64 {
 }
 
 /// The deterministic sampling decision: is this request traced at this
-/// threshold? Pure in `(request_id, threshold)` — every node and every
-/// partition count agrees.
+/// threshold? Pure in `(request_id, threshold)` — every node agrees.
 #[inline]
 pub fn should_trace(request_id: u64, threshold: u64) -> bool {
     threshold != 0 && mix(request_id ^ TRACE_SEED) <= threshold
@@ -154,7 +150,7 @@ pub struct TraceStore {
     /// Spans per traced request (sorted on read, not on insert).
     traces: BTreeMap<u64, Vec<TraceSpan>>,
     /// Window start → traced requests assigned to it, so close/degrade
-    /// spans can be fanned out when the router closes the window.
+    /// spans can be fanned out when the executor closes the window.
     window_index: BTreeMap<i64, BTreeSet<u64>>,
     /// Spans dropped because the store was at capacity.
     pub dropped_spans: u64,
@@ -200,7 +196,7 @@ impl TraceStore {
     /// Smallest traced request id with at least one span in the
     /// sim-time interval `(from_ms, to_ms]` — the deterministic
     /// exemplar pick for rolled telemetry points (requests iterate in
-    /// `BTreeMap` order, so every partition count agrees). `None` when
+    /// `BTreeMap` order). `None` when
     /// no traced request was active in the interval.
     pub fn first_rid_in(&self, from_ms: i64, to_ms: i64) -> Option<u64> {
         self.traces.iter().find_map(|(&rid, spans)| {
@@ -285,26 +281,6 @@ impl TraceStore {
             (a.at_ms, a.kind, a.detail, &a.host).cmp(&(b.at_ms, b.kind, b.detail, &b.host))
         });
         Some(spans)
-    }
-
-    /// A deterministic signature of the whole store for differential
-    /// tests: per request, the ordered `(kind, at_ms, host)` hops.
-    /// `detail` is deliberately excluded — [`SpanKind::Route`]'s partition
-    /// index legitimately differs across partition counts.
-    pub fn signature(&self) -> BTreeMap<u64, Vec<(SpanKind, i64, String)>> {
-        self.traces
-            .keys()
-            .map(|&rid| {
-                let spans = self.trace(rid).unwrap_or_default();
-                (
-                    rid,
-                    spans
-                        .into_iter()
-                        .map(|s| (s.kind, s.at_ms, s.host))
-                        .collect(),
-                )
-            })
-            .collect()
     }
 }
 
@@ -410,7 +386,5 @@ mod tests {
         let mut s = TraceStore::new(16);
         s.ingest_spans(vec![TraceSpan::new(4, SpanKind::Emit, 1, 0)], "bid-DC1-0");
         assert_eq!(s.trace(4).unwrap()[0].host, "bid-DC1-0");
-        let sig = s.signature();
-        assert_eq!(sig[&4], vec![(SpanKind::Emit, 1, "bid-DC1-0".to_string())]);
     }
 }

@@ -29,9 +29,8 @@
 //! counted in ticks from the first accepted snapshot, accumulation is
 //! integer-only, and iteration order is `BTreeMap` order — so store
 //! contents, [`TelemetryStore::render_range`] output and exemplar
-//! choices are byte-identical across seeded runs and across 1 vs N
-//! central partitions (for [`partition_invariant`] metrics; the
-//! wall-clock and scheduling exemptions are listed there).
+//! choices are byte-identical across seeded runs (for [`run_invariant`]
+//! metrics; the wall-clock exemptions are listed there).
 //! Snapshots that arrive out of sim-clock order are dropped and
 //! counted ([`TelemetryStore::out_of_order`]) rather than silently
 //! corrupting deltas.
@@ -551,8 +550,7 @@ impl TelemetryStore {
     /// Byte-stable text render of `metric`'s series at `res`, points at
     /// or after `since` (sim ms) only. The shared renderer behind
     /// `scrubql range`, experiment artifacts and the golden tests —
-    /// identical across seeded runs and partition counts for
-    /// partition-invariant metrics.
+    /// identical across seeded runs for [`run_invariant`] metrics.
     pub fn render_range(&self, metric: &str, res: Resolution, since: Option<i64>) -> String {
         let mut out = String::new();
         let points = self.points(metric, res);
@@ -597,19 +595,13 @@ impl TelemetryStore {
     }
 }
 
-/// Whether a metric is part of the partition-invariance contract:
-/// `true` for every metric whose series must be byte-identical across
-/// seeded runs and across 1 vs N central partitions. The exemptions are
-/// the wall-clock `_ns` gauges, `central.ingest_backpressure` (queue
-/// pressure is thread-scheduling dependent) and the `executor.*`
-/// scheduling counters (barriers per advance depend on the backend's
-/// partition count by construction). Used by the `scrub_metric`
-/// meta-stream, the golden/parallel suites and experiment artifacts so
-/// they all agree on the exempt set.
-pub fn partition_invariant(metric: &str) -> bool {
+/// Whether a metric is part of the determinism contract: `true` for
+/// every metric whose series must be byte-identical across seeded runs.
+/// The exemptions are the wall-clock `_ns` series. Used by the
+/// `scrub_metric` meta-stream, the golden suite and experiment artifacts
+/// so they all agree on the exempt set.
+pub fn run_invariant(metric: &str) -> bool {
     !metric.ends_with("_ns")
-        && metric != "central.ingest_backpressure"
-        && !metric.starts_with("executor.")
 }
 
 /// Render a thousandths-scaled integer as a fixed 3-decimal number
@@ -785,14 +777,12 @@ mod tests {
     }
 
     #[test]
-    fn partition_invariance_exempts_wall_clock_and_scheduling_metrics() {
-        assert!(partition_invariant("central.events_ingested"));
-        assert!(partition_invariant("ledger.batch_dropped"));
-        assert!(partition_invariant("central.hosts_suspected"));
-        assert!(!partition_invariant("central.assemble_ns"));
-        assert!(!partition_invariant("central.ingest_backpressure"));
-        assert!(!partition_invariant("executor.advance_barriers"));
-        assert!(!partition_invariant("executor.p0.busy_ns"));
+    fn run_invariance_exempts_wall_clock_metrics() {
+        assert!(run_invariant("central.events_ingested"));
+        assert!(run_invariant("ledger.batch_dropped"));
+        assert!(run_invariant("central.hosts_suspected"));
+        assert!(!run_invariant("central.assemble_ns"));
+        assert!(!run_invariant("plan.q1.decode_route.op_ns"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! ScrubCentral as a simulated node: hosts one [`PartitionedExecutor`] per
+//! ScrubCentral as a simulated node: hosts one [`QueryExecutor`] per
 //! active query, advances watermarks on a timer, and streams finished rows
 //! to the query server.
 //!
@@ -30,7 +30,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use scrub_agent::EventBatch;
-use scrub_central::PartitionedExecutor;
+use scrub_central::QueryExecutor;
 use scrub_core::config::ScrubConfig;
 use scrub_core::event::RequestId;
 use scrub_core::plan::{OutputMode, QueryId};
@@ -48,11 +48,12 @@ use crate::harness::AgentHarness;
 use crate::msg::{ScrubEnvelope, ScrubMsg, TIMER_CENTRAL_ADVANCE};
 
 /// The centralized execution facility (one node; the paper runs a small
-/// cluster — partitions model its parallelism).
+/// cluster — `deploy_central_cluster` spreads whole queries across
+/// several of these).
 pub struct CentralNode<E: ScrubEnvelope> {
     config: ScrubConfig,
     server: Option<NodeId>,
-    executors: HashMap<QueryId, PartitionedExecutor>,
+    executors: HashMap<QueryId, QueryExecutor>,
     /// Per-query, per-host sequence numbers already ingested.
     seen: HashMap<QueryId, HashMap<String, HashSet<u64>>>,
     /// Per-query, per-host time of the last batch heard (ms).
@@ -101,7 +102,6 @@ pub struct CentralNode<E: ScrubEnvelope> {
     m_windows_degraded: Arc<Counter>,
     m_installed: Arc<Counter>,
     m_finished: Arc<Counter>,
-    m_backpressure: Arc<Counter>,
     m_ingest_latency: Arc<Histogram>,
     m_budget_shed: Arc<Counter>,
     m_groups_overflow: Arc<Counter>,
@@ -109,8 +109,6 @@ pub struct CentralNode<E: ScrubEnvelope> {
     m_retransmitted: Arc<Counter>,
     m_batch_dropped: Arc<Counter>,
     m_trace_dropped: Arc<Counter>,
-    m_advance_barriers: Arc<Counter>,
-    m_advances_skipped: Arc<Counter>,
     m_hosts_suspected: Arc<Gauge>,
     m_alerts_fired: Arc<Counter>,
     m_alerts_cleared: Arc<Counter>,
@@ -121,10 +119,6 @@ pub struct CentralNode<E: ScrubEnvelope> {
     /// `ExecutorStats` are cumulative; the node metrics want fleet
     /// totals without double counting).
     fold_seen: HashMap<QueryId, FoldSeen>,
-    /// Last cumulative `backpressure_stalls` folded per query
-    /// (`ExecutorStats` counters are cumulative; the node metric wants
-    /// deltas).
-    bp_seen: HashMap<QueryId, u64>,
     /// The health plane: rule engine + anomaly baselines + bounded
     /// alert log, ticked right after each history snapshot.
     alerts: AlertEngine,
@@ -158,8 +152,6 @@ struct FoldSeen {
     retransmitted: u64,
     batch_dropped: u64,
     trace_dropped: u64,
-    advance_barriers: u64,
-    advances_skipped: u64,
 }
 
 impl<E: ScrubEnvelope> CentralNode<E> {
@@ -181,7 +173,6 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         let m_windows_degraded = obs.counter("central.windows_degraded");
         let m_installed = obs.counter("central.queries_installed");
         let m_finished = obs.counter("central.queries_finished");
-        let m_backpressure = obs.counter("central.ingest_backpressure");
         let m_ingest_latency = obs.histogram("central.ingest_latency_ms");
         let m_budget_shed = obs.counter("overload.budget_shed_events");
         let m_groups_overflow = obs.counter("overload.groups_overflow");
@@ -189,8 +180,6 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         let m_retransmitted = obs.counter("agent.retransmitted_batches");
         let m_batch_dropped = obs.counter("ledger.batch_dropped");
         let m_trace_dropped = obs.counter("trace.dropped_spans");
-        let m_advance_barriers = obs.counter("executor.advance_barriers");
-        let m_advances_skipped = obs.counter("executor.advances_skipped");
         let m_hosts_suspected = obs.gauge("central.hosts_suspected");
         let m_alerts_fired = obs.counter("alert.fired");
         let m_alerts_cleared = obs.counter("alert.cleared");
@@ -230,7 +219,6 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             m_windows_degraded,
             m_installed,
             m_finished,
-            m_backpressure,
             m_ingest_latency,
             m_budget_shed,
             m_groups_overflow,
@@ -238,15 +226,12 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             m_retransmitted,
             m_batch_dropped,
             m_trace_dropped,
-            m_advance_barriers,
-            m_advances_skipped,
             m_hosts_suspected,
             m_alerts_fired,
             m_alerts_cleared,
             m_anomalies,
             m_snaps_ooo,
             fold_seen: HashMap::new(),
-            bp_seen: HashMap::new(),
             alerts,
             recorders: HashMap::new(),
             prov_hints: BTreeMap::new(),
@@ -268,9 +253,8 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     }
 
     /// `EXPLAIN ANALYZE` plan profile of a query: assembled fresh from the
-    /// executor while the query runs (on the threaded backend the figures
-    /// lag the live state by at most one advance tick), and served from
-    /// the retained copy captured at stop afterwards.
+    /// executor while the query runs, and served from the retained copy
+    /// captured at stop afterwards.
     pub fn plan_profile(&self, qid: QueryId) -> Option<PlanProfile> {
         match self.executors.get(&qid) {
             Some(exec) => Some(exec.plan_profile()),
@@ -441,34 +425,54 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     }
 
     /// Fold a fresh batch's piggybacked spans into the query's trace
-    /// store and append the central-side hops (ingest, partition route,
-    /// window assignment) for every traced request the batch carries.
-    /// Also accrues per-window delivered-event counts for aggregate-mode
-    /// queries so degraded-window losses can be attributed per host.
+    /// store and append the central-side hops (ingest, window assignment)
+    /// for every traced request the batch carries. Also accrues per-window
+    /// delivered-event counts for aggregate-mode queries so degraded-window
+    /// losses can be attributed per host.
+    ///
+    /// Both read the wire bytes ahead of the executor. A frame whose
+    /// headers do not scan gets neither: the executor drops it whole and
+    /// counts the one `central.decode_failures`.
     fn observe_ingest(&mut self, batch: &mut EventBatch, now_ms: i64) {
         let qid = batch.query_id;
+        let threshold = self.trace_threshold;
+        if threshold != 0 && !batch.spans.is_empty() {
+            // Also for a late batch of a finished query: the agent-side
+            // spans still show how far the events got.
+            self.traces
+                .entry(qid)
+                .or_default()
+                .ingest_spans(std::mem::take(&mut batch.spans), &batch.host);
+        }
         let Some(exec) = self.executors.get(&qid) else {
-            // Late batch for a finished query: keep the agent-side spans
-            // so the trace still shows how far the events got.
-            if self.trace_threshold != 0 && !batch.spans.is_empty() {
-                self.traces
-                    .entry(qid)
-                    .or_default()
-                    .ingest_spans(std::mem::take(&mut batch.spans), &batch.host);
-            }
             return;
         };
         let plan = exec.plan();
         let (window, slide) = (plan.window_ms.max(1), plan.slide_ms.max(1));
         let aggregate = matches!(plan.mode, OutputMode::Aggregate { .. });
-        if aggregate {
-            // count this batch's events into every window that covers them
-            let mut counts: BTreeMap<i64, u64> = BTreeMap::new();
-            batch.payload.for_each_meta(|_rid, ts| {
-                for k in ((ts - window).div_euclid(slide) + 1)..=ts.div_euclid(slide) {
-                    *counts.entry(k * slide).or_default() += 1;
+        if !aggregate && threshold == 0 {
+            return;
+        }
+        let covering = move |ts: i64| {
+            (((ts - window).div_euclid(slide) + 1)..=ts.div_euclid(slide)).map(move |k| k * slide)
+        };
+        // this batch's events per covering window, and its traced events
+        let mut counts: BTreeMap<i64, u64> = BTreeMap::new();
+        let mut traced: Vec<(u64, i64)> = Vec::new();
+        let scanned = batch.payload.for_each_meta(|rid, ts| {
+            if aggregate {
+                for w in covering(ts) {
+                    *counts.entry(w).or_default() += 1;
                 }
-            });
+            }
+            if should_trace(rid, threshold) {
+                traced.push((rid, ts));
+            }
+        });
+        if scanned.is_err() {
+            return;
+        }
+        if !counts.is_empty() {
             let wmap = self.window_events.entry(qid).or_default();
             for (w, n) in counts {
                 *wmap
@@ -478,17 +482,12 @@ impl<E: ScrubEnvelope> CentralNode<E> {
                     .or_default() += n;
             }
         }
-        if self.trace_threshold == 0 {
+        if threshold == 0 {
             return;
         }
         let store = self.traces.entry(qid).or_default();
-        store.ingest_spans(std::mem::take(&mut batch.spans), &batch.host);
         let mut done: HashSet<u64> = HashSet::new();
-        let threshold = self.trace_threshold;
-        batch.payload.for_each_meta(|rid, ts| {
-            if !should_trace(rid, threshold) {
-                return;
-            }
+        for (rid, ts) in traced {
             if done.insert(rid) {
                 store.add(TraceSpan {
                     request_id: rid,
@@ -497,20 +496,13 @@ impl<E: ScrubEnvelope> CentralNode<E> {
                     host: "central".to_string(),
                     detail: 0,
                 });
-                store.add(TraceSpan {
-                    request_id: rid,
-                    kind: SpanKind::Route,
-                    at_ms: now_ms,
-                    host: "central".to_string(),
-                    detail: exec.route_partition(rid) as i64,
-                });
             }
             if aggregate {
-                for k in ((ts - window).div_euclid(slide) + 1)..=ts.div_euclid(slide) {
-                    store.assign_window(rid, k * slide, now_ms, "central");
+                for w in covering(ts) {
+                    store.assign_window(rid, w, now_ms, "central");
                 }
             }
-        });
+        }
     }
 
     /// Drain one executor's window closes into the profile, node metrics
@@ -559,10 +551,11 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         let trace_dropped_total = self.traces.get(&qid).map_or(0, |s| s.dropped_spans);
         // Node-level counters advance by the per-query deltas so
         // `scrubql stats` shows fleet totals without double counting.
-        // All of these are observed node-side (profiles, trace stores),
-        // so the deltas are per-tick partition-invariant and safe for
-        // alert rules. A positive delta also refreshes the provenance
-        // hint for the metric: which query/host moved it last.
+        // Every delta is deterministic per tick, so safe for alert rules
+        // (the executor counts `groups_overflow` when the window that
+        // dropped the rows closes, so the alert fires on the tick the
+        // degraded rows go out). A positive delta also refreshes the
+        // provenance hint for the metric: which query/host moved it last.
         let seen = self.fold_seen.entry(qid).or_default();
         let d_shed = budget_shed_total.saturating_sub(seen.budget_shed);
         let d_retransmit = retransmitted_total.saturating_sub(seen.retransmitted);
@@ -572,31 +565,16 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         self.m_batch_dropped.add(d_dropped);
         self.m_trace_dropped
             .add(trace_dropped_total.saturating_sub(seen.trace_dropped));
-        self.m_advance_barriers
-            .add(stats.advance_barriers.saturating_sub(seen.advance_barriers));
-        self.m_advances_skipped
-            .add(stats.advances_skipped.saturating_sub(seen.advances_skipped));
-        // groups_overflow and decode_failures come from inside the
-        // executor, where the inline backend accrues mid-window but the
-        // threaded backend's snapshot refreshes only at advance barriers.
-        // Both agree at window-close ticks, so the fold is gated on
-        // closes — that is what keeps alert firing ticks identical at 1
-        // vs N partitions.
-        let mut d_overflow = 0u64;
-        if !closes.is_empty() {
-            d_overflow = overflow_total.saturating_sub(seen.groups_overflow);
-            self.m_groups_overflow.add(d_overflow);
-            seen.groups_overflow = overflow_total.max(seen.groups_overflow);
-            self.m_decode_failures
-                .add(stats.decode_failures.saturating_sub(seen.decode_failures));
-            seen.decode_failures = stats.decode_failures.max(seen.decode_failures);
-        }
+        let d_overflow = overflow_total.saturating_sub(seen.groups_overflow);
+        self.m_groups_overflow.add(d_overflow);
+        self.m_decode_failures
+            .add(stats.decode_failures.saturating_sub(seen.decode_failures));
+        seen.groups_overflow = overflow_total.max(seen.groups_overflow);
+        seen.decode_failures = stats.decode_failures.max(seen.decode_failures);
         seen.budget_shed = budget_shed_total.max(seen.budget_shed);
         seen.retransmitted = retransmitted_total.max(seen.retransmitted);
         seen.batch_dropped = batch_dropped_total.max(seen.batch_dropped);
         seen.trace_dropped = trace_dropped_total.max(seen.trace_dropped);
-        seen.advance_barriers = stats.advance_barriers.max(seen.advance_barriers);
-        seen.advances_skipped = stats.advances_skipped.max(seen.advances_skipped);
         let hint = |host: Option<(u64, String)>, column: Option<&str>| AlertProvenance {
             query_id: Some(qid.0),
             host: host.map(|(_, h)| h),
@@ -721,26 +699,6 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             }
             self.observe_advance(ctx, qid, n);
         }
-        // threaded-backend health: per-partition worker clocks summed
-        // across queries. Wall-clock figures — the `_ns` suffix marks
-        // them nondeterministic so golden consumers mask them. Empty
-        // (no gauges ever created) on the inline backend.
-        let mut per_part: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
-        for exec in self.executors.values() {
-            for w in exec.stats().workers {
-                let slot = per_part.entry(w.partition).or_default();
-                slot.0 += w.busy_ns;
-                slot.1 += w.idle_ns;
-            }
-        }
-        for (p, (busy, idle)) in per_part {
-            self.obs
-                .gauge(&format!("executor.p{p}.busy_ns"))
-                .set(busy.min(i64::MAX as u64) as i64);
-            self.obs
-                .gauge(&format!("executor.p{p}.idle_ns"))
-                .set(idle.min(i64::MAX as u64) as i64);
-        }
     }
 
     /// Record the periodic node snapshot into the telemetry store and
@@ -756,10 +714,9 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     /// The meta-stream tap mirrors the `scrub_batch` tap: one
     /// `scrub_metric` event per metric per tick through the embedded
     /// agent (a relaxed atomic load each while no meta query is live).
-    /// Only [`scrub_obs::partition_invariant`] metrics are streamed —
-    /// `_ns` wall-clock gauges, `central.ingest_backpressure` and the
-    /// `executor.*` scheduling counters are skipped — so meta-query
-    /// results keep the determinism contract.
+    /// Only [`scrub_obs::run_invariant`] metrics are streamed — `_ns`
+    /// wall-clock series are skipped — so meta-query results keep the
+    /// determinism contract.
     fn record_telemetry(&mut self, now_ms: i64) {
         let snap = self.obs.snapshot(now_ms);
         let prev = self.tsdb.raw().latest().cloned();
@@ -787,7 +744,7 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             return;
         };
         for (name, &v) in &snap.counters {
-            if !scrub_obs::partition_invariant(name) {
+            if !scrub_obs::run_invariant(name) {
                 continue;
             }
             let delta = v as i64 - prev.counters.get(name).map(|&p| p as i64).unwrap_or(0);
@@ -804,7 +761,7 @@ impl<E: ScrubEnvelope> CentralNode<E> {
                 });
         }
         for (name, &v) in &snap.gauges {
-            if !scrub_obs::partition_invariant(name) {
+            if !scrub_obs::run_invariant(name) {
                 continue;
             }
             let delta = v - prev.gauges.get(name).copied().unwrap_or(0);
@@ -916,11 +873,7 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                 if plan.inputs.iter().any(|i| self.meta.contains(i.type_id)) {
                     self.meta_queries.insert(qid);
                 }
-                let exec = PartitionedExecutor::new(
-                    plan,
-                    self.config.window_grace_ms,
-                    self.config.central_partitions,
-                );
+                let exec = QueryExecutor::new(plan, self.config.window_grace_ms);
                 self.executors.insert(qid, exec);
                 self.profiles.insert(qid, QueryProfile::new(qid.0));
                 self.recorders
@@ -946,7 +899,6 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                     self.executors.remove(&query_id);
                     self.meta_queries.remove(&query_id);
                     self.fold_seen.remove(&query_id);
-                    self.bp_seen.remove(&query_id);
                     self.m_finished.inc();
                     if let Some(server) = self.server {
                         if !rows.is_empty() {
@@ -1064,21 +1016,7 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                 }
                 self.observe_ingest(&mut batch, now_ms);
                 if let Some(exec) = self.executors.get_mut(&batch.query_id) {
-                    let qid = batch.query_id;
                     exec.ingest(batch);
-                    // Surface parallel-ingest stalls instead of absorbing
-                    // them silently: the counter feeds `scrubql stats`, the
-                    // profile feeds `profile <qid>`.
-                    let total = exec.stats().backpressure_stalls;
-                    let seen = self.bp_seen.entry(qid).or_insert(0);
-                    let stalls = total.saturating_sub(*seen);
-                    *seen = total.max(*seen);
-                    if stalls > 0 {
-                        self.m_backpressure.add(stalls);
-                        if let Some(p) = self.profiles.get_mut(&qid) {
-                            p.observe_backpressure(stalls);
-                        }
-                    }
                 }
             }
             _ => {}

@@ -64,7 +64,9 @@ fn annotate_wire_copy(
     }
     let mut done: HashSet<u64> = HashSet::new();
     let mut spans = std::mem::take(&mut batch.spans);
-    batch.payload.for_each_meta(|rid, _ts| {
+    // The agent encoded this payload itself; were it unscannable, central
+    // would drop and count it there.
+    let _ = batch.payload.for_each_meta(|rid, _ts| {
         if should_trace(rid, threshold) && done.insert(rid) {
             spans.push(TraceSpan::new(rid, kind, at_ms, detail));
         }

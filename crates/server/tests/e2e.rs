@@ -478,3 +478,79 @@ fn central_cluster_spreads_queries() {
         "some central idle: {per_central:?}"
     );
 }
+
+/// A frame damaged on the wire is one counted drop: central's header
+/// accounting (window attribution, trace hops) skips it, the executor
+/// counts it, and the frames around it fold. Holds in debug and release.
+#[test]
+fn truncated_frame_is_one_counted_drop_at_central() {
+    use scrub_agent::{BatchPayload, EventBatch};
+    use scrub_core::columnar::ColumnarFrame;
+    use scrub_core::event::Event;
+    use scrub_core::plan::{compile, QueryId};
+    use scrub_core::ql::parser::parse_query;
+    use scrub_server::{deploy_central, CentralNode};
+
+    let mut sim: Sim<ScrubMsg> = Sim::new(Topology::default(), 42);
+    // every request traced, so both header consumers read the frame
+    let config = ScrubConfig {
+        trace_sample_rate: 1.0,
+        ..ScrubConfig::default()
+    };
+    let reg = schema_registry();
+    let central = deploy_central(&mut sim, &reg, config.clone(), "DC1");
+    let d = scrub_server::deploy_server(&mut sim, reg.clone(), config.clone(), central, "DC1");
+    let qid = QueryId(1);
+    let spec = parse_query("select COUNT(*) from bid window 10 s").unwrap();
+    let plan = compile(&spec, &reg, &config, qid).unwrap().central;
+    sim.inject(central, d.server, ScrubMsg::CentralInstall { plan });
+
+    let frame = |seq: u64| {
+        let events: Vec<Event> = (0..10)
+            .map(|i| Event::new(EventTypeId(0), RequestId(seq * 10 + i), 1_000, vec![]))
+            .collect();
+        ColumnarFrame::from_events(&events)
+    };
+    for seq in 0..3u64 {
+        let mut frame = frame(seq);
+        if seq == 1 {
+            frame.bytes.truncate(frame.bytes.len() - 2);
+            assert!(frame.decode().is_err());
+        }
+        let sent = (seq + 1) * 10;
+        let batch = EventBatch {
+            seq,
+            attempt: 0,
+            query_id: qid,
+            type_id: EventTypeId(0),
+            host: "bid-0".into(),
+            payload: BatchPayload::Columnar(frame),
+            matched: sent,
+            sampled: sent,
+            shed: 0,
+            budget_shed: 0,
+            seen: sent,
+            bytes: 0,
+            spans: vec![],
+        };
+        sim.inject(central, d.server, ScrubMsg::Batch(batch));
+    }
+    sim.run_until(SimTime::from_secs(1));
+    sim.inject(central, d.server, ScrubMsg::CentralStop { query_id: qid });
+    sim.run_until(SimTime::from_secs(2));
+
+    let node = sim.node_as::<CentralNode<ScrubMsg>>(central).unwrap();
+    let metrics = node.metrics(2_000);
+    assert_eq!(metrics.counters["central.decode_failures"], 1);
+    assert_eq!(metrics.counters["central.batches_received"], 3);
+    // the good frames folded, and only their requests were traced
+    let profile = node.plan_profile(qid).unwrap();
+    let group = profile.ops.iter().find(|o| o.label.starts_with("group"));
+    assert_eq!(group.unwrap().rows_in, 20);
+    let traced: Vec<u64> = node.trace_store(qid).unwrap().request_ids().collect();
+    assert_eq!(traced.len(), 20);
+    assert!(
+        traced.iter().all(|rid| !(10..20).contains(rid)),
+        "{traced:?}"
+    );
+}

@@ -111,8 +111,8 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
         self.counters.get(item).map(|(c, _)| *c).unwrap_or(0)
     }
 
-    /// Merge another summary into this one (used by partitioned central
-    /// execution). The merged summary keeps this summary's capacity;
+    /// Merge another summary into this one (what `AggState::merge` does
+    /// for TOP-K). The merged summary keeps this summary's capacity;
     /// guarantees degrade gracefully (errors add).
     pub fn merge(&mut self, other: &SpaceSaving<T>) {
         // Collect merged counts, then rebuild keeping the largest.

@@ -450,10 +450,6 @@ fn print_profile(p: &Platform, qid: QueryId) {
         "windows: {} opened, {} closed, {} degraded; {} join-state rows held",
         prof.windows_opened, prof.windows_closed, prof.windows_degraded, prof.join_rows_held
     );
-    println!(
-        "parallel ingest: {} backpressure stalls",
-        prof.ingest_backpressure
-    );
     let lat = &prof.ingest_latency_ms;
     if lat.count > 0 {
         println!(
@@ -583,7 +579,6 @@ fn print_trace(p: &Platform, qid: QueryId, rid: Option<u64>) {
                 let detail = match s.kind {
                     SpanKind::Send => format!("seq={}", s.detail),
                     SpanKind::Retransmit => format!("attempt={}", s.detail),
-                    SpanKind::Route => format!("partition={}", s.detail),
                     SpanKind::WindowAssign | SpanKind::WindowClose | SpanKind::WindowDegrade => {
                         format!("window_start={}ms", s.detail)
                     }

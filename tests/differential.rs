@@ -2,18 +2,27 @@
 //! executed by the Scrub batch engine (host plans + central executor) and
 //! by an *independent naive interpreter* written directly against the
 //! query semantics. Any divergence is a bug in one of them.
+//!
+//! Further down: row vs columnar wire formats through a whole simulated
+//! deployment, the telemetry store's rollup tiers against a hand-rolled
+//! aggregation, and admission decisions against a rerun of themselves.
 
 #![allow(clippy::field_reassign_with_default)]
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use scrub::obs::{MetricsSnapshot, Resolution, RolledPoint, RollupKind, TelemetryStore};
 use scrub::prelude::*;
 use scrub_baseline::run_batch;
+use scrub_core::config::{AdmissionPolicy, WireFormat};
 use scrub_core::event::{Event, RequestId};
 use scrub_core::plan::{compile, QueryId};
 use scrub_core::schema::EventTypeId;
+use scrub_server::{AdmissionDecision, QueryServerNode};
+use scrub_simnet::{Context, Node};
 
 const WINDOW_MS: i64 = 10_000;
 
@@ -198,5 +207,442 @@ proptest! {
                 _ => prop_assert_eq!(val.as_i64().unwrap(), max.unwrap()),
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Wire-format equivalence, end to end: the same simulated deployment run
+// with row-encoded and with columnar-encoded batches.
+
+/// A host emitting `bid` (type 0) and `impression` (type 1) events every
+/// millisecond; impressions share every other bid's request id so the
+/// equi-join has real matches.
+struct DualHost {
+    harness: AgentHarness,
+    emitted: u64,
+}
+
+impl Node<ScrubMsg> for DualHost {
+    fn on_start(&mut self, ctx: &mut Context<'_, ScrubMsg>) {
+        self.harness.start(ctx);
+        ctx.set_timer(SimDuration::from_ms(1), 1);
+    }
+    fn on_message(&mut self, ctx: &mut Context<'_, ScrubMsg>, from: NodeId, msg: ScrubMsg) {
+        let _ = self.harness.on_message(ctx, from, msg);
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_, ScrubMsg>, timer: u64) {
+        if self.harness.on_timer(ctx, timer) {
+            return;
+        }
+        let now = ctx.now.as_ms();
+        for _ in 0..3 {
+            self.emitted += 1;
+            let rid = RequestId(self.emitted);
+            self.harness.agent().log(
+                EventTypeId(0),
+                rid,
+                now,
+                &[
+                    Value::Long((self.emitted % 11) as i64),
+                    Value::Double((self.emitted % 100) as f64 * 0.01),
+                ],
+            );
+            if self.emitted.is_multiple_of(2) {
+                self.harness
+                    .agent()
+                    .log(EventTypeId(1), rid, now, &[Value::Double(0.25)]);
+            }
+        }
+        ctx.set_timer(SimDuration::from_ms(1), 1);
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+fn dual_registry() -> Arc<SchemaRegistry> {
+    let reg = SchemaRegistry::new();
+    reg.register(
+        EventSchema::new(
+            "bid",
+            vec![
+                FieldDef::new("user_id", FieldType::Long),
+                FieldDef::new("price", FieldType::Double),
+            ],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    reg.register(
+        EventSchema::new("impression", vec![FieldDef::new("cost", FieldType::Double)]).unwrap(),
+    )
+    .unwrap();
+    Arc::new(reg)
+}
+
+/// What one simulated run of the DualHost deployment produced.
+struct WireRun {
+    /// `(window, values, degraded)`, sorted.
+    rows: Vec<(i64, Vec<Value>, bool)>,
+    summary_sig: String,
+    estimates: Vec<Option<scrub_sketch::TwoStageEstimate>>,
+    /// Per traced request, its `(hop, host)` sequence.
+    trace_hops: Vec<(u64, Vec<(SpanKind, String)>)>,
+    /// Operator identity, estimates and integer row counters. Wall-clock
+    /// ns and wire bytes are left out: bytes legitimately differ between
+    /// encodings.
+    plan_sig: String,
+}
+
+fn wire_run(query: &str, format: WireFormat) -> WireRun {
+    let mut config = ScrubConfig::default();
+    config.wire_format = format;
+    // trace a fixed slice of requests: the deterministic sampler must pick
+    // the same ones whatever the encoding
+    config.trace_sample_rate = 0.2;
+    let mut sim: Sim<ScrubMsg> = Sim::new(Topology::default(), 7);
+    let reg = dual_registry();
+    let central = deploy_central(&mut sim, &reg, config.clone(), "DC1");
+    for i in 0..3 {
+        let dc = if i % 2 == 0 { "DC1" } else { "DC2" };
+        let name = format!("dual-{i}");
+        sim.add_node(
+            NodeMeta::new(name.clone(), "DualServers", dc),
+            Box::new(DualHost {
+                harness: AgentHarness::new(&name, config.clone(), central),
+                emitted: 0,
+            }),
+        );
+    }
+    let d = deploy_server(&mut sim, reg, config, central, "DC1");
+    let qid = ScrubClient::new(&d)
+        .submit(&mut sim, query)
+        .expect("query accepted");
+    sim.run_until(SimTime::from_secs(45));
+    let rec = qid.record(&sim).unwrap();
+    assert_eq!(rec.state, QueryState::Done);
+    let s = rec.summary.as_ref().unwrap();
+    let mut rows: Vec<(i64, Vec<Value>, bool)> = rec
+        .rows
+        .iter()
+        .map(|r| (r.window_start_ms, r.values.clone(), r.degraded))
+        .collect();
+    rows.sort_by_key(|(w, values, degraded)| (*w, format!("{values:?}"), *degraded));
+    let summary_sig = format!(
+        "targeted={} live={} reporting={} matched={} sampled={} shed={} \
+         budget_shed={} groups_overflow={} \
+         windows={} coverage={:.9} degraded_rows={} duplicates={}",
+        s.hosts_targeted,
+        s.hosts_live,
+        s.hosts_reporting,
+        s.total_matched,
+        s.total_sampled,
+        s.total_shed,
+        s.total_budget_shed,
+        s.groups_overflow,
+        s.windows_emitted,
+        s.coverage(),
+        s.degraded_rows,
+        s.duplicate_batches,
+    );
+    let store = qid.traces(&sim).expect("traced at rate 0.2");
+    let trace_hops = store
+        .request_ids()
+        .map(|rid| {
+            let spans = store.trace(rid).unwrap_or_default();
+            (rid, spans.into_iter().map(|s| (s.kind, s.host)).collect())
+        })
+        .collect();
+    let ledger = qid.loss_ledger(&sim).expect("ledger for a known query");
+    assert!(
+        ledger.reconciles(),
+        "loss ledger must reconcile with the profile's tap counters"
+    );
+    let plan_sig = qid
+        .plan_profile(&sim)
+        .expect("plan profile for a known query")
+        .ops
+        .iter()
+        .map(|o| {
+            format!(
+                "op{} {} host={} est={:.6} rows_in={} rows_out={}",
+                o.id, o.label, o.host_side, o.est_selectivity, o.rows_in, o.rows_out
+            )
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+    WireRun {
+        rows,
+        summary_sig,
+        estimates: s.estimates.clone(),
+        trace_hops,
+        plan_sig,
+    }
+}
+
+/// Batch arrival interleaving shifts between encodings (see the test
+/// below), so f64 figures agree up to reduction-order rounding; ∞ must
+/// agree exactly.
+fn assert_f64_eq(a: f64, b: f64, what: &str) {
+    if a.is_infinite() || b.is_infinite() {
+        assert!(a == b, "{what}: {a} vs {b}");
+        return;
+    }
+    let denom = a.abs().max(b.abs()).max(1e-12);
+    assert!(
+        (a - b).abs() / denom < 1e-9,
+        "{what} diverges between wire formats: {a} vs {b}"
+    );
+}
+
+/// Row-encoded and columnar-encoded runs of the same deployment must
+/// produce the same results, summary counters, trace lifecycles,
+/// estimates and integer plan-profile counters. Two artifacts are
+/// compared with format-aware tolerance: wire bytes legitimately differ
+/// (columnar frames are smaller), and — because the simnet charges a
+/// per-byte transmit delay — batch arrival interleaving across hosts
+/// shifts, which perturbs f64 reduction order (AVG/SUM of doubles) and
+/// span timestamps.
+#[test]
+fn row_and_columnar_wire_formats_agree_end_to_end() {
+    let q = "select bid.user_id, COUNT(*), AVG(bid.price) from bid @[all] \
+             group by bid.user_id window 5 s duration 15 s";
+    let col = wire_run(q, WireFormat::Columnar);
+    let row = wire_run(q, WireFormat::Row);
+    assert!(!col.rows.is_empty(), "reference run produced no rows");
+    assert_eq!(col.rows.len(), row.rows.len(), "row count diverges");
+    for (i, ((wc, vc, dc), (wr, vr, dr))) in col.rows.iter().zip(&row.rows).enumerate() {
+        assert_eq!((wc, dc), (wr, dr), "row {i} window/degraded diverge");
+        assert_eq!(vc.len(), vr.len(), "row {i} arity diverges");
+        for (j, (a, b)) in vc.iter().zip(vr).enumerate() {
+            match (a, b) {
+                (Value::Double(x), Value::Double(y)) => {
+                    assert_f64_eq(*x, *y, &format!("row {i} col {j}"));
+                }
+                _ => assert_eq!(a, b, "row {i} col {j} diverges"),
+            }
+        }
+    }
+    assert_eq!(col.summary_sig, row.summary_sig);
+    // Same requests traced, same hop sequence per request; at_ms is
+    // arrival-time dependent and therefore format dependent.
+    assert!(!col.trace_hops.is_empty(), "no request was traced");
+    assert_eq!(col.trace_hops, row.trace_hops);
+    assert_eq!(col.estimates.len(), row.estimates.len());
+    for (i, (a, b)) in col.estimates.iter().zip(&row.estimates).enumerate() {
+        match (a, b) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                assert_f64_eq(a.estimate, b.estimate, &format!("estimate[{i}]"));
+                assert_f64_eq(a.error_bound, b.error_bound, &format!("error_bound[{i}]"));
+            }
+            _ => panic!("estimate[{i}] present in one format only"),
+        }
+    }
+    assert!(col.plan_sig.contains("rows_in"), "{:?}", col.plan_sig);
+    assert_eq!(col.plan_sig, row.plan_sig);
+}
+
+// ---------------------------------------------------------------------
+// Telemetry-store rollup equivalence: every downsampled tier must be a
+// *direct aggregation* of the raw per-tick deltas it covers — sum (as
+// last − first) / min / max / mean of deltas for counters, last / min /
+// max / mean of sampled values for gauges — including zero-backfill for
+// metrics that first appear mid-bucket, and the exemplar interval must
+// be the bucket's earliest max-positive-delta raw interval. The oracle
+// below folds the same value series by hand, straight from the contract
+// in `scrub_obs::tsdb`'s module docs.
+
+/// Hand-rolled aggregation of the zero-extended value series `vals`
+/// (index i = the value at `times[i]`; zeros before snapshot index
+/// `appear`) into factor-`f` buckets. The exemplar of a bucket whose
+/// largest positive delta starts at `from_ms` is `Some(from_ms as u64)`,
+/// matching the resolver the test feeds the store.
+fn roll_oracle(
+    kind: RollupKind,
+    vals: &[i64],
+    times: &[i64],
+    f: usize,
+    appear: usize,
+) -> Vec<RolledPoint> {
+    let mut out = Vec::new();
+    let mut j = 0;
+    while (j + 1) * f < vals.len() {
+        let (s, e) = (j * f, (j + 1) * f);
+        j += 1;
+        if appear > e {
+            // the metric had not appeared by bucket end: no point sealed
+            continue;
+        }
+        let (mut min, mut max, mut sum) = (i64::MAX, i64::MIN, 0i64);
+        let (mut best_d, mut best_from, mut best_at) = (0i64, 0i64, 0i64);
+        for i in s + 1..=e {
+            let d = vals[i] - vals[i - 1];
+            let folded = match kind {
+                RollupKind::Counter => d,
+                RollupKind::Gauge => vals[i],
+            };
+            min = min.min(folded);
+            max = max.max(folded);
+            sum += folded;
+            if d > best_d {
+                best_d = d;
+                best_from = times[i - 1];
+                best_at = times[i];
+            }
+        }
+        out.push(RolledPoint {
+            start_ms: times[s],
+            at_ms: times[e],
+            kind,
+            delta: vals[e] - vals[s],
+            last: vals[e],
+            min,
+            max,
+            mean_milli: (sum as i128 * 1_000 / f as i128) as i64,
+            max_from_ms: best_from,
+            max_at_ms: best_at,
+            exemplar: (best_d > 0).then_some(best_from as u64),
+        });
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn rolled_tiers_equal_direct_aggregation_of_raw_deltas(
+        counter_deltas in prop::collection::vec(0i64..500, 5..90),
+        gauge_vals in prop::collection::vec(-300i64..300, 5..90),
+        gaps in prop::collection::vec(1i64..3_000, 5..90),
+        mid in 2usize..6,
+        mult in 2usize..5,
+        appear_pick in 0usize..1_000,
+    ) {
+        let n = counter_deltas.len().min(gauge_vals.len()).min(gaps.len());
+        let coarse = mid * mult;
+        // strictly increasing sim times and a cumulative counter series
+        let mut times = vec![0i64];
+        let mut cvals = vec![0i64];
+        for i in 0..n - 1 {
+            times.push(times[i] + gaps[i]);
+            cvals.push(cvals[i] + counter_deltas[i]);
+        }
+        let gvals = &gauge_vals[..n];
+        // a second counter that first appears at snapshot `appear`
+        let appear = 1 + appear_pick % (n - 1);
+        let late_vals: Vec<i64> = (0..n)
+            .map(|i| if i < appear { 0 } else { cvals[i] / 2 + 1 })
+            .collect();
+
+        let mut t = TelemetryStore::new(256, mid, coarse, 64);
+        for i in 0..n {
+            let mut s = MetricsSnapshot {
+                at_ms: times[i],
+                ..Default::default()
+            };
+            s.counters.insert("c".into(), cvals[i] as u64);
+            s.gauges.insert("g".into(), gvals[i]);
+            if i >= appear {
+                s.counters.insert("late".into(), late_vals[i] as u64);
+            }
+            prop_assert!(t.record_with(s, |_m, from_ms, _to| Some(from_ms as u64)));
+        }
+        prop_assert_eq!(t.out_of_order(), 0);
+
+        for (metric, kind, vals, ap) in [
+            ("c", RollupKind::Counter, &cvals, 0usize),
+            ("g", RollupKind::Gauge, &gvals.to_vec(), 0),
+            ("late", RollupKind::Counter, &late_vals, appear),
+        ] {
+            for (res, f) in [(Resolution::Mid, mid), (Resolution::Coarse, coarse)] {
+                let got = t.points(metric, res);
+                let want = roll_oracle(kind, vals, &times, f, ap);
+                prop_assert_eq!(
+                    got, want,
+                    "{} tier of {:?} diverges from direct aggregation", res, metric
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Admission determinism: a fixed seed + config + submission order must
+// always produce byte-identical admission decisions (the controller
+// prices with the cost model at a configured assumed rate — wall-clock
+// never enters the decision).
+
+/// Build the DualHost deployment with the given admission config, submit
+/// `queries` in order, and return (admission log, accepted ids).
+fn admission_run(
+    policy: AdmissionPolicy,
+    budget: f64,
+    rate: f64,
+    queries: &[String],
+) -> (Vec<AdmissionDecision>, Vec<Option<u64>>) {
+    let mut config = ScrubConfig::default();
+    config.admission = policy;
+    config.host_cpu_budget = budget;
+    config.admission_events_per_host_per_sec = rate;
+    let mut sim: Sim<ScrubMsg> = Sim::new(Topology::default(), 7);
+    let reg = dual_registry();
+    let central = deploy_central(&mut sim, &reg, config.clone(), "DC1");
+    for i in 0..3 {
+        let dc = if i % 2 == 0 { "DC1" } else { "DC2" };
+        let name = format!("dual-{i}");
+        sim.add_node(
+            NodeMeta::new(name.clone(), "DualServers", dc),
+            Box::new(DualHost {
+                harness: AgentHarness::new(&name, config.clone(), central),
+                emitted: 0,
+            }),
+        );
+    }
+    let d = deploy_server(&mut sim, reg, config, central, "DC1");
+    let client = ScrubClient::new(&d);
+    let accepted: Vec<Option<u64>> = queries
+        .iter()
+        .map(|q| client.submit(&mut sim, q).ok().map(|h| h.id().0))
+        .collect();
+    let server = sim
+        .node_as::<QueryServerNode<ScrubMsg>>(d.server)
+        .expect("server node");
+    (server.admission_log.clone(), accepted)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn admission_decisions_deterministic(
+        policy_idx in 0usize..3,
+        budget in 1e-4f64..1e-2,
+        rate in 1_000.0f64..50_000.0,
+        n in 1usize..7,
+    ) {
+        let policy = [
+            AdmissionPolicy::Reject,
+            AdmissionPolicy::Degrade,
+            AdmissionPolicy::Evict,
+        ][policy_idx];
+        let pool = [
+            "select COUNT(*) from bid @[all] window 5 s duration 15 s",
+            "select bid.user_id, COUNT(*) from bid @[all] \
+             group by bid.user_id window 5 s duration 15 s",
+            "select AVG(bid.price) from bid @[all] window 5 s duration 15 s",
+            "select COUNT(*) from impression @[all] window 5 s duration 15 s",
+        ];
+        let queries: Vec<String> = (0..n).map(|i| pool[i % pool.len()].to_string()).collect();
+        let (log_a, acc_a) = admission_run(policy, budget, rate, &queries);
+        let (log_b, acc_b) = admission_run(policy, budget, rate, &queries);
+        // Every submission that parsed gets exactly one logged decision.
+        prop_assert_eq!(log_a.len(), queries.len());
+        prop_assert_eq!(log_a, log_b);
+        prop_assert_eq!(acc_a, acc_b);
     }
 }

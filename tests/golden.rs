@@ -131,7 +131,7 @@ fn render_text_is_byte_identical_across_seeded_runs() {
 
 /// Seeded OneHost run with small rollup factors so every tier seals
 /// buckets within a minute of sim time; returns the full
-/// multi-resolution `render_range` surface (every partition-invariant
+/// multi-resolution `render_range` surface (every run-invariant
 /// metric at raw, mid and coarse) plus the exemplar-annotated
 /// Prometheus exposition, ns lines masked.
 fn run_tsdb_once() -> String {
@@ -181,7 +181,7 @@ fn run_tsdb_once() -> String {
     let store = node.telemetry();
     let mut out = String::new();
     for m in store.metric_names() {
-        if !scrub::obs::partition_invariant(&m) {
+        if !scrub::obs::run_invariant(&m) {
             continue;
         }
         for res in [
