@@ -128,6 +128,22 @@ pub struct EventBatch {
     /// dedup key and not counted in `approx_bytes`.
     #[serde(default)]
     pub attempt: u32,
+    /// The lowest sequence number of this (host, query) the shipper still
+    /// holds for retransmission when this copy left — its own, at the
+    /// latest. Everything below it was acked by ScrubCentral or abandoned
+    /// by the sender (retransmit-buffer eviction), so ScrubCentral stops
+    /// waiting for it. Set by the reliable shipper on every (re)send; like
+    /// `seq`, rides the fixed header allowance.
+    #[serde(default)]
+    pub seq_floor: u64,
+    /// The host's watermark for this query: every event of this (host,
+    /// query) with a timestamp below it is in a batch with a sequence
+    /// number at or below this one's. `None` on a batch that announces
+    /// nothing — of the batches one flush makes for a query only the last
+    /// can speak for all of the query's subscriptions. Like `seq`, rides
+    /// the fixed header allowance.
+    #[serde(default)]
+    pub watermark_ms: Option<i64>,
     /// The (single) event type this batch's subscription taps. Counters
     /// are cumulative **per (host, event type)**: a join query has one
     /// subscription per FROM type on each host, each with its own
@@ -202,6 +218,8 @@ mod tests {
             query_id: QueryId(1),
             seq: 0,
             attempt: 0,
+            seq_floor: 0,
+            watermark_ms: None,
             type_id: EventTypeId(0),
             host: "h".into(),
             payload: BatchPayload::Rows(vec![]),

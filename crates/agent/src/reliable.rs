@@ -7,6 +7,9 @@
 //!
 //! * every outgoing batch gets a per-query sequence number,
 //! * shipped batches sit in a bounded retransmit buffer until acked,
+//! * every copy put on the wire names the lowest sequence number of its
+//!   query the shipper has not given up on, so ScrubCentral does not wait
+//!   forever for a batch the buffer has evicted,
 //! * unacked batches are retransmitted with exponential backoff plus
 //!   caller-supplied jitter.
 //!
@@ -80,6 +83,12 @@ pub struct ReliableShipper {
     pending: BTreeMap<(QueryId, u64), Pending>,
     /// Pending batches evicted because the buffer overflowed.
     evicted: u64,
+    /// Evicted batches not heard of since, with the time each is given up
+    /// on. Nothing is left to retransmit, but the copies already sent may
+    /// still be on their way: the floor holds at one of these until its
+    /// ack arrives or one more `max_ms` — the longest the shipper would
+    /// have waited on an attempt — has gone by.
+    abandoned: BTreeMap<(QueryId, u64), i64>,
 }
 
 impl ReliableShipper {
@@ -90,12 +99,14 @@ impl ReliableShipper {
             next_seq: BTreeMap::new(),
             pending: BTreeMap::new(),
             evicted: 0,
+            abandoned: BTreeMap::new(),
         }
     }
 
     /// Assign the next sequence number to `batch` and enter it into the
-    /// retransmit buffer. Returns the batch to ship (with `seq` set).
-    /// If the buffer is full the oldest pending batch is evicted.
+    /// retransmit buffer. Returns the batch to ship (with `seq` and
+    /// `seq_floor` set). If the buffer is full the oldest pending batch is
+    /// evicted.
     pub fn ship(&mut self, mut batch: EventBatch, now_ms: i64) -> EventBatch {
         let seq = self.next_seq.entry(batch.query_id).or_insert(0);
         batch.seq = *seq;
@@ -105,6 +116,7 @@ impl ReliableShipper {
             if let Some(&key) = self.pending.keys().next() {
                 self.pending.remove(&key);
                 self.evicted += 1;
+                self.abandoned.insert(key, now_ms + self.policy.max_ms);
             }
         }
         self.pending.insert(
@@ -115,12 +127,38 @@ impl ReliableShipper {
                 due_ms: now_ms + self.policy.base_ms,
             },
         );
+        batch.seq_floor = self.floor(batch.query_id, batch.seq, now_ms);
         batch
+    }
+
+    /// Lowest sequence number of `query_id` the shipper still waits on, as
+    /// a copy of batch `seq` leaves: `seq` itself, an older pending batch,
+    /// or an evicted one not yet given up on.
+    fn floor(&mut self, query_id: QueryId, seq: u64, now_ms: i64) -> u64 {
+        let of_query = (query_id, 0)..=(query_id, u64::MAX);
+        while let Some((&key, _)) = self
+            .abandoned
+            .range(of_query.clone())
+            .next()
+            .filter(|(_, give_up_ms)| **give_up_ms <= now_ms)
+        {
+            self.abandoned.remove(&key);
+        }
+        let abandoned = self.abandoned.range(of_query.clone()).next();
+        let pending = self.pending.range(of_query).next();
+        [
+            abandoned.map(|(key, _)| key.1),
+            pending.map(|(key, _)| key.1),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(seq, u64::min)
     }
 
     /// Process an ack from ScrubCentral. Returns true if it cleared a
     /// pending batch (false for duplicate/stale acks).
     pub fn ack(&mut self, query_id: QueryId, seq: u64) -> bool {
+        self.abandoned.remove(&(query_id, seq));
         self.pending.remove(&(query_id, seq)).is_some()
     }
 
@@ -150,6 +188,10 @@ impl ReliableShipper {
                 batch,
                 attempt: pending.attempts,
             });
+        }
+        // a resend carries the floor of its own time, not of its first
+        for r in &mut out {
+            r.batch.seq_floor = self.floor(r.batch.query_id, r.batch.seq, now_ms);
         }
         out
     }
@@ -185,6 +227,7 @@ impl ReliableShipper {
     /// the drain window has passed).
     pub fn forget_query(&mut self, query_id: QueryId) {
         self.pending.retain(|(q, _), _| *q != query_id);
+        self.abandoned.retain(|(q, _), _| *q != query_id);
         self.next_seq.remove(&query_id);
     }
 }
@@ -199,6 +242,8 @@ mod tests {
             query_id: QueryId(q),
             seq: 0,
             attempt: 0,
+            seq_floor: 0,
+            watermark_ms: None,
             type_id: EventTypeId(0),
             host: "h".into(),
             payload: crate::batch::BatchPayload::Rows(vec![]),
@@ -307,6 +352,48 @@ mod tests {
         // seqs 0 and 1 are gone; acking them clears nothing
         assert!(!s.ack(QueryId(1), 0));
         assert!(s.ack(QueryId(1), 2));
+    }
+
+    #[test]
+    fn every_copy_names_the_lowest_seq_still_held() {
+        let mut s = shipper();
+        // nothing acked yet: the floor stays at the first batch
+        let floors: Vec<u64> = (0..3).map(|_| s.ship(batch(1), 0).seq_floor).collect();
+        assert_eq!(floors, [0, 0, 0]);
+        assert_eq!(s.ship(batch(2), 0).seq_floor, 0, "floors are per query");
+        // acks move it up to the oldest batch still pending
+        s.ack(QueryId(1), 0);
+        s.ack(QueryId(1), 1);
+        let r = s.due_retransmits(100, |_| 0);
+        let q1: Vec<(u64, u64)> = r
+            .iter()
+            .filter(|r| r.batch.query_id == QueryId(1))
+            .map(|r| (r.batch.seq, r.batch.seq_floor))
+            .collect();
+        assert_eq!(q1, [(2, 2)], "a resend carries the floor of its own time");
+        // with everything acked, a new batch is its own floor
+        s.ack(QueryId(1), 2);
+        assert_eq!(s.ship(batch(1), 200).seq_floor, 3);
+    }
+
+    /// An evicted batch was sent and may yet arrive: the floor holds at it
+    /// until its ack comes, or until one more `max_ms` has passed.
+    #[test]
+    fn the_floor_waits_out_an_evicted_batch_before_passing_it() {
+        let mut s = shipper(); // cap 4, max_ms 1000
+        for _ in 0..6 {
+            s.ship(batch(1), 0);
+        }
+        assert_eq!(s.evicted(), 2, "seqs 0 and 1 left the buffer");
+        assert_eq!(s.ship(batch(1), 10).seq_floor, 0, "but may be in flight");
+        // the copy of 0 that was in flight is acked: 1 is the floor now
+        assert!(!s.ack(QueryId(1), 0), "nothing pending to clear");
+        assert_eq!(s.ship(batch(1), 20).seq_floor, 1);
+        // no word of 1 for max_ms since its eviction: given up on
+        let late = s.ship(batch(1), 1_000);
+        assert!(late.seq_floor > 1, "floor {}", late.seq_floor);
+        let r = s.due_retransmits(5_000, |_| 0);
+        assert!(r.iter().all(|r| r.batch.seq_floor > 1));
     }
 
     #[test]

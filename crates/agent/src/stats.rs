@@ -44,6 +44,11 @@ pub struct AgentStats {
     pub trace_spans: AtomicU64,
     /// Trace spans dropped because the per-host span budget was hit.
     pub trace_spans_shed: AtomicU64,
+    /// `log()` calls on an active type whose timestamp lay below a
+    /// watermark this host had already announced: the clock the
+    /// application stamps events with ran backwards past a flush, and
+    /// ScrubCentral may have closed the window the event belongs to.
+    pub events_behind_watermark: AtomicU64,
 }
 
 impl AgentStats {
@@ -68,6 +73,7 @@ impl AgentStats {
             retransmit_evictions: self.retransmit_evictions.load(Ordering::Relaxed),
             trace_spans: self.trace_spans.load(Ordering::Relaxed),
             trace_spans_shed: self.trace_spans_shed.load(Ordering::Relaxed),
+            events_behind_watermark: self.events_behind_watermark.load(Ordering::Relaxed),
         }
     }
 
@@ -105,6 +111,8 @@ pub struct StatsSnapshot {
     pub trace_spans: u64,
     #[serde(default)]
     pub trace_spans_shed: u64,
+    #[serde(default)]
+    pub events_behind_watermark: u64,
 }
 
 impl StatsSnapshot {
@@ -135,6 +143,10 @@ impl StatsSnapshot {
             ("agent.retransmit_evictions", self.retransmit_evictions),
             ("agent.trace_spans", self.trace_spans),
             ("agent.trace_spans_shed", self.trace_spans_shed),
+            (
+                "agent.events_behind_watermark",
+                self.events_behind_watermark,
+            ),
         ];
         for (name, v) in counters {
             m.counters.insert(name.to_string(), v);
@@ -166,6 +178,7 @@ impl StatsSnapshot {
             retransmit_evictions: self.retransmit_evictions - earlier.retransmit_evictions,
             trace_spans: self.trace_spans - earlier.trace_spans,
             trace_spans_shed: self.trace_spans_shed - earlier.trace_spans_shed,
+            events_behind_watermark: self.events_behind_watermark - earlier.events_behind_watermark,
         }
     }
 }

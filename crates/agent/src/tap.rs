@@ -77,6 +77,11 @@ struct Inner {
     /// (second, modeled ns accrued that second). Keyed on the event
     /// timestamp — virtual time — so the tracker is deterministic.
     budget_window: (i64, f64),
+    /// The highest watermark this host has announced for any query. A
+    /// watermark promises that the host's clock has passed it; an event
+    /// logged below it afterwards breaks that promise and is counted
+    /// (`AgentStats::events_behind_watermark`).
+    announced_ms: Option<i64>,
 }
 
 /// Everything the tap holds for one event type.
@@ -116,6 +121,9 @@ struct Subscription {
     /// `next_u64 <= threshold` keeps the event.
     sample_threshold: u64,
     batch: Vec<Event>,
+    /// Timestamp of the oldest event in `batch` (`i64::MAX` when empty):
+    /// what holds this query's watermark back until the next flush.
+    oldest_ms: i64,
     /// Lifecycle spans of traced events awaiting the next flush (drained
     /// into `EventBatch::spans`, so tracing adds no extra messages).
     trace: Vec<TraceSpan>,
@@ -135,6 +143,10 @@ struct Subscription {
     bytes: u64,
     /// Shedding window: (second, events this second).
     shed_window: (i64, u64),
+    /// When `take_batches` last flushed this subscription on the timer.
+    /// Size-triggered flushes leave it alone, or a busy subscription
+    /// would never be due and its remainder would wait for the next full
+    /// batch.
     last_flush_ms: i64,
     /// Modeled ns one seen event of this subscription costs before any
     /// ship decision (active tap + predicate); precomputed at install.
@@ -170,6 +182,7 @@ impl Subscription {
             rng: seed | 1,
             sample_threshold: threshold,
             batch: Vec::new(),
+            oldest_ms: i64::MAX,
             trace: Vec::new(),
             matched: 0,
             sampled: 0,
@@ -191,6 +204,12 @@ impl Subscription {
         x ^= x << 17;
         self.rng = x;
         x
+    }
+
+    /// Whether a flush has anything to say: buffered events, or counters
+    /// that moved off zero at some point.
+    fn has_news(&self) -> bool {
+        !self.batch.is_empty() || self.matched > 0
     }
 }
 
@@ -313,13 +332,15 @@ impl ScrubAgent {
     /// so no tail data is lost. The tail includes any size-flushed batches
     /// of this query still sitting in the outbox — leaving them for the
     /// next `take_batches` would ship them after the caller has torn down
-    /// the query's delivery state.
+    /// the query's delivery state. The last batch announces `now_ms` as
+    /// the query's watermark: nothing of it is left on this host.
     pub fn remove(&self, query_id: QueryId, now_ms: i64) -> Vec<EventBatch> {
         let mut inner = self.inner.lock();
         let Inner {
             taps,
             outbox,
             spans_buffered,
+            announced_ms,
             ..
         } = &mut *inner;
         let (mut out, kept): (Vec<_>, Vec<_>) = std::mem::take(outbox)
@@ -333,8 +354,8 @@ impl ScrubAgent {
                 if s.plan.query_id != query_id {
                     return true;
                 }
-                if let Some(b) = make_batch(&self.host, s, events, now_ms, self.config.wire_format)
-                {
+                if s.has_news() {
+                    let b = make_batch(&self.host, s, events, self.config.wire_format);
                     *spans_buffered -= b.spans.len();
                     out.push(b);
                 }
@@ -346,6 +367,10 @@ impl ScrubAgent {
             if tap.subs.is_empty() {
                 self.active_mask[t >> 6].fetch_and(!(1u64 << (t & 63)), Ordering::Relaxed);
             }
+        }
+        if let Some(last) = out.last_mut() {
+            last.watermark_ms = Some(now_ms);
+            *announced_ms = (*announced_ms).max(Some(now_ms));
         }
         let any = taps.iter().any(|tap| !tap.subs.is_empty());
         self.any_active.store(any, Ordering::Relaxed);
@@ -428,7 +453,11 @@ impl ScrubAgent {
             outbox,
             spans_buffered,
             budget_window,
+            announced_ms,
         } = &mut *inner;
+        if announced_ms.is_some_and(|mark| timestamp_ms < mark) {
+            self.stats.bump(&self.stats.events_behind_watermark, 1);
+        }
         let Some(tap) = taps.get_mut(type_id.0 as usize) else {
             return;
         };
@@ -467,6 +496,8 @@ impl ScrubAgent {
         // its check, the rest after the last. `charged` subscriptions
         // have paid for this event so far.
         let mut charged = 0;
+        // (outbox index, query) of the batches this event flushes by size
+        let mut size_flushed: Vec<(usize, QueryId)> = Vec::new();
         for w in 0..program.words() {
             let mut candidates = program.take_candidates(w);
             while candidates != 0 {
@@ -573,6 +604,7 @@ impl ScrubAgent {
                 tally.fields_projected += projected.len() as u64;
                 sub.batch
                     .push(Event::new(type_id, request_id, timestamp_ms, projected));
+                sub.oldest_ms = sub.oldest_ms.min(timestamp_ms);
                 tally.shipped += 1;
                 if traced {
                     span(sub, SpanKind::Enqueue);
@@ -580,14 +612,12 @@ impl ScrubAgent {
 
                 // size-triggered flush
                 if sub.batch.len() >= self.config.agent_batch_events {
-                    if let Some(b) =
-                        make_batch(&self.host, sub, tick, timestamp_ms, self.config.wire_format)
-                    {
-                        *spans_buffered -= b.spans.len();
-                        tally.bytes_shipped += b.approx_bytes() as u64;
-                        tally.batches_flushed += 1;
-                        outbox.push(b);
-                    }
+                    let b = make_batch(&self.host, sub, tick, self.config.wire_format);
+                    *spans_buffered -= b.spans.len();
+                    tally.bytes_shipped += b.approx_bytes() as u64;
+                    tally.batches_flushed += 1;
+                    size_flushed.push((outbox.len(), b.query_id));
+                    outbox.push(b);
                 }
             }
         }
@@ -596,60 +626,124 @@ impl ScrubAgent {
                 budget_window.1 += s.seen_cost_ns;
             }
         }
+        // A size-flushed batch announces what is true at its place in the
+        // outbox: the flushed subscription holds nothing now, the query's
+        // other subscriptions (other event types, so untouched by this
+        // call) hold what they held, and the host clock reads this event.
+        for (at, query) in size_flushed {
+            let mark = oldest_buffered(taps, query).min(timestamp_ms);
+            outbox[at].watermark_ms = Some(mark);
+            *announced_ms = (*announced_ms).max(Some(mark));
+        }
         tally.publish(&self.stats);
     }
 
     /// Collect batches due for shipment: size-flushed batches plus any
     /// subscription whose flush interval elapsed (called periodically by
     /// the host's network loop).
+    ///
+    /// Every query with a subscription due gets exactly one watermark out
+    /// of the call, on the last batch made for it here — a batch made
+    /// earlier in the call sits ahead of events its sibling subscriptions
+    /// are about to flush and may not speak for them. A query whose due
+    /// subscriptions have never matched still reports, with one
+    /// header-only batch: a targeted host that stays silent would hold
+    /// every window of the query open until the grace fallback.
     pub fn take_batches(&self, now_ms: i64) -> Vec<EventBatch> {
         let mut inner = self.inner.lock();
         let mut out = std::mem::take(&mut inner.outbox);
         let Inner {
             taps,
             spans_buffered,
+            announced_ms,
             ..
         } = &mut *inner;
-        for tap in taps.iter_mut() {
-            for sub in tap.subs.iter_mut() {
-                let due = now_ms - sub.last_flush_ms >= self.config.agent_flush_interval_ms;
-                if due {
-                    if let Some(b) =
-                        make_batch(&self.host, sub, tap.events, now_ms, self.config.wire_format)
-                    {
-                        *spans_buffered -= b.spans.len();
-                        self.stats
-                            .bump(&self.stats.bytes_shipped, b.approx_bytes() as u64);
-                        self.stats.bump(&self.stats.batches_flushed, 1);
-                        out.push(b);
-                    }
+        let format = self.config.wire_format;
+        let mut flush = |sub: &mut Subscription, events: u64, out: &mut Vec<EventBatch>| {
+            let b = make_batch(&self.host, sub, events, format);
+            *spans_buffered -= b.spans.len();
+            self.stats
+                .bump(&self.stats.bytes_shipped, b.approx_bytes() as u64);
+            self.stats.bump(&self.stats.batches_flushed, 1);
+            out.push(b);
+            out.len() - 1
+        };
+        let mut due: Vec<DueQuery> = Vec::new();
+        for (t, tap) in taps.iter_mut().enumerate() {
+            for (i, sub) in tap.subs.iter_mut().enumerate() {
+                if now_ms - sub.last_flush_ms < self.config.agent_flush_interval_ms {
+                    continue;
+                }
+                sub.last_flush_ms = now_ms;
+                let query = sub.plan.query_id;
+                let at = due
+                    .iter()
+                    .position(|d| d.query == query)
+                    .unwrap_or_else(|| {
+                        due.push(DueQuery {
+                            query,
+                            last: None,
+                            speaker: (t, i),
+                        });
+                        due.len() - 1
+                    });
+                if sub.has_news() {
+                    due[at].last = Some(flush(sub, tap.events, &mut out));
                 }
             }
+        }
+        for d in due {
+            let last = d.last.unwrap_or_else(|| {
+                let tap = &mut taps[d.speaker.0];
+                flush(&mut tap.subs[d.speaker.1], tap.events, &mut out)
+            });
+            let mark = oldest_buffered(taps, d.query).min(now_ms);
+            out[last].watermark_ms = Some(mark);
+            *announced_ms = (*announced_ms).max(Some(mark));
         }
         out
     }
 }
 
-/// Build a batch from a subscription's buffered events, encoding the
-/// payload in the configured wire format; `None` when there is nothing
-/// new to report. Always updates `last_flush_ms`. `type_events` is the
+/// One query's part in a `take_batches` call.
+struct DueQuery {
+    query: QueryId,
+    /// Where the last batch made for it sits in the output.
+    last: Option<usize>,
+    /// `(type, index)` of its first due subscription: the one that reports
+    /// when none of them has anything to send.
+    speaker: (usize, usize),
+}
+
+/// Timestamp of the oldest event any subscription of `query` still
+/// buffers on this host; `i64::MAX` when none buffers anything.
+fn oldest_buffered(taps: &[TypeTap], query: QueryId) -> i64 {
+    taps.iter()
+        .flat_map(|tap| &tap.subs)
+        .filter(|sub| sub.plan.query_id == query)
+        .map(|sub| sub.oldest_ms)
+        .min()
+        .unwrap_or(i64::MAX)
+}
+
+/// Build a batch from a subscription's buffered events (possibly none:
+/// the header alone carries the cumulative counters), encoding the
+/// payload in the configured wire format. `type_events` is the
 /// subscription's `TypeTap::events`, from which `seen` is derived.
 fn make_batch(
     host: &str,
     sub: &mut Subscription,
     type_events: u64,
-    now_ms: i64,
     format: WireFormat,
-) -> Option<EventBatch> {
-    sub.last_flush_ms = now_ms;
-    if sub.batch.is_empty() && sub.matched == 0 {
-        return None;
-    }
+) -> EventBatch {
+    sub.oldest_ms = i64::MAX;
     // Spans only exist for events that matched selection, so matched > 0
     // whenever `trace` is non-empty — spans always find a batch to ride.
     let mut b = EventBatch {
         seq: 0,
         attempt: 0,
+        seq_floor: 0,
+        watermark_ms: None,
         query_id: sub.plan.query_id,
         type_id: sub.plan.type_id,
         host: host.to_string(),
@@ -667,7 +761,7 @@ fn make_batch(
     // For columnar payloads this is the exact encoded frame length.
     sub.bytes += b.approx_bytes() as u64;
     b.bytes = sub.bytes;
-    Some(b)
+    b
 }
 
 fn fxhash(bytes: &[u8]) -> u64 {
@@ -864,6 +958,101 @@ mod tests {
         assert_eq!(batches[0].len(), 10);
     }
 
+    fn bid(a: &ScrubAgent, rid: u64, ts: i64) {
+        let values = [Value::Long(1), Value::Double(1.0)];
+        a.log(EventTypeId(0), RequestId(rid), ts, &values);
+    }
+
+    /// The contract of `agent_flush_interval_ms`: a buffered event leaves
+    /// within one interval of a poll, however busy its subscription is.
+    #[test]
+    fn size_flush_does_not_reset_the_time_trigger() {
+        let mut cfg = ScrubConfig::default();
+        cfg.agent_batch_events = 4;
+        let a = ScrubAgent::new("h1", cfg);
+        a.install(plan_for("select COUNT(*) from bid", 1)).unwrap();
+        (0..4).for_each(|i| bid(&a, i, 990)); // flushed by size at t=990
+        bid(&a, 4, 995);
+        let batches = a.take_batches(1_000);
+        let sizes: Vec<usize> = batches.iter().map(|b| b.len()).collect();
+        assert_eq!(sizes, [4, 1], "the fifth event waits for no second batch");
+        // the full batch spoke at its own event's time, the remainder's
+        // flush at the poll's
+        let marks: Vec<_> = batches.iter().map(|b| b.watermark_ms).collect();
+        assert_eq!(marks, [Some(990), Some(1_000)]);
+        // and the timer did move: nothing is due again before t=2000
+        bid(&a, 5, 1_500);
+        assert!(a.take_batches(1_999).is_empty());
+        assert_eq!(a.take_batches(2_000).len(), 1);
+    }
+
+    #[test]
+    fn a_subscription_that_never_matched_still_announces() {
+        let a = agent();
+        a.install(plan_for(
+            "select COUNT(*) from bid where bid.bid_price > 5.0",
+            1,
+        ))
+        .unwrap();
+        bid(&a, 1, 10); // seen, not matched
+        let batches = a.take_batches(1_000);
+        assert_eq!(batches.len(), 1, "one header-only batch per interval");
+        let b = &batches[0];
+        assert_eq!((b.len(), b.seen, b.matched), (0, 1, 0));
+        assert_eq!(b.watermark_ms, Some(1_000));
+        assert!(a.take_batches(1_500).is_empty());
+        assert_eq!(a.take_batches(2_000)[0].watermark_ms, Some(2_000));
+    }
+
+    /// A join query has one subscription per FROM type and one sequence
+    /// space: of the batches one call makes for it only the last may
+    /// announce, and a size-flushed batch may not pass what a sibling
+    /// subscription still buffers.
+    #[test]
+    fn a_join_query_announces_once_per_take_and_never_past_a_sibling() {
+        let reg = registry();
+        reg.register(EventSchema::new("imp", vec![]).unwrap())
+            .unwrap();
+        let spec = parse_query("select COUNT(*) from bid, imp").unwrap();
+        let mut cfg = ScrubConfig::default();
+        cfg.agent_batch_events = 2;
+        let cq = compile(&spec, &reg, &cfg, QueryId(1)).unwrap();
+        assert_eq!(cq.host_plans.len(), 2);
+        let a = ScrubAgent::new("h1", cfg);
+        for plan in cq.host_plans {
+            a.install(plan).unwrap();
+        }
+        let imp = |rid: u64, ts: i64| a.log(EventTypeId(1), RequestId(rid), ts, &[]);
+
+        bid(&a, 1, 100); // stays buffered on the bid side
+        imp(1, 200);
+        imp(2, 300); // the imp side flushes by size
+        bid(&a, 2, 400); // and now the bid side does
+        imp(3, 500);
+        let batches = a.take_batches(1_000);
+        let seen: Vec<_> = batches
+            .iter()
+            .map(|b| (b.type_id.0, b.len(), b.watermark_ms))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                // held at the bid buffered since t=100
+                (1, 2, Some(100)),
+                // the imp side holds nothing: the clock is the bid's own
+                (0, 2, Some(400)),
+                // the take: bid's empty header first, silent; imp's batch
+                // last, speaking for both
+                (0, 0, None),
+                (1, 1, Some(1_000)),
+            ]
+        );
+        assert_eq!(a.stats().snapshot().events_behind_watermark, 0);
+        // the host clock running backwards past an announcement is counted
+        imp(4, 999);
+        assert_eq!(a.stats().snapshot().events_behind_watermark, 1);
+    }
+
     #[test]
     fn remove_flushes_tail() {
         let a = agent();
@@ -877,6 +1066,7 @@ mod tests {
         let tail = a.remove(QueryId(1), 100);
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].len(), 1);
+        assert_eq!(tail[0].watermark_ms, Some(100));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! compiled: every subscription of the event's type, in install order,
 //! interprets its own predicate through `eval_bool_by` and then runs
 //! sampling → shed → budget → projection → flush. The agent must produce
-//! the same batches — events, cumulative counters, `seen`, spans, and the
-//! order they enter the outbox — and the same `AgentStats`, for random
+//! the same batches — events, cumulative counters, `seen`, spans, the
+//! watermark each announces, and the order they enter the outbox — and the
+//! same `AgentStats`, for random
 //! sets of predicates (shared atoms, conjunctions, duplicates,
 //! non-indexable shapes) over random tuples (nulls, short tuples, mixed
 //! numeric widths, NaN, -0.0, type-mismatched fields).
@@ -45,12 +46,17 @@ struct RefSub {
     seen: u64,
     bytes: u64,
     shed_window: (i64, u64),
+    /// Moved by the time-triggered flush alone.
     last_flush_ms: i64,
     seen_cost_ns: f64,
     ship_cost_ns: f64,
 }
 
 impl RefSub {
+    fn has_news(&self) -> bool {
+        !self.batch.is_empty() || self.matched > 0
+    }
+
     fn next_u64(&mut self) -> u64 {
         let mut x = self.rng;
         x ^= x << 13;
@@ -67,6 +73,8 @@ struct RefAgent {
     outbox: Vec<EventBatch>,
     spans_buffered: usize,
     budget_window: (i64, f64),
+    /// Highest watermark announced so far, for any query.
+    announced_ms: Option<i64>,
     stats: StatsSnapshot,
 }
 
@@ -86,6 +94,7 @@ impl RefAgent {
             outbox: Vec::new(),
             spans_buffered: 0,
             budget_window: (0, 0.0),
+            announced_ms: None,
             stats: StatsSnapshot::default(),
         }
     }
@@ -120,15 +129,13 @@ impl RefAgent {
         self.subs[sub.plan.type_id.0 as usize].push(sub);
     }
 
-    fn make_batch(&mut self, t: usize, i: usize, now_ms: i64) -> Option<EventBatch> {
+    fn make_batch(&mut self, t: usize, i: usize) -> EventBatch {
         let sub = &mut self.subs[t][i];
-        sub.last_flush_ms = now_ms;
-        if sub.batch.is_empty() && sub.matched == 0 {
-            return None;
-        }
         let mut b = EventBatch {
             seq: 0,
             attempt: 0,
+            seq_floor: 0,
+            watermark_ms: None,
             query_id: sub.plan.query_id,
             type_id: sub.plan.type_id,
             host: HOST.to_string(),
@@ -147,7 +154,22 @@ impl RefAgent {
         sub.bytes += b.approx_bytes() as u64;
         b.bytes = sub.bytes;
         self.spans_buffered -= b.spans.len();
-        Some(b)
+        b
+    }
+
+    /// What a batch of `query` may announce at a moment the host clock
+    /// reads `clock_ms`: the oldest event any of the query's subscriptions
+    /// still holds back, or the clock when none holds any.
+    fn mark(&mut self, query: QueryId, clock_ms: i64) -> Option<i64> {
+        let mark = self
+            .subs
+            .iter()
+            .flatten()
+            .filter(|sub| sub.plan.query_id == query)
+            .flat_map(|sub| sub.batch.iter().map(|ev| ev.timestamp))
+            .fold(clock_ms, i64::min);
+        self.announced_ms = self.announced_ms.max(Some(mark));
+        Some(mark)
     }
 
     fn remove(&mut self, query_id: QueryId, now_ms: i64) -> Vec<EventBatch> {
@@ -159,28 +181,62 @@ impl RefAgent {
             let mut i = 0;
             while i < self.subs[t].len() {
                 if self.subs[t][i].plan.query_id == query_id {
-                    out.extend(self.make_batch(t, i, now_ms));
+                    if self.subs[t][i].has_news() {
+                        out.push(self.make_batch(t, i));
+                    }
                     self.subs[t].remove(i);
                 } else {
                     i += 1;
                 }
             }
         }
+        if let Some(last) = out.last_mut() {
+            last.watermark_ms = self.mark(query_id, now_ms);
+        }
         out
     }
 
     fn take_batches(&mut self, now_ms: i64) -> Vec<EventBatch> {
         let mut out = std::mem::take(&mut self.outbox);
+        let made_here = out.len();
+        // queries with a subscription due, each with the first such
+        let mut due: Vec<(QueryId, usize, usize)> = Vec::new();
         for t in 0..TYPES {
             for i in 0..self.subs[t].len() {
-                if now_ms - self.subs[t][i].last_flush_ms >= self.config.agent_flush_interval_ms {
-                    if let Some(b) = self.make_batch(t, i, now_ms) {
-                        self.stats.bytes_shipped += b.approx_bytes() as u64;
-                        self.stats.batches_flushed += 1;
-                        out.push(b);
-                    }
+                let sub = &mut self.subs[t][i];
+                if now_ms - sub.last_flush_ms < self.config.agent_flush_interval_ms {
+                    continue;
+                }
+                sub.last_flush_ms = now_ms;
+                let query = sub.plan.query_id;
+                if !due.iter().any(|(q, _, _)| *q == query) {
+                    due.push((query, t, i));
+                }
+                if sub.has_news() {
+                    out.push(self.make_batch(t, i));
                 }
             }
+        }
+        let flushed = out.len();
+        for (query, t, i) in due {
+            // one announcement per query per call: on the last batch the
+            // call made for it, or on a header of its own when its due
+            // subscriptions had nothing to send
+            let last = match out[made_here..flushed]
+                .iter()
+                .rposition(|b| b.query_id == query)
+            {
+                Some(at) => made_here + at,
+                None => {
+                    out.push(self.make_batch(t, i));
+                    out.len() - 1
+                }
+            };
+            out[last].watermark_ms = self.mark(query, now_ms);
+        }
+        for b in &out[made_here..] {
+            self.stats.bytes_shipped += b.approx_bytes() as u64;
+            self.stats.batches_flushed += 1;
         }
         out
     }
@@ -203,6 +259,9 @@ impl RefAgent {
             return;
         }
         self.stats.events_active += 1;
+        if self.announced_ms.is_some_and(|mark| ts < mark) {
+            self.stats.events_behind_watermark += 1;
+        }
         let traced = should_trace(rid, trace_threshold(self.config.trace_sample_rate));
         let enforce = self.config.enforce_host_budget;
         let budget_ns_per_sec = self.config.host_cpu_budget.max(0.0) * 1e9;
@@ -288,11 +347,11 @@ impl RefAgent {
                 self.span(t, i, rid, SpanKind::Enqueue, ts);
             }
             if self.subs[t][i].batch.len() >= self.config.agent_batch_events {
-                if let Some(b) = self.make_batch(t, i, ts) {
-                    self.stats.bytes_shipped += b.approx_bytes() as u64;
-                    self.stats.batches_flushed += 1;
-                    self.outbox.push(b);
-                }
+                let mut b = self.make_batch(t, i);
+                b.watermark_ms = self.mark(b.query_id, ts);
+                self.stats.bytes_shipped += b.approx_bytes() as u64;
+                self.stats.batches_flushed += 1;
+                self.outbox.push(b);
             }
         }
     }
@@ -499,6 +558,14 @@ struct Scenario {
 
 // ---------------------------------------------------------------- check
 
+/// Subscription `i`'s query. An odd subscription tapping another type
+/// than its predecessor joins the predecessor's query, as the second FROM
+/// type of a join would: one query, two subscriptions, one watermark.
+fn query_of(specs: &[SubSpec], i: usize) -> QueryId {
+    let joins = i % 2 == 1 && specs[i].type_id != specs[i - 1].type_id;
+    QueryId(if joins { i as u64 } else { i as u64 + 1 })
+}
+
 fn plan_of(specs: &[SubSpec], i: usize, scenario: Scenario) -> HostPlan {
     let spec = &specs[i];
     let predicate = match spec.copy_of {
@@ -506,7 +573,7 @@ fn plan_of(specs: &[SubSpec], i: usize, scenario: Scenario) -> HostPlan {
         _ => spec.predicate.clone(),
     };
     HostPlan {
-        query_id: QueryId(i as u64 + 1),
+        query_id: query_of(specs, i),
         event_type: format!("t{}", spec.type_id),
         type_id: EventTypeId(spec.type_id),
         arity: ARITY,
@@ -565,7 +632,7 @@ fn check(specs: &[SubSpec], events: &[EventSpec], scenario: Scenario) {
                 reference.install(plan_of(specs, i, scenario));
             }
             if remove_at(i) == n && install_at(i) < n {
-                let qid = QueryId(i as u64 + 1);
+                let qid = query_of(specs, i);
                 assert_eq!(
                     render(&agent.remove(qid, now)),
                     render(&reference.remove(qid, now)),

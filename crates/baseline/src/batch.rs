@@ -31,6 +31,8 @@ pub fn run_batch(cq: &CompiledQuery, events: &[Event]) -> (Vec<ResultRow>, Query
         exec.ingest(EventBatch {
             seq: 0,
             attempt: 0,
+            seq_floor: 0,
+            watermark_ms: None,
             query_id: cq.query_id,
             type_id: plan.type_id,
             host: "batch".into(),

@@ -47,6 +47,8 @@ fn bid_batch(n: u64) -> EventBatch {
     EventBatch {
         seq: 0,
         attempt: 0,
+        seq_floor: 0,
+        watermark_ms: None,
         query_id: QueryId(1),
         type_id: EventTypeId(0),
         host: "h".into(),
@@ -108,6 +110,8 @@ fn bench_central(c: &mut Criterion) {
                 let imps = EventBatch {
                     seq: 0,
                     attempt: 0,
+                    seq_floor: 0,
+                    watermark_ms: None,
                     query_id: QueryId(1),
                     type_id: EventTypeId(1),
                     host: "h2".into(),

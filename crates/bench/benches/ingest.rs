@@ -58,6 +58,8 @@ fn bid_batch(n: u64, format: WireFormat) -> EventBatch {
     EventBatch {
         seq: 0,
         attempt: 0,
+        seq_floor: 0,
+        watermark_ms: None,
         query_id: QueryId(1),
         type_id: EventTypeId(0),
         host: "h".into(),
@@ -86,6 +88,8 @@ fn imp_batch(n: u64, format: WireFormat) -> EventBatch {
     EventBatch {
         seq: 0,
         attempt: 0,
+        seq_floor: 0,
+        watermark_ms: None,
         query_id: QueryId(1),
         type_id: EventTypeId(1),
         host: "h2".into(),

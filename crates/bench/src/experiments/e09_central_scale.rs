@@ -155,6 +155,8 @@ fn make_batches(n: usize, format: WireFormat) -> Vec<EventBatch> {
         batches.push(EventBatch {
             seq: seq as u64,
             attempt: 0,
+            seq_floor: 0,
+            watermark_ms: None,
             query_id: QueryId(1),
             type_id: EventTypeId(0),
             host: "h".into(),

@@ -137,6 +137,7 @@ pub fn sum_stats(stats: &[(String, StatsSnapshot)]) -> StatsSnapshot {
         total.retransmit_evictions += s.retransmit_evictions;
         total.trace_spans += s.trace_spans;
         total.trace_spans_shed += s.trace_spans_shed;
+        total.events_behind_watermark += s.events_behind_watermark;
     }
     total
 }

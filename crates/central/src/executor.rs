@@ -196,6 +196,29 @@ impl<'w> ProbeSides<'w> {
     }
 }
 
+/// Why a window closed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CloseRule {
+    /// Every targeted host had announced a watermark at or past the
+    /// window's end (see [`QueryExecutor::set_complete_through`]).
+    Watermark,
+    /// The fallback: the grace period after the window's end ran out.
+    Grace,
+    /// The query finished with the window still open.
+    Finish,
+}
+
+impl CloseRule {
+    /// Lower-case name, as journals and `EXPLAIN ANALYZE` print it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            CloseRule::Watermark => "watermark",
+            CloseRule::Grace => "grace",
+            CloseRule::Finish => "finish",
+        }
+    }
+}
+
 /// One aggregate window closing (for self-observability: ScrubCentral
 /// taps a `scrub_window` meta-event per close and feeds the per-query
 /// profile).
@@ -208,6 +231,8 @@ pub struct WindowClose {
     /// Whether the window closed short of its full input: a targeted host
     /// was suspected dead, or the `max_groups` bound dropped rows.
     pub degraded: bool,
+    /// Which rule closed it.
+    pub rule: CloseRule,
 }
 
 /// Whether a plan's summary gets Eq 1–3 two-stage estimates: single
@@ -237,6 +262,9 @@ pub struct QueryExecutor {
     /// The plan's joined-row slot layout (shared for the same reason).
     slots: Arc<[Option<SlotSrc>]>,
     grace_ms: i64,
+    /// No event older than this is still to come from any targeted host
+    /// (see [`Self::set_complete_through`]); `i64::MIN` until told.
+    complete_through_ms: i64,
     windows: BTreeMap<i64, WindowState>,
     /// Interned host names plus cumulative per-(host, subscription) header
     /// counters (see [`TotalsTracker`]).
@@ -257,6 +285,10 @@ pub struct QueryExecutor {
     windows_emitted: u64,
     rendered_rows: u64,
     render_ns: u64,
+    /// Of `windows_closed`, those closed on host watermarks and those
+    /// still open at finish (the rest closed by the grace fallback).
+    closed_by_watermark: u64,
+    closed_at_finish: u64,
     /// Window closes since the last [`Self::take_window_closes`] drain.
     closes: Vec<WindowClose>,
     /// Join rows dropped by the cross-product cap.
@@ -284,13 +316,15 @@ pub struct QueryExecutor {
 
 impl QueryExecutor {
     /// Create an executor for a central plan. `grace_ms` is how long after
-    /// a window's end it stays open for stragglers.
+    /// a window's end it stays open for stragglers when nothing says
+    /// sooner that none is coming.
     pub fn new(plan: impl Into<Arc<CentralPlan>>, grace_ms: i64) -> Self {
         let plan = plan.into();
         QueryExecutor {
             slots: slot_table(&plan),
             plan,
             grace_ms,
+            complete_through_ms: i64::MIN,
             windows: BTreeMap::new(),
             totals: TotalsTracker::default(),
             host_moments: HashMap::new(),
@@ -302,6 +336,8 @@ impl QueryExecutor {
             windows_emitted: 0,
             rendered_rows: 0,
             render_ns: 0,
+            closed_by_watermark: 0,
+            closed_at_finish: 0,
             closes: Vec::new(),
             join_rows_capped: 0,
             late_events_dropped: 0,
@@ -324,6 +360,28 @@ impl QueryExecutor {
     /// Hosts currently suspected dead.
     pub fn dead_hosts(&self) -> &HashSet<String> {
         &self.dead_hosts
+    }
+
+    /// Tell the executor that every targeted host has announced it holds
+    /// no event older than `ms`: windows ending at or before it close on
+    /// the next [`Self::advance`] without waiting out the grace. The mark
+    /// only moves forward. Returns whether an open window is now due.
+    ///
+    /// The caller owns the proof — which hosts are targeted, and that each
+    /// one's announcement arrived behind everything it covers. An executor
+    /// never told anything closes on the grace alone.
+    pub fn set_complete_through(&mut self, ms: i64) -> bool {
+        self.complete_through_ms = self.complete_through_ms.max(ms);
+        self.windows
+            .first_key_value()
+            .is_some_and(|(w, _)| w + self.plan.window_ms <= self.complete_through_ms)
+    }
+
+    /// When the oldest open window falls to the grace fallback: its end
+    /// plus the grace. `None` with no window open.
+    pub fn next_grace_close_ms(&self) -> Option<i64> {
+        let (w, _) = self.windows.first_key_value()?;
+        Some(w + self.plan.window_ms + self.grace_ms)
     }
 
     /// The plan under execution.
@@ -631,9 +689,10 @@ impl QueryExecutor {
         self.opc.join_build_ns += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Advance the watermark: emit stream rows, then close and render every
-    /// window whose grace period has elapsed. (Rows a join window streams
-    /// while closing surface on the next advance: the drain comes first.)
+    /// Advance the clock: emit stream rows, then close and render every
+    /// window that ended at or before the complete-through mark or whose
+    /// grace period has elapsed. (Rows a join window streams while closing
+    /// surface on the next advance: the drain comes first.)
     pub fn advance(&mut self, now_ms: i64) -> Vec<ResultRow> {
         let mut out = std::mem::take(&mut self.stream_out);
         let host_dead = !self.dead_hosts.is_empty();
@@ -642,9 +701,10 @@ impl QueryExecutor {
             self.degraded_rows += out.len() as u64;
         }
         let scale = self.scale();
-        let cutoff = now_ms
-            .saturating_sub(self.plan.window_ms)
-            .saturating_sub(self.grace_ms);
+        let graced = now_ms.saturating_sub(self.grace_ms);
+        let cutoff = graced
+            .max(self.complete_through_ms)
+            .saturating_sub(self.plan.window_ms);
         let due: Vec<i64> = self.windows.range(..=cutoff).map(|(w, _)| *w).collect();
         for w in due {
             let (groups, overflow_rows) = match self.windows.remove(&w).expect("key just listed") {
@@ -671,10 +731,17 @@ impl QueryExecutor {
             if degraded {
                 self.degraded_rows += rows;
             }
+            let rule = if w + self.plan.window_ms <= graced {
+                CloseRule::Grace
+            } else {
+                self.closed_by_watermark += 1;
+                CloseRule::Watermark
+            };
             self.closes.push(WindowClose {
                 window_start_ms: w,
                 rows,
                 degraded,
+                rule,
             });
         }
         out
@@ -872,7 +939,14 @@ impl QueryExecutor {
 
     /// Close everything and produce the end-of-query summary.
     pub fn finish(&mut self) -> (Vec<ResultRow>, QuerySummary) {
+        let open = self.closes.len();
         let rows = self.advance(i64::MAX / 4);
+        // what was still open closed because the query ended, not because
+        // its grace ran out
+        for close in &mut self.closes[open..] {
+            close.rule = CloseRule::Finish;
+            self.closed_at_finish += 1;
+        }
         let (total_matched, total_sampled, total_shed, total_budget_shed) = self.totals.sums();
         let summary = QuerySummary {
             query_id: self.plan.query_id,
@@ -1010,6 +1084,14 @@ impl QueryExecutor {
         }
         self.totals.fill_host_ops(&self.plan, &mut profile);
         profile.notes = self.totals.profile_notes(&self.plan);
+        if self.windows_closed > 0 {
+            profile.notes.push(format!(
+                "windows closed: {} on host watermarks, {} by the grace fallback, {} at finish",
+                self.closed_by_watermark,
+                self.windows_closed - self.closed_by_watermark - self.closed_at_finish,
+                self.closed_at_finish
+            ));
+        }
         if self.groups_overflow > 0 {
             profile.notes.push(format!(
                 "group state capped at {} groups: groups_kept {} (rendered), groups_dropped {} rows past the cap",
@@ -1134,6 +1216,8 @@ mod tests {
         EventBatch {
             seq: 0,
             attempt: 0,
+            seq_floor: 0,
+            watermark_ms: None,
             query_id: QueryId(9),
             type_id,
             host: host.into(),
@@ -1189,6 +1273,43 @@ mod tests {
         let rows = ex.advance(12_000);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].values, vec![Value::Long(1)]);
+    }
+
+    /// A window closes the moment the caller vouches for its input, long
+    /// before its grace runs out; what nobody vouched for waits out the
+    /// grace as before, and what is open at finish is neither.
+    #[test]
+    fn windows_close_on_the_complete_through_mark_ahead_of_the_grace() {
+        let spec = parse_query("select COUNT(*) from bid window 10 s").unwrap();
+        let cq = compile(&spec, &registry(), &ScrubConfig::default(), QueryId(9)).unwrap();
+        let mut ex = QueryExecutor::new(cq.central, 2_000);
+        let events = [5_000, 15_000, 25_000].map(|ts| ev(0, 1, ts, vec![]));
+        ex.ingest(batch("h1", events.to_vec(), 3, 3));
+        assert_eq!(ex.next_grace_close_ms(), Some(12_000));
+        // short of the first window's end: nothing is due
+        assert!(!ex.set_complete_through(9_999));
+        assert!(ex.advance(10_000).is_empty());
+        assert!(ex.set_complete_through(10_000));
+        assert!(ex.set_complete_through(3_000), "the mark never moves back");
+        assert_eq!(ex.advance(10_000).len(), 1);
+        assert_eq!(ex.next_grace_close_ms(), Some(22_000));
+        // the second window gets no word and falls to the grace
+        assert!(ex.advance(21_999).is_empty());
+        assert_eq!(ex.advance(22_000).len(), 1);
+        let (rows, _) = ex.finish();
+        assert_eq!(rows.len(), 1);
+        let rules: Vec<CloseRule> = ex.take_window_closes().iter().map(|c| c.rule).collect();
+        assert_eq!(
+            rules,
+            [CloseRule::Watermark, CloseRule::Grace, CloseRule::Finish]
+        );
+        assert!(ex.plan_profile().notes.contains(
+            &"windows closed: 1 on host watermarks, 1 by the grace fallback, 1 at finish"
+                .to_string()
+        ));
+        // an event below the mark is late the moment its window is gone
+        ex.ingest(batch("h1", vec![ev(0, 2, 6_000, vec![])], 4, 4));
+        assert_eq!(ex.late_events_dropped, 1);
     }
 
     #[test]
@@ -1307,6 +1428,7 @@ mod tests {
                 window_start_ms: 0,
                 rows: 7,
                 degraded: true,
+                rule: CloseRule::Grace,
             }]
         );
         assert!(ex.take_window_closes().is_empty(), "closes drain");
@@ -1618,6 +1740,8 @@ mod sliding_tests {
         EventBatch {
             seq: 0,
             attempt: 0,
+            seq_floor: 0,
+            watermark_ms: None,
             query_id: QueryId(3),
             type_id: EventTypeId(0),
             host: "h".into(),
@@ -1709,6 +1833,8 @@ mod sliding_tests {
         let mk = |t: u32, ts: i64| EventBatch {
             seq: 0,
             attempt: 0,
+            seq_floor: 0,
+            watermark_ms: None,
             query_id: QueryId(4),
             type_id: EventTypeId(t),
             host: "h".into(),
@@ -1809,6 +1935,8 @@ mod memory_tests {
                 ex.ingest(EventBatch {
                     seq: 0,
                     attempt: 0,
+                    seq_floor: 0,
+                    watermark_ms: None,
                     query_id: QueryId(1),
                     type_id: EventTypeId(0),
                     host: "h1".into(),
@@ -1855,6 +1983,8 @@ mod memory_tests {
             ex.ingest(EventBatch {
                 seq: 0,
                 attempt: 0,
+                seq_floor: 0,
+                watermark_ms: None,
                 query_id: QueryId(1),
                 type_id: EventTypeId(0),
                 host: "h1".into(),

@@ -19,7 +19,7 @@ pub mod stats;
 mod totals;
 
 pub use agg::AggState;
-pub use executor::{QueryExecutor, WindowClose, MAX_JOIN_ROWS_PER_REQUEST};
+pub use executor::{CloseRule, QueryExecutor, WindowClose, MAX_JOIN_ROWS_PER_REQUEST};
 pub use row::{QuerySummary, ResultRow};
 pub use stats::ExecutorStats;
 

@@ -48,6 +48,8 @@ struct RefJoin {
     closed_before_ms: i64,
     stream_out: Vec<ResultRow>,
     windows_closed: u64,
+    /// Of `windows_closed`, those still open when the query finished.
+    closed_at_finish: u64,
     windows_emitted: u64,
     rendered_rows: u64,
     degraded_rows: u64,
@@ -72,6 +74,7 @@ impl RefJoin {
             closed_before_ms: i64::MIN,
             stream_out: Vec::new(),
             windows_closed: 0,
+            closed_at_finish: 0,
             windows_emitted: 0,
             rendered_rows: 0,
             degraded_rows: 0,
@@ -288,7 +291,9 @@ impl RefJoin {
     }
 
     fn finish(&mut self) -> (Vec<ResultRow>, QuerySummary) {
+        let closed = self.windows_closed;
         let rows = self.advance(i64::MAX / 4);
+        self.closed_at_finish += self.windows_closed - closed;
         let mut summary = self.headers.finish().1;
         summary.windows_emitted = self.windows_emitted;
         summary.degraded_rows = self.degraded_rows;
@@ -316,6 +321,15 @@ impl RefJoin {
                 OperatorKind::Stream => (c.stream_rows_in, c.stream_rows_out),
                 _ => continue,
             };
+        }
+        // nobody vouches for a window here: each closes on the grace, or
+        // at finish
+        if self.windows_closed > 0 {
+            profile.notes.push(format!(
+                "windows closed: 0 on host watermarks, {} by the grace fallback, {} at finish",
+                self.windows_closed - self.closed_at_finish,
+                self.closed_at_finish
+            ));
         }
         if self.groups_overflow > 0 {
             profile.notes.push(format!(
@@ -544,6 +558,8 @@ fn check(plan: CentralPlan, steps: &[Step]) {
             query_id: plan.query_id,
             seq: seq as u64,
             attempt: 0,
+            seq_floor: 0,
+            watermark_ms: None,
             type_id,
             host: format!("h{}", step.host),
             payload: BatchPayload::from_events(events, format),

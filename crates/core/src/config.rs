@@ -20,18 +20,29 @@ pub struct ScrubConfig {
     /// Agent: flush a query's output batch when it reaches this many events.
     pub agent_batch_events: usize,
     /// Agent: flush at least this often (ms) even if the batch is small.
+    /// The contract: polled at least once per interval, a subscription
+    /// hands over whatever it buffers — and announces its query's
+    /// watermark — within one interval of the last time it did, whether
+    /// or not full batches left in between. An event waits in the host
+    /// buffer for at most one interval plus the polling period.
     pub agent_flush_interval_ms: i64,
     /// Agent: per-query budget of matched events per second before load
     /// shedding kicks in (accuracy traded for host impact, §2).
     pub agent_events_per_sec_budget: u64,
-    /// Central: extra time after a window closes before it is finalized,
-    /// to absorb host->central delivery skew (ms).
+    /// Central: how long after its end (ms) a window is held open for a
+    /// targeted host that has not vouched for it — silent, behind a lost
+    /// batch, or suspected dead. The fallback, not the latency floor: a
+    /// window every targeted host has announced a watermark past closes at
+    /// once. Executors no server dispatched (no host count) close on this
+    /// alone.
     pub window_grace_ms: i64,
     /// Agent: first retransmit of an unacked batch fires this long after
     /// shipment (ms); backoff doubles from here.
     #[serde(default = "default_agent_retry_base_ms")]
     pub agent_retry_base_ms: i64,
-    /// Agent: retransmit backoff ceiling (ms).
+    /// Agent: retransmit backoff ceiling (ms). Also how long a batch
+    /// evicted from the retransmit buffer keeps ScrubCentral waiting for
+    /// the copies already sent before the agent gives up on it.
     #[serde(default = "default_agent_retry_max_ms")]
     pub agent_retry_max_ms: i64,
     /// Agent: retransmit buffer capacity in batches; beyond it the oldest

@@ -1,14 +1,19 @@
 //! ScrubCentral as a simulated node: hosts one [`QueryExecutor`] per
-//! active query, advances watermarks on a timer, and streams finished rows
-//! to the query server.
+//! active query, closes windows as the hosts vouch for them, and streams
+//! finished rows to the query server.
 //!
 //! Delivery from agents is at-least-once (agents retransmit unacked
 //! batches), so central deduplicates on `(host, query, seq)` and acks
 //! every batch — including duplicates, so a host whose ack was lost stops
-//! retransmitting. Central also watches per-host batch arrivals: a host
-//! that goes silent while its peers keep reporting is suspected dead, its
-//! samples leave the estimator and subsequent rows are marked degraded —
-//! windows keep closing on time instead of stalling on a dead host.
+//! retransmitting. Every batch stream carries the host's watermark for the
+//! query; once every targeted host's watermark, read behind a gap-free run
+//! of its sequence numbers, has passed a window's end, the window closes
+//! there and then. `window_grace_ms` is the fallback for a window some
+//! host has not vouched for: it closes when the grace after its end runs
+//! out. Central also watches per-host batch arrivals: a host that goes
+//! silent while its peers keep reporting is suspected dead, its samples
+//! leave the estimator and subsequent rows are marked degraded — windows
+//! keep closing on time instead of stalling on a dead host.
 //!
 //! # Self-observability
 //!
@@ -30,7 +35,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use scrub_agent::EventBatch;
-use scrub_central::QueryExecutor;
+use scrub_central::{CloseRule, QueryExecutor};
 use scrub_core::config::ScrubConfig;
 use scrub_core::event::RequestId;
 use scrub_core::plan::{OutputMode, QueryId};
@@ -44,8 +49,9 @@ use scrub_obs::{
 };
 use scrub_simnet::{Context, Node, NodeId, SimDuration};
 
+use crate::delivery::HostStream;
 use crate::harness::AgentHarness;
-use crate::msg::{ScrubEnvelope, ScrubMsg, TIMER_CENTRAL_ADVANCE};
+use crate::msg::{ScrubEnvelope, ScrubMsg, TIMER_CENTRAL_ADVANCE, TIMER_CENTRAL_GRACE};
 
 /// The centralized execution facility (one node; the paper runs a small
 /// cluster — `deploy_central_cluster` spreads whole queries across
@@ -54,8 +60,12 @@ pub struct CentralNode<E: ScrubEnvelope> {
     config: ScrubConfig,
     server: Option<NodeId>,
     executors: HashMap<QueryId, QueryExecutor>,
-    /// Per-query, per-host sequence numbers already ingested.
-    seen: HashMap<QueryId, HashMap<String, HashSet<u64>>>,
+    /// Per-query, per-host delivery state: which sequence numbers are in,
+    /// and the watermark the host has announced behind them.
+    streams: HashMap<QueryId, HashMap<String, HostStream>>,
+    /// When the one-shot grace timer in flight is meant to fire (ms): the
+    /// earliest `end + grace` of an open window at the time it was armed.
+    grace_timer_ms: Option<i64>,
     /// Per-query, per-host time of the last batch heard (ms).
     last_heard: HashMap<QueryId, HashMap<String, i64>>,
     /// Events ingested across all queries (for throughput accounting).
@@ -99,6 +109,9 @@ pub struct CentralNode<E: ScrubEnvelope> {
     m_acks: Arc<Counter>,
     m_rows: Arc<Counter>,
     m_windows_closed: Arc<Counter>,
+    m_closed_by_watermark: Arc<Counter>,
+    m_closed_by_grace: Arc<Counter>,
+    m_close_lag: Arc<Histogram>,
     m_windows_degraded: Arc<Counter>,
     m_installed: Arc<Counter>,
     m_finished: Arc<Counter>,
@@ -170,6 +183,9 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         let m_acks = obs.counter("central.acks_sent");
         let m_rows = obs.counter("central.rows_emitted");
         let m_windows_closed = obs.counter("central.windows_closed");
+        let m_closed_by_watermark = obs.counter("central.windows_closed_by_watermark");
+        let m_closed_by_grace = obs.counter("central.windows_closed_by_grace");
+        let m_close_lag = obs.histogram("central.window_close_lag_ms");
         let m_windows_degraded = obs.counter("central.windows_degraded");
         let m_installed = obs.counter("central.queries_installed");
         let m_finished = obs.counter("central.queries_finished");
@@ -196,7 +212,8 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             config,
             server: None,
             executors: HashMap::new(),
-            seen: HashMap::new(),
+            streams: HashMap::new(),
+            grace_timer_ms: None,
             last_heard: HashMap::new(),
             events_ingested: 0,
             batches_received: 0,
@@ -216,6 +233,9 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             m_acks,
             m_rows,
             m_windows_closed,
+            m_closed_by_watermark,
+            m_closed_by_grace,
+            m_close_lag,
             m_windows_degraded,
             m_installed,
             m_finished,
@@ -342,8 +362,10 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             .map(|h| h.agent().stats().snapshot())
     }
 
+    /// Period of the housekeeping tick: dead-host detection, stream rows,
+    /// the health plane. Windows do not wait for it — they close when a
+    /// batch completes them or when their grace timer fires.
     fn advance_interval(&self) -> SimDuration {
-        // advance watermarks a few times per window
         SimDuration::from_ms((self.config.default_window_ms / 4).max(100))
     }
 
@@ -368,11 +390,9 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     }
 
     fn refresh_dead_hosts(&mut self, now_ms: i64) {
-        let mut qids: Vec<QueryId> = self.executors.keys().copied().collect();
-        qids.sort();
         let mut union: BTreeSet<String> = BTreeSet::new();
         let mut first_hint: Option<AlertProvenance> = None;
-        for qid in qids {
+        for qid in self.sorted_qids() {
             let dead = self.suspect_hosts(qid);
             if !dead.is_empty() || self.ledger_parts.contains_key(&qid) {
                 self.ledger_parts.entry(qid).or_default().dead_hosts =
@@ -505,18 +525,17 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         }
     }
 
-    /// Drain one executor's window closes into the profile, node metrics
-    /// and (for application queries) `scrub_window` meta-events.
-    fn observe_advance(&mut self, ctx: &mut Context<'_, E>, qid: QueryId, rows_emitted: u64) {
-        let Some(exec) = self.executors.get_mut(&qid) else {
+    /// Fold one query's cumulative figures into the node counters. Part of
+    /// the housekeeping tick and of nothing else: `hp.selected - hp.events`
+    /// reads a batch still in flight as dropped, so a fold at the instant
+    /// one host's batch lands would book its peers' batches of the same
+    /// second — and the counters only ever go up.
+    fn fold_totals(&mut self, qid: QueryId) {
+        let Some(exec) = self.executors.get(&qid) else {
             return;
         };
-        let closes = exec.take_window_closes();
         let stats = exec.stats();
-        let open = stats.open_windows as u64;
-        let held = stats.join_rows_held;
         let overflow_total = stats.groups_overflow;
-        let is_meta_query = self.meta_queries.contains(&qid);
         let mut budget_shed_total = 0u64;
         let mut retransmitted_total = 0u64;
         let mut batch_dropped_total = 0u64;
@@ -526,12 +545,7 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         let mut retransmit_host: Option<(u64, String)> = None;
         let mut dropped_host: Option<(u64, String)> = None;
         let mut shed_host: Option<(u64, String)> = None;
-        if let Some(profile) = self.profiles.get_mut(&qid) {
-            for c in &closes {
-                profile.observe_windows_closed(1, c.degraded as u64);
-            }
-            profile.observe_state(open, held);
-            profile.observe_rows(rows_emitted);
+        if let Some(profile) = self.profiles.get(&qid) {
             budget_shed_total = profile.total_budget_shed();
             for (host, hp) in &profile.hosts {
                 retransmitted_total += hp.retransmitted_batches;
@@ -553,9 +567,10 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         // `scrubql stats` shows fleet totals without double counting.
         // Every delta is deterministic per tick, so safe for alert rules
         // (the executor counts `groups_overflow` when the window that
-        // dropped the rows closes, so the alert fires on the tick the
-        // degraded rows go out). A positive delta also refreshes the
-        // provenance hint for the metric: which query/host moved it last.
+        // dropped the rows closes, so the alert fires on the first tick
+        // after the degraded rows go out). A positive delta also refreshes
+        // the provenance hint for the metric: which query/host moved it
+        // last.
         let seen = self.fold_seen.entry(qid).or_default();
         let d_shed = budget_shed_total.saturating_sub(seen.budget_shed);
         let d_retransmit = retransmitted_total.saturating_sub(seen.retransmitted);
@@ -605,11 +620,42 @@ impl<E: ScrubEnvelope> CentralNode<E> {
                 hint(None, Some("groups_overflow")),
             );
         }
+    }
+
+    /// Drain one executor's window closes into the profile, node metrics
+    /// and (for application queries) `scrub_window` meta-events.
+    fn observe_closes(&mut self, ctx: &mut Context<'_, E>, qid: QueryId, rows_emitted: u64) {
+        let Some(exec) = self.executors.get_mut(&qid) else {
+            return;
+        };
+        let closes = exec.take_window_closes();
+        let stats = exec.stats();
+        let is_meta_query = self.meta_queries.contains(&qid);
+        if let Some(profile) = self.profiles.get_mut(&qid) {
+            for c in &closes {
+                profile.observe_windows_closed(1, c.degraded as u64);
+            }
+            profile.observe_state(stats.open_windows as u64, stats.join_rows_held);
+            profile.observe_rows(rows_emitted);
+        }
         self.m_rows.add(rows_emitted);
         self.m_windows_closed.add(closes.len() as u64);
         self.m_windows_degraded
             .add(closes.iter().filter(|c| c.degraded).count() as u64);
+        let window_ms = exec.plan().window_ms;
         for c in &closes {
+            // how long after its end the window's rows went out; a window
+            // cut short by the end of the query has no such figure
+            let by_rule = match c.rule {
+                CloseRule::Watermark => Some(&self.m_closed_by_watermark),
+                CloseRule::Grace => Some(&self.m_closed_by_grace),
+                CloseRule::Finish => None,
+            };
+            if let Some(closed_by_rule) = by_rule {
+                closed_by_rule.inc();
+                self.m_close_lag
+                    .record(ctx.now.as_ms() - (c.window_start_ms + window_ms));
+            }
             // Windows close in start order; drop the per-window delivery
             // counts up to this close, folding degraded windows' counts
             // into the ledger so the loss is attributed per host.
@@ -638,7 +684,12 @@ impl<E: ScrubEnvelope> CentralNode<E> {
                     } else {
                         FlightEventKind::WindowClose
                     },
-                    format!("start={} rows={}", c.window_start_ms, c.rows),
+                    format!(
+                        "start={} rows={} by={}",
+                        c.window_start_ms,
+                        c.rows,
+                        c.rule.as_str()
+                    ),
                     AlertProvenance {
                         query_id: Some(qid.0),
                         ..Default::default()
@@ -683,22 +734,75 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         }
     }
 
-    fn flush_rows(&mut self, ctx: &mut Context<'_, E>, now_ms: i64) {
-        // sorted so cross-query side effects (row sends, provenance
-        // hints) happen in a deterministic order
+    /// Advance one query: its finished rows go to the server, its closes
+    /// into the profile and the node metrics.
+    fn advance_query(&mut self, ctx: &mut Context<'_, E>, qid: QueryId) {
+        let Some(exec) = self.executors.get_mut(&qid) else {
+            return;
+        };
+        let rows = exec.advance(ctx.now.as_ms());
+        let n = rows.len() as u64;
+        if let (Some(server), false) = (self.server, rows.is_empty()) {
+            ctx.send(server, E::wrap(ScrubMsg::Rows { rows }));
+        }
+        self.observe_closes(ctx, qid, n);
+    }
+
+    /// Query ids in ascending order, so cross-query side effects (row
+    /// sends, provenance hints) happen in a deterministic order.
+    fn sorted_qids(&self) -> Vec<QueryId> {
         let mut qids: Vec<QueryId> = self.executors.keys().copied().collect();
         qids.sort();
-        for qid in qids {
-            let Some(exec) = self.executors.get_mut(&qid) else {
-                continue;
-            };
-            let rows = exec.advance(now_ms);
-            let n = rows.len() as u64;
-            if let (Some(server), false) = (self.server, rows.is_empty()) {
-                ctx.send(server, E::wrap(ScrubMsg::Rows { rows }));
-            }
-            self.observe_advance(ctx, qid, n);
+        qids
+    }
+
+    /// A batch of `qid` just moved a host's stream. The query is complete
+    /// through the slowest targeted host's watermark — once all `selected`
+    /// of them have one; a host yet to report could hold anything. If that
+    /// covers an open window, close it now rather than on the next tick.
+    /// A plan no server dispatched names no hosts and closes on the grace
+    /// alone.
+    fn close_on_watermark(&mut self, ctx: &mut Context<'_, E>, qid: QueryId) {
+        let (Some(exec), Some(streams)) = (self.executors.get_mut(&qid), self.streams.get(&qid))
+        else {
+            return;
+        };
+        let selected = exec.plan().host_info.selected;
+        if selected == 0 || streams.len() < selected {
+            return;
         }
+        let Some(through) = streams
+            .values()
+            .map(HostStream::watermark_ms)
+            .min()
+            .flatten()
+        else {
+            return;
+        };
+        if exec.set_complete_through(through) {
+            self.advance_query(ctx, qid);
+        }
+    }
+
+    /// Keep a one-shot timer armed for the earliest moment an open window
+    /// falls to the grace fallback. Timers cannot be recalled, so one armed
+    /// for a window that has since closed on its watermarks still fires,
+    /// finds nothing due and re-arms for what is open then.
+    fn arm_grace_timer(&mut self, ctx: &mut Context<'_, E>) {
+        let next = self
+            .executors
+            .values()
+            .filter_map(QueryExecutor::next_grace_close_ms)
+            .min();
+        let Some(due) = next else {
+            return;
+        };
+        if self.grace_timer_ms.is_some_and(|armed| armed <= due) {
+            return;
+        }
+        self.grace_timer_ms = Some(due);
+        let delay = (due - ctx.now.as_ms()).max(1);
+        ctx.set_timer(SimDuration::from_ms(delay), TIMER_CENTRAL_GRACE);
     }
 
     /// Record the periodic node snapshot into the telemetry store and
@@ -839,6 +943,9 @@ impl<E: ScrubEnvelope> CentralNode<E> {
 impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
     fn on_start(&mut self, ctx: &mut Context<'_, E>) {
         ctx.set_timer(self.advance_interval(), TIMER_CENTRAL_ADVANCE);
+        // a restart orphans the grace timer in flight
+        self.grace_timer_ms = None;
+        self.arm_grace_timer(ctx);
         // The embedded meta agent survives central restarts (pending
         // retransmits and all); it is only built on first start.
         if self.meta_harness.is_none() {
@@ -882,7 +989,7 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                 self.m_installed.inc();
             }
             ScrubMsg::CentralStop { query_id } => {
-                self.seen.remove(&query_id);
+                self.streams.remove(&query_id);
                 self.last_heard.remove(&query_id);
                 self.window_events.remove(&query_id);
                 if let Some(mut exec) = self.executors.remove(&query_id) {
@@ -895,7 +1002,8 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                     self.export_plan_metrics(&plan_profile);
                     self.plan_profiles.insert(query_id, plan_profile);
                     self.executors.insert(query_id, exec);
-                    self.observe_advance(ctx, query_id, n);
+                    self.observe_closes(ctx, query_id, n);
+                    self.fold_totals(query_id);
                     self.executors.remove(&query_id);
                     self.meta_queries.remove(&query_id);
                     self.fold_seen.remove(&query_id);
@@ -926,12 +1034,12 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                     p.observe_ack();
                 }
                 let fresh = self
-                    .seen
+                    .streams
                     .entry(batch.query_id)
                     .or_default()
                     .entry(batch.host.clone())
                     .or_default()
-                    .insert(batch.seq);
+                    .accept(batch.seq, batch.seq_floor, batch.watermark_ms);
                 let now_ms = ctx.now.as_ms();
                 // Tap the meta-event for every arrival (dupes included —
                 // they are part of the transport's behavior), except for
@@ -988,6 +1096,8 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                     if let Some(exec) = self.executors.get_mut(&batch.query_id) {
                         exec.note_duplicate();
                     }
+                    // its floor may still have closed a gap
+                    self.close_on_watermark(ctx, batch.query_id);
                     return;
                 }
                 self.last_heard
@@ -1015,9 +1125,12 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                     );
                 }
                 self.observe_ingest(&mut batch, now_ms);
-                if let Some(exec) = self.executors.get_mut(&batch.query_id) {
+                let qid = batch.query_id;
+                if let Some(exec) = self.executors.get_mut(&qid) {
                     exec.ingest(batch);
                 }
+                self.close_on_watermark(ctx, qid);
+                self.arm_grace_timer(ctx);
             }
             _ => {}
         }
@@ -1031,13 +1144,28 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                 return;
             }
         }
+        let now_ms = ctx.now.as_ms();
         if timer == TIMER_CENTRAL_ADVANCE {
-            let now_ms = ctx.now.as_ms();
             self.refresh_dead_hosts(now_ms);
-            self.flush_rows(ctx, now_ms);
+            for qid in self.sorted_qids() {
+                self.advance_query(ctx, qid);
+                self.fold_totals(qid);
+            }
             self.record_telemetry(now_ms);
             self.evaluate_alerts(now_ms);
             ctx.set_timer(self.advance_interval(), TIMER_CENTRAL_ADVANCE);
+        } else if timer == TIMER_CENTRAL_GRACE {
+            // one armed before an earlier deadline superseded it is stale
+            if self.grace_timer_ms.is_some_and(|armed| armed <= now_ms) {
+                self.grace_timer_ms = None;
+                for qid in self.sorted_qids() {
+                    let exec = &self.executors[&qid];
+                    if exec.next_grace_close_ms().is_some_and(|due| due <= now_ms) {
+                        self.advance_query(ctx, qid);
+                    }
+                }
+                self.arm_grace_timer(ctx);
+            }
         }
     }
 

@@ -9,6 +9,7 @@
 
 pub mod central_node;
 pub mod client;
+mod delivery;
 pub mod deploy;
 pub mod harness;
 pub mod msg;

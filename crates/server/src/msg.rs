@@ -143,12 +143,16 @@ impl ScrubEnvelope for ScrubMsg {
 pub const SCRUB_TIMER_BASE: u64 = 1 << 62;
 /// Periodic agent flush timer.
 pub const TIMER_AGENT_FLUSH: u64 = SCRUB_TIMER_BASE + 1;
-/// Periodic ScrubCentral watermark-advance timer.
+/// Periodic ScrubCentral housekeeping timer (dead hosts, stream rows,
+/// health plane).
 pub const TIMER_CENTRAL_ADVANCE: u64 = SCRUB_TIMER_BASE + 2;
 /// Agent retransmit-check timer (armed only while acks are outstanding).
 pub const TIMER_AGENT_RETRY: u64 = SCRUB_TIMER_BASE + 3;
 /// Periodic agent heartbeat timer.
 pub const TIMER_AGENT_HEARTBEAT: u64 = SCRUB_TIMER_BASE + 4;
+/// One-shot ScrubCentral timer at the earliest `end + grace` of an open
+/// window: the fallback close for windows no watermark completed.
+pub const TIMER_CENTRAL_GRACE: u64 = SCRUB_TIMER_BASE + 5;
 
 /// Per-query server timers: start dispatch, stop, and central drain.
 pub fn timer_query_start(q: QueryId) -> u64 {

@@ -521,6 +521,8 @@ fn truncated_frame_is_one_counted_drop_at_central() {
         let batch = EventBatch {
             seq,
             attempt: 0,
+            seq_floor: 0,
+            watermark_ms: None,
             query_id: qid,
             type_id: EventTypeId(0),
             host: "bid-0".into(),

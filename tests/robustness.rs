@@ -355,6 +355,8 @@ fn queries_survive_extreme_join_fanout() {
         exec.ingest(EventBatch {
             seq: 0,
             attempt: 0,
+            seq_floor: 0,
+            watermark_ms: None,
             query_id: QueryId(1),
             type_id: EventTypeId(t),
             host: format!("h{t}"),
