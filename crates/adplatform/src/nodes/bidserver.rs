@@ -81,7 +81,7 @@ impl Node<PlatformMsg> for BidServer {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, PlatformMsg>, from: NodeId, msg: PlatformMsg) {
-        let msg = match self.harness.on_message(ctx, from, msg) {
+        let msg = match self.harness.on_message(ctx, msg) {
             Ok(()) => return,
             Err(m) => m,
         };

@@ -52,8 +52,8 @@ impl Node<PlatformMsg> for PresentationServer {
         self.harness.start(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, PlatformMsg>, from: NodeId, msg: PlatformMsg) {
-        let msg = match self.harness.on_message(ctx, from, msg) {
+    fn on_message(&mut self, ctx: &mut Context<'_, PlatformMsg>, _from: NodeId, msg: PlatformMsg) {
+        let msg = match self.harness.on_message(ctx, msg) {
             Ok(()) => return,
             Err(m) => m,
         };

@@ -9,7 +9,8 @@
 //! (DESIGN.md, "Host tap program") decides most predicates without
 //! visiting them, so on a host with many selective queries the model now
 //! overstates the real cost; `scrub_perf`'s `agent.tap.log_ns_q*` is the
-//! measurement to recalibrate against (ROADMAP item 4).
+//! measurement to recalibrate against (ROADMAP, "Re-anchor the modeled
+//! plane on the measured one").
 
 use serde::{Deserialize, Serialize};
 

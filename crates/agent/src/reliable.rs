@@ -37,9 +37,9 @@ pub struct RetryPolicy {
     /// Backoff ceiling (ms).
     pub max_ms: i64,
     /// Retransmit buffer capacity in batches; beyond it the oldest pending
-    /// batch is evicted (dropped for good) so a long partition cannot run
-    /// the host out of memory. Evictions are reported so the agent can
-    /// count them.
+    /// batch, of whichever query, is evicted (dropped for good) so a long
+    /// partition cannot run the host out of memory. Evictions are reported
+    /// so the agent can count them.
     pub buffer_cap: usize,
 }
 
@@ -57,6 +57,8 @@ impl Default for RetryPolicy {
 #[derive(Debug, Clone)]
 struct Pending {
     batch: EventBatch,
+    /// Position in the shipper's ship order, across queries.
+    shipped: u64,
     /// Retransmits attempted so far (0 = only the first shipment).
     attempts: u32,
     /// Next retransmit due at this time (ms).
@@ -81,6 +83,8 @@ pub struct ReliableShipper {
     /// Shipped, unacked batches keyed by (query, seq) — BTreeMap so
     /// iteration (and thus retransmit order) is deterministic.
     pending: BTreeMap<(QueryId, u64), Pending>,
+    /// Batches shipped so far, across queries.
+    shipped: u64,
     /// Pending batches evicted because the buffer overflowed.
     evicted: u64,
     /// Evicted batches not heard of since, with the time each is given up
@@ -98,6 +102,7 @@ impl ReliableShipper {
             policy,
             next_seq: BTreeMap::new(),
             pending: BTreeMap::new(),
+            shipped: 0,
             evicted: 0,
             abandoned: BTreeMap::new(),
         }
@@ -113,22 +118,35 @@ impl ReliableShipper {
         batch.attempt = 0;
         *seq += 1;
         if self.pending.len() >= self.policy.buffer_cap {
-            if let Some(&key) = self.pending.keys().next() {
+            if let Some(key) = self.oldest_pending() {
                 self.pending.remove(&key);
                 self.evicted += 1;
                 self.abandoned.insert(key, now_ms + self.policy.max_ms);
             }
         }
+        self.shipped += 1;
         self.pending.insert(
             (batch.query_id, batch.seq),
             Pending {
                 batch: batch.clone(),
+                shipped: self.shipped,
                 attempts: 0,
                 due_ms: now_ms + self.policy.base_ms,
             },
         );
         batch.seq_floor = self.floor(batch.query_id, batch.seq, now_ms);
         batch
+    }
+
+    /// The pending batch shipped earliest. A query's sequence numbers
+    /// follow its ship order, so that is the earliest shipped of each
+    /// query's lowest pending one.
+    fn oldest_pending(&self) -> Option<(QueryId, u64)> {
+        self.next_seq
+            .keys()
+            .filter_map(|&q| self.pending.range((q, 0)..=(q, u64::MAX)).next())
+            .min_by_key(|(_, p)| p.shipped)
+            .map(|(&key, _)| key)
     }
 
     /// Lowest sequence number of `query_id` the shipper still waits on, as
@@ -352,6 +370,22 @@ mod tests {
         // seqs 0 and 1 are gone; acking them clears nothing
         assert!(!s.ack(QueryId(1), 0));
         assert!(s.ack(QueryId(1), 2));
+    }
+
+    /// The batch evicted is the one shipped first, whichever query it
+    /// belongs to.
+    #[test]
+    fn buffer_overflow_evicts_the_earliest_shipped_across_queries() {
+        let mut s = ReliableShipper::new(RetryPolicy {
+            buffer_cap: 2,
+            ..RetryPolicy::default()
+        });
+        s.ship(batch(2), 0);
+        s.ship(batch(1), 0);
+        s.ship(batch(1), 0);
+        assert_eq!(s.evicted(), 1);
+        assert_eq!(s.pending_for(QueryId(2)), 0, "q2's batch went first");
+        assert_eq!(s.pending_for(QueryId(1)), 2);
     }
 
     #[test]

@@ -36,8 +36,6 @@ pub struct AgentStats {
     pub bytes_retransmitted: AtomicU64,
     /// Batches currently awaiting an ack (gauge, not a counter).
     pub acks_pending: AtomicU64,
-    /// Heartbeats sent to the query server.
-    pub heartbeats_sent: AtomicU64,
     /// Pending batches evicted because the retransmit buffer overflowed.
     pub retransmit_evictions: AtomicU64,
     /// Lifecycle trace spans recorded (only when tracing is enabled).
@@ -69,7 +67,6 @@ impl AgentStats {
             retransmits: self.retransmits.load(Ordering::Relaxed),
             bytes_retransmitted: self.bytes_retransmitted.load(Ordering::Relaxed),
             acks_pending: self.acks_pending.load(Ordering::Relaxed),
-            heartbeats_sent: self.heartbeats_sent.load(Ordering::Relaxed),
             retransmit_evictions: self.retransmit_evictions.load(Ordering::Relaxed),
             trace_spans: self.trace_spans.load(Ordering::Relaxed),
             trace_spans_shed: self.trace_spans_shed.load(Ordering::Relaxed),
@@ -104,8 +101,6 @@ pub struct StatsSnapshot {
     #[serde(default)]
     pub acks_pending: u64,
     #[serde(default)]
-    pub heartbeats_sent: u64,
-    #[serde(default)]
     pub retransmit_evictions: u64,
     #[serde(default)]
     pub trace_spans: u64,
@@ -139,7 +134,6 @@ impl StatsSnapshot {
             ("agent.batches_flushed", self.batches_flushed),
             ("agent.retransmits", self.retransmits),
             ("agent.bytes_retransmitted", self.bytes_retransmitted),
-            ("agent.heartbeats_sent", self.heartbeats_sent),
             ("agent.retransmit_evictions", self.retransmit_evictions),
             ("agent.trace_spans", self.trace_spans),
             ("agent.trace_spans_shed", self.trace_spans_shed),
@@ -174,7 +168,6 @@ impl StatsSnapshot {
             bytes_retransmitted: self.bytes_retransmitted - earlier.bytes_retransmitted,
             // a gauge, not a monotone counter: report the later value
             acks_pending: self.acks_pending,
-            heartbeats_sent: self.heartbeats_sent - earlier.heartbeats_sent,
             retransmit_evictions: self.retransmit_evictions - earlier.retransmit_evictions,
             trace_spans: self.trace_spans - earlier.trace_spans,
             trace_spans_shed: self.trace_spans_shed - earlier.trace_spans_shed,

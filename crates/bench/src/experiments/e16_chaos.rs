@@ -33,7 +33,7 @@ struct RunOutcome {
     windows_seen: usize,
     /// Fault-plane counters (all zero on the clean twin).
     faults: FaultStats,
-    /// Summed per-host agent counters (retransmits, heartbeats, ...).
+    /// Summed per-host agent counters (retransmits, retransmitted bytes).
     agents: StatsSnapshot,
 }
 
@@ -180,11 +180,6 @@ pub fn run(quick: bool) -> Report {
         "agent retransmitted bytes".into(),
         chaos.agents.bytes_retransmitted.to_string(),
         clean.agents.bytes_retransmitted.to_string(),
-    ]);
-    t.row(vec![
-        "agent heartbeats sent".into(),
-        chaos.agents.heartbeats_sent.to_string(),
-        clean.agents.heartbeats_sent.to_string(),
     ]);
 
     // Both bots stand clear of the human tail despite the chaos.

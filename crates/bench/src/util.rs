@@ -133,7 +133,6 @@ pub fn sum_stats(stats: &[(String, StatsSnapshot)]) -> StatsSnapshot {
         total.retransmits += s.retransmits;
         total.bytes_retransmitted += s.bytes_retransmitted;
         total.acks_pending += s.acks_pending;
-        total.heartbeats_sent += s.heartbeats_sent;
         total.retransmit_evictions += s.retransmit_evictions;
         total.trace_spans += s.trace_spans;
         total.trace_spans_shed += s.trace_spans_shed;

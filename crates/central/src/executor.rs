@@ -220,9 +220,9 @@ impl CloseRule {
 }
 
 /// One aggregate window closing (for self-observability: ScrubCentral
-/// taps a `scrub_window` meta-event per close and feeds the per-query
-/// profile).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// taps a `scrub_window` meta-event per close, feeds the per-query profile
+/// and books a degraded window's events in the loss ledger).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowClose {
     /// Window start (ms).
     pub window_start_ms: i64,
@@ -233,6 +233,9 @@ pub struct WindowClose {
     pub degraded: bool,
     /// Which rule closed it.
     pub rule: CloseRule,
+    /// Of a degraded aggregate window, the events each host delivered into
+    /// it, by host name; empty otherwise.
+    pub host_events: Vec<(String, u64)>,
 }
 
 /// Whether a plan's summary gets Eq 1–3 two-stage estimates: single
@@ -291,6 +294,9 @@ pub struct QueryExecutor {
     closed_at_finish: u64,
     /// Window closes since the last [`Self::take_window_closes`] drain.
     closes: Vec<WindowClose>,
+    /// Aggregate mode: events delivered into each open window, per host —
+    /// what a degraded close attributes to the hosts that fed it.
+    delivered: BTreeMap<i64, HashMap<HostId, u64>>,
     /// Join rows dropped by the cross-product cap.
     pub join_rows_capped: u64,
     /// Late events dropped because their window already closed.
@@ -298,11 +304,12 @@ pub struct QueryExecutor {
     /// Columnar frames that failed to decode; their events were dropped.
     decode_failures: u64,
     closed_before_ms: i64,
-    /// Hosts suspected dead (no heartbeat/batch within the grace period).
-    /// Their already-ingested events stay, but their samples leave the
-    /// estimator — the survivors' scaled estimate plus a wider bound is
-    /// more honest than pretending the dead host's counters are current —
-    /// and rows emitted while the set is non-empty are marked degraded.
+    /// Hosts suspected dead: their batches stopped for `host_grace_ms`
+    /// while a peer's kept coming. Their already-ingested events stay, but
+    /// their samples leave the estimator — the survivors' scaled estimate
+    /// plus a wider bound is more honest than pretending the dead host's
+    /// counters are current — and rows emitted while the set is non-empty
+    /// are marked degraded.
     dead_hosts: HashSet<String>,
     /// Windows that were open at some moment a host was suspected dead:
     /// they close degraded even once the host is back, since what it
@@ -343,6 +350,7 @@ impl QueryExecutor {
             closed_by_watermark: 0,
             closed_at_finish: 0,
             closes: Vec::new(),
+            delivered: BTreeMap::new(),
             join_rows_capped: 0,
             late_events_dropped: 0,
             decode_failures: 0,
@@ -503,7 +511,7 @@ impl QueryExecutor {
         if plan_estimator_eligible(&self.plan) {
             self.update_moments(hid, &chunk, input_idx);
         }
-        let (wins, mut sel) = self.select_rows(&chunk.timestamps);
+        let (wins, mut sel) = self.select_rows(hid, &chunk.timestamps);
         if self.plan.is_join() {
             self.buffer_chunk(Arc::new(chunk), input_idx, &wins, &sel);
             return;
@@ -616,8 +624,8 @@ impl QueryExecutor {
     /// Window starts covering a timestamp: every `w = k · slide` with
     /// `w <= ts < w + window`. Tumbling windows (slide == window) cover
     /// each event exactly once; a smaller slide produces overlap (§3.2's
-    /// sliding-window extension).
-    fn covered_windows(&self, ts: i64) -> impl Iterator<Item = i64> {
+    /// sliding-window extension). Closed windows included.
+    pub fn covered_windows(&self, ts: i64) -> impl Iterator<Item = i64> {
         let w = self.plan.window_ms;
         let s = self.plan.slide_ms;
         let k_min = (ts - w).div_euclid(s) + 1;
@@ -629,7 +637,14 @@ impl QueryExecutor {
     /// arena of window starts and, per surviving row, `(row, lo, hi)` with
     /// its still-open covering windows at `arena[lo..hi]` (ascending, never
     /// empty). A row whose windows have all closed is counted late.
-    fn select_rows(&mut self, timestamps: &[i64]) -> (Vec<i64>, Vec<(u32, u32, u32)>) {
+    ///
+    /// In aggregate mode the arena also counts into `host`'s deliveries per
+    /// window, before the residual.
+    fn select_rows(
+        &mut self,
+        host: HostId,
+        timestamps: &[i64],
+    ) -> (Vec<i64>, Vec<(u32, u32, u32)>) {
         let closed = self.closed_before_ms;
         let mut wins: Vec<i64> = Vec::with_capacity(timestamps.len());
         let mut sel: Vec<(u32, u32, u32)> = Vec::with_capacity(timestamps.len());
@@ -642,6 +657,18 @@ impl QueryExecutor {
             } else {
                 self.opc.decode_rows_out += 1;
                 sel.push((i as u32, lo, hi));
+            }
+        }
+        if matches!(self.plan.mode, OutputMode::Aggregate { .. }) {
+            // one start per (row, window): hosts ship in time order, so a
+            // tumbling window's rows sit together and cost one count per run
+            for run in wins.chunk_by(|a, b| a == b) {
+                *self
+                    .delivered
+                    .entry(run[0])
+                    .or_default()
+                    .entry(host)
+                    .or_default() += run.len() as u64;
             }
         }
         (wins, sel)
@@ -710,6 +737,10 @@ impl QueryExecutor {
             .max(self.complete_through_ms)
             .saturating_sub(self.plan.window_ms);
         let due: Vec<i64> = self.windows.range(..=cutoff).map(|(w, _)| *w).collect();
+        // counts of the windows closing now, and of any whose rows all
+        // failed the residual: those never open, so never close
+        let later = self.delivered.split_off(&(cutoff + 1));
+        let mut delivered = std::mem::replace(&mut self.delivered, later);
         for w in due {
             let (groups, overflow_rows) = match self.windows.remove(&w).expect("key just listed") {
                 WindowState::Eager {
@@ -742,11 +773,22 @@ impl QueryExecutor {
                 self.closed_by_watermark += 1;
                 CloseRule::Watermark
             };
+            let mut host_events: Vec<(String, u64)> = Vec::new();
+            if degraded {
+                let counts = delivered.remove(&w).unwrap_or_default();
+                host_events.extend(
+                    counts
+                        .into_iter()
+                        .map(|(h, n)| (self.totals.name(h).to_string(), n)),
+                );
+                host_events.sort_unstable();
+            }
             self.closes.push(WindowClose {
                 window_start_ms: w,
                 rows,
                 degraded,
                 rule,
+                host_events,
             });
         }
         out
@@ -1428,6 +1470,7 @@ mod tests {
                 rows: 7,
                 degraded: true,
                 rule: CloseRule::Grace,
+                host_events: vec![("h1".to_string(), 300)],
             }]
         );
         assert!(ex.take_window_closes().is_empty(), "closes drain");
@@ -1828,6 +1871,54 @@ mod sliding_tests {
         ex.ingest(one(20_000)); // covers 15s and 20s — open
         let rows = ex.advance(i64::MAX / 4);
         assert_eq!(rows.len(), 2);
+    }
+
+    /// A degraded close hands out the events each host delivered into the
+    /// window; an event that arrived after its windows closed is in none.
+    #[test]
+    fn degraded_sliding_closes_carry_per_host_counts_without_late_events() {
+        let mut ex = sliding_executor("select COUNT(*) from bid window 10 s slide 5 s");
+        let from = |host: &str, ts: &[i64]| {
+            let mut b = one(ts[0]);
+            let events: Vec<Event> = ts
+                .iter()
+                .map(|&t| Event::new(EventTypeId(0), RequestId(t as u64), t, vec![Value::Long(1)]))
+                .collect();
+            b.host = host.into();
+            b.payload = ColumnarFrame::from_events(&events);
+            b
+        };
+        // windows -5 s and 0 close clean and owe nobody anything
+        ex.ingest(from("a", &[4_000]));
+        assert_eq!(ex.advance(10_000).len(), 2);
+        assert!(ex
+            .take_window_closes()
+            .iter()
+            .all(|c| !c.degraded && c.host_events.is_empty()));
+        ex.set_dead_hosts(["c".to_string()].into_iter().collect());
+        // 7 s and 9 s cover windows 0 (closed: not counted) and 5 s;
+        // 12 s covers 5 s and 10 s
+        ex.ingest(from("a", &[7_000, 9_000, 12_000]));
+        ex.ingest(from("b", &[12_000, 13_000]));
+        // 4 s covers only closed windows
+        ex.ingest(from("b", &[4_000]));
+        assert_eq!(ex.late_events_dropped, 1);
+        ex.advance(i64::MAX / 4);
+        let counts: Vec<(i64, Vec<(String, u64)>)> = ex
+            .take_window_closes()
+            .into_iter()
+            .map(|c| (c.window_start_ms, c.host_events))
+            .collect();
+        let hosts = |v: &[(&str, u64)]| -> Vec<(String, u64)> {
+            v.iter().map(|(h, n)| (h.to_string(), *n)).collect()
+        };
+        assert_eq!(
+            counts,
+            [
+                (5_000, hosts(&[("a", 3), ("b", 2)])),
+                (10_000, hosts(&[("a", 1), ("b", 2)])),
+            ]
+        );
     }
 
     #[test]

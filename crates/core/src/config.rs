@@ -50,12 +50,9 @@ pub struct ScrubConfig {
     /// memory.
     #[serde(default = "default_agent_retransmit_buffer")]
     pub agent_retransmit_buffer: usize,
-    /// Agent: heartbeat period toward the query server (ms).
-    #[serde(default = "default_agent_heartbeat_interval_ms")]
-    pub agent_heartbeat_interval_ms: i64,
-    /// Server/central: a host that has not been heard from for this long
-    /// (ms) is suspected dead — its windows stop being waited for and its
-    /// samples leave the estimator.
+    /// Central: a host whose batches for a query have stopped for this
+    /// long (ms) while a peer's kept coming is suspected dead — its
+    /// windows close degraded and its samples leave the estimator.
     #[serde(default = "default_host_grace_ms")]
     pub host_grace_ms: i64,
     /// Agent: fraction of tapped events whose lifecycle is traced
@@ -188,9 +185,6 @@ fn default_agent_retry_max_ms() -> i64 {
 fn default_agent_retransmit_buffer() -> usize {
     1_024
 }
-fn default_agent_heartbeat_interval_ms() -> i64 {
-    1_000
-}
 fn default_host_grace_ms() -> i64 {
     5_000
 }
@@ -263,7 +257,6 @@ impl Default for ScrubConfig {
             agent_retry_base_ms: default_agent_retry_base_ms(),
             agent_retry_max_ms: default_agent_retry_max_ms(),
             agent_retransmit_buffer: default_agent_retransmit_buffer(),
-            agent_heartbeat_interval_ms: default_agent_heartbeat_interval_ms(),
             host_grace_ms: default_host_grace_ms(),
             trace_sample_rate: default_trace_sample_rate(),
             trace_span_budget: default_trace_span_budget(),
@@ -348,6 +341,19 @@ mod tests {
         let mut json = serde_json::to_string(&ScrubConfig::default()).unwrap();
         assert!(!json.contains(&key));
         json.insert_str(1, &format!("\"{key}\": \"Row\", "));
+        let back: ScrubConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, ScrubConfig::default());
+    }
+
+    /// A config stored while agents heartbeated the query server still
+    /// loads; the dead key is ignored. (Spelled in parts, like the one
+    /// above.)
+    #[test]
+    fn stored_config_with_the_retired_heartbeat_knob_still_loads() {
+        let key = ["agent", "heartbeat", "interval", "ms"].join("_");
+        let mut json = serde_json::to_string(&ScrubConfig::default()).unwrap();
+        assert!(!json.contains(&key));
+        json.insert_str(1, &format!("\"{key}\": 1000, "));
         let back: ScrubConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ScrubConfig::default());
     }

@@ -10,10 +10,11 @@
 //! of its sequence numbers, has passed a window's end, the window closes
 //! there and then. `window_grace_ms` is the fallback for a window some
 //! host has not vouched for: it closes when the grace after its end runs
-//! out. Central also watches per-host batch arrivals: a host that goes
-//! silent while its peers keep reporting is suspected dead, its samples
-//! leave the estimator and subsequent rows are marked degraded — windows
-//! keep closing on time instead of stalling on a dead host.
+//! out. The same per-host stream records when the host's last fresh batch
+//! arrived, and that is the failure detector: a host that goes silent
+//! while its peers keep reporting is suspected dead, its samples leave the
+//! estimator and subsequent rows are marked degraded — windows keep
+//! closing on time instead of stalling on a dead host.
 //!
 //! # Self-observability
 //!
@@ -61,13 +62,12 @@ pub struct CentralNode<E: ScrubEnvelope> {
     server: Option<NodeId>,
     executors: HashMap<QueryId, QueryExecutor>,
     /// Per-query, per-host delivery state: which sequence numbers are in,
-    /// and the watermark the host has announced behind them.
+    /// the watermark the host has announced behind them, and when its last
+    /// fresh batch arrived.
     streams: HashMap<QueryId, HashMap<String, HostStream>>,
     /// When the one-shot grace timer in flight is meant to fire (ms): the
     /// earliest `end + grace` of an open window at the time it was armed.
     grace_timer_ms: Option<i64>,
-    /// Per-query, per-host time of the last batch heard (ms).
-    last_heard: HashMap<QueryId, HashMap<String, i64>>,
     /// Events ingested across all queries (for throughput accounting).
     pub events_ingested: u64,
     /// Batches received.
@@ -88,10 +88,6 @@ pub struct CentralNode<E: ScrubEnvelope> {
     /// degraded windows, hosts suspected dead); joined with the profile's
     /// tap counters to build a [`LossLedger`]. Retained post-finish.
     ledger_parts: HashMap<QueryId, LedgerParts>,
-    /// Delivered events per open window per host, for aggregate-mode
-    /// queries: window start → host → events. Drained at window close to
-    /// attribute degraded-window losses to the hosts that fed the window.
-    window_events: HashMap<QueryId, BTreeMap<i64, BTreeMap<String, u64>>>,
     /// Multi-resolution telemetry store (raw snapshot ring + mid/coarse
     /// rollup tiers with exemplar links), fed each advance tick —
     /// backing `scrubql watch`/`range` and the alert engine.
@@ -216,7 +212,6 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             executors: HashMap::new(),
             streams: HashMap::new(),
             grace_timer_ms: None,
-            last_heard: HashMap::new(),
             events_ingested: 0,
             batches_received: 0,
             duplicate_batches: 0,
@@ -224,7 +219,6 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             plan_profiles: HashMap::new(),
             traces: HashMap::new(),
             ledger_parts: HashMap::new(),
-            window_events: HashMap::new(),
             tsdb,
             trace_threshold: trace_thresh,
             meta_queries: HashSet::new(),
@@ -378,16 +372,16 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     /// whose *every* host went quiet — e.g. after `StopQuery` during the
     /// drain — suspects nobody.
     fn suspect_hosts(&self, qid: QueryId) -> HashSet<String> {
-        let Some(heard) = self.last_heard.get(&qid) else {
+        let Some(streams) = self.streams.get(&qid) else {
             return HashSet::new();
         };
-        let Some(&newest) = heard.values().max() else {
+        let Some(newest) = streams.values().filter_map(HostStream::last_fresh_ms).max() else {
             return HashSet::new();
         };
         let cutoff = newest - self.config.host_grace_ms;
-        heard
+        streams
             .iter()
-            .filter(|(_, &at)| at < cutoff)
+            .filter(|(_, s)| s.last_fresh_ms().is_some_and(|at| at < cutoff))
             .map(|(h, _)| h.clone())
             .collect()
     }
@@ -449,17 +443,18 @@ impl<E: ScrubEnvelope> CentralNode<E> {
 
     /// Fold a fresh batch's piggybacked spans into the query's trace
     /// store and append the central-side hops (ingest, window assignment)
-    /// for every traced request the batch carries. Also accrues per-window
-    /// delivered-event counts for aggregate-mode queries so degraded-window
-    /// losses can be attributed per host.
+    /// for every traced request the batch carries.
     ///
-    /// Both read the wire bytes ahead of the executor. A frame whose
-    /// headers do not scan gets neither: the executor drops it whole and
-    /// counts the one `central.decode_failures`.
+    /// The hops read the wire bytes ahead of the executor. A frame whose
+    /// headers do not scan gets none: the executor drops it whole and counts
+    /// the one `central.decode_failures`.
     fn observe_ingest(&mut self, batch: &mut EventBatch, now_ms: i64) {
-        let qid = batch.query_id;
         let threshold = self.trace_threshold;
-        if threshold != 0 && !batch.spans.is_empty() {
+        if threshold == 0 {
+            return;
+        }
+        let qid = batch.query_id;
+        if !batch.spans.is_empty() {
             // Also for a late batch of a finished query: the agent-side
             // spans still show how far the events got.
             self.traces
@@ -470,24 +465,8 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         let Some(exec) = self.executors.get(&qid) else {
             return;
         };
-        let plan = exec.plan();
-        let (window, slide) = (plan.window_ms.max(1), plan.slide_ms.max(1));
-        let aggregate = matches!(plan.mode, OutputMode::Aggregate { .. });
-        if !aggregate && threshold == 0 {
-            return;
-        }
-        let covering = move |ts: i64| {
-            (((ts - window).div_euclid(slide) + 1)..=ts.div_euclid(slide)).map(move |k| k * slide)
-        };
-        // this batch's events per covering window, and its traced events
-        let mut counts: BTreeMap<i64, u64> = BTreeMap::new();
         let mut traced: Vec<(u64, i64)> = Vec::new();
         let scanned = batch.payload.for_each_meta(|rid, ts| {
-            if aggregate {
-                for w in covering(ts) {
-                    *counts.entry(w).or_default() += 1;
-                }
-            }
             if should_trace(rid, threshold) {
                 traced.push((rid, ts));
             }
@@ -495,19 +474,7 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         if scanned.is_err() {
             return;
         }
-        if !counts.is_empty() {
-            let wmap = self.window_events.entry(qid).or_default();
-            for (w, n) in counts {
-                *wmap
-                    .entry(w)
-                    .or_default()
-                    .entry(batch.host.clone())
-                    .or_default() += n;
-            }
-        }
-        if threshold == 0 {
-            return;
-        }
+        let aggregate = matches!(exec.plan().mode, OutputMode::Aggregate { .. });
         let store = self.traces.entry(qid).or_default();
         let mut done: HashSet<u64> = HashSet::new();
         for (rid, ts) in traced {
@@ -521,7 +488,7 @@ impl<E: ScrubEnvelope> CentralNode<E> {
                 });
             }
             if aggregate {
-                for w in covering(ts) {
+                for w in exec.covered_windows(ts) {
                     store.assign_window(rid, w, now_ms, "central");
                 }
             }
@@ -659,19 +626,11 @@ impl<E: ScrubEnvelope> CentralNode<E> {
                 self.m_close_lag
                     .record(ctx.now.as_ms() - (c.window_start_ms + window_ms));
             }
-            // Windows close in start order; drop the per-window delivery
-            // counts up to this close, folding degraded windows' counts
-            // into the ledger so the loss is attributed per host.
-            if let Some(wmap) = self.window_events.get_mut(&qid) {
-                let later = wmap.split_off(&(c.window_start_ms + 1));
-                let closed = std::mem::replace(wmap, later);
-                if c.degraded {
-                    if let Some(hosts) = closed.get(&c.window_start_ms) {
-                        let parts = self.ledger_parts.entry(qid).or_default();
-                        for (host, n) in hosts {
-                            *parts.degraded_events.entry(host.clone()).or_default() += n;
-                        }
-                    }
+            // a degraded window's delivered events, attributed per host
+            if !c.host_events.is_empty() {
+                let parts = self.ledger_parts.entry(qid).or_default();
+                for (host, n) in &c.host_events {
+                    *parts.degraded_events.entry(host.clone()).or_default() += n;
                 }
             }
             if self.trace_threshold != 0 {
@@ -974,7 +933,7 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
             | ScrubMsg::StopQuery { .. }
             | ScrubMsg::BatchAck { .. }) => {
                 if let Some(h) = &mut self.meta_harness {
-                    let _ = h.on_message(ctx, from, E::wrap(m));
+                    let _ = h.on_message(ctx, E::wrap(m));
                 }
             }
             ScrubMsg::CentralInstall { plan } => {
@@ -993,8 +952,6 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
             }
             ScrubMsg::CentralStop { query_id } => {
                 self.streams.remove(&query_id);
-                self.last_heard.remove(&query_id);
-                self.window_events.remove(&query_id);
                 if let Some(mut exec) = self.executors.remove(&query_id) {
                     let (rows, summary) = exec.finish();
                     let n = rows.len() as u64;
@@ -1053,7 +1010,7 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                     .or_default()
                     .entry(batch.host.clone())
                     .or_default()
-                    .accept(batch.seq, batch.seq_floor, batch.watermark_ms);
+                    .accept(batch.seq, batch.seq_floor, batch.watermark_ms, now_ms);
                 // Tap the meta-event for every arrival (dupes included —
                 // they are part of the transport's behavior), except for
                 // batches that themselves carry meta-events.
@@ -1113,10 +1070,6 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                     self.close_on_watermark(ctx, batch.query_id);
                     return;
                 }
-                self.last_heard
-                    .entry(batch.query_id)
-                    .or_default()
-                    .insert(batch.host.clone(), now_ms);
                 self.events_ingested += batch.len() as u64;
                 self.m_events.add(batch.len() as u64);
                 let latency = batch.payload.ts_range().map(|(_, newest)| now_ms - newest);

@@ -5,8 +5,9 @@
 //! Shipment is reliable: every batch goes through a [`ReliableShipper`],
 //! which assigns per-query sequence numbers and retransmits unacked
 //! batches with exponential backoff (ScrubCentral deduplicates and acks).
-//! The harness also heartbeats the query server so host failures narrow a
-//! query's reported coverage instead of silently biasing its results.
+//! The batches double as the host's liveness signal: every targeted host
+//! ships at least a header per flush interval, and ScrubCentral suspects a
+//! host whose batches stop while its peers' keep coming.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
@@ -19,14 +20,11 @@ use scrub_core::plan::QueryId;
 use scrub_obs::{should_trace, trace_threshold, SpanKind, TraceSpan};
 use scrub_simnet::{Context, NodeId, SimDuration};
 
-use crate::msg::{
-    ScrubEnvelope, ScrubMsg, TIMER_AGENT_FLUSH, TIMER_AGENT_HEARTBEAT, TIMER_AGENT_RETRY,
-};
+use crate::msg::{ScrubEnvelope, ScrubMsg, TIMER_AGENT_FLUSH, TIMER_AGENT_RETRY};
 
 /// Embeds Scrub's host-side machinery in an application node.
 pub struct AgentHarness {
     agent: Arc<ScrubAgent>,
-    host: String,
     /// Default central (used if a query object arrives without routing —
     /// single-central deployments).
     central: NodeId,
@@ -36,13 +34,9 @@ pub struct AgentHarness {
     query_central: HashMap<QueryId, NodeId>,
     /// Queries stopped but possibly still draining retransmits.
     stopped: HashSet<QueryId>,
-    /// The query server, learned from the sender of `InstallQuery`;
-    /// heartbeats flow there once known.
-    server: Option<NodeId>,
     shipper: ReliableShipper,
     retry_armed: bool,
     flush_interval: SimDuration,
-    heartbeat_interval: SimDuration,
     /// Precomputed trace-sampler threshold (0 = tracing disabled).
     trace_threshold: u64,
 }
@@ -77,9 +71,7 @@ fn annotate_wire_copy(
 impl AgentHarness {
     /// Create a harness shipping batches to `central`.
     pub fn new(host: impl Into<String>, config: ScrubConfig, central: NodeId) -> Self {
-        let host = host.into();
         let flush_interval = SimDuration::from_ms(config.agent_flush_interval_ms.max(1));
-        let heartbeat_interval = SimDuration::from_ms(config.agent_heartbeat_interval_ms.max(1));
         let policy = RetryPolicy {
             base_ms: config.agent_retry_base_ms.max(1),
             max_ms: config
@@ -89,16 +81,13 @@ impl AgentHarness {
         };
         let trace_thresh = trace_threshold(config.trace_sample_rate);
         AgentHarness {
-            agent: Arc::new(ScrubAgent::new(host.clone(), config)),
-            host,
+            agent: Arc::new(ScrubAgent::new(host, config)),
             central,
             query_central: HashMap::new(),
             stopped: HashSet::new(),
-            server: None,
             shipper: ReliableShipper::new(policy),
             retry_armed: false,
             flush_interval,
-            heartbeat_interval,
             trace_threshold: trace_thresh,
         }
     }
@@ -120,13 +109,12 @@ impl AgentHarness {
         self.shipper.pending_count()
     }
 
-    /// Call from the node's `on_start`: arms the periodic flush and
-    /// heartbeat timers. Idempotent across simulated host restarts (a
-    /// restart re-runs `on_start`; the previous incarnation's timers are
-    /// discarded by the scheduler).
+    /// Call from the node's `on_start`: arms the periodic flush timer.
+    /// Idempotent across simulated host restarts (a restart re-runs
+    /// `on_start`; the previous incarnation's timers are discarded by the
+    /// scheduler).
     pub fn start<E: ScrubEnvelope>(&mut self, ctx: &mut Context<'_, E>) {
         ctx.set_timer(self.flush_interval, TIMER_AGENT_FLUSH);
-        ctx.set_timer(self.heartbeat_interval, TIMER_AGENT_HEARTBEAT);
         // A restart also orphans any armed retry timer.
         self.retry_armed = false;
         if self.shipper.has_pending() {
@@ -178,19 +166,16 @@ impl AgentHarness {
         }
     }
 
-    /// Call from the node's `on_message` *before* application handling,
-    /// passing the sender. Returns the envelope back when it was an
-    /// application message.
+    /// Call from the node's `on_message` *before* application handling.
+    /// Returns the envelope back when it was an application message.
     pub fn on_message<E: ScrubEnvelope>(
         &mut self,
         ctx: &mut Context<'_, E>,
-        from: NodeId,
         msg: E,
     ) -> Result<(), E> {
         let scrub = msg.open()?;
         match scrub {
             ScrubMsg::InstallQuery { plans, central } => {
-                self.server = Some(from);
                 for p in plans {
                     self.stopped.remove(&p.query_id);
                     self.query_central.insert(p.query_id, central);
@@ -200,7 +185,6 @@ impl AgentHarness {
                 }
             }
             ScrubMsg::StopQuery { query_id } => {
-                self.server = Some(from);
                 let tail = self.agent.remove(query_id, ctx.now.as_ms());
                 for b in tail {
                     self.ship(ctx, b);
@@ -261,22 +245,6 @@ impl AgentHarness {
                     stats.retransmit_evictions.store(evicted, Ordering::Relaxed);
                 }
                 self.arm_retry(ctx);
-                true
-            }
-            TIMER_AGENT_HEARTBEAT => {
-                if let Some(server) = self.server {
-                    ctx.send(
-                        server,
-                        E::wrap(ScrubMsg::Heartbeat {
-                            host: self.host.clone(),
-                        }),
-                    );
-                    self.agent
-                        .stats()
-                        .heartbeats_sent
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                ctx.set_timer(self.heartbeat_interval, TIMER_AGENT_HEARTBEAT);
                 true
             }
             _ => false,

@@ -54,12 +54,6 @@ pub enum ScrubMsg {
         /// The acked per-(host, query) sequence number.
         seq: u64,
     },
-    /// Host → query server: liveness beacon. The server suspects hosts
-    /// whose heartbeats stop and narrows query coverage accordingly.
-    Heartbeat {
-        /// Reporting host name.
-        host: String,
-    },
     /// ScrubCentral → query server: result rows as windows close (step 4).
     Rows {
         /// Finished rows.
@@ -101,7 +95,6 @@ impl ScrubMsg {
             ScrubMsg::CentralStop { .. } => 16,
             ScrubMsg::Batch(b) => b.approx_bytes(),
             ScrubMsg::BatchAck { .. } => 24,
-            ScrubMsg::Heartbeat { host } => 16 + host.len(),
             ScrubMsg::Rows { rows } => {
                 16 + rows.iter().map(|r| 16 + r.values.len() * 16).sum::<usize>()
             }
@@ -148,8 +141,6 @@ pub const TIMER_AGENT_FLUSH: u64 = SCRUB_TIMER_BASE + 1;
 pub const TIMER_CENTRAL_ADVANCE: u64 = SCRUB_TIMER_BASE + 2;
 /// Agent retransmit-check timer (armed only while acks are outstanding).
 pub const TIMER_AGENT_RETRY: u64 = SCRUB_TIMER_BASE + 3;
-/// Periodic agent heartbeat timer.
-pub const TIMER_AGENT_HEARTBEAT: u64 = SCRUB_TIMER_BASE + 4;
 /// One-shot ScrubCentral timer at the earliest `end + grace` of an open
 /// window: the fallback close for windows no watermark completed.
 pub const TIMER_CENTRAL_GRACE: u64 = SCRUB_TIMER_BASE + 5;

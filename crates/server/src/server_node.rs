@@ -135,10 +135,6 @@ pub struct QueryServerNode<E: ScrubEnvelope> {
     /// verdict, plan chosen, dispatch, eviction, stop, completion).
     /// Merged with central's data-plane half by `QueryHandle::timeline`.
     recorders: HashMap<QueryId, FlightRecorder>,
-    /// Last heartbeat per agent host (ms). Hosts only start heartbeating
-    /// once they learn the server's address from their first
-    /// `InstallQuery`.
-    heartbeats: HashMap<NodeId, i64>,
     /// Lifecycle metrics.
     obs: Registry,
     m_submitted: Arc<Counter>,
@@ -148,7 +144,6 @@ pub struct QueryServerNode<E: ScrubEnvelope> {
     m_completed: Arc<Counter>,
     m_cancelled: Arc<Counter>,
     m_rows: Arc<Counter>,
-    m_heartbeats: Arc<Counter>,
     m_rejected_budget: Arc<Counter>,
     m_degraded: Arc<Counter>,
     m_evicted: Arc<Counter>,
@@ -185,7 +180,6 @@ impl<E: ScrubEnvelope> QueryServerNode<E> {
         let m_completed = obs.counter("server.queries_completed");
         let m_cancelled = obs.counter("server.queries_cancelled");
         let m_rows = obs.counter("server.rows_received");
-        let m_heartbeats = obs.counter("server.heartbeats_received");
         let m_rejected_budget = obs.counter("overload.queries_rejected_budget");
         let m_degraded = obs.counter("overload.queries_degraded");
         let m_evicted = obs.counter("overload.queries_evicted");
@@ -201,7 +195,6 @@ impl<E: ScrubEnvelope> QueryServerNode<E> {
             admission_log: Vec::new(),
             pending_evictions: Vec::new(),
             recorders: HashMap::new(),
-            heartbeats: HashMap::new(),
             obs,
             m_submitted,
             m_accepted,
@@ -210,7 +203,6 @@ impl<E: ScrubEnvelope> QueryServerNode<E> {
             m_completed,
             m_cancelled,
             m_rows,
-            m_heartbeats,
             m_rejected_budget,
             m_degraded,
             m_evicted,
@@ -229,47 +221,6 @@ impl<E: ScrubEnvelope> QueryServerNode<E> {
     /// Lifecycle metrics snapshot at sim time `at_ms`.
     pub fn metrics(&self, at_ms: i64) -> MetricsSnapshot {
         self.obs.snapshot(at_ms)
-    }
-
-    /// Time (ms) of the last heartbeat received from `host`, if any.
-    pub fn last_heartbeat(&self, host: NodeId) -> Option<i64> {
-        self.heartbeats.get(&host).copied()
-    }
-
-    /// Whether `host` is suspected dead at `now_ms`: it heartbeated at
-    /// least once and has then been silent for longer than the host grace
-    /// period. Hosts that never heartbeated are not suspected (they may
-    /// simply never have been targeted by a query).
-    pub fn is_suspect(&self, host: NodeId, now_ms: i64) -> bool {
-        match self.heartbeats.get(&host) {
-            Some(&last) => now_ms - last > self.config.host_grace_ms,
-            None => false,
-        }
-    }
-
-    /// Hosts currently suspected dead.
-    pub fn suspected_hosts(&self, now_ms: i64) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .heartbeats
-            .keys()
-            .copied()
-            .filter(|h| self.is_suspect(*h, now_ms))
-            .collect();
-        out.sort();
-        out
-    }
-
-    /// A query's host coverage at `now_ms`: `(live, targeted)` over the
-    /// hosts selected to run it. Failure of a targeted host narrows
-    /// coverage below 1.0 — the summary's error bounds widen accordingly.
-    pub fn query_coverage(&self, qid: QueryId, now_ms: i64) -> Option<(usize, usize)> {
-        let rec = self.queries.get(&qid)?;
-        let live = rec
-            .hosts
-            .iter()
-            .filter(|h| !self.is_suspect(**h, now_ms))
-            .count();
-        Some((live, rec.hosts.len()))
     }
 
     /// Record of a query (rows, summary, state).
@@ -681,10 +632,6 @@ impl<E: ScrubEnvelope> Node<E> for QueryServerNode<E> {
                         format!("summary received, {rows} row(s)"),
                     );
                 }
-            }
-            ScrubMsg::Heartbeat { .. } => {
-                self.heartbeats.insert(from, ctx.now.as_ms());
-                self.m_heartbeats.inc();
             }
             _ => {}
         }

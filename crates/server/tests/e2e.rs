@@ -29,8 +29,8 @@ impl Node<ScrubMsg> for BidHost {
         ctx.set_timer(self.rate_interval, APP_TIMER);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, ScrubMsg>, from: NodeId, msg: ScrubMsg) {
-        let _ = self.harness.on_message(ctx, from, msg);
+    fn on_message(&mut self, ctx: &mut Context<'_, ScrubMsg>, _from: NodeId, msg: ScrubMsg) {
+        let _ = self.harness.on_message(ctx, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, ScrubMsg>, timer: u64) {
@@ -639,4 +639,105 @@ fn batches_after_stop_are_counted_not_ingested() {
         20,
         "the retired frame folded nothing"
     );
+}
+
+/// An application host logging one `hit` event, carrying its own name,
+/// every 10 ms until `quiet_at_ms`.
+struct NamedHost {
+    harness: AgentHarness,
+    quiet_at_ms: i64,
+}
+
+impl Node<ScrubMsg> for NamedHost {
+    fn on_start(&mut self, ctx: &mut Context<'_, ScrubMsg>) {
+        self.harness.start(ctx);
+        ctx.set_timer(SimDuration::from_ms(10), APP_TIMER);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, ScrubMsg>, _from: NodeId, msg: ScrubMsg) {
+        let _ = self.harness.on_message(ctx, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, ScrubMsg>, timer: u64) {
+        if self.harness.on_timer(ctx, timer) || ctx.now.as_ms() >= self.quiet_at_ms {
+            return;
+        }
+        let now = ctx.now.as_ms();
+        let name = Value::Str(ctx.self_meta().name.clone());
+        self.harness
+            .agent()
+            .log(EventTypeId(0), RequestId(now as u64), now, &[name]);
+        ctx.set_timer(SimDuration::from_ms(10), APP_TIMER);
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// A host crashes mid-query. Every window open while it is suspected dead
+/// closes degraded, and the loss ledger books each host's delivered events
+/// in those windows: as many as its group counts over the degraded rows.
+/// The hosts fall quiet before the span ends, so every window closes on
+/// its own before central finishes the query.
+#[test]
+fn degraded_windows_attribute_each_hosts_events_to_it() {
+    use std::collections::BTreeMap;
+
+    let mut sim: Sim<ScrubMsg> = Sim::new(Topology::default(), 42);
+    let config = ScrubConfig::default();
+    let reg = SchemaRegistry::new();
+    reg.register(EventSchema::new("hit", vec![FieldDef::new("host", FieldType::Str)]).unwrap())
+        .unwrap();
+    let reg = Arc::new(reg);
+    let central = scrub_server::deploy_central(&mut sim, &reg, config.clone(), "DC1");
+    for i in 0..3 {
+        let name = format!("hit-{i}");
+        sim.add_node(
+            NodeMeta::new(name.clone(), "Hits", "DC1"),
+            Box::new(NamedHost {
+                harness: AgentHarness::new(name, config.clone(), central),
+                quiet_at_ms: 58_000,
+            }),
+        );
+    }
+    let d = scrub_server::deploy_server(&mut sim, reg, config, central, "DC1");
+    let q = ScrubClient::new(&d)
+        .submit(
+            &mut sim,
+            "select hit.host, COUNT(*) from hit @[Service in Hits] \
+             group by hit.host window 20 s duration 60 s",
+        )
+        .expect("query accepted");
+    // inside the window [20 s, 40 s), which is still open when the failure
+    // detector notices
+    assert!(sim.inject_crash("hit-2", SimTime::from_secs(25), None));
+    sim.run_until(SimTime::from_secs(120));
+    assert_eq!(q.state(&sim), Some(QueryState::Done));
+
+    let rows = q.results(&sim);
+    let mut degraded: BTreeMap<String, u64> = BTreeMap::new();
+    for row in rows.iter().filter(|r| r.degraded) {
+        let host = row.values[0].as_str().expect("host name").to_string();
+        *degraded.entry(host).or_default() += row.values[1].as_i64().unwrap() as u64;
+    }
+    assert!(
+        rows.iter().any(|r| r.window_start_ms == 0 && !r.degraded),
+        "the window before the crash closes clean"
+    );
+    assert_eq!(degraded.len(), 3, "{degraded:?}");
+    assert!(degraded["hit-2"] > 0, "the dead host fed a degraded window");
+    let ledger = q.loss_ledger(&sim).expect("loss ledger");
+    assert!(ledger.reconciles());
+    assert!(ledger.hosts["hit-2"].host_dead);
+    for (host, losses) in &ledger.hosts {
+        assert_eq!(
+            losses.window_degraded,
+            degraded.get(host).copied().unwrap_or(0),
+            "host {host}"
+        );
+    }
 }

@@ -9,14 +9,12 @@
 
 pub mod estimator;
 pub mod hyperloglog;
-pub mod reservoir;
 pub mod spacesaving;
 pub mod tdist;
 pub mod welford;
 
 pub use estimator::{estimate_total, HostSample, TwoStageEstimate};
 pub use hyperloglog::{hash64, HyperLogLog};
-pub use reservoir::Reservoir;
 pub use spacesaving::{Counter, SpaceSaving};
 pub use tdist::{t_cdf, t_critical, t_quantile};
 pub use welford::Welford;

@@ -31,8 +31,8 @@ impl Node<ScrubMsg> for OneHost {
         self.harness.start(ctx);
         ctx.set_timer(SimDuration::from_ms(1), 1);
     }
-    fn on_message(&mut self, ctx: &mut Context<'_, ScrubMsg>, from: NodeId, msg: ScrubMsg) {
-        let _ = self.harness.on_message(ctx, from, msg);
+    fn on_message(&mut self, ctx: &mut Context<'_, ScrubMsg>, _from: NodeId, msg: ScrubMsg) {
+        let _ = self.harness.on_message(ctx, msg);
     }
     fn on_timer(&mut self, ctx: &mut Context<'_, ScrubMsg>, timer: u64) {
         if self.harness.on_timer(ctx, timer) {

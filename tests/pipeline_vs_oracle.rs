@@ -28,8 +28,8 @@ impl Node<ScrubMsg> for ReplayHost {
         ctx.set_timer(SimDuration::from_ms(1), REPLAY_TIMER);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, ScrubMsg>, from: NodeId, msg: ScrubMsg) {
-        let _ = self.harness.on_message(ctx, from, msg);
+    fn on_message(&mut self, ctx: &mut Context<'_, ScrubMsg>, _from: NodeId, msg: ScrubMsg) {
+        let _ = self.harness.on_message(ctx, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, ScrubMsg>, timer: u64) {
