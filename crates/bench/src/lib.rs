@@ -1,10 +1,11 @@
 //! # scrub-bench
 //!
 //! The experiment harness: one module per paper figure/table (see
-//! DESIGN.md's experiment index E01–E19), each runnable as its own binary
-//! (`cargo run -p scrub-bench --release --bin e01_spam`) or all together
-//! (`--bin run_all`), plus criterion microbenchmarks of the host tap, the
-//! parser, ScrubCentral ingestion and the sketches.
+//! DESIGN.md's experiment index E01–E22), run all together by `run_all`
+//! (`cargo run -p scrub-bench --release --bin run_all`) or a few at a time
+//! (`-- --only e01,e16`), plus criterion microbenchmarks of the parser and
+//! the sketches. The tap and ScrubCentral layers are measured by
+//! `scrub_perf` instead.
 //!
 //! Experiments print the regenerated series/table and a `VERDICT` line
 //! stating whether the paper's qualitative shape held.
@@ -21,10 +22,4 @@ pub fn quick_mode() -> bool {
         .map(|v| v == "1")
         .unwrap_or(false)
         || std::env::args().any(|a| a == "--quick")
-}
-
-/// Run one experiment function and print its report.
-pub fn run_and_print(f: fn(bool) -> Report) {
-    let report = f(quick_mode());
-    print!("{report}");
 }

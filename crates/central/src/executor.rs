@@ -19,13 +19,12 @@ use scrub_core::columnar::{ColumnChunk, ColumnarFrame};
 use scrub_core::expr::ResolvedExpr;
 use scrub_core::plan::{AggSpec, CentralPlan, OperatorKind, OutputCol, OutputMode};
 use scrub_core::value::{GroupKey, Value};
-use scrub_obs::{OperatorStats, PlanProfile};
+use scrub_obs::{OperatorStats, PlanProfile, QueryProfile, TypeCounters};
 use scrub_sketch::{estimate_total, HostSample, Welford};
 
 use crate::agg::AggState;
 use crate::row::{QuerySummary, ResultRow};
-use crate::stats::ExecutorStats;
-use crate::totals::{HostId, TotalsTracker};
+use crate::totals::{self, HostId, HostTable};
 
 /// Safety cap on the per-request join cross-product (a request with tens of
 /// thousands of exclusions joined to several bids could otherwise explode).
@@ -220,9 +219,8 @@ impl CloseRule {
 }
 
 /// One aggregate window closing (for self-observability: ScrubCentral
-/// taps a `scrub_window` meta-event per close, feeds the per-query profile
-/// and books a degraded window's events in the loss ledger).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// taps a `scrub_window` meta-event per close and journals it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowClose {
     /// Window start (ms).
     pub window_start_ms: i64,
@@ -233,9 +231,6 @@ pub struct WindowClose {
     pub degraded: bool,
     /// Which rule closed it.
     pub rule: CloseRule,
-    /// Of a degraded aggregate window, the events each host delivered into
-    /// it, by host name; empty otherwise.
-    pub host_events: Vec<(String, u64)>,
 }
 
 /// Whether a plan's summary gets Eq 1–3 two-stage estimates: single
@@ -269,9 +264,10 @@ pub struct QueryExecutor {
     /// (see [`Self::set_complete_through`]); `i64::MIN` until told.
     complete_through_ms: i64,
     windows: BTreeMap<i64, WindowState>,
-    /// Interned host names plus cumulative per-(host, subscription) header
-    /// counters (see [`TotalsTracker`]).
-    totals: TotalsTracker,
+    /// Interned host names, in first-seen order.
+    hosts: HostTable,
+    /// The query's execution profile; this executor is its one writer.
+    profile: QueryProfile,
     /// Per-host value moments per aggregate (only for estimator-eligible
     /// queries: single input, ungrouped, sampled).
     host_moments: HashMap<HostId, Vec<Welford>>,
@@ -279,17 +275,14 @@ pub struct QueryExecutor {
     /// (see [`update_groups`]).
     key_scratch: Vec<GroupKey>,
     stream_out: Vec<ResultRow>,
-    /// Events ingested, and the accounted bytes of their batches.
-    events_routed: u64,
-    decode_bytes: u64,
-    /// Windows closed; those that closed holding at least one group; the
-    /// group rows they rendered and the wall-clock spent rendering.
-    windows_closed: u64,
+    /// Windows that closed holding at least one group; the group rows they
+    /// rendered and the wall-clock spent rendering.
     windows_emitted: u64,
     rendered_rows: u64,
     render_ns: u64,
-    /// Of `windows_closed`, those closed on host watermarks and those
-    /// still open at finish (the rest closed by the grace fallback).
+    /// Of the profile's `windows_closed`, those closed on host watermarks
+    /// and those still open at finish (the rest closed by the grace
+    /// fallback).
     closed_by_watermark: u64,
     closed_at_finish: u64,
     /// Window closes since the last [`Self::take_window_closes`] drain.
@@ -301,8 +294,6 @@ pub struct QueryExecutor {
     pub join_rows_capped: u64,
     /// Late events dropped because their window already closed.
     pub late_events_dropped: u64,
-    /// Columnar frames that failed to decode; their events were dropped.
-    decode_failures: u64,
     closed_before_ms: i64,
     /// Hosts suspected dead: their batches stopped for `host_grace_ms`
     /// while a peer's kept coming. Their already-ingested events stay, but
@@ -316,11 +307,6 @@ pub struct QueryExecutor {
     /// missed while down is missing from them.
     suspect_windows: HashSet<i64>,
     degraded_rows: u64,
-    /// Batches discarded as duplicate (host, query, seq) retransmissions.
-    duplicate_batches: u64,
-    /// Rows dropped by the `max_groups` bound on group state, counted when
-    /// the window that dropped them closes.
-    groups_overflow: u64,
     /// Central-side per-operator counters for `EXPLAIN ANALYZE`.
     opc: CentralOpCounters,
 }
@@ -333,17 +319,15 @@ impl QueryExecutor {
         let plan = plan.into();
         QueryExecutor {
             slots: slot_table(&plan),
+            profile: QueryProfile::new(plan.query_id.0),
             plan,
             grace_ms,
             complete_through_ms: i64::MIN,
             windows: BTreeMap::new(),
-            totals: TotalsTracker::default(),
+            hosts: HostTable::default(),
             host_moments: HashMap::new(),
             key_scratch: Vec::new(),
             stream_out: Vec::new(),
-            events_routed: 0,
-            decode_bytes: 0,
-            windows_closed: 0,
             windows_emitted: 0,
             rendered_rows: 0,
             render_ns: 0,
@@ -353,13 +337,10 @@ impl QueryExecutor {
             delivered: BTreeMap::new(),
             join_rows_capped: 0,
             late_events_dropped: 0,
-            decode_failures: 0,
             closed_before_ms: i64::MIN,
             dead_hosts: HashSet::new(),
             suspect_windows: HashSet::new(),
             degraded_rows: 0,
-            duplicate_batches: 0,
-            groups_overflow: 0,
             opc: CentralOpCounters::default(),
         }
     }
@@ -367,10 +348,14 @@ impl QueryExecutor {
     /// Replace the set of hosts suspected dead: future rows are marked
     /// degraded and the dead hosts' samples leave the estimator. Every
     /// window open while a host is suspected closes degraded — those open
-    /// now under the old set or the new one included.
+    /// now under the old set or the new one included. The profile flags
+    /// the suspects among its hosts.
     pub fn set_dead_hosts(&mut self, hosts: HashSet<String>) {
         if !hosts.is_empty() || !self.dead_hosts.is_empty() {
             self.suspect_windows.extend(self.windows.keys());
+        }
+        for (name, h) in &mut self.profile.hosts {
+            h.suspected_dead = hosts.contains(name);
         }
         self.dead_hosts = hosts;
     }
@@ -407,29 +392,26 @@ impl QueryExecutor {
         self.plan.as_ref()
     }
 
-    /// Record a batch discarded as a duplicate retransmission.
-    pub fn note_duplicate(&mut self) {
-        self.duplicate_batches += 1;
+    /// The query's execution profile, as of the last batch and advance.
+    pub fn profile(&self) -> &QueryProfile {
+        &self.profile
+    }
+
+    /// Record a copy of an ingested batch from `host`, carrying `events`
+    /// events, discarded as a duplicate retransmission.
+    pub fn note_duplicate(&mut self, host: &str, events: u64) {
+        self.profile.observe_duplicate(host, events);
+    }
+
+    /// Record how long a fresh batch took from its newest event to central
+    /// (ms, on the caller's clock).
+    pub fn record_ingest_latency(&mut self, ms: i64) {
+        self.profile.observe_latency(ms);
     }
 
     /// Drain the window closes recorded since the last call.
     pub fn take_window_closes(&mut self) -> Vec<WindowClose> {
         std::mem::take(&mut self.closes)
-    }
-
-    /// Snapshot every observable counter in one call; all fields are
-    /// cumulative (see [`ExecutorStats`]).
-    pub fn stats(&self) -> ExecutorStats {
-        ExecutorStats {
-            events_routed: self.events_routed,
-            degraded_rows: self.degraded_rows,
-            duplicate_batches: self.duplicate_batches,
-            groups_overflow: self.groups_overflow,
-            windows_emitted: self.windows_emitted,
-            open_windows: self.open_windows(),
-            join_rows_held: (self.buffered_events() + self.open_groups()) as u64,
-            decode_failures: self.decode_failures,
-        }
     }
 
     /// Number of windows currently open (not yet past grace).
@@ -465,16 +447,30 @@ impl QueryExecutor {
     /// `(N/n) · (ΣM_i/Σm_i)` using observed totals (Eq. 1's population
     /// scale, applied globally).
     pub fn scale(&self) -> f64 {
-        self.totals.scale(&self.plan)
+        totals::scale(&self.plan, &self.profile)
     }
 
     /// Ingest one batch from a host agent. Every batch passes here exactly
-    /// once, so this is where its header totals fold.
+    /// once, so this is where its header folds into the profile.
     pub fn ingest(&mut self, batch: EventBatch) {
         debug_assert_eq!(batch.query_id, self.plan.query_id);
-        self.events_routed += batch.len() as u64;
-        self.decode_bytes += batch.approx_bytes() as u64;
-        let hid = self.totals.observe_header(&batch);
+        let hid = self.hosts.intern(&batch.host);
+        let header = TypeCounters {
+            tapped: batch.matched,
+            selected: batch.sampled,
+            shed: batch.shed,
+            budget_shed: batch.budget_shed,
+            seen: batch.seen,
+            bytes: batch.bytes,
+        };
+        self.profile.observe_batch(
+            &batch.host,
+            batch.type_id.0,
+            &header,
+            batch.approx_bytes() as u64,
+            batch.len() as u64,
+            batch.attempt > 0,
+        );
         self.ingest_payload(hid, batch.payload);
     }
 
@@ -485,7 +481,7 @@ impl QueryExecutor {
     fn ingest_payload(&mut self, hid: HostId, frame: ColumnarFrame) {
         let t0 = Instant::now();
         let Ok(batch) = frame.decode() else {
-            self.decode_failures += 1;
+            self.profile.decode_failures += 1;
             return;
         };
         // Downstream-operator ns accounted per chunk is subtracted from
@@ -752,11 +748,10 @@ impl QueryExecutor {
             // every window with start <= w is now closed; the next open one
             // starts one slide later
             self.closed_before_ms = self.closed_before_ms.max(w + self.plan.slide_ms);
-            self.windows_closed += 1;
             if !groups.is_empty() {
                 self.windows_emitted += 1;
             }
-            self.groups_overflow += overflow_rows;
+            self.profile.groups_overflow += overflow_rows;
             // A window that dropped rows to the group cap is missing them
             // from its aggregates: what it renders is degraded, same as
             // rows of a window open while a host was suspected dead.
@@ -773,24 +768,26 @@ impl QueryExecutor {
                 self.closed_by_watermark += 1;
                 CloseRule::Watermark
             };
-            let mut host_events: Vec<(String, u64)> = Vec::new();
+            // a degraded window's delivered events, attributed per host
             if degraded {
-                let counts = delivered.remove(&w).unwrap_or_default();
-                host_events.extend(
-                    counts
-                        .into_iter()
-                        .map(|(h, n)| (self.totals.name(h).to_string(), n)),
-                );
-                host_events.sort_unstable();
+                for (h, n) in delivered.remove(&w).unwrap_or_default() {
+                    if let Some(hp) = self.profile.hosts.get_mut(self.hosts.name(h)) {
+                        hp.window_degraded += n;
+                    }
+                }
             }
+            self.profile.observe_windows_closed(1, degraded as u64);
             self.closes.push(WindowClose {
                 window_start_ms: w,
                 rows,
                 degraded,
                 rule,
-                host_events,
             });
         }
+        let held = self.buffered_events() + self.open_groups();
+        self.profile
+            .observe_state(self.windows.len() as u64, held as u64);
+        self.profile.rows_emitted += out.len() as u64;
         out
     }
 
@@ -994,21 +991,21 @@ impl QueryExecutor {
             close.rule = CloseRule::Finish;
             self.closed_at_finish += 1;
         }
-        let (total_matched, total_sampled, total_shed, total_budget_shed) = self.totals.sums();
+        let p = &self.profile;
         let summary = QuerySummary {
             query_id: self.plan.query_id,
-            hosts_reporting: self.totals.hosts_reporting(),
-            total_matched,
-            total_sampled,
-            total_shed,
-            total_budget_shed,
+            hosts_reporting: p.hosts.len(),
+            total_matched: p.total_tapped(),
+            total_sampled: p.total_selected(),
+            total_shed: p.total_shed(),
+            total_budget_shed: p.total_budget_shed(),
             windows_emitted: self.windows_emitted,
             estimates: self.compute_estimates(),
             hosts_targeted: self.plan.host_info.selected,
-            hosts_live: self.totals.hosts_live(&self.dead_hosts),
+            hosts_live: p.hosts.values().filter(|h| !h.suspected_dead).count(),
             degraded_rows: self.degraded_rows,
-            duplicate_batches: self.duplicate_batches,
-            groups_overflow: self.groups_overflow,
+            duplicate_batches: p.batches_duplicate,
+            groups_overflow: p.groups_overflow,
         };
         (rows, summary)
     }
@@ -1025,11 +1022,16 @@ impl QueryExecutor {
         if !plan_estimator_eligible(&self.plan) {
             return vec![None; output.len()];
         }
-        // a host counts once it contributed header totals or moments
-        let mut per_host = self.totals.per_host_matched();
-        for h in self.host_moments.keys() {
-            per_host.entry(*h).or_insert(0);
-        }
+        // every host that sent a batch, with its cumulative matched count,
+        // in first-seen order
+        let per_host: Vec<(HostId, u64, bool)> = self
+            .hosts
+            .iter()
+            .map(|(h, name)| {
+                let hp = &self.profile.hosts[name];
+                (h, hp.tapped, hp.suspected_dead)
+            })
+            .collect();
         let n_total = if self.plan.host_info.matching > 0 {
             self.plan.host_info.matching
         } else {
@@ -1050,12 +1052,12 @@ impl QueryExecutor {
                     // A dead host's counters stopped at an unknown point;
                     // dropping its sample shrinks n, so the two-stage bounds
                     // widen instead of silently biasing (Eqs 1–3).
-                    .filter(|(h, _)| !self.dead_hosts.contains(self.totals.name(**h)))
-                    .map(|(h, &matched)| HostSample {
+                    .filter(|&&(_, _, dead)| !dead)
+                    .map(|&(h, matched, _)| HostSample {
                         population: matched,
                         stats: self
                             .host_moments
-                            .get(h)
+                            .get(&h)
                             .and_then(|m| m.get(*i))
                             .copied()
                             .unwrap_or_default(),
@@ -1094,7 +1096,7 @@ impl QueryExecutor {
                     op.rows_in = self.opc.decode_rows_in;
                     op.rows_out = self.opc.decode_rows_out;
                     op.ns = self.opc.decode_ns;
-                    op.bytes = self.decode_bytes;
+                    op.bytes = self.profile.bytes_first_sent + self.profile.bytes_retransmitted;
                 }
                 OperatorKind::JoinBuild => {
                     op.rows_in = self.opc.join_build_rows_in;
@@ -1117,7 +1119,7 @@ impl QueryExecutor {
                     op.ns = self.opc.group_ns;
                 }
                 OperatorKind::WindowClose => {
-                    op.rows_in = self.windows_closed;
+                    op.rows_in = self.profile.windows_closed;
                     op.rows_out = self.windows_emitted;
                     op.ns = self.render_ns;
                 }
@@ -1129,22 +1131,23 @@ impl QueryExecutor {
             }
             profile.ops.push(op);
         }
-        self.totals.fill_host_ops(&self.plan, &mut profile);
-        profile.notes = self.totals.profile_notes(&self.plan);
-        if self.windows_closed > 0 {
+        totals::fill_host_ops(&self.plan, &self.profile, &mut profile);
+        profile.notes = totals::profile_notes(&self.plan, &self.profile);
+        let closed = self.profile.windows_closed;
+        if closed > 0 {
             profile.notes.push(format!(
                 "windows closed: {} on host watermarks, {} by the grace fallback, {} at finish",
                 self.closed_by_watermark,
-                self.windows_closed - self.closed_by_watermark - self.closed_at_finish,
+                closed - self.closed_by_watermark - self.closed_at_finish,
                 self.closed_at_finish
             ));
         }
-        if self.groups_overflow > 0 {
+        if self.profile.groups_overflow > 0 {
             profile.notes.push(format!(
                 "group state capped at {} groups: groups_kept {} (rendered), groups_dropped {} rows past the cap",
                 self.plan.max_groups.max(1),
                 self.rendered_rows,
-                self.groups_overflow
+                self.profile.groups_overflow
             ));
         }
         profile
@@ -1397,7 +1400,8 @@ mod tests {
         let mut ex = executor("select bid.user_id from bid");
         ex.ingest(feed(10));
         assert_eq!(ex.advance(60_000).len(), 10);
-        assert_eq!(ex.stats().events_routed, 10);
+        assert_eq!(ex.profile().hosts["h1"].events, 10);
+        assert_eq!(ex.profile().rows_emitted, 10);
         assert!(ex.take_window_closes().is_empty());
     }
 
@@ -1470,11 +1474,13 @@ mod tests {
                 rows: 7,
                 degraded: true,
                 rule: CloseRule::Grace,
-                host_events: vec![("h1".to_string(), 300)],
             }]
         );
         assert!(ex.take_window_closes().is_empty(), "closes drain");
-        assert_eq!(ex.stats().degraded_rows, 7);
+        assert_eq!(ex.degraded_rows, 7);
+        let p = ex.profile();
+        assert_eq!(p.hosts["h1"].window_degraded, 300);
+        assert_eq!((p.windows_closed, p.windows_degraded), (1, 1));
         // the suspect host never reported, so every reporting host is live
         let (_, summary) = ex.finish();
         assert_eq!(summary.degraded_rows, 7);
@@ -1496,7 +1502,7 @@ mod tests {
         let rows = ex.advance(60_000);
         let degraded: Vec<bool> = rows.iter().map(|r| r.degraded).collect();
         assert_eq!(degraded, [true, true, false]);
-        assert_eq!(ex.stats().degraded_rows, 2);
+        assert_eq!(ex.degraded_rows, 2);
     }
 
     #[test]
@@ -1519,7 +1525,7 @@ mod tests {
             71,
         ));
         // nothing is counted until the window that dropped the rows closes
-        assert_eq!(ex.stats().groups_overflow, 0);
+        assert_eq!(ex.profile().groups_overflow, 0);
         let rows = ex.advance(60_000);
         // the three smallest keys survive; users 3..7 lost 10 rows each
         let w0: Vec<&ResultRow> = rows.iter().filter(|r| r.window_start_ms == 0).collect();
@@ -1531,9 +1537,8 @@ mod tests {
         let w1: Vec<&ResultRow> = rows.iter().filter(|r| r.window_start_ms != 0).collect();
         assert_eq!(w1.len(), 1);
         assert!(!w1[0].degraded);
-        let stats = ex.stats();
-        assert_eq!(stats.groups_overflow, 40);
-        assert_eq!(stats.degraded_rows, 3);
+        assert_eq!(ex.profile().groups_overflow, 40);
+        assert_eq!(ex.degraded_rows, 3);
         let closes = ex.take_window_closes();
         assert_eq!(
             closes.iter().map(|c| c.degraded).collect::<Vec<_>>(),
@@ -1760,14 +1765,14 @@ mod tests {
             ex.ingest(corrupt(columnar(0, 4..8), truncate));
             ex.ingest(corrupt(columnar(1, 0..8), bad_dict_index));
             ex.ingest(corrupt(columnar(0, 20..30), row_format));
-            assert_eq!(ex.stats().decode_failures, 3, "{query}");
+            assert_eq!(ex.profile().decode_failures, 3, "{query}");
             // later batches still fold: 6 bids in all, 2 of them joined
             ex.ingest(columnar(0, 8..10));
             ex.ingest(columnar(1, 2..4));
             let rows = ex.advance(60_000);
             let expect = if ex.plan().is_join() { 2 } else { 6 };
             assert_eq!(rows[0].values, vec![Value::Long(expect)], "{query}");
-            assert_eq!(ex.stats().decode_failures, 3);
+            assert_eq!(ex.profile().decode_failures, 3);
         }
     }
 }
@@ -1873,10 +1878,11 @@ mod sliding_tests {
         assert_eq!(rows.len(), 2);
     }
 
-    /// A degraded close hands out the events each host delivered into the
-    /// window; an event that arrived after its windows closed is in none.
+    /// A degraded close books the events each host delivered into the
+    /// window on the host's profile; an event that arrived after its
+    /// windows closed is in none.
     #[test]
-    fn degraded_sliding_closes_carry_per_host_counts_without_late_events() {
+    fn degraded_sliding_closes_book_per_host_counts_without_late_events() {
         let mut ex = sliding_executor("select COUNT(*) from bid window 10 s slide 5 s");
         let from = |host: &str, ts: &[i64]| {
             let mut b = one(ts[0]);
@@ -1888,13 +1894,21 @@ mod sliding_tests {
             b.payload = ColumnarFrame::from_events(&events);
             b
         };
+        let booked = |ex: &QueryExecutor| -> Vec<(String, u64)> {
+            let hosts = &ex.profile().hosts;
+            hosts
+                .iter()
+                .map(|(h, p)| (h.clone(), p.window_degraded))
+                .collect()
+        };
+        let hosts = |v: &[(&str, u64)]| -> Vec<(String, u64)> {
+            v.iter().map(|(h, n)| (h.to_string(), *n)).collect()
+        };
         // windows -5 s and 0 close clean and owe nobody anything
         ex.ingest(from("a", &[4_000]));
         assert_eq!(ex.advance(10_000).len(), 2);
-        assert!(ex
-            .take_window_closes()
-            .iter()
-            .all(|c| !c.degraded && c.host_events.is_empty()));
+        assert!(ex.take_window_closes().iter().all(|c| !c.degraded));
+        assert_eq!(booked(&ex), hosts(&[("a", 0)]));
         ex.set_dead_hosts(["c".to_string()].into_iter().collect());
         // 7 s and 9 s cover windows 0 (closed: not counted) and 5 s;
         // 12 s covers 5 s and 10 s
@@ -1903,21 +1917,18 @@ mod sliding_tests {
         // 4 s covers only closed windows
         ex.ingest(from("b", &[4_000]));
         assert_eq!(ex.late_events_dropped, 1);
-        ex.advance(i64::MAX / 4);
-        let counts: Vec<(i64, Vec<(String, u64)>)> = ex
-            .take_window_closes()
-            .into_iter()
-            .map(|c| (c.window_start_ms, c.host_events))
-            .collect();
-        let hosts = |v: &[(&str, u64)]| -> Vec<(String, u64)> {
-            v.iter().map(|(h, n)| (h.to_string(), *n)).collect()
-        };
+        // window 5 s closes first, then window 10 s
+        ex.advance(15_000);
+        assert_eq!(booked(&ex), hosts(&[("a", 3), ("b", 2)]));
+        ex.advance(20_000);
+        assert_eq!(booked(&ex), hosts(&[("a", 4), ("b", 4)]));
+        let closes = ex.take_window_closes();
         assert_eq!(
-            counts,
-            [
-                (5_000, hosts(&[("a", 3), ("b", 2)])),
-                (10_000, hosts(&[("a", 1), ("b", 2)])),
-            ]
+            closes
+                .iter()
+                .map(|c| (c.window_start_ms, c.degraded))
+                .collect::<Vec<_>>(),
+            [(5_000, true), (10_000, true)]
         );
     }
 

@@ -5,23 +5,23 @@
 //! equi-join, group-by, and exact + probabilistic aggregation — so that
 //! none of it runs on the hosts serving the application.
 //!
-//! One [`QueryExecutor`] runs one query on the caller's thread, and
-//! [`QueryExecutor::stats`] snapshots every observable counter in one
-//! [`ExecutorStats`]. The scaling the paper's deployment gets from a small
-//! ScrubCentral cluster comes from assigning whole queries across central
-//! nodes; aggregate states stay mergeable ([`AggState::merge`]) for the
-//! day a tree of centrals needs it.
+//! One [`QueryExecutor`] runs one query on the caller's thread and is the
+//! one writer of that query's [`QueryProfile`](scrub_obs::QueryProfile)
+//! ([`QueryExecutor::profile`]): every batch header, duplicate, window
+//! close and state gauge lands there, and the summary, `EXPLAIN ANALYZE`
+//! and the loss ledger all derive from it. The scaling the paper's
+//! deployment gets from a small ScrubCentral cluster comes from assigning
+//! whole queries across central nodes; aggregate states stay mergeable
+//! ([`AggState::merge`]) for the day a tree of centrals needs it.
 
 pub mod agg;
 pub mod executor;
 pub mod row;
-pub mod stats;
 mod totals;
 
 pub use agg::AggState;
 pub use executor::{CloseRule, QueryExecutor, WindowClose, MAX_JOIN_ROWS_PER_REQUEST};
 pub use row::{QuerySummary, ResultRow};
-pub use stats::ExecutorStats;
 
 /// Forwarding shim: `scrub_perf/src/layers.rs` names these five calls and
 /// sits under a benchmark path this change may not edit. The next

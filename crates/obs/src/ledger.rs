@@ -3,8 +3,9 @@
 //! Scrub drops events on purpose (sampling, load shedding) and by
 //! accident (a lossy network, dead hosts); the [`QueryProfile`] carries
 //! enough cumulative per-host counters to attribute every missing event
-//! to a cause, and this module does the bookkeeping. The central
-//! invariant, enforced per host:
+//! to a cause — including the per-host events of degraded windows and the
+//! dead-host flags — and this module does the bookkeeping from that one
+//! record alone. The central invariant, enforced per host:
 //!
 //! ```text
 //! tapped == delivered + sampled_out + load_shed + budget_shed + batch_dropped
@@ -31,7 +32,7 @@
 //! degraded). `host_dead` flags hosts currently suspected dead, the
 //! usual explanation for a large `batch_dropped`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -89,17 +90,6 @@ impl HostLosses {
     }
 }
 
-/// Central-side observations that are not in [`QueryProfile`]'s per-host
-/// counters: per-host events lost to degraded windows and the current
-/// dead-host suspicion set.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LedgerParts {
-    /// Host → delivered events whose window closed degraded.
-    pub degraded_events: BTreeMap<String, u64>,
-    /// Hosts currently suspected dead.
-    pub dead_hosts: BTreeSet<String>,
-}
-
 /// Per-query, per-host loss accounting, reconciled against the query's
 /// profile.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -111,12 +101,12 @@ pub struct LossLedger {
 }
 
 impl LossLedger {
-    /// Derive the ledger from a query's profile plus central-side parts.
+    /// Derive the ledger from a query's profile.
     ///
     /// Debug builds assert the counter orderings the derivation relies
     /// on (`selected + shed <= tapped`, `delivered <= selected`) — a
     /// violation means a producer broke the cumulative-counter contract.
-    pub fn build(profile: &QueryProfile, parts: &LedgerParts) -> Self {
+    pub fn build(profile: &QueryProfile) -> Self {
         let mut hosts = BTreeMap::new();
         for (host, hp) in &profile.hosts {
             debug_assert!(
@@ -145,8 +135,8 @@ impl LossLedger {
                 budget_shed: hp.budget_shed,
                 batch_dropped,
                 deduped_retransmit: hp.duplicate_events,
-                window_degraded: parts.degraded_events.get(host).copied().unwrap_or(0),
-                host_dead: parts.dead_hosts.contains(host),
+                window_degraded: hp.window_degraded,
+                host_dead: hp.suspected_dead,
             };
             debug_assert!(
                 losses.reconciles(),
@@ -185,6 +175,7 @@ impl LossLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::TypeCounters;
 
     fn profile_with(
         host: &str,
@@ -205,25 +196,21 @@ mod tests {
         budget_shed: u64,
     ) -> QueryProfile {
         let mut p = QueryProfile::new(9);
-        p.observe_batch(
-            host,
-            0,
-            100,
-            delivered,
+        let header = TypeCounters {
             tapped,
             selected,
             shed,
             budget_shed,
-            false,
-            None,
-        );
+            ..Default::default()
+        };
+        p.observe_batch(host, 0, &header, 100, delivered, false);
         p
     }
 
     #[test]
     fn clean_run_reconciles_all_zero() {
         let p = profile_with("h1", 50, 50, 50, 0);
-        let l = LossLedger::build(&p, &LedgerParts::default());
+        let l = LossLedger::build(&p);
         assert!(l.reconciles());
         assert!(l.is_all_zero());
         assert_eq!(l.hosts["h1"].delivered, 50);
@@ -232,11 +219,11 @@ mod tests {
     #[test]
     fn losses_bucket_by_cause() {
         // tapped 100: 60 selected (10 never arrived), 25 sampled out, 15 shed
-        let p = profile_with("h1", 50, 100, 60, 15);
-        let mut parts = LedgerParts::default();
-        parts.degraded_events.insert("h1".into(), 7);
-        parts.dead_hosts.insert("h1".into());
-        let l = LossLedger::build(&p, &parts);
+        let mut p = profile_with("h1", 50, 100, 60, 15);
+        let h = p.hosts.get_mut("h1").unwrap();
+        h.window_degraded = 7;
+        h.suspected_dead = true;
+        let l = LossLedger::build(&p);
         let h = &l.hosts["h1"];
         assert_eq!(h.sampled_out, 25);
         assert_eq!(h.load_shed, 15);
@@ -253,7 +240,7 @@ mod tests {
         // tapped 100: 60 selected (5 never arrived), 12 budget-shed,
         // 8 load-shed, 20 sampled out
         let p = profile_with_budget("h1", 55, 100, 60, 8, 12);
-        let l = LossLedger::build(&p, &LedgerParts::default());
+        let l = LossLedger::build(&p);
         let h = &l.hosts["h1"];
         assert_eq!(h.budget_shed, 12);
         assert_eq!(h.load_shed, 8);
@@ -268,7 +255,7 @@ mod tests {
     fn duplicates_are_annotations_not_losses() {
         let mut p = profile_with("h1", 50, 50, 50, 0);
         p.observe_duplicate("h1", 20);
-        let l = LossLedger::build(&p, &LedgerParts::default());
+        let l = LossLedger::build(&p);
         let h = &l.hosts["h1"];
         assert_eq!(h.deduped_retransmit, 20);
         assert_eq!(h.total_lost(), 0, "dup copies are not lost events");
@@ -278,7 +265,7 @@ mod tests {
     #[test]
     fn ledger_serializes() {
         let p = profile_with("h1", 5, 10, 6, 2);
-        let l = LossLedger::build(&p, &LedgerParts::default());
+        let l = LossLedger::build(&p);
         let json = serde_json::to_string(&l).unwrap();
         let back: LossLedger = serde_json::from_str(&json).unwrap();
         assert_eq!(l, back);

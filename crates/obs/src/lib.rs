@@ -10,8 +10,8 @@
 //!   only to create a metric or take a [`MetricsSnapshot`]. Snapshots
 //!   are plain data: mergeable across nodes and diffable across time,
 //!   timestamped on the *sim* clock so they line up with query windows.
-//! * [`profile`] — per-query execution profiles assembled by
-//!   ScrubCentral: events tapped/selected/shed per host, bytes
+//! * [`profile`] — per-query execution profiles, written by the query's
+//!   executor at ScrubCentral: events tapped/selected/shed per host, bytes
 //!   first-sent vs retransmitted, batches acked, windows
 //!   opened/closed/degraded, join-state rows held, and an ingest-latency
 //!   histogram.
@@ -24,7 +24,8 @@
 //!   pipeline hop, assembled into per-query [`TraceStore`]s at central.
 //! * [`ledger`] — per-query, per-host loss provenance: every tapped
 //!   event that missed a result is attributed to a cause (sampled-out,
-//!   load-shed, dropped in flight, …) under the enforced invariant
+//!   load-shed, dropped in flight, …), derived from the profile alone,
+//!   under the enforced invariant
 //!   `tapped == delivered + sampled_out + load_shed + batch_dropped`.
 //! * [`opstats`] — per-operator runtime statistics ([`PlanProfile`]):
 //!   rows in/out, bytes and ns per plan operator, paired with the
@@ -63,13 +64,13 @@ pub use alert::{
 };
 pub use export::{render_text, render_text_with_exemplars, sanitize_name};
 pub use history::{sparkline, MetricPoint, MetricsHistory};
-pub use ledger::{HostLosses, LedgerParts, LossLedger};
+pub use ledger::{HostLosses, LossLedger};
 pub use meta::{
     register_meta_events, MetaEvents, ScrubBatchEvent, ScrubMetricEvent, ScrubWindowEvent,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use opstats::{OperatorStats, PlanProfile};
-pub use profile::{HostProfile, QueryProfile};
+pub use profile::{HostProfile, QueryProfile, TypeCounters};
 pub use timeline::{
     merge_timelines, render_timeline, render_timeline_json, FlightEvent, FlightEventKind,
     FlightRecorder, DEFAULT_FLIGHT_RECORDER_CAP,

@@ -1,11 +1,13 @@
 //! Per-query execution profiles.
 //!
-//! ScrubCentral assembles one [`QueryProfile`] per live query from the
-//! batch stream it already handles — profiling is per *batch*, not per
-//! event, so the cost rides the existing control flow. The profile is
-//! plain data: serde-able, cloneable, and mergeable across a central
-//! cluster, so `scrubql`'s `profile <qid>` and experiment epilogues can
-//! read one struct wherever the query ran.
+//! ScrubCentral's executor for a query is the one writer of its
+//! [`QueryProfile`]: it folds every batch header it ingests, notes every
+//! duplicate, and books window closes as they happen — per *batch* and per
+//! *window*, never per event, so the cost rides the existing control flow.
+//! Every other per-query figure (the end-of-query summary, `EXPLAIN
+//! ANALYZE`'s host-side operators, the loss ledger) is derived from this
+//! one record. The profile is plain data: serde-able and cloneable, so
+//! `scrubql`'s `profile <qid>` and experiment epilogues read one struct.
 
 use std::collections::BTreeMap;
 
@@ -15,7 +17,7 @@ use crate::metrics::{HistogramSnapshot, DEFAULT_LATENCY_BOUNDS_MS};
 
 /// Cumulative tap counters for one event type on one host, as of the
 /// highest-seq batch received. A join query runs one subscription — one
-/// counter triple — per FROM type on each host, so triples are keyed by
+/// set of counters — per FROM type on each host, so counters are keyed by
 /// type and max-merged per type; summing across types (never max across
 /// types) gives honest host totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -30,6 +32,27 @@ pub struct TypeCounters {
     /// (cumulative).
     #[serde(default)]
     pub budget_shed: u64,
+    /// Events the subscription's selection looked at (cumulative).
+    #[serde(default)]
+    pub seen: u64,
+    /// Bytes the subscription shipped in first-transmission batches
+    /// (cumulative).
+    #[serde(default)]
+    pub bytes: u64,
+}
+
+impl TypeCounters {
+    /// Fold a newer header: counters are cumulative and monotonic per
+    /// subscription, but batches can be reordered in flight, so each keeps
+    /// its max rather than the last writer's value.
+    fn max_merge(&mut self, header: &TypeCounters) {
+        self.tapped = self.tapped.max(header.tapped);
+        self.selected = self.selected.max(header.selected);
+        self.shed = self.shed.max(header.shed);
+        self.budget_shed = self.budget_shed.max(header.budget_shed);
+        self.seen = self.seen.max(header.seen);
+        self.bytes = self.bytes.max(header.bytes);
+    }
 }
 
 /// What one host contributed to one query.
@@ -49,7 +72,7 @@ pub struct HostProfile {
     /// over `by_type`.
     #[serde(default)]
     pub budget_shed: u64,
-    /// Per-event-type cumulative counter triples (max-merged per type —
+    /// Per-event-type cumulative header counters (max-merged per type —
     /// the counters on a batch are the subscription's own monotone
     /// snapshot, so the highest-seq batch carries the truth).
     #[serde(default)]
@@ -67,40 +90,16 @@ pub struct HostProfile {
     /// `events`, so these are not missing data).
     #[serde(default)]
     pub duplicate_events: u64,
+    /// Delivered events whose window closed degraded (a subset of
+    /// `events`).
+    #[serde(default)]
+    pub window_degraded: u64,
+    /// The host is currently suspected dead.
+    #[serde(default)]
+    pub suspected_dead: bool,
 }
 
-impl HostProfile {
-    /// Refresh the summed totals after a `by_type` update.
-    fn recompute_totals(&mut self) {
-        self.tapped = self.by_type.values().map(|t| t.tapped).sum();
-        self.selected = self.by_type.values().map(|t| t.selected).sum();
-        self.shed = self.by_type.values().map(|t| t.shed).sum();
-        self.budget_shed = self.by_type.values().map(|t| t.budget_shed).sum();
-    }
-
-    fn merge(&mut self, other: &HostProfile) {
-        self.events += other.events;
-        // cumulative tap counters: both sides saw the same host counters,
-        // keep the larger per type (a cluster never splits one host's
-        // batches for one query across centrals, but max is safe either
-        // way)
-        for (ty, oc) in &other.by_type {
-            let t = self.by_type.entry(*ty).or_default();
-            t.tapped = t.tapped.max(oc.tapped);
-            t.selected = t.selected.max(oc.selected);
-            t.shed = t.shed.max(oc.shed);
-            t.budget_shed = t.budget_shed.max(oc.budget_shed);
-        }
-        self.recompute_totals();
-        self.batches += other.batches;
-        self.retransmitted_batches += other.retransmitted_batches;
-        self.bytes_first_sent += other.bytes_first_sent;
-        self.bytes_retransmitted += other.bytes_retransmitted;
-        self.duplicate_events += other.duplicate_events;
-    }
-}
-
-/// Execution profile of one query, kept live by ScrubCentral.
+/// Execution profile of one query, written by its executor at ScrubCentral.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryProfile {
     /// The query this profile describes.
@@ -111,8 +110,6 @@ pub struct QueryProfile {
     pub batches_ingested: u64,
     /// Batches discarded as duplicate retransmissions.
     pub batches_duplicate: u64,
-    /// Acks central sent back (covers duplicates too).
-    pub batches_acked: u64,
     /// Bytes received on first-attempt batches.
     pub bytes_first_sent: u64,
     /// Bytes received on retransmitted batches.
@@ -129,6 +126,13 @@ pub struct QueryProfile {
     pub join_rows_held: u64,
     /// Result rows emitted.
     pub rows_emitted: u64,
+    /// Rows dropped by the `max_groups` bound on group state, counted when
+    /// the window that dropped them closes.
+    #[serde(default)]
+    pub groups_overflow: u64,
+    /// Columnar frames that failed to decode; their events were dropped.
+    #[serde(default)]
+    pub decode_failures: u64,
     /// Batch ingest latency: newest event timestamp in a batch to its
     /// arrival at central, on the sim clock.
     pub ingest_latency_ms: HistogramSnapshot,
@@ -142,7 +146,6 @@ impl QueryProfile {
             hosts: BTreeMap::new(),
             batches_ingested: 0,
             batches_duplicate: 0,
-            batches_acked: 0,
             bytes_first_sent: 0,
             bytes_retransmitted: 0,
             windows_opened: 0,
@@ -150,6 +153,8 @@ impl QueryProfile {
             windows_degraded: 0,
             join_rows_held: 0,
             rows_emitted: 0,
+            groups_overflow: 0,
+            decode_failures: 0,
             ingest_latency_ms: HistogramSnapshot {
                 bounds: DEFAULT_LATENCY_BOUNDS_MS.to_vec(),
                 buckets: vec![0; DEFAULT_LATENCY_BOUNDS_MS.len() + 1],
@@ -160,43 +165,46 @@ impl QueryProfile {
         }
     }
 
-    /// Record a deduplicated batch arrival. `type_id` keys the cumulative
-    /// counter triple: a join query has one triple per FROM type, and
-    /// only same-type counters may be max-merged.
-    #[allow(clippy::too_many_arguments)]
+    /// The host's entry; its name is copied only the first time.
+    fn host_mut(&mut self, host: &str) -> &mut HostProfile {
+        if !self.hosts.contains_key(host) {
+            self.hosts.insert(host.to_string(), HostProfile::default());
+        }
+        self.hosts.get_mut(host).expect("inserted above")
+    }
+
+    /// Record a deduplicated batch of `events` events and `bytes` wire
+    /// bytes. `type_id` keys the cumulative header counters: a join query
+    /// has one set per FROM type, and only same-type counters may be
+    /// max-merged.
     pub fn observe_batch(
         &mut self,
         host: &str,
         type_id: u32,
+        header: &TypeCounters,
         bytes: u64,
         events: u64,
-        tapped: u64,
-        selected: u64,
-        shed: u64,
-        budget_shed: u64,
         retransmit: bool,
-        latency_ms: Option<i64>,
     ) {
         self.batches_ingested += 1;
-        let h = self.hosts.entry(host.to_string()).or_default();
+        if retransmit {
+            self.bytes_retransmitted += bytes;
+        } else {
+            self.bytes_first_sent += bytes;
+        }
+        let h = self.host_mut(host);
         h.events += events;
-        let t = h.by_type.entry(type_id).or_default();
-        t.tapped = t.tapped.max(tapped);
-        t.selected = t.selected.max(selected);
-        t.shed = t.shed.max(shed);
-        t.budget_shed = t.budget_shed.max(budget_shed);
-        h.recompute_totals();
+        h.by_type.entry(type_id).or_default().max_merge(header);
+        h.tapped = h.by_type.values().map(|t| t.tapped).sum();
+        h.selected = h.by_type.values().map(|t| t.selected).sum();
+        h.shed = h.by_type.values().map(|t| t.shed).sum();
+        h.budget_shed = h.by_type.values().map(|t| t.budget_shed).sum();
         h.batches += 1;
         if retransmit {
             h.retransmitted_batches += 1;
             h.bytes_retransmitted += bytes;
-            self.bytes_retransmitted += bytes;
         } else {
             h.bytes_first_sent += bytes;
-            self.bytes_first_sent += bytes;
-        }
-        if let Some(lat) = latency_ms {
-            self.record_latency(lat);
         }
     }
 
@@ -204,15 +212,13 @@ impl QueryProfile {
     /// already-ingested events (discarded, but acked).
     pub fn observe_duplicate(&mut self, host: &str, events: u64) {
         self.batches_duplicate += 1;
-        self.hosts
-            .entry(host.to_string())
-            .or_default()
-            .duplicate_events += events;
+        self.host_mut(host).duplicate_events += events;
     }
 
-    /// Record an ack sent back toward the host.
-    pub fn observe_ack(&mut self) {
-        self.batches_acked += 1;
+    /// Acks central sent back for this query's batches: it acks every
+    /// batch, and each one of a live query is either fresh or a duplicate.
+    pub fn batches_acked(&self) -> u64 {
+        self.batches_ingested + self.batches_duplicate
     }
 
     /// Record `closed` windows closing, `degraded` of them while a
@@ -228,12 +234,8 @@ impl QueryProfile {
         self.join_rows_held = join_rows_held;
     }
 
-    /// Record result rows leaving central.
-    pub fn observe_rows(&mut self, n: u64) {
-        self.rows_emitted += n;
-    }
-
-    fn record_latency(&mut self, v: i64) {
+    /// Record one batch's ingest latency (ms, clamped at zero).
+    pub fn observe_latency(&mut self, v: i64) {
         let v = v.max(0);
         let h = &mut self.ingest_latency_ms;
         let idx = h
@@ -265,45 +267,33 @@ impl QueryProfile {
     pub fn total_budget_shed(&self) -> u64 {
         self.hosts.values().map(|h| h.budget_shed).sum()
     }
-
-    /// Merge a profile shard from another central node.
-    pub fn merge(&mut self, other: &QueryProfile) {
-        debug_assert_eq!(self.query_id, other.query_id);
-        for (host, hp) in &other.hosts {
-            self.hosts.entry(host.clone()).or_default().merge(hp);
-        }
-        self.batches_ingested += other.batches_ingested;
-        self.batches_duplicate += other.batches_duplicate;
-        self.batches_acked += other.batches_acked;
-        self.bytes_first_sent += other.bytes_first_sent;
-        self.bytes_retransmitted += other.bytes_retransmitted;
-        self.windows_opened += other.windows_opened;
-        self.windows_closed += other.windows_closed;
-        self.windows_degraded += other.windows_degraded;
-        self.join_rows_held += other.join_rows_held;
-        self.rows_emitted += other.rows_emitted;
-        self.ingest_latency_ms.merge(&other.ingest_latency_ms);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn header(tapped: u64, selected: u64) -> TypeCounters {
+        TypeCounters {
+            tapped,
+            selected,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn batches_split_first_vs_retransmitted_bytes() {
         let mut p = QueryProfile::new(7);
-        p.observe_batch("h1", 0, 100, 10, 10, 10, 0, 0, false, Some(12));
-        p.observe_ack();
-        p.observe_batch("h1", 0, 100, 10, 20, 20, 0, 0, true, Some(800));
-        p.observe_ack();
+        p.observe_batch("h1", 0, &header(10, 10), 100, 10, false);
+        p.observe_latency(12);
+        p.observe_batch("h1", 0, &header(20, 20), 100, 10, true);
+        p.observe_latency(800);
         p.observe_duplicate("h1", 10);
-        p.observe_ack();
         assert_eq!(p.bytes_first_sent, 100);
         assert_eq!(p.bytes_retransmitted, 100);
         assert_eq!(p.batches_ingested, 2);
         assert_eq!(p.batches_duplicate, 1);
-        assert_eq!(p.batches_acked, 3);
+        assert_eq!(p.batches_acked(), 3);
         let h = &p.hosts["h1"];
         assert_eq!(h.tapped, 20); // cumulative counter max-merged
         assert_eq!(h.events, 20);
@@ -325,30 +315,16 @@ mod tests {
     }
 
     #[test]
-    fn profiles_merge_across_centrals() {
-        let mut a = QueryProfile::new(1);
-        a.observe_batch("h1", 0, 50, 5, 5, 5, 0, 0, false, Some(10));
-        let mut b = QueryProfile::new(1);
-        b.observe_batch("h2", 0, 70, 7, 7, 7, 0, 0, true, Some(20));
-        b.observe_windows_closed(1, 1);
-        a.merge(&b);
-        assert_eq!(a.hosts.len(), 2);
-        assert_eq!(a.bytes_first_sent, 50);
-        assert_eq!(a.bytes_retransmitted, 70);
-        assert_eq!(a.windows_degraded, 1);
-        assert_eq!(a.ingest_latency_ms.count, 2);
-        assert_eq!(a.total_tapped(), 12);
-    }
-
-    #[test]
     fn join_queries_sum_counters_across_types_not_max() {
         // A join has one subscription (one cumulative counter stream) per
         // FROM type; the host totals must be the sum of the per-type maxes,
         // never a max across types.
         let mut p = QueryProfile::new(9);
-        p.observe_batch("h1", 1, 100, 10, 10, 10, 0, 0, false, None);
-        p.observe_batch("h1", 2, 80, 4, 4, 4, 0, 0, false, None);
-        p.observe_batch("h1", 1, 60, 5, 15, 15, 0, 0, false, None);
+        p.observe_batch("h1", 1, &header(10, 10), 100, 10, false);
+        p.observe_batch("h1", 2, &header(4, 4), 80, 4, false);
+        p.observe_batch("h1", 1, &header(15, 15), 60, 5, false);
+        // a reordered, older batch of type 2 keeps the newer counters
+        p.observe_batch("h1", 2, &header(3, 3), 30, 0, false);
         let h = &p.hosts["h1"];
         assert_eq!(h.by_type.len(), 2);
         assert_eq!(h.by_type[&1].tapped, 15);
@@ -356,20 +332,12 @@ mod tests {
         assert_eq!(h.tapped, 19);
         assert_eq!(h.selected, 19);
         assert_eq!(h.events, 19);
-
-        // cross-central merge stays per-type as well
-        let mut other = QueryProfile::new(9);
-        other.observe_batch("h1", 2, 30, 2, 6, 6, 0, 0, false, None);
-        p.merge(&other);
-        let h = &p.hosts["h1"];
-        assert_eq!(h.by_type[&2].tapped, 6);
-        assert_eq!(h.tapped, 21);
     }
 
     #[test]
     fn profile_serializes() {
         let mut p = QueryProfile::new(3);
-        p.observe_batch("h", 0, 10, 1, 1, 1, 0, 0, false, None);
+        p.observe_batch("h", 0, &header(1, 1), 10, 1, false);
         let json = serde_json::to_string(&p).unwrap();
         let back: QueryProfile = serde_json::from_str(&json).unwrap();
         assert_eq!(p, back);

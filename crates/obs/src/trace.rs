@@ -218,8 +218,9 @@ impl TraceStore {
 
     /// Ingest a batch's piggybacked spans, backfilling empty hosts with
     /// the batch's reporting host.
-    pub fn ingest_spans(&mut self, spans: Vec<TraceSpan>, batch_host: &str) {
-        for mut span in spans {
+    pub fn ingest_spans(&mut self, spans: &[TraceSpan], batch_host: &str) {
+        for span in spans {
+            let mut span = span.clone();
             if span.host.is_empty() {
                 span.host = batch_host.to_string();
             }
@@ -384,7 +385,7 @@ mod tests {
     #[test]
     fn ingest_spans_backfills_host() {
         let mut s = TraceStore::new(16);
-        s.ingest_spans(vec![TraceSpan::new(4, SpanKind::Emit, 1, 0)], "bid-DC1-0");
+        s.ingest_spans(&[TraceSpan::new(4, SpanKind::Emit, 1, 0)], "bid-DC1-0");
         assert_eq!(s.trace(4).unwrap()[0].host, "bid-DC1-0");
     }
 }

@@ -18,12 +18,13 @@
 //!
 //! # Self-observability
 //!
-//! Central is where every query's data plane converges, so it assembles
-//! the per-query [`QueryProfile`]s (per-host tap counters, first-sent vs
-//! retransmitted bytes, window opens/closes/degradations, join-state
-//! pressure, ingest latency) and keeps node-level counters in a
-//! [`Registry`]. It also *dogfoods* Scrub: an embedded [`AgentHarness`]
-//! taps a `scrub_batch` meta-event per received batch and a
+//! Central is where every query's data plane converges. Each query's
+//! executor writes its [`QueryProfile`] (per-host tap counters, first-sent
+//! vs retransmitted bytes, window opens/closes/degradations, join-state
+//! pressure, ingest latency); central serves it, builds the loss ledger
+//! from it, and keeps node-level counters in a [`Registry`]. It also
+//! *dogfoods* Scrub: an embedded [`AgentHarness`] taps a `scrub_batch`
+//! meta-event per received batch and a
 //! `scrub_window` meta-event per window close, through the same `log()`
 //! fast path the application uses. A ScrubQL query targeting
 //! `@[Service in ScrubCentral]` runs over this telemetry like any other
@@ -43,8 +44,8 @@ use scrub_core::plan::{OutputMode, QueryId};
 use scrub_core::schema::SchemaRegistry;
 use scrub_obs::{
     register_meta_events, should_trace, trace_threshold, AlertEngine, AlertEventKind,
-    AlertProvenance, Counter, FlightEventKind, FlightRecorder, Gauge, Histogram, LedgerParts,
-    LossLedger, MetaEvents, MetricsHistory, MetricsSnapshot, PlanProfile, QueryProfile, Registry,
+    AlertProvenance, Counter, FlightEventKind, FlightRecorder, Gauge, Histogram, LossLedger,
+    MetaEvents, MetricsHistory, MetricsSnapshot, PlanProfile, QueryProfile, Registry,
     ScrubBatchEvent, ScrubMetricEvent, ScrubWindowEvent, SpanKind, TelemetryStore, TraceSpan,
     TraceStore,
 };
@@ -72,22 +73,15 @@ pub struct CentralNode<E: ScrubEnvelope> {
     pub events_ingested: u64,
     /// Batches received.
     pub batches_received: u64,
-    /// Batches discarded as duplicates across all queries.
-    pub duplicate_batches: u64,
-    /// Per-query execution profiles; retained after a query finishes so
-    /// `profile <qid>` works post-hoc.
+    /// Per-query execution profiles and `EXPLAIN ANALYZE` plan profiles,
+    /// captured at query stop and retained so `profile <qid>` and
+    /// `explain analyze <qid>` work post-hoc. Live queries read the
+    /// executor directly instead.
     profiles: HashMap<QueryId, QueryProfile>,
-    /// Per-query `EXPLAIN ANALYZE` plan profiles, captured at query stop
-    /// and retained (like `profiles`) so `explain analyze <qid>` works
-    /// post-hoc. Live queries read the executor directly instead.
     plan_profiles: HashMap<QueryId, PlanProfile>,
     /// Per-query lifecycle trace trees assembled from the spans batches
     /// piggyback; retained after a query finishes, like `profiles`.
     traces: HashMap<QueryId, TraceStore>,
-    /// Loss-provenance inputs central observes directly (events lost to
-    /// degraded windows, hosts suspected dead); joined with the profile's
-    /// tap counters to build a [`LossLedger`]. Retained post-finish.
-    ledger_parts: HashMap<QueryId, LedgerParts>,
     /// Multi-resolution telemetry store (raw snapshot ring + mid/coarse
     /// rollup tiers with exemplar links), fed each advance tick —
     /// backing `scrubql watch`/`range` and the alert engine.
@@ -125,9 +119,8 @@ pub struct CentralNode<E: ScrubEnvelope> {
     m_anomalies: Arc<Counter>,
     m_snaps_ooo: Arc<Counter>,
     /// Last per-query cumulative totals folded into the node counters,
-    /// so each advance adds only the delta (profiles and
-    /// `ExecutorStats` are cumulative; the node metrics want fleet
-    /// totals without double counting).
+    /// so each advance adds only the delta (profiles are cumulative; the
+    /// node metrics want fleet totals without double counting).
     fold_seen: HashMap<QueryId, FoldSeen>,
     /// The health plane: rule engine + anomaly baselines + bounded
     /// alert log, ticked right after each history snapshot.
@@ -214,11 +207,9 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             grace_timer_ms: None,
             events_ingested: 0,
             batches_received: 0,
-            duplicate_batches: 0,
             profiles: HashMap::new(),
             plan_profiles: HashMap::new(),
             traces: HashMap::new(),
-            ledger_parts: HashMap::new(),
             tsdb,
             trace_threshold: trace_thresh,
             meta_queries: HashSet::new(),
@@ -264,9 +255,13 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         self.executors.len()
     }
 
-    /// Execution profile of a query (live or finished).
+    /// Execution profile of a query: the executor's own while the query
+    /// runs, the copy retained at stop afterwards.
     pub fn profile(&self, qid: QueryId) -> Option<&QueryProfile> {
-        self.profiles.get(&qid)
+        match self.executors.get(&qid) {
+            Some(exec) => Some(exec.profile()),
+            None => self.profiles.get(&qid),
+        }
     }
 
     /// `EXPLAIN ANALYZE` plan profile of a query: assembled fresh from the
@@ -317,12 +312,10 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         self.traces.get(&qid)
     }
 
-    /// Build the loss ledger of a query from its profile and the
-    /// centrally-observed loss parts. `None` for unknown queries.
+    /// Build the loss ledger of a query from its profile. `None` for
+    /// unknown queries.
     pub fn ledger(&self, qid: QueryId) -> Option<LossLedger> {
-        let profile = self.profiles.get(&qid)?;
-        let parts = self.ledger_parts.get(&qid).cloned().unwrap_or_default();
-        Some(LossLedger::build(profile, &parts))
+        self.profile(qid).map(LossLedger::build)
     }
 
     /// Ring of periodic node-metrics snapshots (oldest first) — the
@@ -391,10 +384,6 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         let mut first_hint: Option<AlertProvenance> = None;
         for qid in self.sorted_qids() {
             let dead = self.suspect_hosts(qid);
-            if !dead.is_empty() || self.ledger_parts.contains_key(&qid) {
-                self.ledger_parts.entry(qid).or_default().dead_hosts =
-                    dead.iter().cloned().collect();
-            }
             if let Some(exec) = self.executors.get_mut(&qid) {
                 if *exec.dead_hosts() != dead {
                     // journal hosts crossing into suspected-dead for
@@ -448,7 +437,7 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     /// The hops read the wire bytes ahead of the executor. A frame whose
     /// headers do not scan gets none: the executor drops it whole and counts
     /// the one `central.decode_failures`.
-    fn observe_ingest(&mut self, batch: &mut EventBatch, now_ms: i64) {
+    fn observe_ingest(&mut self, batch: &EventBatch, now_ms: i64) {
         let threshold = self.trace_threshold;
         if threshold == 0 {
             return;
@@ -460,7 +449,7 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             self.traces
                 .entry(qid)
                 .or_default()
-                .ingest_spans(std::mem::take(&mut batch.spans), &batch.host);
+                .ingest_spans(&batch.spans, &batch.host);
         }
         let Some(exec) = self.executors.get(&qid) else {
             return;
@@ -504,9 +493,10 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         let Some(exec) = self.executors.get(&qid) else {
             return;
         };
-        let stats = exec.stats();
-        let overflow_total = stats.groups_overflow;
-        let mut budget_shed_total = 0u64;
+        let profile = exec.profile();
+        let overflow_total = profile.groups_overflow;
+        let decode_failures_total = profile.decode_failures;
+        let budget_shed_total = profile.total_budget_shed();
         let mut retransmitted_total = 0u64;
         let mut batch_dropped_total = 0u64;
         // most-implicated host per figure: largest cumulative
@@ -515,21 +505,18 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         let mut retransmit_host: Option<(u64, String)> = None;
         let mut dropped_host: Option<(u64, String)> = None;
         let mut shed_host: Option<(u64, String)> = None;
-        if let Some(profile) = self.profiles.get(&qid) {
-            budget_shed_total = profile.total_budget_shed();
-            for (host, hp) in &profile.hosts {
-                retransmitted_total += hp.retransmitted_batches;
-                if hp.retransmitted_batches > retransmit_host.as_ref().map_or(0, |(n, _)| *n) {
-                    retransmit_host = Some((hp.retransmitted_batches, host.clone()));
-                }
-                let gap = hp.selected.saturating_sub(hp.events);
-                batch_dropped_total += gap;
-                if gap > dropped_host.as_ref().map_or(0, |(n, _)| *n) {
-                    dropped_host = Some((gap, host.clone()));
-                }
-                if hp.budget_shed > shed_host.as_ref().map_or(0, |(n, _)| *n) {
-                    shed_host = Some((hp.budget_shed, host.clone()));
-                }
+        for (host, hp) in &profile.hosts {
+            retransmitted_total += hp.retransmitted_batches;
+            if hp.retransmitted_batches > retransmit_host.as_ref().map_or(0, |(n, _)| *n) {
+                retransmit_host = Some((hp.retransmitted_batches, host.clone()));
+            }
+            let gap = hp.selected.saturating_sub(hp.events);
+            batch_dropped_total += gap;
+            if gap > dropped_host.as_ref().map_or(0, |(n, _)| *n) {
+                dropped_host = Some((gap, host.clone()));
+            }
+            if hp.budget_shed > shed_host.as_ref().map_or(0, |(n, _)| *n) {
+                shed_host = Some((hp.budget_shed, host.clone()));
             }
         }
         let trace_dropped_total = self.traces.get(&qid).map_or(0, |s| s.dropped_spans);
@@ -553,9 +540,9 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         let d_overflow = overflow_total.saturating_sub(seen.groups_overflow);
         self.m_groups_overflow.add(d_overflow);
         self.m_decode_failures
-            .add(stats.decode_failures.saturating_sub(seen.decode_failures));
+            .add(decode_failures_total.saturating_sub(seen.decode_failures));
         seen.groups_overflow = overflow_total.max(seen.groups_overflow);
-        seen.decode_failures = stats.decode_failures.max(seen.decode_failures);
+        seen.decode_failures = decode_failures_total.max(seen.decode_failures);
         seen.budget_shed = budget_shed_total.max(seen.budget_shed);
         seen.retransmitted = retransmitted_total.max(seen.retransmitted);
         seen.batch_dropped = batch_dropped_total.max(seen.batch_dropped);
@@ -592,22 +579,14 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         }
     }
 
-    /// Drain one executor's window closes into the profile, node metrics
-    /// and (for application queries) `scrub_window` meta-events.
+    /// Drain one executor's window closes into the node metrics, the
+    /// journals and (for application queries) `scrub_window` meta-events.
     fn observe_closes(&mut self, ctx: &mut Context<'_, E>, qid: QueryId, rows_emitted: u64) {
         let Some(exec) = self.executors.get_mut(&qid) else {
             return;
         };
         let closes = exec.take_window_closes();
-        let stats = exec.stats();
         let is_meta_query = self.meta_queries.contains(&qid);
-        if let Some(profile) = self.profiles.get_mut(&qid) {
-            for c in &closes {
-                profile.observe_windows_closed(1, c.degraded as u64);
-            }
-            profile.observe_state(stats.open_windows as u64, stats.join_rows_held);
-            profile.observe_rows(rows_emitted);
-        }
         self.m_rows.add(rows_emitted);
         self.m_windows_closed.add(closes.len() as u64);
         self.m_windows_degraded
@@ -625,13 +604,6 @@ impl<E: ScrubEnvelope> CentralNode<E> {
                 closed_by_rule.inc();
                 self.m_close_lag
                     .record(ctx.now.as_ms() - (c.window_start_ms + window_ms));
-            }
-            // a degraded window's delivered events, attributed per host
-            if !c.host_events.is_empty() {
-                let parts = self.ledger_parts.entry(qid).or_default();
-                for (host, n) in &c.host_events {
-                    *parts.degraded_events.entry(host.clone()).or_default() += n;
-                }
             }
             if self.trace_threshold != 0 {
                 if let Some(store) = self.traces.get_mut(&qid) {
@@ -663,9 +635,8 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         // event is delivered or attributed to exactly one loss cause
         // (LossLedger::build debug-asserts reconciliation internally).
         #[cfg(debug_assertions)]
-        if let Some(profile) = self.profiles.get(&qid) {
-            let parts = self.ledger_parts.get(&qid).cloned().unwrap_or_default();
-            let ledger = LossLedger::build(profile, &parts);
+        {
+            let ledger = LossLedger::build(exec.profile());
             debug_assert!(
                 ledger.reconciles(),
                 "loss ledger fails to reconcile for query {}",
@@ -944,7 +915,6 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                 }
                 let exec = QueryExecutor::new(plan, self.config.window_grace_ms);
                 self.executors.insert(qid, exec);
-                self.profiles.insert(qid, QueryProfile::new(qid.0));
                 self.recorders
                     .entry(qid)
                     .or_insert_with(|| FlightRecorder::new(qid.0, self.config.flight_recorder_cap));
@@ -955,12 +925,13 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                 if let Some(mut exec) = self.executors.remove(&query_id) {
                     let (rows, summary) = exec.finish();
                     let n = rows.len() as u64;
-                    // capture the final plan profile (post-finish, so the
+                    // capture the final profiles (post-finish, so the
                     // close/render counters are complete) before the
                     // executor drops, then record the final closes
                     let plan_profile = exec.plan_profile();
                     self.export_plan_metrics(&plan_profile);
                     self.plan_profiles.insert(query_id, plan_profile);
+                    self.profiles.insert(query_id, exec.profile().clone());
                     self.executors.insert(query_id, exec);
                     self.observe_closes(ctx, query_id, n);
                     self.fold_totals(query_id);
@@ -976,7 +947,7 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                     }
                 }
             }
-            ScrubMsg::Batch(mut batch) => {
+            ScrubMsg::Batch(batch) => {
                 self.batches_received += 1;
                 self.m_batches.inc();
                 // Ack everything — duplicates and batches for unknown
@@ -998,11 +969,8 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                     // take a late copy of an ingested batch for news. Its
                     // spans still show how far its events got.
                     self.m_after_stop.inc();
-                    self.observe_ingest(&mut batch, now_ms);
+                    self.observe_ingest(&batch, now_ms);
                     return;
-                }
-                if let Some(p) = self.profiles.get_mut(&batch.query_id) {
-                    p.observe_ack();
                 }
                 let fresh = self
                     .streams
@@ -1058,13 +1026,9 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                     }
                 }
                 if !fresh {
-                    self.duplicate_batches += 1;
                     self.m_duplicates.inc();
-                    if let Some(p) = self.profiles.get_mut(&batch.query_id) {
-                        p.observe_duplicate(&batch.host, batch.len() as u64);
-                    }
                     if let Some(exec) = self.executors.get_mut(&batch.query_id) {
-                        exec.note_duplicate();
+                        exec.note_duplicate(&batch.host, batch.len() as u64);
                     }
                     // its floor may still have closed a gap
                     self.close_on_watermark(ctx, batch.query_id);
@@ -1072,25 +1036,13 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                 }
                 self.events_ingested += batch.len() as u64;
                 self.m_events.add(batch.len() as u64);
-                let latency = batch.payload.ts_range().map(|(_, newest)| now_ms - newest);
-                if let Some(lat) = latency {
-                    self.m_ingest_latency.record(lat);
+                if let Some((_, newest)) = batch.payload.ts_range() {
+                    self.m_ingest_latency.record(now_ms - newest);
+                    if let Some(exec) = self.executors.get_mut(&batch.query_id) {
+                        exec.record_ingest_latency(now_ms - newest);
+                    }
                 }
-                if let Some(p) = self.profiles.get_mut(&batch.query_id) {
-                    p.observe_batch(
-                        &batch.host,
-                        batch.type_id.0,
-                        batch.approx_bytes() as u64,
-                        batch.len() as u64,
-                        batch.matched,
-                        batch.sampled,
-                        batch.shed,
-                        batch.budget_shed,
-                        batch.attempt > 0,
-                        latency,
-                    );
-                }
-                self.observe_ingest(&mut batch, now_ms);
+                self.observe_ingest(&batch, now_ms);
                 let qid = batch.query_id;
                 if let Some(exec) = self.executors.get_mut(&qid) {
                     exec.ingest(batch);

@@ -741,3 +741,74 @@ fn degraded_windows_attribute_each_hosts_events_to_it() {
         );
     }
 }
+
+/// One query's figures agree across every surface central keeps them on,
+/// under loss, retransmits, duplicate deliveries and a host crashed
+/// mid-query: the summary's totals are the profile's, `EXPLAIN ANALYZE`'s
+/// decode operator reads the profile's events and bytes, every ack is a
+/// fresh or a duplicate batch of the live query, and the loss ledger
+/// reconciles.
+#[test]
+fn summary_profile_plan_and_ledger_agree_under_faults() {
+    use scrub_simnet::{FaultPlan, NodeSel};
+
+    let (mut sim, d) = cluster(4);
+    let hosts = || NodeSel::Service("BidServers".into());
+    let central = || NodeSel::Host("scrub-central".into());
+    sim.set_fault_plan(
+        FaultPlan::new(11)
+            .drop(hosts(), central(), 0.1)
+            .drop(central(), hosts(), 0.2)
+            .crash("bid-3", SimTime::from_secs(12), None),
+    );
+    let q = ScrubClient::new(&d)
+        .submit(
+            &mut sim,
+            "select bid.user_id, COUNT(*) from bid @[Service in BidServers] \
+             group by bid.user_id window 10 s duration 30 s",
+        )
+        .expect("query accepted");
+    sim.run_until(SimTime::from_secs(90));
+    assert_eq!(q.state(&sim), Some(QueryState::Done));
+
+    let rec = q.record(&sim).expect("query record");
+    let summary = rec.summary.as_ref().expect("summary");
+    let profile = q.profile(&sim).expect("profile");
+    assert!(
+        profile.bytes_retransmitted > 0,
+        "no retransmits: {profile:?}"
+    );
+    assert!(profile.batches_duplicate > 0, "no duplicates: {profile:?}");
+    assert_eq!(summary.total_matched, profile.total_tapped());
+    assert_eq!(summary.total_sampled, profile.total_selected());
+    assert_eq!(summary.total_shed, profile.total_shed());
+    assert_eq!(summary.total_budget_shed, profile.total_budget_shed());
+    assert_eq!(summary.duplicate_batches, profile.batches_duplicate);
+    assert_eq!(summary.hosts_reporting, profile.hosts.len());
+
+    let plan = q.plan_profile(&sim).expect("plan profile");
+    let decode = plan
+        .ops
+        .iter()
+        .find(|o| o.label == "decode/route")
+        .expect("decode operator");
+    let events: u64 = profile.hosts.values().map(|h| h.events).sum();
+    assert_eq!(decode.rows_in, events);
+    assert_eq!(
+        decode.bytes,
+        profile.bytes_first_sent + profile.bytes_retransmitted
+    );
+    // central acks every batch; those of a live query are fresh or duplicate
+    let node = sim
+        .node_as::<scrub_server::CentralNode<ScrubMsg>>(q.central(&sim))
+        .expect("central node");
+    let counters = node.metrics(90_000).counters;
+    assert_eq!(
+        counters["central.acks_sent"] - counters["central.batches_after_stop"],
+        profile.batches_ingested + profile.batches_duplicate
+    );
+
+    let ledger = q.loss_ledger(&sim).expect("loss ledger");
+    assert!(ledger.reconciles(), "{ledger:?}");
+    assert!(ledger.hosts["bid-3"].host_dead, "{ledger:?}");
+}

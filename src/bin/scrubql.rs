@@ -440,7 +440,11 @@ fn print_profile(p: &Platform, qid: QueryId) {
     };
     println!(
         "query {}: {} batches ingested ({} duplicate, {} acked), {} rows emitted",
-        qid, prof.batches_ingested, prof.batches_duplicate, prof.batches_acked, prof.rows_emitted
+        qid,
+        prof.batches_ingested,
+        prof.batches_duplicate,
+        prof.batches_acked(),
+        prof.rows_emitted
     );
     println!(
         "bytes: {} first-sent, {} retransmitted",

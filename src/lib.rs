@@ -53,7 +53,7 @@ pub use adplatform::scenario;
 /// The items most programs need.
 pub mod prelude {
     pub use adplatform::{build_platform, Platform, PlatformConfig};
-    pub use scrub_central::{ExecutorStats, QuerySummary, ResultRow};
+    pub use scrub_central::{QuerySummary, ResultRow};
     pub use scrub_core::prelude::*;
     pub use scrub_obs::{
         default_rules, merge_timelines, render_timeline, render_timeline_json, AlertEngine,
