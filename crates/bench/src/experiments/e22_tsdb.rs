@@ -243,7 +243,7 @@ fn run_once(quick: bool) -> Observed {
         compression_ratio,
         mid_max_per_metric,
         mid_buckets_elapsed,
-        out_of_order: store.out_of_order(),
+        out_of_order: central.metrics(p.sim.now().as_ms()).counters["obs.snapshots_out_of_order"],
         suspect_ms,
         run_secs,
         meta_windows,

@@ -4,19 +4,14 @@ use serde::{Deserialize, Serialize};
 
 /// Configuration knobs shared by the query server, agents and ScrubCentral.
 ///
-/// Defaults follow the paper's deployment at Turn: 10-second tumbling
-/// windows in the case studies, query spans defaulting to minutes so a
-/// forgotten query cannot load the system forever (§3.2).
+/// Only what a deployment, experiment or test actually tunes is a knob.
+/// The paper's query defaults — 10-second tumbling windows, spans of
+/// minutes so a forgotten query cannot load the system forever (§3.2) —
+/// are constants beside the planner (`scrub_core::plan::DEFAULT_WINDOW_MS`
+/// and its siblings), and the health plane's tuning (alert hysteresis, the
+/// anomaly watchlist, log and journal caps) is fixed in `scrub-obs`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScrubConfig {
-    /// Default tumbling-window length when a query has no WINDOW clause.
-    pub default_window_ms: i64,
-    /// Default query duration when no DURATION clause is given.
-    pub default_duration_ms: i64,
-    /// Hard cap on query duration; longer requests are clamped.
-    pub max_duration_ms: i64,
-    /// Maximum number of event types a single query may join.
-    pub max_join_types: usize,
     /// Agent: flush a query's output batch when it reaches this many events.
     pub agent_batch_events: usize,
     /// Agent: flush at least this often (ms) even if the batch is small.
@@ -119,42 +114,6 @@ pub struct ScrubConfig {
     /// config always prices a query the same way.
     #[serde(default = "default_admission_events_per_host_per_sec")]
     pub admission_events_per_host_per_sec: f64,
-    /// Central: evaluate the health plane's alert rules at every
-    /// metrics-history tick. On by default — evaluation is a handful of
-    /// integer comparisons per rule per advance and only watches
-    /// deterministic metrics, so it cannot perturb results.
-    #[serde(default = "default_alerts_enabled")]
-    pub alerts_enabled: bool,
-    /// Central: capacity of the bounded alert log (oldest evicted and
-    /// counted beyond it).
-    #[serde(default = "default_alert_log_cap")]
-    pub alert_log_cap: usize,
-    /// Alert hysteresis: consecutive true evaluations required before a
-    /// default rule fires.
-    #[serde(default = "default_alert_for_ticks")]
-    pub alert_for_ticks: u32,
-    /// Alert hysteresis: consecutive false evaluations required before
-    /// a firing default rule clears.
-    #[serde(default = "default_alert_clear_ticks")]
-    pub alert_clear_ticks: u32,
-    /// Anomaly detection: z-score bound on per-interval deltas (the
-    /// Welford baseline flags excursions beyond this many σ).
-    #[serde(default = "default_anomaly_z")]
-    pub anomaly_z: f64,
-    /// Anomaly detection: warmup — baselines with fewer than this many
-    /// observed intervals never flag.
-    #[serde(default = "default_anomaly_min_intervals")]
-    pub anomaly_min_intervals: usize,
-    /// Anomaly detection: watched metric names. The default watches
-    /// central ingest volume; entries must be per-tick deterministic
-    /// metrics (never `_ns` wall-clock values) or the determinism
-    /// contract of the alert log breaks.
-    #[serde(default = "default_anomaly_metrics")]
-    pub anomaly_metrics: Vec<String>,
-    /// Server/central: per-query flight-recorder capacity (lifecycle
-    /// journal entries; oldest evicted and counted beyond it).
-    #[serde(default = "default_flight_recorder_cap")]
-    pub flight_recorder_cap: usize,
 }
 
 /// What the query server does when admitting a query would break the
@@ -218,38 +177,9 @@ fn default_max_groups() -> usize {
 fn default_admission_events_per_host_per_sec() -> f64 {
     10_000.0
 }
-fn default_alerts_enabled() -> bool {
-    true
-}
-fn default_alert_log_cap() -> usize {
-    256
-}
-fn default_alert_for_ticks() -> u32 {
-    1
-}
-fn default_alert_clear_ticks() -> u32 {
-    2
-}
-fn default_anomaly_z() -> f64 {
-    6.0
-}
-fn default_anomaly_min_intervals() -> usize {
-    12
-}
-fn default_anomaly_metrics() -> Vec<String> {
-    vec!["central.events_ingested".to_string()]
-}
-fn default_flight_recorder_cap() -> usize {
-    256
-}
-
 impl Default for ScrubConfig {
     fn default() -> Self {
         ScrubConfig {
-            default_window_ms: 10_000,
-            default_duration_ms: 10 * 60_000,
-            max_duration_ms: 24 * 3_600_000,
-            max_join_types: 4,
             agent_batch_events: 256,
             agent_flush_interval_ms: 1_000,
             agent_events_per_sec_budget: 50_000,
@@ -269,14 +199,6 @@ impl Default for ScrubConfig {
             max_groups: default_max_groups(),
             admission: AdmissionPolicy::default(),
             admission_events_per_host_per_sec: default_admission_events_per_host_per_sec(),
-            alerts_enabled: default_alerts_enabled(),
-            alert_log_cap: default_alert_log_cap(),
-            alert_for_ticks: default_alert_for_ticks(),
-            alert_clear_ticks: default_alert_clear_ticks(),
-            anomaly_z: default_anomaly_z(),
-            anomaly_min_intervals: default_anomaly_min_intervals(),
-            anomaly_metrics: default_anomaly_metrics(),
-            flight_recorder_cap: default_flight_recorder_cap(),
         }
     }
 }
@@ -288,8 +210,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = ScrubConfig::default();
-        assert_eq!(c.default_window_ms, 10_000);
-        assert!(c.default_duration_ms < c.max_duration_ms);
         assert!(c.agent_batch_events > 0);
         // Host-impact-first: tracing is opt-in, never the default.
         assert_eq!(c.trace_sample_rate, 0.0);
@@ -307,55 +227,76 @@ mod tests {
         assert_eq!(c.max_groups, 65_536);
         assert_eq!(c.admission, AdmissionPolicy::Off);
         assert_eq!(c.admission_events_per_host_per_sec, 10_000.0);
-        // Health plane: alerts are on by default (pure observation —
-        // they cannot change results), with bounded logs/journals and
-        // an anomaly watchlist restricted to deterministic metrics.
-        assert!(c.alerts_enabled);
-        assert!(c.alert_log_cap > 0);
-        assert!(c.alert_for_ticks >= 1);
-        assert!(c.alert_clear_ticks >= 1);
-        assert!(c.anomaly_z > 0.0);
-        assert!(c.anomaly_min_intervals >= 2);
-        assert_eq!(c.anomaly_metrics, vec!["central.events_ingested"]);
-        assert!(!c.anomaly_metrics.iter().any(|m| m.ends_with("_ns")));
-        assert!(c.flight_recorder_cap >= 4);
     }
 
-    /// A config stored before intra-query partitions were removed still
-    /// loads; the dead key is ignored.
+    /// A config stored while a since-retired knob existed still loads; the
+    /// dead key is ignored. The keys are spelled in parts so that a search
+    /// for a retired knob finds only documentation. The live knobs are
+    /// listed too, so adding or retiring one changes a list.
     #[test]
-    fn stored_config_with_central_partitions_still_loads() {
-        let mut json = serde_json::to_string(&ScrubConfig::default()).unwrap();
-        assert!(!json.contains("central_partitions"));
-        json.insert_str(1, "\"central_partitions\": 4, ");
-        let back: ScrubConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, ScrubConfig::default());
-    }
-
-    /// A config stored while the row wire format was selectable still
-    /// loads; the dead key is ignored. (The key is spelled in two parts
-    /// so that a search for the retired knob finds only documentation.)
-    #[test]
-    fn stored_config_with_the_retired_format_knob_still_loads() {
-        let key = ["wire", "format"].join("_");
-        let mut json = serde_json::to_string(&ScrubConfig::default()).unwrap();
-        assert!(!json.contains(&key));
-        json.insert_str(1, &format!("\"{key}\": \"Row\", "));
-        let back: ScrubConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, ScrubConfig::default());
-    }
-
-    /// A config stored while agents heartbeated the query server still
-    /// loads; the dead key is ignored. (Spelled in parts, like the one
-    /// above.)
-    #[test]
-    fn stored_config_with_the_retired_heartbeat_knob_still_loads() {
-        let key = ["agent", "heartbeat", "interval", "ms"].join("_");
-        let mut json = serde_json::to_string(&ScrubConfig::default()).unwrap();
-        assert!(!json.contains(&key));
-        json.insert_str(1, &format!("\"{key}\": 1000, "));
-        let back: ScrubConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, ScrubConfig::default());
+    fn stored_config_with_retired_knobs_still_loads() {
+        // a flat object of scalars: split it into its keys
+        let fresh = serde_json::to_string(&ScrubConfig::default()).unwrap();
+        let mut live: Vec<&str> = fresh
+            .trim_matches(['{', '}'])
+            .split(',')
+            .map(|kv| kv.split(':').next().unwrap().trim().trim_matches('"'))
+            .collect();
+        live.sort_unstable();
+        assert_eq!(
+            live,
+            [
+                "admission",
+                "admission_events_per_host_per_sec",
+                "agent_batch_events",
+                "agent_events_per_sec_budget",
+                "agent_flush_interval_ms",
+                "agent_retransmit_buffer",
+                "agent_retry_base_ms",
+                "agent_retry_max_ms",
+                "enforce_host_budget",
+                "host_cpu_budget",
+                "host_grace_ms",
+                "max_groups",
+                "obs_history_len",
+                "trace_sample_rate",
+                "trace_span_budget",
+                "tsdb_coarse_factor",
+                "tsdb_mid_factor",
+                "tsdb_tier_cap",
+                "window_grace_ms",
+            ]
+        );
+        let retired: [(&[&str], &str); 15] = [
+            // intra-query partitions
+            (&["central", "partitions"], "4"),
+            // the row wire format
+            (&["wire", "format"], "\"Row\""),
+            // agent heartbeats to the query server
+            (&["agent", "heartbeat", "interval", "ms"], "1000"),
+            // query defaults, now constants beside the planner
+            (&["default", "window", "ms"], "10000"),
+            (&["default", "duration", "ms"], "600000"),
+            (&["max", "duration", "ms"], "86400000"),
+            (&["max", "join", "types"], "4"),
+            // health-plane tuning, now constants in the obs crate
+            (&["alerts", "enabled"], "false"),
+            (&["alert", "log", "cap"], "256"),
+            (&["alert", "for", "ticks"], "1"),
+            (&["alert", "clear", "ticks"], "2"),
+            (&["anomaly", "z"], "6.0"),
+            (&["anomaly", "min", "intervals"], "12"),
+            (&["anomaly", "metrics"], "[\"central.events_ingested\"]"),
+            (&["flight", "recorder", "cap"], "4096"),
+        ];
+        for (parts, value) in retired {
+            let key = parts.join("_");
+            assert!(!live.contains(&key.as_str()), "{key} is live");
+            let mut json = fresh.clone();
+            json.insert_str(1, &format!("\"{key}\": {value}, "));
+            let back: ScrubConfig = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, ScrubConfig::default(), "{key}");
+        }
     }
 
     #[test]

@@ -504,6 +504,17 @@ impl CompiledQuery {
     }
 }
 
+/// Tumbling-window length of a query with no WINDOW clause — the paper's
+/// case studies all use 10-second windows.
+pub const DEFAULT_WINDOW_MS: i64 = 10_000;
+/// Span of a query with no DURATION clause (§3.2: minutes, so a forgotten
+/// query cannot load the system forever).
+pub const DEFAULT_DURATION_MS: i64 = 10 * 60_000;
+/// Hard cap on a query's span; longer requests are clamped.
+pub const MAX_DURATION_MS: i64 = 24 * 3_600_000;
+/// Most event types one query may join (joins are expensive at central).
+pub const MAX_JOIN_TYPES: usize = 4;
+
 /// Validate `spec` against `registry` and compile it into query objects.
 pub fn compile(
     spec: &QuerySpec,
@@ -517,11 +528,11 @@ pub fn compile(
     if spec.from.is_empty() {
         return Err(ScrubError::Validate("empty FROM clause".into()));
     }
-    if spec.from.len() > config.max_join_types {
+    if spec.from.len() > MAX_JOIN_TYPES {
         return Err(ScrubError::Unsupported(format!(
             "query joins {} event types; the limit is {} (joins are expensive at central)",
             spec.from.len(),
-            config.max_join_types
+            MAX_JOIN_TYPES
         )));
     }
     {
@@ -807,7 +818,7 @@ pub fn compile(
         OutputMode::Stream(exprs)
     };
 
-    let window_ms = spec.window_ms.unwrap_or(config.default_window_ms);
+    let window_ms = spec.window_ms.unwrap_or(DEFAULT_WINDOW_MS);
     if window_ms <= 0 {
         return Err(ScrubError::Validate("window must be positive".into()));
     }
@@ -820,8 +831,8 @@ pub fn compile(
     }
     let duration_ms = spec
         .duration_ms
-        .unwrap_or(config.default_duration_ms)
-        .min(config.max_duration_ms);
+        .unwrap_or(DEFAULT_DURATION_MS)
+        .min(MAX_DURATION_MS);
     if duration_ms <= 0 {
         return Err(ScrubError::Validate("duration must be positive".into()));
     }
@@ -1234,6 +1245,32 @@ mod tests {
     }
 
     #[test]
+    fn join_up_to_the_type_limit_compiles() {
+        let reg = registry();
+        for i in 0..=MAX_JOIN_TYPES {
+            reg.register(
+                EventSchema::new(format!("t{i}"), vec![FieldDef::new("x", FieldType::Int)])
+                    .unwrap(),
+            )
+            .unwrap();
+        }
+        let joining = |n: usize| {
+            let from: Vec<String> = (0..n).map(|i| format!("t{i}")).collect();
+            let spec = parse_query(&format!("select COUNT(*) from {}", from.join(", "))).unwrap();
+            compile(&spec, &reg, &ScrubConfig::default(), QueryId(1))
+        };
+        let cq = joining(MAX_JOIN_TYPES).unwrap();
+        assert_eq!(cq.host_plans.len(), MAX_JOIN_TYPES);
+        assert!(cq.central.is_join());
+        let e = joining(MAX_JOIN_TYPES + 1).unwrap_err();
+        assert!(
+            e.to_string()
+                .contains(&format!("the limit is {MAX_JOIN_TYPES}")),
+            "{e}"
+        );
+    }
+
+    #[test]
     fn sum_of_string_rejected() {
         assert!(compile_src("select SUM(bid.city) from bid").is_err());
         // MIN over strings is fine
@@ -1254,16 +1291,15 @@ mod tests {
 
     #[test]
     fn defaults_applied() {
-        let cfg = ScrubConfig::default();
         let cq = compile_src("select COUNT(*) from bid").unwrap();
-        assert_eq!(cq.window_ms, cfg.default_window_ms);
-        assert_eq!(cq.duration_ms, cfg.default_duration_ms);
+        assert_eq!(cq.window_ms, DEFAULT_WINDOW_MS);
+        assert_eq!(cq.duration_ms, DEFAULT_DURATION_MS);
     }
 
     #[test]
     fn duration_clamped_to_max() {
         let cq = compile_src("select COUNT(*) from bid duration 100 d").unwrap();
-        assert_eq!(cq.duration_ms, ScrubConfig::default().max_duration_ms);
+        assert_eq!(cq.duration_ms, MAX_DURATION_MS);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Deterministic alert engine over the metric history.
+//! Deterministic alert engine over the telemetry store's raw tier.
 //!
 //! Pull-only telemetry leaves the operator to notice trouble; the alert
 //! engine reads the [`TelemetryStore`]'s raw tier (explicitly, at
@@ -25,7 +25,7 @@
 //! On top of the explicit rules, an [`AnomalyDetector`] dogfoods Scrub's
 //! own estimator ([`Welford`], the same streaming mean/variance used by
 //! the two-stage sampler): it maintains a per-metric baseline over
-//! history deltas and flags z-score excursions once warmed up. Scrub
+//! raw-tier deltas and flags z-score excursions once warmed up. Scrub
 //! literally scrubs itself.
 //!
 //! Everything here is driven by sim time and the seeded run: evaluated
@@ -34,6 +34,10 @@
 //! and must fire identically on every run of a seed (enforced by the
 //! golden tests). Rules should therefore only watch metrics that are
 //! themselves deterministic per tick (not `_ns` wall-clock values).
+//!
+//! The health plane has no knobs: the rules ([`default_rules`]), the
+//! anomaly watchlist, the hysteresis and the log cap are the constants
+//! below, the same in every deployment, experiment and benchmark.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -42,6 +46,21 @@ use scrub_sketch::Welford;
 use serde::{Deserialize, Serialize};
 
 use crate::tsdb::{Resolution, TelemetryStore};
+
+/// Capacity of the bounded alert log (oldest evicted and counted).
+const ALERT_LOG_CAP: usize = 256;
+/// Consecutive true evaluations before a default rule fires.
+const ALERT_FOR_TICKS: u32 = 1;
+/// Consecutive false evaluations before a firing default rule clears.
+const ALERT_CLEAR_TICKS: u32 = 2;
+/// Anomaly bound: a per-interval delta this many σ from the baseline flags.
+const ANOMALY_Z: f64 = 6.0;
+/// Anomaly warmup: a baseline with fewer observed intervals never flags.
+const ANOMALY_MIN_INTERVALS: u64 = 12;
+/// The anomaly watchlist: central ingest volume. Entries must be per-tick
+/// deterministic metrics (never `_ns` wall-clock values) or the alert
+/// log's determinism contract breaks.
+const ANOMALY_METRICS: [&str; 1] = ["central.events_ingested"];
 
 /// How a rule condenses a metric's history into one figure per tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -311,7 +330,7 @@ struct RuleState {
     firing: bool,
 }
 
-/// Welford-baseline anomaly detection over history deltas.
+/// Welford-baseline anomaly detection over raw-tier deltas.
 ///
 /// For each watched metric the detector streams per-interval deltas
 /// into a [`Welford`] accumulator. Once at least `min_intervals`
@@ -333,10 +352,10 @@ pub struct AnomalyDetector {
 impl AnomalyDetector {
     /// Detector flagging deltas beyond `z`σ after `min_intervals`
     /// warmup observations, over the given watchlist.
-    pub fn new(z: f64, min_intervals: u64, metrics: Vec<String>) -> Self {
+    fn new(z: f64, min_intervals: u64, metrics: Vec<String>) -> Self {
         AnomalyDetector {
-            z: if z > 0.0 { z } else { 6.0 },
-            min_intervals: min_intervals.max(2),
+            z,
+            min_intervals,
             metrics,
             baselines: BTreeMap::new(),
             last_at: BTreeMap::new(),
@@ -394,7 +413,7 @@ impl AnomalyDetector {
 
 /// The alert engine: rules + hysteresis states + anomaly baselines +
 /// the bounded log. Owned by ScrubCentral and ticked right after each
-/// history snapshot is recorded.
+/// snapshot is recorded into the telemetry store.
 #[derive(Debug, Clone)]
 pub struct AlertEngine {
     rules: Vec<AlertRule>,
@@ -406,34 +425,35 @@ pub struct AlertEngine {
 
 impl AlertEngine {
     /// Engine with no rules and an empty watchlist.
-    pub fn new(log_cap: usize) -> Self {
+    fn new(log_cap: usize) -> Self {
         AlertEngine {
             rules: Vec::new(),
             states: BTreeMap::new(),
-            anomaly: AnomalyDetector::new(6.0, 12, Vec::new()),
+            anomaly: AnomalyDetector::new(ANOMALY_Z, ANOMALY_MIN_INTERVALS, Vec::new()),
             log: AlertLog::new(log_cap),
             last_eval_ms: None,
         }
     }
 
-    /// Engine assembled from the config knobs: default rules for the
-    /// known failure modes plus the configured anomaly watchlist.
-    pub fn from_config(cfg: &ScrubConfig) -> Self {
-        let mut eng = AlertEngine::new(cfg.alert_log_cap);
-        for rule in default_rules(cfg.alert_for_ticks, cfg.alert_clear_ticks) {
+    /// The health plane's engine: [`default_rules`] for the known failure
+    /// modes plus the anomaly watchlist. Nothing in `ScrubConfig` tunes
+    /// it; the argument is accepted so every plane is built the same way.
+    pub fn from_config(_config: &ScrubConfig) -> Self {
+        let mut eng = AlertEngine::new(ALERT_LOG_CAP);
+        for rule in default_rules() {
             eng.add_rule(rule);
         }
         eng.anomaly = AnomalyDetector::new(
-            cfg.anomaly_z,
-            cfg.anomaly_min_intervals as u64,
-            cfg.anomaly_metrics.clone(),
+            ANOMALY_Z,
+            ANOMALY_MIN_INTERVALS,
+            ANOMALY_METRICS.iter().map(|m| m.to_string()).collect(),
         );
         eng
     }
 
     /// Add (or replace, by id) one rule. Evaluation order is rule id
     /// order, so the event stream does not depend on insertion order.
-    pub fn add_rule(&mut self, rule: AlertRule) {
+    fn add_rule(&mut self, rule: AlertRule) {
         self.rules.retain(|r| r.id != rule.id);
         self.rules.push(rule);
         self.rules.sort_by(|a, b| a.id.cmp(&b.id));
@@ -452,27 +472,6 @@ impl AlertEngine {
     /// The bounded alert log.
     pub fn log(&self) -> &AlertLog {
         &self.log
-    }
-
-    /// Rule and anomaly-watchlist entries naming metrics absent from
-    /// `known` (the metric names a live deployment actually exposes),
-    /// as `(source, metric)` pairs in evaluation order. A typo'd rule
-    /// or `anomaly_metrics` entry otherwise watches a series that never
-    /// moves — callers surface these as a startup warning with
-    /// closest-match suggestions.
-    pub fn missing_metrics(&self, known: &[String]) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for rule in &self.rules {
-            if !known.iter().any(|k| k == &rule.metric) {
-                out.push((format!("rule {}", rule.id), rule.metric.clone()));
-            }
-        }
-        for metric in self.anomaly.metrics() {
-            if !known.iter().any(|k| k == metric) {
-                out.push(("anomaly_metrics".to_string(), metric.clone()));
-            }
-        }
-        out
     }
 
     /// True when the rule with this id is currently firing.
@@ -499,7 +498,7 @@ impl AlertEngine {
     where
         F: FnMut(&AlertRule, i64) -> AlertProvenance,
     {
-        let Some(last) = store.raw().latest() else {
+        let Some(last) = store.latest() else {
             return Vec::new();
         };
         let at_ms = last.at_ms;
@@ -555,13 +554,13 @@ impl AlertEngine {
 /// The built-in rules for Scrub's known failure modes. All watch
 /// node-side, per-tick deterministic metrics — never wall-clock (`_ns`)
 /// values.
-pub fn default_rules(for_ticks: u32, clear_ticks: u32) -> Vec<AlertRule> {
+pub fn default_rules() -> Vec<AlertRule> {
     let mk = |id: &str, metric: &str, kind: RuleKind| AlertRule {
         id: id.into(),
         metric: metric.into(),
         kind,
-        for_ticks,
-        clear_ticks,
+        for_ticks: ALERT_FOR_TICKS,
+        clear_ticks: ALERT_CLEAR_TICKS,
     };
     vec![
         // a host went silent past the grace period (gauge, set by
@@ -757,7 +756,7 @@ mod tests {
     fn engine_output_is_deterministic_across_runs() {
         let run = || {
             let mut eng = AlertEngine::new(64);
-            for r in default_rules(1, 2) {
+            for r in default_rules() {
                 eng.add_rule(r);
             }
             eng.anomaly = AnomalyDetector::new(4.0, 4, vec!["c".into()]);
@@ -782,30 +781,25 @@ mod tests {
     }
 
     #[test]
-    fn missing_metrics_flags_unknown_rule_and_watchlist_entries() {
-        let mut eng = AlertEngine::new(8);
-        eng.add_rule(AlertRule {
-            id: "typo".into(),
-            metric: "central.evnts_ingested".into(),
-            kind: RuleKind::Delta { min: 1 },
-            for_ticks: 1,
-            clear_ticks: 1,
-        });
-        eng.anomaly = AnomalyDetector::new(4.0, 4, vec!["c".into(), "nope".into()]);
-        let known = vec!["c".to_string(), "central.events_ingested".to_string()];
-        let missing = eng.missing_metrics(&known);
-        assert_eq!(
-            missing,
-            vec![
-                (
-                    "rule typo".to_string(),
-                    "central.evnts_ingested".to_string()
-                ),
-                ("anomaly_metrics".to_string(), "nope".to_string()),
-            ]
-        );
-        // a fully-known engine reports nothing
-        assert!(AlertEngine::new(4).missing_metrics(&known).is_empty());
+    fn from_config_installs_the_fixed_tuning() {
+        let eng = AlertEngine::from_config(&ScrubConfig::default());
+        let mut ids: Vec<String> = default_rules().into_iter().map(|r| r.id).collect();
+        ids.sort();
+        let installed: Vec<String> = eng.rules().iter().map(|r| r.id.clone()).collect();
+        assert_eq!(installed, ids);
+        for r in eng.rules() {
+            assert_eq!(
+                (r.for_ticks, r.clear_ticks),
+                (ALERT_FOR_TICKS, ALERT_CLEAR_TICKS)
+            );
+            // wall-clock metrics would break the alert log's determinism
+            assert!(!r.metric.ends_with("_ns"), "{}", r.metric);
+        }
+        assert_eq!(eng.anomaly().metrics(), ANOMALY_METRICS);
+        assert!(!eng.anomaly().metrics().iter().any(|m| m.ends_with("_ns")));
+        assert_eq!(eng.log().cap, ALERT_LOG_CAP);
+        assert!(eng.log().is_empty());
+        assert!(eng.firing().is_empty());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::tsdb::{Resolution, TelemetryStore};
 
 /// Sanitize a Scrub metric name into the Prometheus charset, prefixed
 /// with `scrub_` (which also guarantees no leading digit).
-pub fn sanitize_name(name: &str) -> String {
+fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 6);
     out.push_str("scrub_");
     for c in name.chars() {
@@ -165,7 +165,7 @@ mod tests {
         store.record(mk(0, 0));
         store.record_with(mk(1_000, 50), |_, _, _| Some(7));
         store.record_with(mk(2_000, 60), |_, _, _| Some(7));
-        let snap = store.raw().latest().unwrap().clone();
+        let snap = store.latest().unwrap().clone();
         let text = render_text_with_exemplars(&snap, &store);
         assert!(text.starts_with(&render_text(&snap)), "base render first");
         assert!(

@@ -74,7 +74,7 @@ pub struct HostLosses {
 impl HostLosses {
     /// Events lost for any reason (the invariant's right side minus
     /// `delivered`).
-    pub fn total_lost(&self) -> u64 {
+    fn total_lost(&self) -> u64 {
         self.sampled_out + self.load_shed + self.budget_shed + self.batch_dropped
     }
 

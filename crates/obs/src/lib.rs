@@ -30,25 +30,24 @@
 //! * [`opstats`] — per-operator runtime statistics ([`PlanProfile`]):
 //!   rows in/out, bytes and ns per plan operator, paired with the
 //!   planner's estimates — the data behind `scrubql explain analyze`.
-//! * [`history`] — a fixed-capacity ring of periodic snapshots with
-//!   delta/rate queries, the raw tier behind `scrubql watch`.
-//! * [`tsdb`] — the multi-resolution [`TelemetryStore`]: the raw ring
-//!   plus bounded 10×/100× rollup tiers with deterministic counter/gauge
-//!   rollup semantics and exemplar trace links, the data behind
-//!   `scrubql range` and the `scrub_metric` meta-stream.
+//! * [`tsdb`] — the multi-resolution [`TelemetryStore`]: a fixed-capacity
+//!   raw ring of periodic snapshots plus bounded 10×/100× rollup tiers
+//!   with deterministic counter/gauge rollup semantics and exemplar trace
+//!   links, the data behind `scrubql watch`/`range` and the
+//!   `scrub_metric` meta-stream.
 //! * [`export`] — stable, sorted Prometheus-style text exposition
 //!   ([`Registry::render_text`]) so runs leave a scrapeable artifact.
 //! * [`alert`] — a deterministic rule engine (threshold / delta /
 //!   burn-rate with hysteresis) plus Welford-baseline anomaly
-//!   detection evaluated at each history tick, feeding a bounded
-//!   byte-stable [`AlertLog`] whose events carry provenance links.
+//!   detection evaluated at each snapshot tick, feeding a bounded
+//!   byte-stable [`AlertLog`] whose events carry provenance links. The
+//!   rules, watchlist, hysteresis and caps are fixed here, not configured.
 //! * [`timeline`] — a per-query [`FlightRecorder`]: a bounded journal
 //!   of lifecycle events (admission, plan, windows, evictions,
 //!   retransmit episodes, alert firings) behind `scrubql timeline`.
 
 pub mod alert;
 pub mod export;
-pub mod history;
 pub mod ledger;
 pub mod meta;
 pub mod metrics;
@@ -62,8 +61,7 @@ pub use alert::{
     default_rules, AlertEngine, AlertEvent, AlertEventKind, AlertLog, AlertProvenance, AlertRule,
     AnomalyDetector, RuleKind,
 };
-pub use export::{render_text, render_text_with_exemplars, sanitize_name};
-pub use history::{sparkline, MetricPoint, MetricsHistory};
+pub use export::{render_text, render_text_with_exemplars};
 pub use ledger::{HostLosses, LossLedger};
 pub use meta::{
     register_meta_events, MetaEvents, ScrubBatchEvent, ScrubMetricEvent, ScrubWindowEvent,
@@ -73,7 +71,9 @@ pub use opstats::{OperatorStats, PlanProfile};
 pub use profile::{HostProfile, QueryProfile, TypeCounters};
 pub use timeline::{
     merge_timelines, render_timeline, render_timeline_json, FlightEvent, FlightEventKind,
-    FlightRecorder, DEFAULT_FLIGHT_RECORDER_CAP,
+    FlightRecorder, FLIGHT_RECORDER_CAP,
 };
 pub use trace::{should_trace, trace_threshold, SpanKind, TraceSpan, TraceStore};
-pub use tsdb::{fmt_milli, run_invariant, Resolution, RolledPoint, RollupKind, TelemetryStore};
+pub use tsdb::{
+    run_invariant, sparkline, MetricPoint, Resolution, RolledPoint, RollupKind, TelemetryStore,
+};

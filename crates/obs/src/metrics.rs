@@ -102,7 +102,7 @@ impl Histogram {
     }
 
     /// Histogram with custom sorted upper bounds.
-    pub fn with_bounds(bounds: &[i64]) -> Self {
+    fn with_bounds(bounds: &[i64]) -> Self {
         debug_assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "bounds must be sorted"
@@ -304,7 +304,7 @@ impl Registry {
 
     /// Get or create the histogram `name` with custom bounds (bounds are
     /// only applied on creation).
-    pub fn histogram_with(&self, name: &str, bounds: &[i64]) -> Arc<Histogram> {
+    pub(crate) fn histogram_with(&self, name: &str, bounds: &[i64]) -> Arc<Histogram> {
         let mut inner = self.inner.lock();
         match inner
             .entry(name.to_string())

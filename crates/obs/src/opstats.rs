@@ -49,13 +49,13 @@ impl OperatorStats {
     }
 
     /// Observed selectivity; `None` before any row entered.
-    pub fn actual_selectivity(&self) -> Option<f64> {
+    fn actual_selectivity(&self) -> Option<f64> {
         (self.rows_in > 0).then(|| self.rows_out as f64 / self.rows_in as f64)
     }
 
     /// Absolute estimate error in selectivity points (|est − actual|),
     /// 0 before any row entered.
-    pub fn estimate_error(&self) -> f64 {
+    fn estimate_error(&self) -> f64 {
         self.actual_selectivity()
             .map(|act| (self.est_selectivity - act).abs())
             .unwrap_or(0.0)

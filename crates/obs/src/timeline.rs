@@ -25,8 +25,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::alert::AlertProvenance;
 
-/// Default per-query flight-recorder capacity.
-pub const DEFAULT_FLIGHT_RECORDER_CAP: usize = 256;
+/// Per-query flight-recorder capacity (lifecycle entries; oldest evicted
+/// and counted beyond it).
+pub const FLIGHT_RECORDER_CAP: usize = 256;
 
 /// Lifecycle event kinds, in rough pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -117,7 +118,7 @@ impl FlightEvent {
 
     /// Manual JSON object render (no serde_json dependency here);
     /// stable key order, numbers and escaped strings only.
-    pub fn render_json(&self) -> String {
+    fn render_json(&self) -> String {
         fn esc(s: &str) -> String {
             s.replace('\\', "\\\\").replace('"', "\\\"")
         }

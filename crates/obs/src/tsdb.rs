@@ -1,13 +1,13 @@
 //! Multi-resolution telemetry store: retention tiers over the metric
 //! snapshot stream, with exemplar-linked rollups.
 //!
-//! The flat [`MetricsHistory`] ring forgets everything older than
-//! `capacity × snapshot interval` — exactly the onset data a long
-//! troubleshooting run needs ("when did it start?"). [`TelemetryStore`]
-//! subsumes the ring with three bounded tiers:
+//! A point-in-time snapshot answers "how many?"; troubleshooting needs
+//! "when did it start?". [`TelemetryStore`] keeps three bounded tiers:
 //!
-//! * **raw** — the [`MetricsHistory`] ring itself: full snapshots at
-//!   snapshot resolution, per-tick deltas on demand.
+//! * **raw** — a fixed-capacity ring of the newest periodic snapshots
+//!   (old entries overwritten): full snapshots at snapshot resolution,
+//!   per-tick deltas on demand — the tier `scrubql watch` charts and the
+//!   alert engine reads.
 //! * **mid** — one [`RolledPoint`] per metric per `mid_factor` raw
 //!   intervals (default 10×).
 //! * **coarse** — one point per `coarse_factor` raw intervals (default
@@ -31,9 +31,9 @@
 //! contents, [`TelemetryStore::render_range`] output and exemplar
 //! choices are byte-identical across seeded runs (for [`run_invariant`]
 //! metrics; the wall-clock exemptions are listed there).
-//! Snapshots that arrive out of sim-clock order are dropped and
-//! counted ([`TelemetryStore::out_of_order`]) rather than silently
-//! corrupting deltas.
+//! A snapshot that does not advance the sim clock is refused (the caller
+//! counts it) rather than silently corrupting deltas. Memory is bounded
+//! by the tier capacities, independent of run length.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -41,8 +41,16 @@ use std::fmt;
 use scrub_core::config::ScrubConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::history::{MetricPoint, MetricsHistory};
 use crate::metrics::MetricsSnapshot;
+
+/// One point of a metric's time series: the sim time and the value.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct MetricPoint {
+    /// Sim time (ms) of the snapshot.
+    pub at_ms: i64,
+    /// Metric value at that instant (counters as of, gauges as is).
+    pub value: i64,
+}
 
 /// Which retention tier a read goes to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -143,8 +151,8 @@ pub struct RolledPoint {
 struct Acc {
     kind: RollupKind,
     /// Value at bucket start (0 when the metric appeared mid-bucket —
-    /// consistent with [`MetricsHistory::series`], which reads absent
-    /// metrics as 0).
+    /// consistent with the raw tier's series, which reads absent metrics
+    /// as 0).
     first: i64,
     last: i64,
     min: i64,
@@ -318,10 +326,6 @@ impl Tier {
             .max()?;
         Some((start, end))
     }
-
-    fn point_count(&self) -> usize {
-        self.series.values().map(VecDeque::len).sum()
-    }
 }
 
 /// The multi-resolution telemetry store: raw ring + mid + coarse tiers.
@@ -332,22 +336,24 @@ impl Tier {
 /// read any tier back with an explicit [`Resolution`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryStore {
-    raw: MetricsHistory,
+    /// The raw tier: the newest `raw_cap` snapshots, oldest first.
+    raw: VecDeque<MetricsSnapshot>,
+    raw_cap: usize,
     mid: Tier,
     coarse: Tier,
-    out_of_order: u64,
 }
 
 impl TelemetryStore {
-    /// Store with a raw ring of `raw_cap` snapshots and two rollup
-    /// tiers of `mid_factor`× / `coarse_factor`× the snapshot interval,
-    /// each retaining up to `tier_cap` rolled points per metric.
+    /// Store with a raw ring of `raw_cap` snapshots (min 2 — a ring that
+    /// cannot hold two points has no deltas) and two rollup tiers of
+    /// `mid_factor`× / `coarse_factor`× the snapshot interval, each
+    /// retaining up to `tier_cap` rolled points per metric.
     pub fn new(raw_cap: usize, mid_factor: usize, coarse_factor: usize, tier_cap: usize) -> Self {
         TelemetryStore {
-            raw: MetricsHistory::new(raw_cap),
+            raw: VecDeque::new(),
+            raw_cap: raw_cap.max(2),
             mid: Tier::new(mid_factor, tier_cap),
             coarse: Tier::new(coarse_factor.max(mid_factor), tier_cap),
-            out_of_order: 0,
         }
     }
 
@@ -367,42 +373,38 @@ impl TelemetryStore {
         self.record_with(snap, |_, _, _| None)
     }
 
-    /// Record one periodic snapshot, folding its deltas into every
-    /// tier. `resolve(metric, from_ms, to_ms)` is called lazily — only
-    /// when a bucket seals and only for metrics that moved up — and
-    /// should return the trace rid of a traced request active in the
-    /// raw interval `(from_ms, to_ms]`.
+    /// Record one periodic snapshot into the raw ring (evicting the
+    /// oldest at capacity), folding its deltas into every rolled tier.
+    /// `resolve(metric, from_ms, to_ms)` is called lazily — only when a
+    /// bucket seals and only for metrics that moved up — and should
+    /// return the trace rid of a traced request active in the raw
+    /// interval `(from_ms, to_ms]`.
     ///
-    /// Returns `false` (and counts it in [`out_of_order`](Self::out_of_order))
-    /// when `snap` does not advance the sim clock: unlike the bare
-    /// ring's same-time replace, the store drops equal-time re-records
-    /// too, so tier contents stay an exact aggregate of the accepted
-    /// delta sequence.
+    /// Returns `false`, recording nothing, when `snap` does not advance
+    /// the sim clock past the newest snapshot — late and equal-time
+    /// snapshots alike — so every tier stays an exact aggregate of the
+    /// accepted delta sequence.
     pub fn record_with<F>(&mut self, snap: MetricsSnapshot, mut resolve: F) -> bool
     where
         F: FnMut(&str, i64, i64) -> Option<u64>,
     {
-        if let Some(prev) = self.raw.latest() {
+        if let Some(prev) = self.raw.back() {
             if snap.at_ms <= prev.at_ms {
-                self.out_of_order += 1;
                 return false;
             }
-            let prev = prev.clone();
-            self.mid.fold(&prev, &snap, &mut resolve);
-            self.coarse.fold(&prev, &snap, &mut resolve);
+            self.mid.fold(prev, &snap, &mut resolve);
+            self.coarse.fold(prev, &snap, &mut resolve);
         }
-        self.raw.record(snap);
+        if self.raw.len() == self.raw_cap {
+            self.raw.pop_front();
+        }
+        self.raw.push_back(snap);
         true
     }
 
-    /// The raw tier as the classic snapshot ring.
-    pub fn raw(&self) -> &MetricsHistory {
-        &self.raw
-    }
-
-    /// Snapshots dropped because they did not advance the sim clock.
-    pub fn out_of_order(&self) -> u64 {
-        self.out_of_order
+    /// The newest raw snapshot, if any.
+    pub fn latest(&self) -> Option<&MetricsSnapshot> {
+        self.raw.back()
     }
 
     /// Raw intervals folded per bucket at `res` (1 for raw).
@@ -414,19 +416,10 @@ impl TelemetryStore {
         }
     }
 
-    /// Points retained per metric at `res`.
-    pub fn tier_cap(&self, res: Resolution) -> usize {
-        match res {
-            Resolution::Raw => self.raw.capacity(),
-            Resolution::Mid => self.mid.cap,
-            Resolution::Coarse => self.coarse.cap,
-        }
-    }
-
     /// Metric names known to the store (from the newest raw snapshot),
     /// sorted.
     pub fn metric_names(&self) -> Vec<String> {
-        let Some(snap) = self.raw.latest() else {
+        let Some(snap) = self.latest() else {
             return Vec::new();
         };
         let mut names: Vec<String> = snap.counters.keys().cloned().collect();
@@ -439,7 +432,21 @@ impl TelemetryStore {
     /// bucket-end value), oldest to newest.
     pub fn series(&self, metric: &str, res: Resolution) -> Vec<MetricPoint> {
         match res {
-            Resolution::Raw => self.raw.series(metric),
+            // snapshots that do not carry the metric yet report 0 — a
+            // counter created mid-run starts its series at zero
+            Resolution::Raw => self
+                .raw
+                .iter()
+                .map(|s| MetricPoint {
+                    at_ms: s.at_ms,
+                    value: s
+                        .counters
+                        .get(metric)
+                        .map(|&v| v as i64)
+                        .or_else(|| s.gauges.get(metric).copied())
+                        .unwrap_or(0),
+                })
+                .collect(),
             _ => self
                 .points(metric, res)
                 .iter()
@@ -451,20 +458,17 @@ impl TelemetryStore {
         }
     }
 
-    /// The per-interval delta series of `metric` at `res` (rolled tiers
-    /// report the net change per bucket), oldest to newest.
+    /// The per-interval delta series of `metric` at `res` (raw: the
+    /// increment per snapshot interval, timestamped at its end; rolled
+    /// tiers: the net change per bucket), oldest to newest.
     pub fn deltas(&self, metric: &str, res: Resolution) -> Vec<MetricPoint> {
-        match res {
-            Resolution::Raw => self.raw.deltas(metric),
-            _ => self
-                .points(metric, res)
-                .iter()
-                .map(|p| MetricPoint {
-                    at_ms: p.at_ms,
-                    value: p.delta,
-                })
-                .collect(),
-        }
+        self.points(metric, res)
+            .iter()
+            .map(|p| MetricPoint {
+                at_ms: p.at_ms,
+                value: p.delta,
+            })
+            .collect()
     }
 
     /// The rolled points of `metric` at `res`, oldest to newest. Raw
@@ -473,7 +477,7 @@ impl TelemetryStore {
     pub fn points(&self, metric: &str, res: Resolution) -> Vec<RolledPoint> {
         match res {
             Resolution::Raw => {
-                let series = self.raw.series(metric);
+                let series = self.series(metric, Resolution::Raw);
                 let kind = self.kind_of(metric);
                 series
                     .windows(2)
@@ -509,29 +513,9 @@ impl TelemetryStore {
     /// `None` while empty.
     pub fn covered_range(&self, res: Resolution) -> Option<(i64, i64)> {
         match res {
-            Resolution::Raw => {
-                let start = self.raw.iter().next()?.at_ms;
-                let end = self.raw.latest()?.at_ms;
-                Some((start, end))
-            }
+            Resolution::Raw => Some((self.raw.front()?.at_ms, self.raw.back()?.at_ms)),
             Resolution::Mid => self.mid.covered_range(),
             Resolution::Coarse => self.coarse.covered_range(),
-        }
-    }
-
-    /// Total points held at `res` across all metrics — the
-    /// bounded-memory figure (≤ metrics × tier cap by construction).
-    pub fn point_count(&self, res: Resolution) -> usize {
-        match res {
-            Resolution::Raw => {
-                // one "point" per metric per retained snapshot
-                self.raw
-                    .iter()
-                    .map(|s| s.counters.len() + s.gauges.len())
-                    .sum()
-            }
-            Resolution::Mid => self.mid.point_count(),
-            Resolution::Coarse => self.coarse.point_count(),
         }
     }
 
@@ -539,7 +523,7 @@ impl TelemetryStore {
     /// only when no counter of that name exists; unknown names read as
     /// counters, matching the zero-series convention).
     fn kind_of(&self, metric: &str) -> RollupKind {
-        match self.raw.latest() {
+        match self.latest() {
             Some(s) if !s.counters.contains_key(metric) && s.gauges.contains_key(metric) => {
                 RollupKind::Gauge
             }
@@ -606,10 +590,28 @@ pub fn run_invariant(metric: &str) -> bool {
 
 /// Render a thousandths-scaled integer as a fixed 3-decimal number
 /// (`1500` → `1.500`, `-250` → `-0.250`) — byte-stable, no float.
-pub fn fmt_milli(milli: i64) -> String {
+fn fmt_milli(milli: i64) -> String {
     let sign = if milli < 0 { "-" } else { "" };
     let abs = milli.unsigned_abs();
     format!("{sign}{}.{:03}", abs / 1_000, abs % 1_000)
+}
+
+/// Render a value series as a unicode sparkline (one block glyph per
+/// point, scaled to the series max; negative values clamp to the
+/// baseline). Deterministic pure-text output for `scrubql watch` and
+/// experiment tables.
+pub fn sparkline(values: &[i64]) -> String {
+    const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+    let max = values.iter().copied().max().unwrap_or(0).max(1);
+    values
+        .iter()
+        .map(|&v| {
+            let v = v.max(0);
+            // 0 maps to the lowest glyph, max to the highest
+            let idx = ((v as u128 * (GLYPHS.len() as u128 - 1)).div_ceil(max as u128)) as usize;
+            GLYPHS[idx.min(GLYPHS.len() - 1)]
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -667,16 +669,55 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_and_equal_time_snapshots_are_dropped_and_counted() {
+    fn out_of_order_and_equal_time_snapshots_are_dropped() {
         let mut t = TelemetryStore::new(8, 2, 4, 4);
         assert!(t.record(snap(1_000, 1, 0)));
         assert!(!t.record(snap(500, 9, 0))); // late
         assert!(!t.record(snap(1_000, 9, 0))); // equal time
-        assert_eq!(t.out_of_order(), 2);
         assert!(t.record(snap(2_000, 3, 0)));
         // the dropped snapshots left no trace in the raw tier
-        assert_eq!(t.raw().latest().unwrap().counters["c"], 3);
+        assert_eq!(t.series("c", Resolution::Raw).len(), 2);
+        assert_eq!(t.latest().unwrap().counters["c"], 3);
         assert_eq!(t.deltas("c", Resolution::Raw)[0].value, 2);
+    }
+
+    #[test]
+    fn refused_snapshots_leave_every_tier_unchanged() {
+        let mut clean = TelemetryStore::new(4, 2, 4, 4);
+        let mut noisy = clean.clone();
+        let mut resolved = 0;
+        for i in 0..12i64 {
+            let s = snap(i * 1_000, (i * i) as u64, -i);
+            assert!(clean.record(s.clone()));
+            assert!(noisy.record(s));
+            // a late and an equal-time snapshot after every accepted one
+            for at_ms in [i * 1_000 - 500, i * 1_000] {
+                assert!(!noisy.record_with(snap(at_ms, 999, 999), |_, _, _| {
+                    resolved += 1;
+                    Some(7)
+                }));
+            }
+        }
+        assert_eq!(resolved, 0, "a refused snapshot resolves no exemplar");
+        // mid and coarse buckets sealed along the way, and match exactly
+        assert!(!noisy.points("c", Resolution::Coarse).is_empty());
+        assert_eq!(noisy, clean);
+    }
+
+    #[test]
+    fn raw_ring_evicts_oldest_at_capacity() {
+        let mut t = TelemetryStore::new(3, 10, 100, 8);
+        for i in 0..5 {
+            t.record(snap(i * 1_000, i as u64, 0));
+        }
+        let times: Vec<i64> = t
+            .series("c", Resolution::Raw)
+            .iter()
+            .map(|p| p.at_ms)
+            .collect();
+        assert_eq!(times, vec![2_000, 3_000, 4_000]);
+        assert_eq!(t.latest().unwrap().at_ms, 4_000);
+        assert_eq!(t.covered_range(Resolution::Raw), Some((2_000, 4_000)));
     }
 
     #[test]
@@ -685,18 +726,19 @@ mod tests {
         for i in 0..40 {
             t.record(snap(i * 1_000, (i * 2) as u64, i));
         }
-        // raw ring holds 4 snapshots; tier rings hold ≤ cap points
-        assert_eq!(t.raw().len(), 4);
-        assert!(t.points("c", Resolution::Mid).len() <= 3);
-        assert!(t.points("c", Resolution::Coarse).len() <= 3);
+        // raw ring holds 4 snapshots; tier rings hold ≤ cap points per
+        // metric, however long the run
+        assert_eq!(t.series("c", Resolution::Raw).len(), 4);
+        for m in ["c", "g"] {
+            assert!(t.points(m, Resolution::Mid).len() <= 3);
+            assert!(t.points(m, Resolution::Coarse).len() <= 3);
+        }
         let (raw_a, raw_b) = t.covered_range(Resolution::Raw).unwrap();
         let (co_a, co_b) = t.covered_range(Resolution::Coarse).unwrap();
         assert!(
             co_b - co_a > raw_b - raw_a,
             "coarse tier spans further back"
         );
-        // bounded-memory figure: ≤ metrics × cap
-        assert!(t.point_count(Resolution::Coarse) <= 2 * 3);
     }
 
     #[test]
@@ -748,6 +790,43 @@ mod tests {
         assert_eq!(t.series("g", Resolution::Mid)[0].value, 4);
         // coarse bucket (10 ticks) has not sealed yet
         assert!(t.deltas("c", Resolution::Coarse).is_empty());
+    }
+
+    #[test]
+    fn series_and_deltas_cover_counters_and_gauges() {
+        let mut t = TelemetryStore::new(8, 10, 100, 8);
+        t.record(snap(0, 0, 10));
+        t.record(snap(1_000, 4, 7));
+        t.record(snap(2_000, 9, 12));
+        let values = |pts: Vec<MetricPoint>| pts.iter().map(|p| p.value).collect::<Vec<_>>();
+        assert_eq!(values(t.series("c", Resolution::Raw)), vec![0, 4, 9]);
+        let d = t.deltas("c", Resolution::Raw);
+        assert_eq!(
+            d.iter().map(|p| p.at_ms).collect::<Vec<_>>(),
+            vec![1_000, 2_000]
+        );
+        assert_eq!(values(d), vec![4, 5]);
+        // gauges can go down
+        assert_eq!(values(t.deltas("g", Resolution::Raw)), vec![-3, 5]);
+        // unknown metric: all zeros, not a panic
+        assert!(t
+            .deltas("nope", Resolution::Raw)
+            .iter()
+            .all(|p| p.value == 0));
+    }
+
+    #[test]
+    fn sparkline_is_deterministic_and_scaled() {
+        assert_eq!(sparkline(&[]), "");
+        assert_eq!(sparkline(&[0, 0]), "▁▁");
+        let line = sparkline(&[0, 1, 4, 8]);
+        assert_eq!(line.chars().count(), 4);
+        assert!(line.starts_with('▁'));
+        assert!(line.ends_with('█'));
+        // negative values clamp to baseline rather than panicking
+        assert_eq!(sparkline(&[-5, 10]).chars().next(), Some('▁'));
+        // stable across calls
+        assert_eq!(sparkline(&[3, 1, 2]), sparkline(&[3, 1, 2]));
     }
 
     #[test]

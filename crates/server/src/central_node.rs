@@ -40,14 +40,14 @@ use scrub_agent::EventBatch;
 use scrub_central::{CloseRule, QueryExecutor};
 use scrub_core::config::ScrubConfig;
 use scrub_core::event::RequestId;
-use scrub_core::plan::{OutputMode, QueryId};
+use scrub_core::plan::{OutputMode, QueryId, DEFAULT_WINDOW_MS};
 use scrub_core::schema::SchemaRegistry;
 use scrub_obs::{
     register_meta_events, should_trace, trace_threshold, AlertEngine, AlertEventKind,
     AlertProvenance, Counter, FlightEventKind, FlightRecorder, Gauge, Histogram, LossLedger,
-    MetaEvents, MetricsHistory, MetricsSnapshot, PlanProfile, QueryProfile, Registry,
-    ScrubBatchEvent, ScrubMetricEvent, ScrubWindowEvent, SpanKind, TelemetryStore, TraceSpan,
-    TraceStore,
+    MetaEvents, MetricsSnapshot, PlanProfile, QueryProfile, Registry, ScrubBatchEvent,
+    ScrubMetricEvent, ScrubWindowEvent, SpanKind, TelemetryStore, TraceSpan, TraceStore,
+    FLIGHT_RECORDER_CAP,
 };
 use scrub_simnet::{Context, Node, NodeId, SimDuration};
 
@@ -123,7 +123,7 @@ pub struct CentralNode<E: ScrubEnvelope> {
     /// node metrics want fleet totals without double counting).
     fold_seen: HashMap<QueryId, FoldSeen>,
     /// The health plane: rule engine + anomaly baselines + bounded
-    /// alert log, ticked right after each history snapshot.
+    /// alert log, ticked right after each telemetry snapshot.
     alerts: AlertEngine,
     /// Per-query lifecycle journals (data-plane half: window closes,
     /// retransmit episodes, host deaths, alert firings). Retained after
@@ -194,11 +194,7 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         let m_snaps_ooo = obs.counter("obs.snapshots_out_of_order");
         let tsdb = TelemetryStore::from_config(&config);
         let trace_thresh = trace_threshold(config.trace_sample_rate);
-        let alerts = if config.alerts_enabled {
-            AlertEngine::from_config(&config)
-        } else {
-            AlertEngine::new(config.alert_log_cap)
-        };
+        let alerts = AlertEngine::from_config(&config);
         CentralNode {
             config,
             server: None,
@@ -318,12 +314,6 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         self.profile(qid).map(LossLedger::build)
     }
 
-    /// Ring of periodic node-metrics snapshots (oldest first) — the
-    /// telemetry store's raw tier.
-    pub fn history(&self) -> &MetricsHistory {
-        self.tsdb.raw()
-    }
-
     /// The multi-resolution telemetry store: raw ring plus mid/coarse
     /// rollup tiers with exemplar trace links — the data behind
     /// `scrubql watch`/`range`.
@@ -356,7 +346,7 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     /// the health plane. Windows do not wait for it — they close when a
     /// batch completes them or when their grace timer fires.
     fn advance_interval(&self) -> SimDuration {
-        SimDuration::from_ms((self.config.default_window_ms / 4).max(100))
+        SimDuration::from_ms((DEFAULT_WINDOW_MS / 4).max(100))
     }
 
     /// Hosts that reported at least once for `qid` but have been silent
@@ -745,8 +735,9 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     /// when a mid/coarse bucket seals and only for metrics that moved
     /// up — with the same deterministic scan alert provenance uses: the
     /// smallest traced rid (of the smallest query id) with a span in
-    /// the max-delta raw interval. Out-of-order snapshots are dropped
-    /// by the store and counted (`obs.snapshots_out_of_order`).
+    /// the max-delta raw interval. A snapshot that does not advance sim
+    /// time is refused by the store and counted here, once
+    /// (`obs.snapshots_out_of_order`).
     ///
     /// The meta-stream tap mirrors the `scrub_batch` tap: one
     /// `scrub_metric` event per metric per tick through the embedded
@@ -756,7 +747,7 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     /// determinism contract.
     fn record_telemetry(&mut self, now_ms: i64) {
         let snap = self.obs.snapshot(now_ms);
-        let prev = self.tsdb.raw().latest().cloned();
+        let prev = self.tsdb.latest().cloned();
         let traces = &self.traces;
         // many metrics share a max-delta interval; resolve each once
         let mut cache: BTreeMap<(i64, i64), Option<u64>> = BTreeMap::new();
@@ -822,9 +813,6 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     /// events, and journal firings into the implicated query's flight
     /// recorder.
     fn evaluate_alerts(&mut self, now_ms: i64) {
-        if !self.config.alerts_enabled {
-            return;
-        }
         let hints = &self.prov_hints;
         let traces = &self.traces;
         let events = self.alerts.tick(&self.tsdb, |rule, _value| {
@@ -917,7 +905,7 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                 self.executors.insert(qid, exec);
                 self.recorders
                     .entry(qid)
-                    .or_insert_with(|| FlightRecorder::new(qid.0, self.config.flight_recorder_cap));
+                    .or_insert_with(|| FlightRecorder::new(qid.0, FLIGHT_RECORDER_CAP));
                 self.m_installed.inc();
             }
             ScrubMsg::CentralStop { query_id } => {

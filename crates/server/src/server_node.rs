@@ -18,6 +18,7 @@ use scrub_core::schema::SchemaRegistry;
 use scrub_core::target::{sample_indices, HostInfo};
 use scrub_obs::{
     AlertProvenance, Counter, FlightEventKind, FlightRecorder, MetricsSnapshot, Registry,
+    FLIGHT_RECORDER_CAP,
 };
 use scrub_simnet::{Context, Node, NodeId, SimDuration};
 use serde::Serialize;
@@ -255,7 +256,7 @@ impl<E: ScrubEnvelope> QueryServerNode<E> {
     fn journal(&mut self, qid: QueryId, at_ms: i64, kind: FlightEventKind, detail: String) {
         self.recorders
             .entry(qid)
-            .or_insert_with(|| FlightRecorder::new(qid.0, self.config.flight_recorder_cap))
+            .or_insert_with(|| FlightRecorder::new(qid.0, FLIGHT_RECORDER_CAP))
             .record(
                 at_ms,
                 kind,

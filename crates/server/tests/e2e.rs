@@ -812,3 +812,28 @@ fn summary_profile_plan_and_ledger_agree_under_faults() {
     assert!(ledger.reconciles(), "{ledger:?}");
     assert!(ledger.hosts["bid-3"].host_dead, "{ledger:?}");
 }
+
+/// Every metric the health plane watches — each default alert rule's and
+/// each anomaly-watchlist entry's — is registered by a fresh central node,
+/// before any query or tick. A misspelt name would watch a series that
+/// never moves.
+#[test]
+fn health_plane_watches_only_registered_metrics() {
+    let node =
+        scrub_server::CentralNode::<ScrubMsg>::new(ScrubConfig::default(), schema_registry());
+    let snap = node.metrics(0);
+    let registered = |m: &str| snap.counters.contains_key(m) || snap.gauges.contains_key(m);
+    for rule in scrub_obs::default_rules() {
+        assert!(
+            registered(&rule.metric),
+            "rule {} watches unregistered {:?}",
+            rule.id,
+            rule.metric
+        );
+    }
+    let watchlist = node.alert_engine().anomaly().metrics();
+    assert!(!watchlist.is_empty());
+    for m in watchlist {
+        assert!(registered(m), "anomaly watchlist names unregistered {m:?}");
+    }
+}

@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use scrub_core::config::ScrubConfig;
 use scrub_core::event::RequestId;
+use scrub_core::plan::DEFAULT_WINDOW_MS;
 use scrub_core::schema::{EventSchema, EventTypeId, FieldDef, FieldType, SchemaRegistry};
 use scrub_core::value::Value;
 use scrub_obs::FlightEventKind;
@@ -117,8 +118,6 @@ fn registry() -> Arc<SchemaRegistry> {
 fn test_config() -> ScrubConfig {
     ScrubConfig {
         agent_retry_base_ms: 200,
-        // every close of a 15 s query stays in the journal
-        flight_recorder_cap: 4_096,
         ..ScrubConfig::default()
     }
 }
@@ -449,7 +448,7 @@ fn a_dead_host_costs_each_window_the_grace_and_no_more() {
     }
     // the failure detector needs host_grace_ms plus a tick; from then on
     // every row says so
-    let marked_from = 2_500 + config.host_grace_ms + config.default_window_ms / 4;
+    let marked_from = 2_500 + config.host_grace_ms + DEFAULT_WINDOW_MS / 4;
     assert!(out
         .rows
         .iter()

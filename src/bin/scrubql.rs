@@ -31,7 +31,7 @@
 use std::io::{BufRead, Write};
 
 use adplatform::PlatformMsg;
-use scrub::obs::Resolution;
+use scrub::obs::{MetricPoint, Resolution};
 use scrub::prelude::*;
 use scrub::server::CentralNode;
 use scrub_core::error::ScrubError;
@@ -83,7 +83,6 @@ fn main() {
         p.sim.now().as_secs_f64(),
         p.sim.metas().len()
     );
-    warn_missing_alert_metrics(&p);
 
     let stdin = std::io::stdin();
     let interactive = args.iter().all(|a| a != "--batch");
@@ -829,9 +828,7 @@ fn watch_metric(p: &Platform, metric: &str, alert: bool, since: Option<i64>) {
         deltas.last().unwrap().at_ms as f64 / 1_000.0
     );
     println!("  {}", scrub::obs::sparkline(&values));
-    let rate = store
-        .raw()
-        .rate_per_sec(metric, 10)
+    let rate = rate_per_sec(&store.series(metric, Resolution::Raw), 10)
         .map(|r| format!(", ~{r:.1}/s over the newest intervals"))
         .unwrap_or_default();
     println!(
@@ -897,25 +894,17 @@ fn range_metric(p: &Platform, metric: &str, res: Resolution, since: Option<i64>)
     }
 }
 
-/// Startup lint: warn about alert rules or anomaly-watchlist entries
-/// naming metrics that were never registered — almost always a typo
-/// that would otherwise watch a flat, forever-zero series. Warnings go
-/// to stderr so `--batch` stdout stays byte-stable.
-fn warn_missing_alert_metrics(p: &Platform) {
-    let Some(central) = p.sim.node_as::<CentralNode<PlatformMsg>>(p.scrub.central) else {
-        return;
-    };
-    let names = metric_names(&merged_snapshot(p));
-    for (source, metric) in central.alert_engine().missing_metrics(&names) {
-        let close = suggest_metrics(&names, &metric);
-        let hint = if close.is_empty() {
-            String::new()
-        } else {
-            let list: Vec<&str> = close.iter().map(|s| s.as_str()).collect();
-            format!(" (closest: {})", list.join(", "))
-        };
-        eprintln!("warning: {source} watches unknown metric {metric:?}{hint}");
+/// Rate of a counter over the newest `n` intervals of its series: the
+/// total increment per elapsed sim second (`None` with fewer than 2
+/// points or no elapsed time).
+fn rate_per_sec(series: &[MetricPoint], n: usize) -> Option<f64> {
+    if series.len() < 2 {
+        return None;
     }
+    let newest = series[series.len() - 1];
+    let oldest = series[series.len().saturating_sub(n + 1).min(series.len() - 2)];
+    let dt_ms = newest.at_ms - oldest.at_ms;
+    (dt_ms > 0).then(|| (newest.value - oldest.value) as f64 * 1_000.0 / dt_ms as f64)
 }
 
 /// `stats [metric]`: platform statistics plus Scrub's own metrics. With a
@@ -1023,4 +1012,23 @@ fn print_metric_groups(snap: &MetricsSnapshot, filter: Option<&str>) -> usize {
         }
     }
     printed
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rate_per_sec_over_recent_window() {
+        let pt = |at_ms, value| MetricPoint { at_ms, value };
+        assert_eq!(rate_per_sec(&[], 3), None);
+        assert_eq!(rate_per_sec(&[pt(0, 0)], 3), None);
+        let series = [pt(0, 0), pt(1_000, 100), pt(2_000, 300)];
+        // over the last interval: 200 events / 1 s
+        assert_eq!(rate_per_sec(&series, 1), Some(200.0));
+        // over everything retained
+        assert_eq!(rate_per_sec(&series, 10), Some(150.0));
+        // no elapsed time, no rate
+        assert_eq!(rate_per_sec(&[pt(5, 1), pt(5, 2)], 1), None);
+    }
 }

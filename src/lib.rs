@@ -59,7 +59,7 @@ pub mod prelude {
         default_rules, merge_timelines, render_timeline, render_timeline_json, AlertEngine,
         AlertEvent, AlertEventKind, AlertLog, AlertProvenance, AlertRule, AnomalyDetector,
         FlightEvent, FlightEventKind, FlightRecorder, HostLosses, HostProfile, LossLedger,
-        MetricsHistory, MetricsSnapshot, QueryProfile, RuleKind, SpanKind, TraceSpan, TraceStore,
+        MetricsSnapshot, QueryProfile, RuleKind, SpanKind, TraceSpan, TraceStore,
     };
     pub use scrub_server::{
         deploy_central, deploy_server, AgentHarness, QueryHandle, QueryState, ScrubClient,

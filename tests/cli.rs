@@ -68,3 +68,62 @@ fn cli_lists_events_and_hosts() {
     assert!(out.contains("BidServers"));
     assert!(out.contains("ProfileStore"));
 }
+
+#[test]
+fn cli_watches_a_metric_and_lists_the_health_plane() {
+    let out = run_cli(
+        "default",
+        "select COUNT(*) from bid @[Service in BidServers] window 10 s duration 20 s\n\
+         watch central.events_ingested --alert\nalerts\n\\quit\n",
+    );
+    assert!(out.contains("Done"), "query did not finish:\n{out}");
+    // watch: the coverage line, a sparkline of per-interval deltas, the
+    // rate over the newest intervals, and what watches the metric
+    assert!(out.contains("coverage: raw ["), "{out}");
+    assert!(
+        out.contains("central.events_ingested deltas per 2s interval"),
+        "{out}"
+    );
+    let spark = out
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("  ")
+                .filter(|s| !s.is_empty() && s.chars().all(|c| "▁▂▃▄▅▆▇█".contains(c)))
+        })
+        .expect("sparkline");
+    assert!(spark.chars().count() > 4, "{spark:?}");
+    assert!(
+        spark.chars().any(|c| c != '▁'),
+        "a flat sparkline: {spark:?}"
+    );
+    let line = out
+        .lines()
+        .find(|l| l.starts_with("  min ") && l.contains(" max "))
+        .expect("min/max/rate line");
+    let rate: f64 = line
+        .split_once(", ~")
+        .and_then(|(_, r)| r.strip_suffix("/s over the newest intervals"))
+        .and_then(|r| r.parse().ok())
+        .unwrap_or_else(|| panic!("no rate in {line:?}"));
+    assert!(rate > 0.0, "{line}");
+    assert!(out.contains("anomaly watchlist: baseline tracked for \"central.events_ingested\""));
+    // alerts: every default rule with its condition and hysteresis, the
+    // watchlist and the (quiet) log
+    assert!(out.contains("rules (5):"), "{out}");
+    for (id, metric) in [
+        ("batch_dropped", "ledger.batch_dropped"),
+        ("envelope_breach", "overload.budget_shed_events"),
+        ("groups_overflow", "overload.groups_overflow"),
+        ("host_dead", "central.hosts_suspected"),
+        ("retransmit_storm", "agent.retransmitted_batches"),
+    ] {
+        assert!(
+            out.lines()
+                .any(|l| l.trim_start().starts_with(id) && l.contains(metric)),
+            "rule {id} missing:\n{out}"
+        );
+    }
+    assert!(out.contains("(for 1, clear 2)"), "{out}");
+    assert!(out.contains("anomaly watchlist: central.events_ingested"));
+    assert!(out.contains("alert log: 0 event(s), 0 dropped"), "{out}");
+}

@@ -387,7 +387,6 @@ proptest! {
             }
             prop_assert!(t.record_with(s, |_m, from_ms, _to| Some(from_ms as u64)));
         }
-        prop_assert_eq!(t.out_of_order(), 0);
 
         for (metric, kind, vals, ap) in [
             ("c", RollupKind::Counter, &cvals, 0usize),
