@@ -83,17 +83,6 @@ impl ExchangeFrontend {
         }
     }
 
-    /// p50/p99 bid latency in µs (None when no responses recorded).
-    pub fn latency_percentiles(&self) -> Option<(i64, i64)> {
-        if self.latencies.is_empty() {
-            return None;
-        }
-        let mut v: Vec<i64> = self.latencies.iter().map(|(_, l)| *l).collect();
-        v.sort_unstable();
-        let p = |q: f64| v[((v.len() - 1) as f64 * q).round() as usize];
-        Some((p(0.50), p(0.99)))
-    }
-
     fn schedule_next_page(&self, ctx: &mut Context<'_, PlatformMsg>) {
         if self.pages_per_sec <= 0.0 {
             return;

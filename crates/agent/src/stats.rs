@@ -111,45 +111,6 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Render into the shared [`scrub_obs::MetricsSnapshot`] format so
-    /// agent counters merge with server/central registries into one
-    /// fleet-wide view. `acks_pending` is the only gauge; everything else
-    /// is a monotone counter.
-    pub fn to_metrics(&self, at_ms: i64) -> scrub_obs::MetricsSnapshot {
-        let mut m = scrub_obs::MetricsSnapshot {
-            at_ms,
-            ..Default::default()
-        };
-        let counters = [
-            ("agent.events_seen", self.events_seen),
-            ("agent.events_active", self.events_active),
-            ("agent.predicates_evaluated", self.predicates_evaluated),
-            ("agent.events_matched", self.events_matched),
-            ("agent.events_sampled_out", self.events_sampled_out),
-            ("agent.events_shed", self.events_shed),
-            ("agent.events_budget_shed", self.events_budget_shed),
-            ("agent.events_shipped", self.events_shipped),
-            ("agent.fields_projected", self.fields_projected),
-            ("agent.bytes_shipped", self.bytes_shipped),
-            ("agent.batches_flushed", self.batches_flushed),
-            ("agent.retransmits", self.retransmits),
-            ("agent.bytes_retransmitted", self.bytes_retransmitted),
-            ("agent.retransmit_evictions", self.retransmit_evictions),
-            ("agent.trace_spans", self.trace_spans),
-            ("agent.trace_spans_shed", self.trace_spans_shed),
-            (
-                "agent.events_behind_watermark",
-                self.events_behind_watermark,
-            ),
-        ];
-        for (name, v) in counters {
-            m.counters.insert(name.to_string(), v);
-        }
-        m.gauges
-            .insert("agent.acks_pending".to_string(), self.acks_pending as i64);
-        m
-    }
-
     /// Difference of two snapshots (self - earlier).
     pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {

@@ -377,21 +377,6 @@ impl ScrubAgent {
         self.inner.lock().taps.iter().map(|t| t.subs.len()).sum()
     }
 
-    /// Ids of the queries currently subscribed on this host (sorted,
-    /// deduplicated — a join query appears once).
-    pub fn active_query_ids(&self) -> Vec<QueryId> {
-        let inner = self.inner.lock();
-        let mut ids: Vec<QueryId> = inner
-            .taps
-            .iter()
-            .flat_map(|t| &t.subs)
-            .map(|s| s.plan.query_id)
-            .collect();
-        ids.sort();
-        ids.dedup();
-        ids
-    }
-
     /// The application-facing tap. Call at every event site; when the type
     /// is inactive this is one atomic load plus a counter bump.
     ///

@@ -11,8 +11,11 @@
 //! close and state gauge lands there, and the summary, `EXPLAIN ANALYZE`
 //! and the loss ledger all derive from it. The scaling the paper's
 //! deployment gets from a small ScrubCentral cluster comes from assigning
-//! whole queries across central nodes; aggregate states stay mergeable
-//! ([`AggState::merge`]) for the day a tree of centrals needs it.
+//! whole queries across central nodes. Aggregate states stay mergeable
+//! ([`AggState::merge`]) as the building block for sliding-window panes:
+//! a `window 10 s slide 1 s` aggregate folds each event into ten windows
+//! and ingests 12-19× slower than a 1 s tumbling one, past the 10× at
+//! which tumbling `slide`-wide partials, merged at close, pay off.
 
 pub mod agg;
 pub mod executor;

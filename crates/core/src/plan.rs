@@ -66,11 +66,6 @@ pub struct HostPlan {
 }
 
 impl HostPlan {
-    /// Slot index of the `request_id` pseudo-field under this plan's layout.
-    pub fn request_id_slot(&self) -> usize {
-        self.arity
-    }
-
     /// Slot index of the `timestamp` pseudo-field under this plan's layout.
     pub fn timestamp_slot(&self) -> usize {
         self.arity + 1

@@ -168,6 +168,16 @@ pub struct AlertProvenance {
 }
 
 impl AlertProvenance {
+    /// Evidence naming a query and, when known, a host and a ledger column.
+    pub fn implicating(query_id: u64, host: Option<&str>, ledger_column: Option<&str>) -> Self {
+        AlertProvenance {
+            query_id: Some(query_id),
+            host: host.map(str::to_string),
+            ledger_column: ledger_column.map(str::to_string),
+            trace_rid: None,
+        }
+    }
+
     /// True when no link is set.
     pub fn is_empty(&self) -> bool {
         self.query_id.is_none()
@@ -412,8 +422,8 @@ impl AnomalyDetector {
 }
 
 /// The alert engine: rules + hysteresis states + anomaly baselines +
-/// the bounded log. Owned by ScrubCentral and ticked right after each
-/// snapshot is recorded into the telemetry store.
+/// the bounded log. Owned by ScrubCentral's [`HealthPlane`](crate::HealthPlane)
+/// and ticked right after each snapshot is recorded into the telemetry store.
 #[derive(Debug, Clone)]
 pub struct AlertEngine {
     rules: Vec<AlertRule>,

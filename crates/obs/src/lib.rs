@@ -45,9 +45,14 @@
 //! * [`timeline`] — a per-query [`FlightRecorder`]: a bounded journal
 //!   of lifecycle events (admission, plan, windows, evictions,
 //!   retransmit episodes, alert firings) behind `scrubql timeline`.
+//! * [`health`] — ScrubCentral's [`HealthPlane`]: the node registry,
+//!   telemetry store, alert engine and data-plane journals behind one
+//!   housekeeping tick that folds per-query figures into fleet counters,
+//!   records a snapshot and ticks the alerts.
 
 pub mod alert;
 pub mod export;
+pub mod health;
 pub mod ledger;
 pub mod meta;
 pub mod metrics;
@@ -62,6 +67,7 @@ pub use alert::{
     AnomalyDetector, RuleKind,
 };
 pub use export::{render_text, render_text_with_exemplars};
+pub use health::HealthPlane;
 pub use ledger::{HostLosses, LossLedger};
 pub use meta::{
     register_meta_events, MetaEvents, ScrubBatchEvent, ScrubMetricEvent, ScrubWindowEvent,

@@ -171,15 +171,43 @@ impl FlightRecorder {
         }
     }
 
+    /// Journal an entry implicating this recorder's query and, when given,
+    /// a host and a loss-ledger column. A retransmit with the same detail
+    /// as the newest entry extends that entry's run (`count += 1`,
+    /// `until_ms = at_ms`) instead of appending, so a storm costs one entry.
+    pub fn journal(
+        &mut self,
+        at_ms: i64,
+        kind: FlightEventKind,
+        detail: impl Into<String>,
+        host: Option<&str>,
+        ledger_column: Option<&str>,
+    ) {
+        let detail = detail.into();
+        if let Some(last) = self.events.back_mut().filter(|last| {
+            kind == FlightEventKind::Retransmit && last.kind == kind && last.detail == detail
+        }) {
+            last.count += 1;
+            last.until_ms = at_ms;
+            return;
+        }
+        let provenance = AlertProvenance::implicating(self.query_id, host, ledger_column);
+        self.record(at_ms, kind, detail, provenance);
+    }
+
     /// Append one entry, evicting the oldest at capacity.
-    pub fn record(
+    pub(crate) fn record(
         &mut self,
         at_ms: i64,
         kind: FlightEventKind,
         detail: impl Into<String>,
         provenance: AlertProvenance,
     ) {
-        self.push(FlightEvent {
+        if self.events.len() == self.cap {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(FlightEvent {
             at_ms,
             until_ms: at_ms,
             count: 1,
@@ -187,36 +215,6 @@ impl FlightRecorder {
             detail: detail.into(),
             provenance,
         });
-    }
-
-    /// Append with coalescing: if the newest entry has the same kind
-    /// and detail, extend its run (`count += 1`, `until_ms = at_ms`)
-    /// instead of appending. Use for high-frequency events
-    /// (retransmits) so storms cost one entry.
-    pub fn record_coalesced(
-        &mut self,
-        at_ms: i64,
-        kind: FlightEventKind,
-        detail: impl Into<String>,
-        provenance: AlertProvenance,
-    ) {
-        let detail = detail.into();
-        if let Some(last) = self.events.back_mut() {
-            if last.kind == kind && last.detail == detail {
-                last.count += 1;
-                last.until_ms = at_ms;
-                return;
-            }
-        }
-        self.record(at_ms, kind, detail, provenance);
-    }
-
-    fn push(&mut self, ev: FlightEvent) {
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(ev);
     }
 
     /// Entries currently retained, oldest first.
@@ -282,13 +280,6 @@ pub fn render_timeline_json(query_id: u64, events: &[FlightEvent]) -> String {
 mod tests {
     use super::*;
 
-    fn prov(host: &str) -> AlertProvenance {
-        AlertProvenance {
-            host: Some(host.into()),
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn coalescing_merges_same_kind_same_detail_runs() {
         let mut r = FlightRecorder::new(1, 16);
@@ -298,13 +289,17 @@ mod tests {
             "3 host(s)",
             AlertProvenance::default(),
         );
+        let retransmit = FlightEventKind::Retransmit;
         for t in [1_000, 1_200, 1_400] {
-            r.record_coalesced(t, FlightEventKind::Retransmit, "host=h1", prov("h1"));
+            r.journal(t, retransmit, "host=h1", Some("h1"), None);
         }
-        r.record_coalesced(2_000, FlightEventKind::Retransmit, "host=h2", prov("h2"));
-        r.record_coalesced(2_500, FlightEventKind::Retransmit, "host=h1", prov("h1"));
+        r.journal(2_000, retransmit, "host=h2", Some("h2"), None);
+        r.journal(2_500, retransmit, "host=h1", Some("h1"), None);
+        // only retransmits coalesce
+        r.journal(3_000, FlightEventKind::WindowClose, "w", None, None);
+        r.journal(3_000, FlightEventKind::WindowClose, "w", None, None);
         let evs: Vec<&FlightEvent> = r.events().collect();
-        assert_eq!(evs.len(), 4, "h1 run coalesced, h2 and the later h1 split");
+        assert_eq!(evs.len(), 6, "h1 run coalesced, h2 and the later h1 split");
         assert_eq!(evs[1].count, 3);
         assert_eq!(evs[1].at_ms, 1_000);
         assert_eq!(evs[1].until_ms, 1_400);

@@ -21,18 +21,20 @@
 //! Central is where every query's data plane converges. Each query's
 //! executor writes its [`QueryProfile`] (per-host tap counters, first-sent
 //! vs retransmitted bytes, window opens/closes/degradations, join-state
-//! pressure, ingest latency); central serves it, builds the loss ledger
-//! from it, and keeps node-level counters in a [`Registry`]. It also
-//! *dogfoods* Scrub: an embedded [`AgentHarness`] taps a `scrub_batch`
-//! meta-event per received batch and a
-//! `scrub_window` meta-event per window close, through the same `log()`
-//! fast path the application uses. A ScrubQL query targeting
+//! pressure, ingest latency); central serves it and builds the loss ledger
+//! from it. The [`HealthPlane`] holds the node registry and, on the
+//! housekeeping tick, folds the profiles into fleet counters, records them
+//! and ticks the alerts. Central also *dogfoods* Scrub: an embedded
+//! [`AgentHarness`] taps a `scrub_batch` meta-event per received batch, a
+//! `scrub_window` meta-event per window close and a `scrub_metric`
+//! meta-event per metric per tick, through the same `log()` fast path the
+//! application uses. A ScrubQL query targeting
 //! `@[Service in ScrubCentral]` runs over this telemetry like any other
 //! query — selection, windows, sampling, reliable shipment and all.
 //! Batches that themselves carry meta-events are not re-tapped, which
 //! breaks the feedback loop after one hop.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -43,11 +45,10 @@ use scrub_core::event::RequestId;
 use scrub_core::plan::{OutputMode, QueryId, DEFAULT_WINDOW_MS};
 use scrub_core::schema::SchemaRegistry;
 use scrub_obs::{
-    register_meta_events, should_trace, trace_threshold, AlertEngine, AlertEventKind,
-    AlertProvenance, Counter, FlightEventKind, FlightRecorder, Gauge, Histogram, LossLedger,
-    MetaEvents, MetricsSnapshot, PlanProfile, QueryProfile, Registry, ScrubBatchEvent,
-    ScrubMetricEvent, ScrubWindowEvent, SpanKind, TelemetryStore, TraceSpan, TraceStore,
-    FLIGHT_RECORDER_CAP,
+    register_meta_events, should_trace, trace_threshold, AlertEngine, AlertProvenance, Counter,
+    FlightEventKind, FlightRecorder, Gauge, HealthPlane, Histogram, LossLedger, MetaEvents,
+    MetricsSnapshot, PlanProfile, QueryProfile, ScrubBatchEvent, ScrubMetricEvent,
+    ScrubWindowEvent, SpanKind, TelemetryStore, TraceSpan, TraceStore,
 };
 use scrub_simnet::{Context, Node, NodeId, SimDuration};
 
@@ -71,8 +72,6 @@ pub struct CentralNode<E: ScrubEnvelope> {
     grace_timer_ms: Option<i64>,
     /// Events ingested across all queries (for throughput accounting).
     pub events_ingested: u64,
-    /// Batches received.
-    pub batches_received: u64,
     /// Per-query execution profiles and `EXPLAIN ANALYZE` plan profiles,
     /// captured at query stop and retained so `profile <qid>` and
     /// `explain analyze <qid>` work post-hoc. Live queries read the
@@ -82,17 +81,15 @@ pub struct CentralNode<E: ScrubEnvelope> {
     /// Per-query lifecycle trace trees assembled from the spans batches
     /// piggyback; retained after a query finishes, like `profiles`.
     traces: HashMap<QueryId, TraceStore>,
-    /// Multi-resolution telemetry store (raw snapshot ring + mid/coarse
-    /// rollup tiers with exemplar links), fed each advance tick —
-    /// backing `scrubql watch`/`range` and the alert engine.
-    tsdb: TelemetryStore,
     /// Precomputed trace-sampler threshold (0 = tracing disabled).
     trace_threshold: u64,
     /// Queries whose inputs are meta-events (their window closes are not
     /// re-tapped as `scrub_window`).
     meta_queries: HashSet<QueryId>,
-    /// Node-level metrics.
-    obs: Registry,
+    /// The node registry, telemetry store, alert engine and data-plane
+    /// journals, advanced by the housekeeping tick.
+    health: HealthPlane,
+    /// Data-plane metrics, registered in the health plane's registry.
     m_batches: Arc<Counter>,
     m_duplicates: Arc<Counter>,
     m_events: Arc<Counter>,
@@ -106,33 +103,8 @@ pub struct CentralNode<E: ScrubEnvelope> {
     m_installed: Arc<Counter>,
     m_finished: Arc<Counter>,
     m_ingest_latency: Arc<Histogram>,
-    m_budget_shed: Arc<Counter>,
-    m_groups_overflow: Arc<Counter>,
-    m_decode_failures: Arc<Counter>,
     m_after_stop: Arc<Counter>,
-    m_retransmitted: Arc<Counter>,
-    m_batch_dropped: Arc<Counter>,
-    m_trace_dropped: Arc<Counter>,
     m_hosts_suspected: Arc<Gauge>,
-    m_alerts_fired: Arc<Counter>,
-    m_alerts_cleared: Arc<Counter>,
-    m_anomalies: Arc<Counter>,
-    m_snaps_ooo: Arc<Counter>,
-    /// Last per-query cumulative totals folded into the node counters,
-    /// so each advance adds only the delta (profiles are cumulative; the
-    /// node metrics want fleet totals without double counting).
-    fold_seen: HashMap<QueryId, FoldSeen>,
-    /// The health plane: rule engine + anomaly baselines + bounded
-    /// alert log, ticked right after each telemetry snapshot.
-    alerts: AlertEngine,
-    /// Per-query lifecycle journals (data-plane half: window closes,
-    /// retransmit episodes, host deaths, alert firings). Retained after
-    /// a query finishes, like `profiles`.
-    recorders: HashMap<QueryId, FlightRecorder>,
-    /// Per-metric evidence hints for the alert engine, refreshed
-    /// whenever a fold sees a positive delta: which query/host moved
-    /// the metric last, and which ledger column names the cause.
-    prov_hints: BTreeMap<String, AlertProvenance>,
     /// Resolved meta-event type ids (registered into the shared schema
     /// registry at construction).
     meta: MetaEvents,
@@ -145,18 +117,6 @@ pub struct CentralNode<E: ScrubEnvelope> {
     _marker: PhantomData<fn(E)>,
 }
 
-/// Per-query high-water marks of cumulative figures already folded into
-/// the node counters (see `CentralNode::fold_seen`).
-#[derive(Debug, Clone, Copy, Default)]
-struct FoldSeen {
-    budget_shed: u64,
-    groups_overflow: u64,
-    decode_failures: u64,
-    retransmitted: u64,
-    batch_dropped: u64,
-    trace_dropped: u64,
-}
-
 impl<E: ScrubEnvelope> CentralNode<E> {
     /// Create a central node; `server` is learned from the first
     /// `CentralInstall` sender if not preset. The schema registry is the
@@ -166,89 +126,41 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     /// validate.
     pub fn new(config: ScrubConfig, registry: Arc<SchemaRegistry>) -> Self {
         let meta = register_meta_events(&registry).expect("meta-event schemas register cleanly");
-        let obs = Registry::new();
-        let m_batches = obs.counter("central.batches_received");
-        let m_duplicates = obs.counter("central.batches_duplicate");
-        let m_events = obs.counter("central.events_ingested");
-        let m_acks = obs.counter("central.acks_sent");
-        let m_rows = obs.counter("central.rows_emitted");
-        let m_windows_closed = obs.counter("central.windows_closed");
-        let m_closed_by_watermark = obs.counter("central.windows_closed_by_watermark");
-        let m_closed_by_grace = obs.counter("central.windows_closed_by_grace");
-        let m_close_lag = obs.histogram("central.window_close_lag_ms");
-        let m_windows_degraded = obs.counter("central.windows_degraded");
-        let m_installed = obs.counter("central.queries_installed");
-        let m_finished = obs.counter("central.queries_finished");
-        let m_ingest_latency = obs.histogram("central.ingest_latency_ms");
-        let m_budget_shed = obs.counter("overload.budget_shed_events");
-        let m_groups_overflow = obs.counter("overload.groups_overflow");
-        let m_decode_failures = obs.counter("central.decode_failures");
-        let m_after_stop = obs.counter("central.batches_after_stop");
-        let m_retransmitted = obs.counter("agent.retransmitted_batches");
-        let m_batch_dropped = obs.counter("ledger.batch_dropped");
-        let m_trace_dropped = obs.counter("trace.dropped_spans");
-        let m_hosts_suspected = obs.gauge("central.hosts_suspected");
-        let m_alerts_fired = obs.counter("alert.fired");
-        let m_alerts_cleared = obs.counter("alert.cleared");
-        let m_anomalies = obs.counter("alert.anomalies");
-        let m_snaps_ooo = obs.counter("obs.snapshots_out_of_order");
-        let tsdb = TelemetryStore::from_config(&config);
-        let trace_thresh = trace_threshold(config.trace_sample_rate);
-        let alerts = AlertEngine::from_config(&config);
+        let health = HealthPlane::from_config(&config);
+        let obs = health.registry();
         CentralNode {
-            config,
             server: None,
             executors: HashMap::new(),
             streams: HashMap::new(),
             grace_timer_ms: None,
             events_ingested: 0,
-            batches_received: 0,
             profiles: HashMap::new(),
             plan_profiles: HashMap::new(),
             traces: HashMap::new(),
-            tsdb,
-            trace_threshold: trace_thresh,
+            trace_threshold: trace_threshold(config.trace_sample_rate),
             meta_queries: HashSet::new(),
-            obs,
-            m_batches,
-            m_duplicates,
-            m_events,
-            m_acks,
-            m_rows,
-            m_windows_closed,
-            m_closed_by_watermark,
-            m_closed_by_grace,
-            m_close_lag,
-            m_windows_degraded,
-            m_installed,
-            m_finished,
-            m_ingest_latency,
-            m_budget_shed,
-            m_groups_overflow,
-            m_decode_failures,
-            m_after_stop,
-            m_retransmitted,
-            m_batch_dropped,
-            m_trace_dropped,
-            m_hosts_suspected,
-            m_alerts_fired,
-            m_alerts_cleared,
-            m_anomalies,
-            m_snaps_ooo,
-            fold_seen: HashMap::new(),
-            alerts,
-            recorders: HashMap::new(),
-            prov_hints: BTreeMap::new(),
+            m_batches: obs.counter("central.batches_received"),
+            m_duplicates: obs.counter("central.batches_duplicate"),
+            m_events: obs.counter("central.events_ingested"),
+            m_acks: obs.counter("central.acks_sent"),
+            m_rows: obs.counter("central.rows_emitted"),
+            m_windows_closed: obs.counter("central.windows_closed"),
+            m_closed_by_watermark: obs.counter("central.windows_closed_by_watermark"),
+            m_closed_by_grace: obs.counter("central.windows_closed_by_grace"),
+            m_close_lag: obs.histogram("central.window_close_lag_ms"),
+            m_windows_degraded: obs.counter("central.windows_degraded"),
+            m_installed: obs.counter("central.queries_installed"),
+            m_finished: obs.counter("central.queries_finished"),
+            m_ingest_latency: obs.histogram("central.ingest_latency_ms"),
+            m_after_stop: obs.counter("central.batches_after_stop"),
+            m_hosts_suspected: obs.gauge("central.hosts_suspected"),
+            health,
+            config,
             meta,
             meta_harness: None,
             meta_rid: 0,
             _marker: PhantomData,
         }
-    }
-
-    /// Number of active queries.
-    pub fn active_queries(&self) -> usize {
-        self.executors.len()
     }
 
     /// Execution profile of a query: the executor's own while the query
@@ -278,28 +190,24 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     /// (golden tests) can mask them.
     fn export_plan_metrics(&self, profile: &PlanProfile) {
         let q = profile.query_id;
+        let obs = self.health.registry();
         for op in &profile.ops {
             let label = op.metric_label();
-            self.obs
-                .counter(&format!("plan.q{q}.{label}.rows_in"))
+            obs.counter(&format!("plan.q{q}.{label}.rows_in"))
                 .add(op.rows_in);
-            self.obs
-                .counter(&format!("plan.q{q}.{label}.rows_out"))
+            obs.counter(&format!("plan.q{q}.{label}.rows_out"))
                 .add(op.rows_out);
-            self.obs
-                .counter(&format!("plan.q{q}.{label}.op_ns"))
-                .add(op.ns);
+            obs.counter(&format!("plan.q{q}.{label}.op_ns")).add(op.ns);
         }
         // worst per-operator |est − actual| selectivity error, in basis
         // points (the registry's gauges are integers)
-        self.obs
-            .gauge(&format!("plan.q{q}.estimate_error_bp"))
+        obs.gauge(&format!("plan.q{q}.estimate_error_bp"))
             .set((profile.max_estimate_error() * 10_000.0).round() as i64);
     }
 
     /// Node-level metrics snapshot at sim time `at_ms`.
     pub fn metrics(&self, at_ms: i64) -> MetricsSnapshot {
-        self.obs.snapshot(at_ms)
+        self.health.registry().snapshot(at_ms)
     }
 
     /// Lifecycle trace trees of a query (live or finished); `None` when
@@ -318,28 +226,20 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     /// rollup tiers with exemplar trace links — the data behind
     /// `scrubql watch`/`range`.
     pub fn telemetry(&self) -> &TelemetryStore {
-        &self.tsdb
+        self.health.telemetry()
     }
 
-    /// The health plane: alert rules, hysteresis states, anomaly
-    /// baselines and the bounded alert log.
+    /// Alert rules, hysteresis states, anomaly baselines and the bounded
+    /// alert log.
     pub fn alert_engine(&self) -> &AlertEngine {
-        &self.alerts
+        self.health.alerts()
     }
 
     /// The data-plane half of a query's flight recorder (window closes,
     /// retransmit episodes, host deaths, alert firings); retained after
-    /// the query finishes. `None` for unknown queries.
+    /// the query finishes. `None` until something is journaled.
     pub fn flight_recorder(&self, qid: QueryId) -> Option<&FlightRecorder> {
-        self.recorders.get(&qid)
-    }
-
-    /// Tap-side counters of the embedded meta agent (how much of Scrub's
-    /// own telemetry was collected/shipped).
-    pub fn meta_agent_stats(&self) -> Option<scrub_agent::StatsSnapshot> {
-        self.meta_harness
-            .as_ref()
-            .map(|h| h.agent().stats().snapshot())
+        self.health.flight_recorder(qid)
     }
 
     /// Period of the housekeeping tick: dead-host detection, stream rows,
@@ -384,39 +284,26 @@ impl<E: ScrubEnvelope> CentralNode<E> {
                         .filter(|h| !exec.dead_hosts().contains(*h))
                         .collect();
                     newly.sort();
-                    if let Some(rec) = self.recorders.get_mut(&qid) {
-                        for host in newly {
-                            rec.record(
-                                now_ms,
-                                FlightEventKind::HostDead,
-                                format!("host={host} silent past grace"),
-                                AlertProvenance {
-                                    query_id: Some(qid.0),
-                                    host: Some(host.clone()),
-                                    ledger_column: Some("host_dead".to_string()),
-                                    trace_rid: None,
-                                },
-                            );
-                        }
+                    let journal = self.health.recorder(qid);
+                    for host in newly {
+                        let detail = format!("host={host} silent past grace");
+                        let kind = FlightEventKind::HostDead;
+                        journal.journal(now_ms, kind, detail, Some(host), Some("host_dead"));
                     }
                     exec.set_dead_hosts(dead.clone());
                 }
             }
-            if !dead.is_empty() && first_hint.is_none() {
-                let host = dead.iter().min().cloned();
-                first_hint = Some(AlertProvenance {
-                    query_id: Some(qid.0),
-                    host,
-                    ledger_column: Some("host_dead".to_string()),
-                    trace_rid: None,
-                });
+            if first_hint.is_none() {
+                first_hint = dead
+                    .iter()
+                    .min()
+                    .map(|h| AlertProvenance::implicating(qid.0, Some(h), Some("host_dead")));
             }
             union.extend(dead);
         }
         self.m_hosts_suspected.set(union.len() as i64);
         if let Some(hint) = first_hint {
-            self.prov_hints
-                .insert("central.hosts_suspected".to_string(), hint);
+            self.health.hint("central.hosts_suspected", hint);
         }
     }
 
@@ -474,101 +361,6 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         }
     }
 
-    /// Fold one query's cumulative figures into the node counters. Part of
-    /// the housekeeping tick and of nothing else: `hp.selected - hp.events`
-    /// reads a batch still in flight as dropped, so a fold at the instant
-    /// one host's batch lands would book its peers' batches of the same
-    /// second — and the counters only ever go up.
-    fn fold_totals(&mut self, qid: QueryId) {
-        let Some(exec) = self.executors.get(&qid) else {
-            return;
-        };
-        let profile = exec.profile();
-        let overflow_total = profile.groups_overflow;
-        let decode_failures_total = profile.decode_failures;
-        let budget_shed_total = profile.total_budget_shed();
-        let mut retransmitted_total = 0u64;
-        let mut batch_dropped_total = 0u64;
-        // most-implicated host per figure: largest cumulative
-        // contribution, first name on ties (hosts is a BTreeMap, so the
-        // scan order — and therefore the pick — is deterministic)
-        let mut retransmit_host: Option<(u64, String)> = None;
-        let mut dropped_host: Option<(u64, String)> = None;
-        let mut shed_host: Option<(u64, String)> = None;
-        for (host, hp) in &profile.hosts {
-            retransmitted_total += hp.retransmitted_batches;
-            if hp.retransmitted_batches > retransmit_host.as_ref().map_or(0, |(n, _)| *n) {
-                retransmit_host = Some((hp.retransmitted_batches, host.clone()));
-            }
-            let gap = hp.selected.saturating_sub(hp.events);
-            batch_dropped_total += gap;
-            if gap > dropped_host.as_ref().map_or(0, |(n, _)| *n) {
-                dropped_host = Some((gap, host.clone()));
-            }
-            if hp.budget_shed > shed_host.as_ref().map_or(0, |(n, _)| *n) {
-                shed_host = Some((hp.budget_shed, host.clone()));
-            }
-        }
-        let trace_dropped_total = self.traces.get(&qid).map_or(0, |s| s.dropped_spans);
-        // Node-level counters advance by the per-query deltas so
-        // `scrubql stats` shows fleet totals without double counting.
-        // Every delta is deterministic per tick, so safe for alert rules
-        // (the executor counts `groups_overflow` when the window that
-        // dropped the rows closes, so the alert fires on the first tick
-        // after the degraded rows go out). A positive delta also refreshes
-        // the provenance hint for the metric: which query/host moved it
-        // last.
-        let seen = self.fold_seen.entry(qid).or_default();
-        let d_shed = budget_shed_total.saturating_sub(seen.budget_shed);
-        let d_retransmit = retransmitted_total.saturating_sub(seen.retransmitted);
-        let d_dropped = batch_dropped_total.saturating_sub(seen.batch_dropped);
-        self.m_budget_shed.add(d_shed);
-        self.m_retransmitted.add(d_retransmit);
-        self.m_batch_dropped.add(d_dropped);
-        self.m_trace_dropped
-            .add(trace_dropped_total.saturating_sub(seen.trace_dropped));
-        let d_overflow = overflow_total.saturating_sub(seen.groups_overflow);
-        self.m_groups_overflow.add(d_overflow);
-        self.m_decode_failures
-            .add(decode_failures_total.saturating_sub(seen.decode_failures));
-        seen.groups_overflow = overflow_total.max(seen.groups_overflow);
-        seen.decode_failures = decode_failures_total.max(seen.decode_failures);
-        seen.budget_shed = budget_shed_total.max(seen.budget_shed);
-        seen.retransmitted = retransmitted_total.max(seen.retransmitted);
-        seen.batch_dropped = batch_dropped_total.max(seen.batch_dropped);
-        seen.trace_dropped = trace_dropped_total.max(seen.trace_dropped);
-        let hint = |host: Option<(u64, String)>, column: Option<&str>| AlertProvenance {
-            query_id: Some(qid.0),
-            host: host.map(|(_, h)| h),
-            ledger_column: column.map(str::to_string),
-            trace_rid: None,
-        };
-        if d_retransmit > 0 {
-            self.prov_hints.insert(
-                "agent.retransmitted_batches".to_string(),
-                hint(retransmit_host, None),
-            );
-        }
-        if d_dropped > 0 {
-            self.prov_hints.insert(
-                "ledger.batch_dropped".to_string(),
-                hint(dropped_host, Some("batch_dropped")),
-            );
-        }
-        if d_shed > 0 {
-            self.prov_hints.insert(
-                "overload.budget_shed_events".to_string(),
-                hint(shed_host, Some("budget_shed")),
-            );
-        }
-        if d_overflow > 0 {
-            self.prov_hints.insert(
-                "overload.groups_overflow".to_string(),
-                hint(None, Some("groups_overflow")),
-            );
-        }
-    }
-
     /// Drain one executor's window closes into the node metrics, the
     /// journals and (for application queries) `scrub_window` meta-events.
     fn observe_closes(&mut self, ctx: &mut Context<'_, E>, qid: QueryId, rows_emitted: u64) {
@@ -576,6 +368,7 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             return;
         };
         let closes = exec.take_window_closes();
+        let now_ms = ctx.now.as_ms();
         let is_meta_query = self.meta_queries.contains(&qid);
         self.m_rows.add(rows_emitted);
         self.m_windows_closed.add(closes.len() as u64);
@@ -593,30 +386,36 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             if let Some(closed_by_rule) = by_rule {
                 closed_by_rule.inc();
                 self.m_close_lag
-                    .record(ctx.now.as_ms() - (c.window_start_ms + window_ms));
+                    .record(now_ms - (c.window_start_ms + window_ms));
             }
             if self.trace_threshold != 0 {
                 if let Some(store) = self.traces.get_mut(&qid) {
-                    store.close_window(c.window_start_ms, ctx.now.as_ms(), "central", c.degraded);
+                    store.close_window(c.window_start_ms, now_ms, "central", c.degraded);
                 }
             }
-            if let Some(rec) = self.recorders.get_mut(&qid) {
-                rec.record(
-                    ctx.now.as_ms(),
-                    if c.degraded {
-                        FlightEventKind::WindowDegrade
-                    } else {
-                        FlightEventKind::WindowClose
-                    },
-                    format!(
-                        "start={} rows={} by={}",
-                        c.window_start_ms,
-                        c.rows,
-                        c.rule.as_str()
-                    ),
-                    AlertProvenance {
-                        query_id: Some(qid.0),
-                        ..Default::default()
+            let kind = if c.degraded {
+                FlightEventKind::WindowDegrade
+            } else {
+                FlightEventKind::WindowClose
+            };
+            let (start, rows, by) = (c.window_start_ms, c.rows, c.rule.as_str());
+            let detail = format!("start={start} rows={rows} by={by}");
+            self.health
+                .recorder(qid)
+                .journal(now_ms, kind, detail, None, None);
+            // meta queries' own closes are not re-tapped: the telemetry
+            // describes the application pipeline
+            if let (Some(harness), false) = (&self.meta_harness, is_meta_query) {
+                self.meta_rid += 1;
+                harness.agent().log_typed(
+                    self.meta.window,
+                    RequestId(self.meta_rid),
+                    now_ms,
+                    || ScrubWindowEvent {
+                        query: qid.0 as i64,
+                        window_start: c.window_start_ms,
+                        rows: c.rows as i64,
+                        degraded: c.degraded as i64,
                     },
                 );
             }
@@ -632,28 +431,6 @@ impl<E: ScrubEnvelope> CentralNode<E> {
                 "loss ledger fails to reconcile for query {}",
                 qid.0
             );
-        }
-        if let Some(harness) = &self.meta_harness {
-            let now_ms = ctx.now.as_ms();
-            for c in closes {
-                // meta queries' own closes are not re-tapped: the
-                // telemetry describes the application pipeline
-                if is_meta_query {
-                    continue;
-                }
-                self.meta_rid += 1;
-                harness.agent().log_typed(
-                    self.meta.window,
-                    RequestId(self.meta_rid),
-                    now_ms,
-                    || ScrubWindowEvent {
-                        query: qid.0 as i64,
-                        window_start: c.window_start_ms,
-                        rows: c.rows as i64,
-                        degraded: c.degraded as i64,
-                    },
-                );
-            }
         }
     }
 
@@ -707,16 +484,20 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         }
     }
 
-    /// Keep a one-shot timer armed for the earliest moment an open window
-    /// falls to the grace fallback. Timers cannot be recalled, so one armed
-    /// for a window that has since closed on its watermarks still fires,
-    /// finds nothing due and re-arms for what is open then.
-    fn arm_grace_timer(&mut self, ctx: &mut Context<'_, E>) {
-        let next = self
-            .executors
+    /// The earliest moment an open window of any query falls to the
+    /// grace fallback.
+    fn next_grace_close_ms(&self) -> Option<i64> {
+        self.executors
             .values()
             .filter_map(QueryExecutor::next_grace_close_ms)
-            .min();
+            .min()
+    }
+
+    /// Keep a one-shot timer armed for the earliest grace deadline, given
+    /// a deadline `next` that may have fallen. Timers cannot be recalled,
+    /// so one armed for a window that has since closed on its watermarks
+    /// still fires, finds nothing due and re-arms for what is open then.
+    fn arm_grace_timer(&mut self, ctx: &mut Context<'_, E>, next: Option<i64>) {
         let Some(due) = next else {
             return;
         };
@@ -728,135 +509,39 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         ctx.set_timer(SimDuration::from_ms(delay), TIMER_CENTRAL_GRACE);
     }
 
-    /// Record the periodic node snapshot into the telemetry store and
-    /// stream it as `scrub_metric` meta-events.
-    ///
-    /// Rollup exemplars are resolved lazily — the store calls back only
-    /// when a mid/coarse bucket seals and only for metrics that moved
-    /// up — with the same deterministic scan alert provenance uses: the
-    /// smallest traced rid (of the smallest query id) with a span in
-    /// the max-delta raw interval. A snapshot that does not advance sim
-    /// time is refused by the store and counted here, once
-    /// (`obs.snapshots_out_of_order`).
-    ///
-    /// The meta-stream tap mirrors the `scrub_batch` tap: one
-    /// `scrub_metric` event per metric per tick through the embedded
-    /// agent (a relaxed atomic load each while no meta query is live).
-    /// Only [`scrub_obs::run_invariant`] metrics are streamed — `_ns`
-    /// wall-clock series are skipped — so meta-query results keep the
-    /// determinism contract.
-    fn record_telemetry(&mut self, now_ms: i64) {
-        let snap = self.obs.snapshot(now_ms);
-        let prev = self.tsdb.latest().cloned();
-        let traces = &self.traces;
-        // many metrics share a max-delta interval; resolve each once
-        let mut cache: BTreeMap<(i64, i64), Option<u64>> = BTreeMap::new();
-        let accepted = self
-            .tsdb
-            .record_with(snap.clone(), |_metric, from_ms, to_ms| {
-                *cache.entry((from_ms, to_ms)).or_insert_with(|| {
-                    let mut qids: Vec<QueryId> = traces.keys().copied().collect();
-                    qids.sort();
-                    qids.iter()
-                        .find_map(|qid| traces[qid].first_rid_in(from_ms, to_ms))
-                })
-            });
-        if !accepted {
-            self.m_snaps_ooo.inc();
-            return;
-        }
-        let (Some(prev), Some(harness)) = (prev, &self.meta_harness) else {
-            // no delta yet (first snapshot) or not started: nothing to
-            // stream — the event stream carries exactly the raw tier's
-            // delta series
+    /// Stream a tick's accepted snapshot as `scrub_metric` meta-events:
+    /// one per metric through the embedded agent (a relaxed atomic load
+    /// each while no meta query is live), carrying exactly the raw tier's
+    /// delta series. Only [`scrub_obs::run_invariant`] metrics are
+    /// streamed — `_ns` wall-clock series are skipped — so meta-query
+    /// results keep the determinism contract.
+    fn tap_metrics(&mut self, now_ms: i64, prev: &MetricsSnapshot, snap: &MetricsSnapshot) {
+        let Some(harness) = &self.meta_harness else {
             return;
         };
-        for (name, &v) in &snap.counters {
-            if !scrub_obs::run_invariant(name) {
-                continue;
-            }
-            let delta = v as i64 - prev.counters.get(name).map(|&p| p as i64).unwrap_or(0);
-            self.meta_rid += 1;
-            harness
-                .agent()
-                .log_typed(self.meta.metric, RequestId(self.meta_rid), now_ms, || {
-                    ScrubMetricEvent {
-                        metric: name.clone(),
-                        kind: "counter".into(),
-                        delta,
-                        value: v as i64,
-                    }
-                });
-        }
-        for (name, &v) in &snap.gauges {
-            if !scrub_obs::run_invariant(name) {
-                continue;
-            }
-            let delta = v - prev.gauges.get(name).copied().unwrap_or(0);
-            self.meta_rid += 1;
-            harness
-                .agent()
-                .log_typed(self.meta.metric, RequestId(self.meta_rid), now_ms, || {
-                    ScrubMetricEvent {
-                        metric: name.clone(),
-                        kind: "gauge".into(),
-                        delta,
-                        value: v,
-                    }
-                });
-        }
-    }
-
-    /// Tick the alert engine against the just-recorded telemetry (read
-    /// at raw resolution): attach provenance hints (enriched with a
-    /// sampled trace rid where one carries a relevant span), count the
-    /// events, and journal firings into the implicated query's flight
-    /// recorder.
-    fn evaluate_alerts(&mut self, now_ms: i64) {
-        let hints = &self.prov_hints;
-        let traces = &self.traces;
-        let events = self.alerts.tick(&self.tsdb, |rule, _value| {
-            let mut prov = hints.get(&rule.metric).cloned().unwrap_or_default();
-            if prov.trace_rid.is_none() && rule.metric == "agent.retransmitted_batches" {
-                if let Some(store) = prov.query_id.and_then(|q| traces.get(&QueryId(q))) {
-                    // smallest sampled rid that carries a retransmit
-                    // hop (request_ids iterates a BTreeMap)
-                    prov.trace_rid = store.request_ids().find(|&rid| {
-                        store.trace(rid).is_some_and(|spans| {
-                            spans.iter().any(|s| s.kind == SpanKind::Retransmit)
-                        })
-                    });
-                }
-            }
-            prov
+        let counters = snap.counters.iter().map(|(name, &v)| {
+            let before = prev.counters.get(name).map_or(0, |&p| p as i64);
+            (name, "counter", v as i64, before)
         });
-        for ev in &events {
-            let kind = match ev.kind {
-                AlertEventKind::Fired => {
-                    self.m_alerts_fired.inc();
-                    FlightEventKind::AlertFired
-                }
-                AlertEventKind::Cleared => {
-                    self.m_alerts_cleared.inc();
-                    FlightEventKind::AlertCleared
-                }
-                AlertEventKind::Anomaly => {
-                    self.m_anomalies.inc();
-                    continue;
-                }
-            };
-            if let Some(rec) = ev
-                .provenance
-                .query_id
-                .and_then(|q| self.recorders.get_mut(&QueryId(q)))
-            {
-                rec.record(
-                    now_ms,
-                    kind,
-                    format!("rule={} {}={}", ev.rule, ev.metric, ev.value),
-                    ev.provenance.clone(),
-                );
+        let gauges = snap.gauges.iter().map(|(name, &v)| {
+            let before = prev.gauges.get(name).copied().unwrap_or(0);
+            (name, "gauge", v, before)
+        });
+        for (name, kind, value, before) in counters.chain(gauges) {
+            if !scrub_obs::run_invariant(name) {
+                continue;
             }
+            self.meta_rid += 1;
+            harness
+                .agent()
+                .log_typed(self.meta.metric, RequestId(self.meta_rid), now_ms, || {
+                    ScrubMetricEvent {
+                        metric: name.clone(),
+                        kind: kind.into(),
+                        delta: value - before,
+                        value,
+                    }
+                });
         }
     }
 }
@@ -866,7 +551,7 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
         ctx.set_timer(self.advance_interval(), TIMER_CENTRAL_ADVANCE);
         // a restart orphans the grace timer in flight
         self.grace_timer_ms = None;
-        self.arm_grace_timer(ctx);
+        self.arm_grace_timer(ctx, self.next_grace_close_ms());
         // The embedded meta agent survives central restarts (pending
         // retransmits and all); it is only built on first start.
         if self.meta_harness.is_none() {
@@ -903,40 +588,35 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                 }
                 let exec = QueryExecutor::new(plan, self.config.window_grace_ms);
                 self.executors.insert(qid, exec);
-                self.recorders
-                    .entry(qid)
-                    .or_insert_with(|| FlightRecorder::new(qid.0, FLIGHT_RECORDER_CAP));
                 self.m_installed.inc();
             }
             ScrubMsg::CentralStop { query_id } => {
                 self.streams.remove(&query_id);
-                if let Some(mut exec) = self.executors.remove(&query_id) {
-                    let (rows, summary) = exec.finish();
-                    let n = rows.len() as u64;
-                    // capture the final profiles (post-finish, so the
-                    // close/render counters are complete) before the
-                    // executor drops, then record the final closes
-                    let plan_profile = exec.plan_profile();
-                    self.export_plan_metrics(&plan_profile);
-                    self.plan_profiles.insert(query_id, plan_profile);
-                    self.profiles.insert(query_id, exec.profile().clone());
-                    self.executors.insert(query_id, exec);
-                    self.observe_closes(ctx, query_id, n);
-                    self.fold_totals(query_id);
-                    self.executors.remove(&query_id);
-                    self.meta_queries.remove(&query_id);
-                    self.fold_seen.remove(&query_id);
-                    self.m_finished.inc();
-                    if let Some(server) = self.server {
-                        if !rows.is_empty() {
-                            ctx.send(server, E::wrap(ScrubMsg::Rows { rows }));
-                        }
-                        ctx.send(server, E::wrap(ScrubMsg::Summary { summary }));
+                let Some(exec) = self.executors.get_mut(&query_id) else {
+                    return;
+                };
+                let (rows, summary) = exec.finish();
+                self.observe_closes(ctx, query_id, rows.len() as u64);
+                // retain the final profiles (post-finish, so the
+                // close/render counters are complete) and fold the last
+                // figures once
+                let exec = self.executors.remove(&query_id).expect("finished above");
+                let plan_profile = exec.plan_profile();
+                self.export_plan_metrics(&plan_profile);
+                self.plan_profiles.insert(query_id, plan_profile);
+                let trace = self.traces.get(&query_id);
+                self.health.retire(query_id, exec.profile(), trace);
+                self.profiles.insert(query_id, exec.profile().clone());
+                self.meta_queries.remove(&query_id);
+                self.m_finished.inc();
+                if let Some(server) = self.server {
+                    if !rows.is_empty() {
+                        ctx.send(server, E::wrap(ScrubMsg::Rows { rows }));
                     }
+                    ctx.send(server, E::wrap(ScrubMsg::Summary { summary }));
                 }
             }
             ScrubMsg::Batch(batch) => {
-                self.batches_received += 1;
                 self.m_batches.inc();
                 // Ack everything — duplicates and batches for unknown
                 // (already-finished) queries too — so the sender stops
@@ -973,45 +653,31 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                 if let (Some(harness), false) =
                     (&self.meta_harness, self.meta.contains(batch.type_id))
                 {
+                    // the id is drawn whether or not a meta query is live,
+                    // so meta request ids (and their trace sampling) do
+                    // not depend on it; the record is built only if one is
                     self.meta_rid += 1;
-                    let (query, host, events, bytes, retransmit, duplicate) = (
-                        batch.query_id.0 as i64,
-                        batch.host.clone(),
-                        batch.len() as i64,
-                        batch.approx_bytes() as i64,
-                        (batch.attempt > 0) as i64,
-                        !fresh as i64,
-                    );
                     harness.agent().log_typed(
                         self.meta.batch,
                         RequestId(self.meta_rid),
                         now_ms,
                         || ScrubBatchEvent {
-                            query,
-                            host,
-                            events,
-                            bytes,
-                            retransmit,
-                            duplicate,
+                            query: batch.query_id.0 as i64,
+                            host: batch.host.clone(),
+                            events: batch.len() as i64,
+                            bytes: batch.approx_bytes() as i64,
+                            retransmit: (batch.attempt > 0) as i64,
+                            duplicate: !fresh as i64,
                         },
                     );
                 }
                 if batch.attempt > 0 {
                     // journal the retransmit episode; consecutive
                     // resends from the same host coalesce into one run
-                    if let Some(rec) = self.recorders.get_mut(&batch.query_id) {
-                        rec.record_coalesced(
-                            now_ms,
-                            FlightEventKind::Retransmit,
-                            format!("host={}", batch.host),
-                            AlertProvenance {
-                                query_id: Some(batch.query_id.0),
-                                host: Some(batch.host.clone()),
-                                ledger_column: None,
-                                trace_rid: None,
-                            },
-                        );
-                    }
+                    let (kind, detail) =
+                        (FlightEventKind::Retransmit, format!("host={}", batch.host));
+                    let journal = self.health.recorder(batch.query_id);
+                    journal.journal(now_ms, kind, detail, Some(&batch.host), None);
                 }
                 if !fresh {
                     self.m_duplicates.inc();
@@ -1036,7 +702,14 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                     exec.ingest(batch);
                 }
                 self.close_on_watermark(ctx, qid);
-                self.arm_grace_timer(ctx);
+                // Only this query's deadline can have fallen: a deadline
+                // drops only when its query opens a window, and only ingest
+                // opens one.
+                let next = self
+                    .executors
+                    .get(&qid)
+                    .and_then(QueryExecutor::next_grace_close_ms);
+                self.arm_grace_timer(ctx, next);
             }
             _ => {}
         }
@@ -1055,10 +728,11 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
             self.refresh_dead_hosts(now_ms);
             for qid in self.sorted_qids() {
                 self.advance_query(ctx, qid);
-                self.fold_totals(qid);
             }
-            self.record_telemetry(now_ms);
-            self.evaluate_alerts(now_ms);
+            let profiles = self.executors.iter().map(|(&q, exec)| (q, exec.profile()));
+            if let Some((prev, snap)) = self.health.observe(now_ms, profiles, &self.traces) {
+                self.tap_metrics(now_ms, &prev, &snap);
+            }
             ctx.set_timer(self.advance_interval(), TIMER_CENTRAL_ADVANCE);
         } else if timer == TIMER_CENTRAL_GRACE {
             // one armed before an earlier deadline superseded it is stale
@@ -1070,7 +744,7 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                         self.advance_query(ctx, qid);
                     }
                 }
-                self.arm_grace_timer(ctx);
+                self.arm_grace_timer(ctx, self.next_grace_close_ms());
             }
         }
     }

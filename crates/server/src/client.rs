@@ -206,7 +206,8 @@ impl QueryHandle {
     pub fn timeline<E: ScrubEnvelope>(&self, sim: &Sim<E>) -> Option<(Vec<FlightEvent>, u64)> {
         let server_rec = sim
             .node_as::<QueryServerNode<E>>(self.d.server)
-            .and_then(|n| n.flight_recorder(self.qid));
+            .and_then(|n| n.record(self.qid))
+            .map(|r| &r.recorder);
         let central = self.central(sim);
         let central_rec = sim
             .node_as::<CentralNode<E>>(central)

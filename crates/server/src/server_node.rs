@@ -3,7 +3,7 @@
 //! service registry, applies host sampling, dispatches query objects to
 //! hosts and ScrubCentral, enforces the query span, and collects results.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -17,8 +17,7 @@ use scrub_core::ql::parser::parse_query;
 use scrub_core::schema::SchemaRegistry;
 use scrub_core::target::{sample_indices, HostInfo};
 use scrub_obs::{
-    AlertProvenance, Counter, FlightEventKind, FlightRecorder, MetricsSnapshot, Registry,
-    FLIGHT_RECORDER_CAP,
+    Counter, FlightEventKind, FlightRecorder, MetricsSnapshot, Registry, FLIGHT_RECORDER_CAP,
 };
 use scrub_simnet::{Context, Node, NodeId, SimDuration};
 use serde::Serialize;
@@ -69,6 +68,10 @@ pub struct QueryRecord {
     /// The admission controller sums this over Scheduled/Running queries
     /// to decide whether a new query fits the envelope.
     pub est_cost: f64,
+    /// The control-plane half of the query's flight recorder (admission
+    /// verdict, plan chosen, dispatch, eviction, stop, completion), merged
+    /// with central's data-plane half by `QueryHandle::timeline`.
+    pub recorder: FlightRecorder,
 }
 
 /// How the admission controller disposed of one submission that was
@@ -109,6 +112,28 @@ pub struct AdmissionDecision {
     pub budget: f64,
 }
 
+impl AdmissionDecision {
+    /// The flight-recorder line for this decision.
+    fn detail(&self) -> String {
+        let verdict = match &self.verdict {
+            AdmissionVerdict::Admitted => "verdict=admitted".to_string(),
+            AdmissionVerdict::Degraded { factor } => {
+                format!("verdict=degraded factor={factor:.4}")
+            }
+            AdmissionVerdict::Evicted { victims } => {
+                format!("verdict=admitted, evicting {} running", victims.len())
+            }
+            AdmissionVerdict::Rejected => "verdict=rejected".to_string(),
+        };
+        format!(
+            "{verdict} est={:.4}% over {:.4}% running (budget {:.2}%)",
+            (self.est_fixed + self.est_variable) * 100.0,
+            self.running_before * 100.0,
+            self.budget * 100.0
+        )
+    }
+}
+
 /// The query-server node.
 pub struct QueryServerNode<E: ScrubEnvelope> {
     schema_registry: Arc<SchemaRegistry>,
@@ -132,10 +157,6 @@ pub struct QueryServerNode<E: ScrubEnvelope> {
     /// handler right after the new query is accepted (admit() itself is
     /// pure and cannot send messages).
     pending_evictions: Vec<QueryId>,
-    /// Per-query lifecycle journals (control-plane half: admission
-    /// verdict, plan chosen, dispatch, eviction, stop, completion).
-    /// Merged with central's data-plane half by `QueryHandle::timeline`.
-    recorders: HashMap<QueryId, FlightRecorder>,
     /// Lifecycle metrics.
     obs: Registry,
     m_submitted: Arc<Counter>,
@@ -195,7 +216,6 @@ impl<E: ScrubEnvelope> QueryServerNode<E> {
             rejected: Vec::new(),
             admission_log: Vec::new(),
             pending_evictions: Vec::new(),
-            recorders: HashMap::new(),
             obs,
             m_submitted,
             m_accepted,
@@ -244,28 +264,6 @@ impl<E: ScrubEnvelope> QueryServerNode<E> {
         let mut ids: Vec<QueryId> = self.queries.keys().copied().collect();
         ids.sort();
         ids
-    }
-
-    /// The control-plane half of a query's flight recorder (admission,
-    /// plan, dispatch, eviction, stop, completion). `None` for queries
-    /// that were never accepted.
-    pub fn flight_recorder(&self, qid: QueryId) -> Option<&FlightRecorder> {
-        self.recorders.get(&qid)
-    }
-
-    fn journal(&mut self, qid: QueryId, at_ms: i64, kind: FlightEventKind, detail: String) {
-        self.recorders
-            .entry(qid)
-            .or_insert_with(|| FlightRecorder::new(qid.0, FLIGHT_RECORDER_CAP))
-            .record(
-                at_ms,
-                kind,
-                detail,
-                AlertProvenance {
-                    query_id: Some(qid.0),
-                    ..Default::default()
-                },
-            );
     }
 
     /// Validate + plan + target-resolve a query. Pure (no dispatch).
@@ -422,6 +420,7 @@ impl<E: ScrubEnvelope> QueryServerNode<E> {
                 first_rows_at_ms: None,
                 client: NodeId(0), // set by caller
                 est_cost: est,
+                recorder: FlightRecorder::new(qid.0, FLIGHT_RECORDER_CAP),
             },
         );
         Ok(qid)
@@ -435,17 +434,14 @@ impl<E: ScrubEnvelope> QueryServerNode<E> {
             return; // cancelled before its start time
         }
         rec.state = QueryState::Running;
-        let n_hosts = rec.hosts.len();
         self.m_dispatched.inc();
-        self.journal(
-            qid,
+        rec.recorder.journal(
             ctx.now.as_ms(),
             FlightEventKind::Dispatched,
-            format!("installed on {n_hosts} host(s) + central"),
+            format!("installed on {} host(s) + central", rec.hosts.len()),
+            None,
+            None,
         );
-        let Some(rec) = self.queries.get_mut(&qid) else {
-            return;
-        };
         let central = self.centrals[(qid.0 as usize) % self.centrals.len()];
         for &host in &rec.hosts {
             ctx.send(
@@ -476,16 +472,13 @@ impl<E: ScrubEnvelope> QueryServerNode<E> {
             return; // already stopped (e.g. cancelled before the span timer)
         }
         rec.state = QueryState::Draining;
-        let n_hosts = rec.hosts.len();
-        self.journal(
-            qid,
+        rec.recorder.journal(
             ctx.now.as_ms(),
             FlightEventKind::Stopped,
-            format!("stopping {n_hosts} host(s), draining central"),
+            format!("stopping {} host(s), draining central", rec.hosts.len()),
+            None,
+            None,
         );
-        let Some(rec) = self.queries.get(&qid) else {
-            return;
-        };
         for &host in &rec.hosts {
             ctx.send(host, E::wrap(ScrubMsg::StopQuery { query_id: qid }));
         }
@@ -511,50 +504,38 @@ impl<E: ScrubEnvelope> Node<E> for QueryServerNode<E> {
                     Ok(qid) => {
                         self.m_accepted.inc();
                         let now_ms = ctx.now.as_ms();
-                        if let Some(rec) = self.queries.get_mut(&qid) {
-                            rec.client = from;
-                        }
                         // Journal the admission verdict and the chosen
                         // plan — the first two entries of every
                         // accepted query's timeline.
-                        if let Some(d) = self.admission_log.last() {
-                            let verdict = match &d.verdict {
-                                AdmissionVerdict::Admitted => "verdict=admitted".to_string(),
-                                AdmissionVerdict::Degraded { factor } => {
-                                    format!("verdict=degraded factor={factor:.4}")
-                                }
-                                AdmissionVerdict::Evicted { victims } => {
-                                    format!("verdict=admitted, evicting {} running", victims.len())
-                                }
-                                AdmissionVerdict::Rejected => "verdict=rejected".to_string(),
-                            };
-                            let detail = format!(
-                                "{verdict} est={:.4}% over {:.4}% running (budget {:.2}%)",
-                                (d.est_fixed + d.est_variable) * 100.0,
-                                d.running_before * 100.0,
-                                d.budget * 100.0
-                            );
-                            self.journal(qid, now_ms, FlightEventKind::Admitted, detail);
-                        }
-                        if let Some(rec) = self.queries.get(&qid) {
+                        let verdict = self.admission_log.last().map(AdmissionDecision::detail);
+                        if let Some(rec) = self.queries.get_mut(&qid) {
+                            rec.client = from;
+                            if let Some(detail) = verdict {
+                                let kind = FlightEventKind::Admitted;
+                                rec.recorder.journal(now_ms, kind, detail, None, None);
+                            }
                             let detail = format!(
                                 "{} host plan(s), window {} ms, est cost {:.4}%",
                                 rec.compiled.host_plans.len(),
                                 rec.compiled.central.window_ms,
                                 rec.est_cost * 100.0
                             );
-                            self.journal(qid, now_ms, FlightEventKind::PlanChosen, detail);
+                            let kind = FlightEventKind::PlanChosen;
+                            rec.recorder.journal(now_ms, kind, detail, None, None);
                         }
                         // Carry out evictions the admission controller
                         // scheduled to make room for this query.
                         let victims = std::mem::take(&mut self.pending_evictions);
                         for vid in victims {
-                            self.journal(
-                                vid,
-                                now_ms,
-                                FlightEventKind::Evicted,
-                                format!("evicted to admit query {}", qid.0),
-                            );
+                            if let Some(rec) = self.queries.get_mut(&vid) {
+                                rec.recorder.journal(
+                                    now_ms,
+                                    FlightEventKind::Evicted,
+                                    format!("evicted to admit query {}", qid.0),
+                                    None,
+                                    None,
+                                );
+                            }
                             match self.queries.get(&vid).map(|r| r.state) {
                                 Some(QueryState::Running) => self.stop(ctx, vid),
                                 Some(QueryState::Scheduled) => {
@@ -624,13 +605,13 @@ impl<E: ScrubEnvelope> Node<E> for QueryServerNode<E> {
                 if let Some(rec) = self.queries.get_mut(&qid) {
                     rec.summary = Some(summary);
                     rec.state = QueryState::Done;
-                    let rows = rec.rows.len();
                     self.m_completed.inc();
-                    self.journal(
-                        qid,
+                    rec.recorder.journal(
                         ctx.now.as_ms(),
                         FlightEventKind::Completed,
-                        format!("summary received, {rows} row(s)"),
+                        format!("summary received, {} row(s)", rec.rows.len()),
+                        None,
+                        None,
                     );
                 }
             }

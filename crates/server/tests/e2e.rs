@@ -471,7 +471,7 @@ fn central_cluster_spreads_queries() {
     let mut per_central = Vec::new();
     for &c in &centrals {
         let node = sim.node_as::<CentralNode<ScrubMsg>>(c).unwrap();
-        per_central.push(node.batches_received);
+        per_central.push(node.metrics(0).counter("central.batches_received"));
     }
     assert!(
         per_central.iter().all(|&b| b > 0),

@@ -126,11 +126,6 @@ impl<M: Message> Context<'_, M> {
     pub fn self_meta(&self) -> &NodeMeta {
         self.meta(self.self_id)
     }
-
-    /// Number of nodes in the simulation.
-    pub fn node_count(&self) -> usize {
-        self.meta.len()
-    }
 }
 
 enum Payload<M> {

@@ -53,15 +53,6 @@ impl Welford {
         }
     }
 
-    /// Population variance (0 when empty).
-    pub fn variance_population(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Sample standard deviation.
     pub fn stddev(&self) -> f64 {
         self.variance().sqrt()
