@@ -555,14 +555,6 @@ pub fn compile(
         schemas: &schemas,
     };
 
-    // Reject aggregates outside the select list.
-    if let Some(w) = &spec.where_clause {
-        reject_agg_markers(w, "WHERE")?;
-    }
-    for g in &spec.group_by {
-        reject_agg_markers(g, "GROUP BY")?;
-    }
-
     // Resolve every field reference first, so reference errors (unknown /
     // ambiguous fields) are reported precisely before type checking.
     {
@@ -654,7 +646,6 @@ pub fn compile(
                     )));
                 }
                 (f, Some(a)) => {
-                    reject_agg_markers(a, "aggregate argument")?;
                     let t = a.infer_type(&oracle)?;
                     let ok = match f {
                         AggFn::Sum | AggFn::Avg => t.is_numeric(),
@@ -871,38 +862,6 @@ fn conjuncts(e: &Expr) -> Vec<Expr> {
             out
         }
         other => vec![other.clone()],
-    }
-}
-
-/// Detect parser aggregate markers in positions where aggregates are
-/// illegal (see `ql::parser` for the marker encoding).
-fn reject_agg_markers(e: &Expr, ctx: &str) -> ScrubResult<()> {
-    let found = match e {
-        Expr::InList { list, .. } => list
-            .iter()
-            .any(|v| matches!(v, crate::value::Value::Str(s) if s.starts_with('\u{0}'))),
-        _ => false,
-    };
-    if found {
-        return Err(ScrubError::Validate(format!(
-            "aggregates are not allowed in {ctx}"
-        )));
-    }
-    match e {
-        Expr::Literal(_) | Expr::Field(_) => Ok(()),
-        Expr::Unary { expr, .. } => reject_agg_markers(expr, ctx),
-        Expr::Binary { lhs, rhs, .. } => {
-            reject_agg_markers(lhs, ctx)?;
-            reject_agg_markers(rhs, ctx)
-        }
-        Expr::Call { args, .. } => {
-            for a in args {
-                reject_agg_markers(a, ctx)?;
-            }
-            Ok(())
-        }
-        Expr::InList { expr, .. } => reject_agg_markers(expr, ctx),
-        Expr::IsNull { expr, .. } => reject_agg_markers(expr, ctx),
     }
 }
 
@@ -1276,6 +1235,12 @@ mod tests {
     fn aggregates_in_where_rejected() {
         let e = compile_src("select COUNT(*) from bid where COUNT(*) > 1").unwrap_err();
         assert!(e.to_string().contains("aggregates are not allowed"));
+    }
+
+    /// A NUL-led string is a plain literal, not an aggregate.
+    #[test]
+    fn nul_string_in_where_compiles() {
+        compile_src("select COUNT(*) from bid where bid.city in ('\0x')").unwrap();
     }
 
     #[test]

@@ -197,9 +197,12 @@ pub fn lex(src: &str) -> ScrubResult<Vec<Token>> {
                 out.push(Token { pos: start, kind });
             }
             '\'' | '"' => {
-                let quote = c;
+                // The delimiters and escapes are ASCII, so the runs between
+                // them are whole UTF-8 and are copied from the source.
+                let quote = bytes[i];
                 let start = i;
                 i += 1;
+                let mut run = i;
                 let mut s = String::new();
                 loop {
                     match bytes.get(i) {
@@ -209,17 +212,19 @@ pub fn lex(src: &str) -> ScrubResult<Vec<Token>> {
                                 msg: "unterminated string literal".into(),
                             });
                         }
-                        Some(&b) if b as char == quote => {
+                        Some(&b) if b == quote => {
+                            s.push_str(&src[run..i]);
                             i += 1;
                             break;
                         }
                         Some(b'\\') => {
+                            s.push_str(&src[run..i]);
                             i += 1;
                             match bytes.get(i) {
                                 Some(b'n') => s.push('\n'),
                                 Some(b't') => s.push('\t'),
                                 Some(b'\\') => s.push('\\'),
-                                Some(&b) if b as char == quote => s.push(quote),
+                                Some(&b) if b == quote => s.push(quote as char),
                                 other => {
                                     return Err(ScrubError::Lex {
                                         pos: i,
@@ -228,28 +233,14 @@ pub fn lex(src: &str) -> ScrubResult<Vec<Token>> {
                                 }
                             }
                             i += 1;
+                            run = i;
                         }
-                        Some(&b) => {
-                            // copy raw byte; multi-byte UTF-8 sequences pass
-                            // through unchanged because we copy every byte
-                            s.push(b as char);
-                            i += 1;
-                        }
+                        Some(_) => i += 1,
                     }
                 }
-                // Re-decode multi-byte sequences properly.
-                let fixed = if s.is_ascii() {
-                    s
-                } else {
-                    let raw: Vec<u8> = s.chars().map(|c| c as u32 as u8).collect();
-                    String::from_utf8(raw).map_err(|_| ScrubError::Lex {
-                        pos: start,
-                        msg: "invalid utf-8 in string literal".into(),
-                    })?
-                };
                 out.push(Token {
                     pos: start,
-                    kind: TokenKind::Str(fixed),
+                    kind: TokenKind::Str(s),
                 });
             }
             c if c.is_ascii_digit() => {

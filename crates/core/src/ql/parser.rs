@@ -5,7 +5,9 @@
 //! `group by`):
 //!
 //! ```text
-//! query    := SELECT select_list FROM from_list clause* [';']
+//! query    := SELECT item (',' item)* FROM from_list clause* [';']
+//! item     := (agg | k '*' agg | agg '*' k | expr) [AS ident]
+//! agg      := COUNT '(' '*' ')' | AGG '(' [DISTINCT | int ','] expr ')'
 //! clause   := WHERE expr
 //!           | '@' '[' target ']'
 //!           | GROUP BY expr (',' expr)*
@@ -18,6 +20,14 @@
 //! duration := int unit          -- e.g. 10 s, 20 m, 1 h
 //! pct      := number '%' | float-in-(0,1]
 //! ```
+//!
+//! Aggregates are a fact of the parse tree, not of the expression tree: the
+//! three `agg` forms of `item` are the only place an aggregate call is
+//! admitted (`k`, a numeric literal, is Figure 13's `1000*AVG(cost)`).
+//! `k * AGG(arg)` becomes `AGG(k * arg)`, which is exact for SUM and AVG by
+//! any `k` and for MIN and MAX by `k >= 0` (a non-negative scale keeps the
+//! order); other scalings, other arithmetic around an aggregate, and an
+//! aggregate call anywhere else are rejected where the parser meets them.
 
 use crate::error::{ScrubError, ScrubResult};
 use crate::expr::{BinOp, Expr, FieldRef, ScalarFn, UnaryOp};
@@ -28,16 +38,12 @@ use super::lexer::{lex, Token, TokenKind};
 
 /// Parse a ScrubQL query string into a [`QuerySpec`].
 pub fn parse_query(src: &str) -> ScrubResult<QuerySpec> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let q = p.query()?;
-    Ok(q)
+    Parser::new(src)?.query()
 }
 
 /// Parse just an expression (used in tests and by tooling).
 pub fn parse_expr(src: &str) -> ScrubResult<Expr> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(src)?;
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
@@ -46,9 +52,49 @@ pub fn parse_expr(src: &str) -> ScrubResult<Expr> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Where the expression being parsed sits; an aggregate call met
+    /// inside it is rejected with this site's error.
+    site: Site,
+}
+
+/// The places an expression can sit. None of them admits an aggregate
+/// call: `select_item` reads the admitted aggregate forms itself.
+#[derive(Clone, Copy)]
+enum Site {
+    /// A select expression, or a bare `parse_expr`.
+    Select,
+    /// `WHERE` or `GROUP BY`.
+    Clause(&'static str),
+    JoinOn,
+    AggArg,
+}
+
+impl Site {
+    fn agg_error(self) -> ScrubError {
+        match self {
+            Site::Select => ScrubError::Unsupported(
+                "aggregate in unsupported position; use AGG(expr), k*AGG(expr) or \
+                 AGG(expr)*k as a select item"
+                    .into(),
+            ),
+            Site::Clause(ctx) => {
+                ScrubError::Validate(format!("aggregates are not allowed in {ctx}"))
+            }
+            Site::JoinOn => equijoin_only(),
+            Site::AggArg => ScrubError::Unsupported("nested aggregates are not supported".into()),
+        }
+    }
 }
 
 impl Parser {
+    fn new(src: &str) -> ScrubResult<Parser> {
+        Ok(Parser {
+            tokens: lex(src)?,
+            pos: 0,
+            site: Site::Select,
+        })
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -173,7 +219,7 @@ impl Parser {
                 if q.where_clause.is_some() {
                     return self.err("duplicate WHERE clause");
                 }
-                q.where_clause = Some(self.expr()?);
+                q.where_clause = Some(self.expr_at(Site::Clause("WHERE"))?);
             } else if self.at_kw("group") {
                 self.bump();
                 self.expect_kw("by")?;
@@ -181,7 +227,7 @@ impl Parser {
                     return self.err("duplicate GROUP BY clause");
                 }
                 loop {
-                    q.group_by.push(self.expr()?);
+                    q.group_by.push(self.expr_at(Site::Clause("GROUP BY"))?);
                     if !self.eat(&TokenKind::Comma) {
                         break;
                     }
@@ -263,30 +309,70 @@ impl Parser {
         Ok(items)
     }
 
+    /// One select item. An aggregate is admitted as `AGG(args)`,
+    /// `k * AGG(args)` or `AGG(args) * k`, then an optional alias. A scale
+    /// is folded into the argument, `AGG(k * arg)`, where that is exact:
+    /// SUM and AVG by any `k`, MIN and MAX by `k >= 0`. Any other
+    /// arithmetic around an aggregate is `Unsupported`.
     fn select_item(&mut self) -> ScrubResult<SelectItem> {
-        // Aggregates are recognized at the top of a select item (possibly
-        // nested in arithmetic like `1000*AVG(impression.cost)` — see
-        // Figure 13). We parse a full expression and then extract a single
-        // aggregate if present.
-        let expr = self.expr()?;
-        let alias = self.alias()?;
-        match extract_aggregate(&expr)? {
-            Some((func, arg, wrapper)) => {
-                if wrapper {
-                    // aggregate wrapped in scalar arithmetic, e.g.
-                    // 1000*AVG(x): represent as Agg with a post-scale by
-                    // rewriting: keep full expr as PostExpr form.
-                    Ok(SelectItem::Agg {
-                        func,
-                        arg,
-                        alias: alias.or_else(|| Some(render_alias(&expr))),
-                    })
-                } else {
-                    Ok(SelectItem::Agg { func, arg, alias })
-                }
+        // Read `k *` only in front of an aggregate call; anything else is
+        // re-read from `start` as a select expression.
+        let start = self.pos;
+        let lead = match (self.number(), self.eat(&TokenKind::Star)) {
+            (Some(k), true) => Some(k),
+            _ => {
+                self.pos = start;
+                None
             }
-            None => Ok(SelectItem::Expr { expr, alias }),
+        };
+        let Some((func, arg)) = self.agg_call()? else {
+            self.pos = start;
+            let expr = self.expr_at(Site::Select)?;
+            let alias = self.alias()?;
+            return Ok(SelectItem::Expr { expr, alias });
+        };
+        let scale = match lead {
+            Some(k) => Some((k, true)),
+            None if self.eat(&TokenKind::Star) => {
+                let k = self.number().ok_or_else(|| Site::Select.agg_error())?;
+                Some((k, false))
+            }
+            None => None,
+        };
+        if self.continues_expr() {
+            return Err(Site::Select.agg_error());
         }
+        let Some((k, k_first)) = scale else {
+            let alias = self.alias()?;
+            return Ok(SelectItem::Agg { func, arg, alias });
+        };
+        let exact = match func {
+            AggFn::Sum | AggFn::Avg => true,
+            AggFn::Min | AggFn::Max => k.as_f64().is_some_and(|k| !k.is_sign_negative()),
+            _ => false,
+        };
+        if !exact {
+            return Err(ScrubError::Unsupported(format!(
+                "{} cannot be scaled by {k}: only SUM and AVG by any constant, and MIN and \
+                 MAX by one >= 0, scale exactly",
+                func.name()
+            )));
+        }
+        let k = Box::new(Expr::Literal(k));
+        let arg = arg.map(|a| {
+            let (lhs, rhs) = if k_first {
+                (k, Box::new(a))
+            } else {
+                (Box::new(a), k)
+            };
+            Expr::Binary {
+                op: BinOp::Mul,
+                lhs,
+                rhs,
+            }
+        });
+        let alias = self.alias()?.or_else(|| Some("expr".into()));
+        Ok(SelectItem::Agg { func, arg, alias })
     }
 
     fn alias(&mut self) -> ScrubResult<Option<String>> {
@@ -312,7 +398,7 @@ impl Parser {
                 self.expect_kw("join")?;
                 let rhs = self.ident()?;
                 self.expect_kw("on")?;
-                let cond = self.expr()?;
+                let cond = self.expr_at(Site::JoinOn)?;
                 let lhs_types = types.clone();
                 check_equijoin_on_request_id(&cond, &lhs_types, &rhs)?;
                 types.push(rhs);
@@ -423,10 +509,25 @@ impl Parser {
             }
         };
         let unit = self.ident()?;
-        duration_ms(count, &unit).ok_or(ScrubError::Parse {
-            pos: self.here(),
-            msg: format!("unknown duration unit `{unit}`"),
-        })
+        match duration_ms(count, &unit) {
+            Some(ms) => Ok(ms),
+            None if duration_ms(1, &unit).is_some() => {
+                self.err(format!("duration {count} {unit} overflows"))
+            }
+            None => self.err(format!("unknown duration unit `{unit}`")),
+        }
+    }
+
+    /// A numeric literal, possibly negated; nothing is consumed otherwise.
+    fn number(&mut self) -> Option<Value> {
+        let neg = *self.peek() == TokenKind::Minus;
+        let v = match self.tokens[self.pos + usize::from(neg)].kind {
+            TokenKind::Int(v) => Value::Long(if neg { -v } else { v }),
+            TokenKind::Float(v) => Value::Double(if neg { -v } else { v }),
+            _ => return None,
+        };
+        self.pos += usize::from(neg) + 1;
+        Some(v)
     }
 
     /// `10%` or a float in (0, 1].
@@ -456,6 +557,23 @@ impl Parser {
 
     fn expr(&mut self) -> ScrubResult<Expr> {
         self.or_expr()
+    }
+
+    fn expr_at(&mut self, site: Site) -> ScrubResult<Expr> {
+        self.site = site;
+        self.expr()
+    }
+
+    /// Does the expression grammar go on from here: a binary operator or a
+    /// postfix predicate?
+    fn continues_expr(&self) -> bool {
+        use TokenKind::*;
+        matches!(
+            self.peek(),
+            Plus | Minus | Star | Slash | Percent | Eq | Ne | Lt | Le | Gt | Ge
+        ) || ["and", "or", "is", "in", "not", "between"]
+            .iter()
+            .any(|kw| self.at_kw(kw))
     }
 
     fn or_expr(&mut self) -> ScrubResult<Expr> {
@@ -674,7 +792,7 @@ impl Parser {
                     return Ok(Expr::Literal(Value::Null));
                 }
                 self.bump();
-                // aggregate or scalar function call?
+                // function call? (`call` refuses an aggregate here)
                 if matches!(self.peek(), TokenKind::LParen) {
                     return self.call(name);
                 }
@@ -689,26 +807,21 @@ impl Parser {
         }
     }
 
-    /// Parse a call after having consumed `name`, at `(`.
-    fn call(&mut self, name: String) -> ScrubResult<Expr> {
-        self.expect(TokenKind::LParen)?;
-        let lc = name.to_ascii_lowercase();
-
-        // Aggregates become AggMarker expressions extracted by select_item.
-        let agg = match lc.as_str() {
+    /// `AGG(args)` at the cursor, or `None` with nothing consumed.
+    fn agg_call(&mut self) -> ScrubResult<Option<(AggFn, Option<Expr>)>> {
+        let func = match (self.peek(), self.peek2()) {
+            (TokenKind::Ident(name), TokenKind::LParen) => agg_by_name(name),
+            _ => None,
+        };
+        let Some(func) = func else {
+            return Ok(None);
+        };
+        self.bump();
+        self.bump();
+        let func = match func {
             // `COUNT(DISTINCT x)` is sugar for COUNT_DISTINCT(x)
-            "count" if matches!(self.peek(), TokenKind::Ident(k) if k.eq_ignore_ascii_case("distinct")) =>
-            {
-                self.bump();
-                Some(AggFn::CountDistinct)
-            }
-            "count" => Some(AggFn::Count),
-            "sum" => Some(AggFn::Sum),
-            "avg" | "mean" => Some(AggFn::Avg),
-            "min" => Some(AggFn::Min),
-            "max" => Some(AggFn::Max),
-            "count_distinct" | "countdistinct" => Some(AggFn::CountDistinct),
-            "top" | "topk" | "top_k" => {
+            AggFn::Count if self.eat_kw("distinct") => AggFn::CountDistinct,
+            AggFn::TopK(_) => {
                 let k = match self.bump() {
                     TokenKind::Int(k) if k > 0 => k as usize,
                     other => {
@@ -719,24 +832,25 @@ impl Parser {
                     }
                 };
                 self.expect(TokenKind::Comma)?;
-                Some(AggFn::TopK(k))
+                AggFn::TopK(k)
             }
-            _ => None,
+            f => f,
         };
+        let arg = if func == AggFn::Count && self.eat(&TokenKind::Star) {
+            None
+        } else {
+            Some(self.expr_at(Site::AggArg)?)
+        };
+        self.expect(TokenKind::RParen)?;
+        Ok(Some((func, arg)))
+    }
 
-        if let Some(func) = agg {
-            let arg = if matches!(func, AggFn::Count) && self.eat(&TokenKind::Star) {
-                None
-            } else {
-                Some(self.expr()?)
-            };
-            self.expect(TokenKind::RParen)?;
-            return Ok(Expr::Call {
-                func: ScalarFn::Abs, // placeholder, see AggMarker below
-                args: vec![agg_marker(func, arg)],
-            });
+    /// Parse a scalar call after having consumed `name`, at `(`.
+    fn call(&mut self, name: String) -> ScrubResult<Expr> {
+        if agg_by_name(&name).is_some() {
+            return Err(self.site.agg_error());
         }
-
+        self.expect(TokenKind::LParen)?;
         let func = ScalarFn::by_name(&name).ok_or(ScrubError::Parse {
             pos: self.here(),
             msg: format!("unknown function `{name}`"),
@@ -776,168 +890,18 @@ impl Parser {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Aggregate markers
-//
-// Aggregates can be embedded in scalar arithmetic in the select list
-// (Figure 13: `1000*AVG(impression.cost)`). The parser wraps each aggregate
-// application in a recognizable marker expression; `select_item` then
-// extracts it. A marker is `Call { func: Abs, args: [InList { list: [Str
-// "\u{0}agg:<name>"], .. }] }`-shaped — never constructible from user
-// syntax because the sentinel string contains a NUL byte.
-// ---------------------------------------------------------------------------
-
-const AGG_SENTINEL: &str = "\u{0}agg";
-
-fn agg_marker(func: AggFn, arg: Option<Expr>) -> Expr {
-    let tag = match func {
-        AggFn::Count => "count".to_string(),
-        AggFn::Sum => "sum".to_string(),
-        AggFn::Avg => "avg".to_string(),
-        AggFn::Min => "min".to_string(),
-        AggFn::Max => "max".to_string(),
-        AggFn::TopK(k) => format!("topk:{k}"),
-        AggFn::CountDistinct => "count_distinct".to_string(),
-    };
-    Expr::InList {
-        expr: Box::new(arg.unwrap_or(Expr::Literal(Value::Null))),
-        list: vec![Value::Str(format!("{AGG_SENTINEL}:{tag}"))],
-        negated: false,
-    }
-}
-
-fn marker_parts(e: &Expr) -> Option<(AggFn, Option<Expr>)> {
-    if let Expr::Call {
-        func: ScalarFn::Abs,
-        args,
-    } = e
-    {
-        if args.len() == 1 {
-            if let Expr::InList {
-                expr,
-                list,
-                negated: false,
-            } = &args[0]
-            {
-                if list.len() == 1 {
-                    if let Value::Str(s) = &list[0] {
-                        if let Some(tag) = s.strip_prefix(&format!("{AGG_SENTINEL}:")) {
-                            let func = match tag {
-                                "count" => AggFn::Count,
-                                "sum" => AggFn::Sum,
-                                "avg" => AggFn::Avg,
-                                "min" => AggFn::Min,
-                                "max" => AggFn::Max,
-                                "count_distinct" => AggFn::CountDistinct,
-                                t => {
-                                    let k = t.strip_prefix("topk:")?.parse().ok()?;
-                                    AggFn::TopK(k)
-                                }
-                            };
-                            let arg = match expr.as_ref() {
-                                Expr::Literal(Value::Null) if func == AggFn::Count => None,
-                                other => Some(other.clone()),
-                            };
-                            return Some((func, arg));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Walk an expression extracting at most one aggregate marker. Returns
-/// `(func, arg, wrapped_in_arithmetic)`; errors on nested or multiple
-/// aggregates (which ScrubQL does not support).
-///
-/// When the aggregate is wrapped in scalar arithmetic (e.g.
-/// `1000*AVG(cost)`) the wrapper is folded into the aggregate argument:
-/// `AVG(cost)*1000 == AVG(cost*1000)` holds for AVG/SUM/MIN/MAX scaling by
-/// a positive constant; we implement the general case by rewriting the
-/// argument. Non-linear wrappers are rejected.
-fn extract_aggregate(e: &Expr) -> ScrubResult<Option<(AggFn, Option<Expr>, bool)>> {
-    if let Some((func, arg)) = marker_parts(e) {
-        if let Some(a) = &arg {
-            if count_aggs(a) > 0 {
-                return Err(ScrubError::Unsupported(
-                    "nested aggregates are not supported".into(),
-                ));
-            }
-        }
-        return Ok(Some((func, arg, false)));
-    }
-    // Try linear wrapper: c * AGG, AGG * c, AGG / c, c + AGG, AGG - c, ...
-    if let Expr::Binary { op, lhs, rhs } = e {
-        let l = marker_parts(lhs);
-        let r = marker_parts(rhs);
-        let lc = matches!(lhs.as_ref(), Expr::Literal(_));
-        let rc = matches!(rhs.as_ref(), Expr::Literal(_));
-        if count_aggs(e) > 1 {
-            return Err(ScrubError::Unsupported(
-                "select items may contain at most one aggregate".into(),
-            ));
-        }
-        match (l, r, lc, rc, op) {
-            // literal OP agg
-            (None, Some((func, arg)), true, false, BinOp::Add | BinOp::Mul) if is_linear(&func) => {
-                let arg = rewrap(arg, |inner| Expr::Binary {
-                    op: *op,
-                    lhs: lhs.clone(),
-                    rhs: Box::new(inner),
-                });
-                return Ok(Some((func, arg, true)));
-            }
-            // agg OP literal
-            (Some((func, arg)), None, false, true, _) if op.is_arith() && is_linear(&func) => {
-                let arg = rewrap(arg, |inner| Expr::Binary {
-                    op: *op,
-                    lhs: Box::new(inner),
-                    rhs: rhs.clone(),
-                });
-                return Ok(Some((func, arg, true)));
-            }
-            _ => {}
-        }
-        if count_aggs(e) == 1 {
-            return Err(ScrubError::Unsupported(
-                "aggregates may only be combined with constants linearly (e.g. 1000*AVG(x))".into(),
-            ));
-        }
-    }
-    if count_aggs(e) > 0 {
-        return Err(ScrubError::Unsupported(
-            "aggregate in unsupported position; use AGG(expr) at the top of a select item".into(),
-        ));
-    }
-    Ok(None)
-}
-
-fn is_linear(f: &AggFn) -> bool {
-    matches!(f, AggFn::Sum | AggFn::Avg | AggFn::Min | AggFn::Max)
-}
-
-fn rewrap(arg: Option<Expr>, f: impl Fn(Expr) -> Expr) -> Option<Expr> {
-    arg.map(f)
-}
-
-fn count_aggs(e: &Expr) -> usize {
-    if marker_parts(e).is_some() {
-        return 1;
-    }
-    match e {
-        Expr::Literal(_) | Expr::Field(_) => 0,
-        Expr::Unary { expr, .. } => count_aggs(expr),
-        Expr::Binary { lhs, rhs, .. } => count_aggs(lhs) + count_aggs(rhs),
-        Expr::Call { args, .. } => args.iter().map(count_aggs).sum(),
-        Expr::InList { expr, .. } => count_aggs(expr),
-        Expr::IsNull { expr, .. } => count_aggs(expr),
-    }
-}
-
-fn render_alias(_e: &Expr) -> String {
-    "expr".to_string()
+/// The aggregate a call name denotes; `TOP`'s k is read by `agg_call`.
+fn agg_by_name(name: &str) -> Option<AggFn> {
+    Some(match name.to_ascii_lowercase().as_str() {
+        "count" => AggFn::Count,
+        "sum" => AggFn::Sum,
+        "avg" | "mean" => AggFn::Avg,
+        "min" => AggFn::Min,
+        "max" => AggFn::Max,
+        "count_distinct" | "countdistinct" => AggFn::CountDistinct,
+        "top" | "topk" | "top_k" => AggFn::TopK(0),
+        _ => return None,
+    })
 }
 
 /// Validate that an explicit `JOIN ... ON` condition is exactly the
@@ -966,11 +930,15 @@ fn check_equijoin_on_request_id(
             }
         }
     }
-    Err(ScrubError::Unsupported(
+    Err(equijoin_only())
+}
+
+fn equijoin_only() -> ScrubError {
+    ScrubError::Unsupported(
         "joins are restricted to equi-joins on the request identifier \
          (ON a.request_id = b.request_id)"
             .into(),
-    ))
+    )
 }
 
 #[cfg(test)]
@@ -1059,6 +1027,8 @@ mod tests {
         assert_eq!(q.start, StartSpec::At(1234));
         let q = parse_query("select COUNT(*) from bid start now").unwrap();
         assert_eq!(q.start, StartSpec::Now);
+        let e = parse_query("select COUNT(*) from bid window 9999999999999999 h").unwrap_err();
+        assert!(e.to_string().contains("overflows"), "{e}");
     }
 
     #[test]
@@ -1151,6 +1121,93 @@ mod tests {
             parse_query("select AVG(bid.x) + AVG(bid.y) from bid"),
             Err(ScrubError::Unsupported(_))
         ));
+    }
+
+    /// A scale is admitted where folding it into the argument is exact;
+    /// every other wrapper is refused rather than answered wrongly.
+    #[test]
+    fn aggregate_scaling_admitted_only_where_exact() {
+        let x = || Box::new(Expr::Field(FieldRef::qualified("bid", "x")));
+        let k = |v: Value| Box::new(Expr::Literal(v));
+        let mul = |lhs, rhs| {
+            Some(Expr::Binary {
+                op: BinOp::Mul,
+                lhs,
+                rhs,
+            })
+        };
+        let expr = || Some("expr".to_string());
+        let admitted = [
+            (
+                "1000*AVG(bid.x)",
+                AggFn::Avg,
+                mul(k(Value::Long(1000)), x()),
+                expr(),
+            ),
+            (
+                "SUM(bid.x) * -2",
+                AggFn::Sum,
+                mul(x(), k(Value::Long(-2))),
+                expr(),
+            ),
+            (
+                "-1.5 * SUM(bid.x)",
+                AggFn::Sum,
+                mul(k(Value::Double(-1.5)), x()),
+                expr(),
+            ),
+            (
+                "MIN(bid.x) * 0.5 as m",
+                AggFn::Min,
+                mul(x(), k(Value::Double(0.5))),
+                Some("m".into()),
+            ),
+            (
+                "0 * MAX(bid.x)",
+                AggFn::Max,
+                mul(k(Value::Long(0)), x()),
+                expr(),
+            ),
+            ("MAX(bid.x)", AggFn::Max, Some(*x()), None),
+        ];
+        for (item, func, arg, alias) in admitted {
+            let q = parse_query(&format!("select {item} from bid")).unwrap();
+            assert_eq!(
+                q.select,
+                vec![SelectItem::Agg { func, arg, alias }],
+                "{item}"
+            );
+        }
+        for item in [
+            "SUM(bid.x)+5",
+            "5+SUM(bid.x)",
+            "SUM(bid.x)%2",
+            "SUM(bid.x)/3",
+            "MAX(bid.x)*-1",
+            "-0.0 * MIN(bid.x)",
+            "2*COUNT(*)",
+            "TOP(3, bid.x) * 2",
+            "2 * 3 * SUM(bid.x)",
+            "2 * SUM(bid.x) * 3",
+            "abs(SUM(bid.x))",
+        ] {
+            assert!(
+                matches!(
+                    parse_query(&format!("select {item} from bid")),
+                    Err(ScrubError::Unsupported(_))
+                ),
+                "{item}"
+            );
+        }
+    }
+
+    /// No string means anything (a NUL-led literal is a literal), and a
+    /// bare expression holds no aggregate.
+    #[test]
+    fn nul_string_literals_are_plain_strings() {
+        let q = parse_query("select abs(bid.x in ('\0agg:sum')) from bid").unwrap();
+        assert!(matches!(q.select[0], SelectItem::Expr { .. }), "{q:?}");
+        assert!(parse_expr("COUNT(*)").is_err());
     }
 
     #[test]

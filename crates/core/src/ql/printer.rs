@@ -136,9 +136,9 @@ fn print_target(t: &TargetExpr) -> String {
 
 fn print_attr(attr: &str, values: &[String]) -> String {
     if values.len() == 1 {
-        format!("{attr} = '{}'", values[0])
+        format!("{attr} = {}", quote(&values[0]))
     } else {
-        let list: Vec<String> = values.iter().map(|v| format!("'{v}'")).collect();
+        let list: Vec<String> = values.iter().map(|v| quote(v)).collect();
         format!("{attr} in ({})", list.join(", "))
     }
 }
@@ -210,9 +210,14 @@ fn print_literal(v: &Value) -> String {
         Value::Float(x) => format_float(*x as f64),
         Value::Double(x) => format_float(*x),
         Value::DateTime(x) => x.to_string(),
-        Value::Str(s) => format!("'{}'", s.replace('\\', "\\\\").replace('\'', "\\'")),
+        Value::Str(s) => quote(s),
         other => format!("{other}"), // lists/nested are not literal syntax
     }
+}
+
+/// A string literal the lexer reads back as `s`.
+fn quote(s: &str) -> String {
+    format!("'{}'", s.replace('\\', "\\\\").replace('\'', "\\'"))
 }
 
 fn format_float(x: f64) -> String {
@@ -280,5 +285,10 @@ mod tests {
     #[test]
     fn string_escaping() {
         round_trip("select COUNT(*) from e where e.s = 'it\\'s'");
+    }
+
+    #[test]
+    fn target_values_are_escaped() {
+        round_trip("select COUNT(*) from e @[Server = 'a\\\\b' or Service in ('it\\'s', x)]");
     }
 }

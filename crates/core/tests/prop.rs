@@ -220,16 +220,65 @@ proptest! {
         let _ = parse_query(&src);
     }
 
-    /// The parser never panics on query-shaped input either.
+    /// The front end never panics on query-shaped input either: parse,
+    /// then compile whatever parses.
     #[test]
     fn parser_total_on_query_shaped(
         field in "[a-z]{1,6}",
         num in any::<i32>(),
         tail in "[a-z0-9 ()<>=%.,;*@\\[\\]]{0,60}",
     ) {
-        let _ = parse_query(&format!("select {field} from bid where {field} > {num} {tail}"));
-        let _ = parse_query(&format!("select COUNT(*) from {field} {tail}"));
+        let reg = three_types();
+        for src in [
+            format!("select {field} from bid where {field} > {num} {tail}"),
+            format!("select COUNT(*) from {field} {tail}"),
+        ] {
+            if let Ok(q) = parse_query(&src) {
+                let _ = compile(&q, &reg, &ScrubConfig::default(), QueryId(1));
+            }
+        }
     }
+}
+
+/// The schema the front-end properties compile against.
+fn three_types() -> SchemaRegistry {
+    let reg = SchemaRegistry::new();
+    let types: [(&str, &[(&str, FieldType)]); 3] = [
+        (
+            "bid",
+            &[
+                ("user_id", FieldType::Long),
+                ("exchange_id", FieldType::Long),
+                ("bid_price", FieldType::Double),
+                ("city", FieldType::Str),
+            ],
+        ),
+        (
+            "impression",
+            &[
+                ("line_item_id", FieldType::Long),
+                ("exchange_id", FieldType::Long),
+                ("cost", FieldType::Double),
+            ],
+        ),
+        (
+            "exclusion",
+            &[
+                ("line_item_id", FieldType::Long),
+                ("reason", FieldType::Str),
+                ("flag", FieldType::Bool),
+            ],
+        ),
+    ];
+    for (name, fields) in types {
+        let fields = fields
+            .iter()
+            .map(|(f, t)| FieldDef::new(*f, t.clone()))
+            .collect();
+        reg.register(EventSchema::new(name, fields).unwrap())
+            .unwrap();
+    }
+    reg
 }
 
 proptest! {
@@ -266,7 +315,7 @@ proptest! {
 
 use scrub_core::expr::{BinOp, Expr, FieldRef, ScalarFn};
 use scrub_core::ql::parser::parse_expr;
-use scrub_core::ql::printer::print_expr;
+use scrub_core::ql::printer::{print_expr, print_query};
 
 /// Expressions restricted to the parse-producible space (e.g. literals the
 /// grammar can spell: longs, doubles, strings, booleans).
@@ -355,6 +404,93 @@ proptest! {
         let parsed = parse_expr(&printed)
             .unwrap_or_else(|err| panic!("unparseable rendering {printed:?}: {err}"));
         prop_assert_eq!(parsed, e, "round trip changed the AST via {}", printed);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Token-level mutations of valid queries through the whole front end
+// ---------------------------------------------------------------------------
+
+/// The valid queries the mutations start from: the paper's Figures 9, 11
+/// and 13, the join the CLI's `explain` test shows, and the printer's
+/// full-feature query.
+const SEED_QUERIES: [&str; 5] = [
+    "Select bid.user_id, COUNT(*) from bid \
+     @[Service in BidServers and Server = host1] group by bid.user_id;",
+    "select COUNT(*) from impression @[Service in PresentationServers and DC = DC1] \
+     sample hosts 10% events 10% window 10 s group by impression.exchange_id",
+    "Select 1000*AVG(impression.cost) from impression \
+     where impression.line_item_id = 42 @[Servers in (h1, h2, h3)];",
+    "select COUNT(*) from bid, exclusion where bid.exchange_id = 1 group by exclusion.reason",
+    "select e.a, COUNT(*), SUM(e.b), TOP(5, e.c), COUNT_DISTINCT(e.d) as cd \
+     from e where (e.a > 3 and e.b in (1, -2.5, 'x')) or not e.flag \
+     @[not (DC = DC2) or Service in (A, B)] \
+     group by e.a window 90 s slide 30 s \
+     sample hosts 25% events 10% start in 5 m duration 1 h",
+];
+
+/// Replacement tokens beyond the seeds' own, whitespace-separated: raw
+/// and quoted NUL and multi-byte UTF-8, escapes, operators, an
+/// out-of-range integer, and keywords from every clause.
+const EXTRA_TOKENS: &str =
+    "\0 é 日本 '\0agg:sum' 'é' 'it\\'s' 'a\\\\b' \"q\" - + / % != <= 0 -1 2.5 \
+     1e3 99999999999999999999 abs MIN MAX distinct is null between in as join on having order \
+     slide start at now ms d bid exclusion";
+
+/// A seed query's tokens, as source text.
+fn seed_tokens(src: &str) -> Vec<String> {
+    let toks = lex(src).unwrap();
+    toks.windows(2)
+        .map(|w| src[w[0].pos..w[1].pos].trim().to_string())
+        .collect()
+}
+
+/// A seed query with one or two tokens deleted, duplicated, swapped or
+/// replaced.
+fn arb_mutated_query() -> impl Strategy<Value = String> {
+    let seeds: Vec<Vec<String>> = SEED_QUERIES.iter().map(|q| seed_tokens(q)).collect();
+    let mut pool: Vec<String> = seeds.concat();
+    pool.extend(EXTRA_TOKENS.split_whitespace().map(String::from));
+    pool.sort();
+    pool.dedup();
+    let edit = (
+        0u8..4,
+        any::<usize>(),
+        any::<usize>(),
+        prop::sample::select(pool),
+    );
+    (
+        prop::sample::select(seeds),
+        prop::collection::vec(edit, 1..3),
+    )
+        .prop_map(|(mut toks, edits)| {
+            for (op, at, other, with) in edits {
+                let (i, j) = (at % toks.len(), other % toks.len());
+                match op {
+                    0 => drop(toks.remove(i)),
+                    1 => toks.insert(i, toks[i].clone()),
+                    2 => toks.swap(i, j),
+                    _ => toks[i] = with,
+                }
+            }
+            toks.join(" ")
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Mutated queries go through lex → parse → compile without a panic,
+    /// and every one that parses prints to text that parses back to the
+    /// same `QuerySpec`.
+    #[test]
+    fn mutated_queries_are_total_and_round_trip(src in arb_mutated_query()) {
+        if let Ok(q) = parse_query(&src) {
+            let _ = compile(&q, &three_types(), &ScrubConfig::default(), QueryId(1));
+            let printed = print_query(&q);
+            let back = parse_query(&printed);
+            prop_assert_eq!(back.as_ref().ok(), Some(&q), "{:?} printed as {:?}", src, printed);
+        }
     }
 }
 

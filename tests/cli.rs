@@ -54,8 +54,15 @@ fn cli_explain_shows_placement() {
 
 #[test]
 fn cli_rejects_bad_queries_gracefully() {
-    let out = run_cli("default", "select FROB(x) from bid\n\\stats\n\\quit\n");
-    assert!(out.contains("rejected:"), "no rejection message:\n{out}");
+    let out = run_cli(
+        "default",
+        "select FROB(x) from bid\nselect SUM(bid.bid_price) + 5 from bid\n\\stats\n\\quit\n",
+    );
+    assert_eq!(
+        out.matches("rejected:").count(),
+        2,
+        "a query was not rejected:\n{out}"
+    );
     // the shell keeps working afterwards
     assert!(out.contains("event production:"), "stats missing:\n{out}");
 }
