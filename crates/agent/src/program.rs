@@ -24,17 +24,9 @@
 
 use std::collections::HashMap;
 
+use scrub_core::event::FieldSlot;
 use scrub_core::expr::{BinOp, ResolvedExpr};
 use scrub_core::value::Value;
-
-/// Where a predicate slot reads from, resolved against the plan's arity
-/// (slots `arity` and beyond are the request id and the timestamp).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum TapSlot {
-    User(usize),
-    RequestId,
-    Timestamp,
-}
 
 /// What the index needs to know of one field of the event being logged.
 pub(crate) enum Probe<'a> {
@@ -59,7 +51,7 @@ impl<'a> Probe<'a> {
 /// spellings (`5 < x`, `x > 5.0`) are one atom.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct Atom {
-    slot: TapSlot,
+    slot: FieldSlot,
     test: Test,
 }
 
@@ -115,12 +107,10 @@ impl Atom {
                 }
             }
         };
-        let slot = match slot {
-            s if s < arity => TapSlot::User(s),
-            s if s == arity => TapSlot::RequestId,
-            _ => TapSlot::Timestamp,
-        };
-        Some(Atom { slot, test })
+        Some(Atom {
+            slot: FieldSlot::of(slot, arity),
+            test,
+        })
     }
 }
 
@@ -183,7 +173,7 @@ struct Bound {
 
 /// The atoms on one slot.
 struct SlotIndex {
-    slot: TapSlot,
+    slot: FieldSlot,
     str_eq: HashMap<String, u32>,
     num_eq: HashMap<u64, u32>,
     above: Vec<Bound>,
@@ -258,7 +248,7 @@ impl TapProgram {
     /// through `read`, mark the atoms that hold with `tick` (non-zero,
     /// different for every event), and note the subscriptions they trigger.
     #[inline]
-    pub(crate) fn probe<'v>(&mut self, tick: u64, read: impl Fn(TapSlot) -> Probe<'v>) {
+    pub(crate) fn probe<'v>(&mut self, tick: u64, read: impl Fn(FieldSlot) -> Probe<'v>) {
         let TapProgram {
             slots,
             marks,
@@ -415,9 +405,9 @@ mod tests {
         let sel = Selection::split(Some(&pred), 2);
         assert_eq!(sel.residual, vec![not_indexable, string_range]);
         assert_eq!(sel.atoms.len(), 2);
-        assert_eq!(sel.atoms[0].slot, TapSlot::User(0));
+        assert_eq!(sel.atoms[0].slot, FieldSlot::User(0));
         // slot 3 is past request id (arity) — the timestamp
-        assert_eq!(sel.atoms[1].slot, TapSlot::Timestamp);
+        assert_eq!(sel.atoms[1].slot, FieldSlot::Timestamp);
         assert!(Selection::split(None, 2).atoms.is_empty());
     }
 
@@ -451,8 +441,8 @@ mod tests {
         assert_eq!(p.words(), 1);
         let run = |p: &mut TapProgram, tick: u64, country: &str, price: f64| -> Vec<usize> {
             p.probe(tick, |slot| match slot {
-                TapSlot::User(0) => Probe::Str(country),
-                TapSlot::User(1) => Probe::Num(price),
+                FieldSlot::User(0) => Probe::Str(country),
+                FieldSlot::User(1) => Probe::Num(price),
                 _ => Probe::Other,
             });
             let bits = p.take_candidates(0);

@@ -30,7 +30,7 @@ use scrub_obs::trace::{should_trace, trace_threshold, SpanKind, TraceSpan};
 
 use crate::batch::EventBatch;
 use crate::cost::CostModel;
-use crate::program::{Probe, Selection, TapProgram, TapSlot};
+use crate::program::{Probe, Selection, TapProgram};
 use crate::stats::AgentStats;
 
 /// Maximum number of event types an agent supports (flags are a fixed
@@ -458,10 +458,18 @@ impl ScrubAgent {
 
         // selection, for every subscription of the type at once
         program.probe(tick, |slot| match slot {
-            TapSlot::User(i) => values.get(i).map_or(Probe::Other, Probe::of),
-            TapSlot::RequestId => Probe::Num(request_id.0 as i64 as f64),
-            TapSlot::Timestamp => Probe::Num(timestamp_ms as f64),
+            FieldSlot::User(i) => values.get(i).map_or(Probe::Other, Probe::of),
+            FieldSlot::RequestId => Probe::Num(request_id.0 as i64 as f64),
+            FieldSlot::Timestamp => Probe::Num(timestamp_ms as f64),
         });
+        // one field of the event, lent where the caller's tuple holds it
+        let field = |slot: FieldSlot| -> Cow<'_, Value> {
+            match slot {
+                FieldSlot::User(i) => values.get(i).map_or(Cow::Owned(Value::Null), Cow::Borrowed),
+                FieldSlot::RequestId => Cow::Owned(Value::Long(request_id.0 as i64)),
+                FieldSlot::Timestamp => Cow::Owned(Value::DateTime(timestamp_ms)),
+            }
+        };
 
         let mut tally = Tally {
             predicates: *with_predicate,
@@ -487,17 +495,7 @@ impl ScrubAgent {
                     continue;
                 }
                 let arity = subs[i].plan.arity;
-                let fetch = |slot: usize| -> Cow<'_, Value> {
-                    if slot < arity {
-                        values
-                            .get(slot)
-                            .map_or(Cow::Owned(Value::Null), Cow::Borrowed)
-                    } else if slot == arity {
-                        Cow::Owned(Value::Long(request_id.0 as i64))
-                    } else {
-                        Cow::Owned(Value::DateTime(timestamp_ms))
-                    }
-                };
+                let fetch = |slot: usize| field(FieldSlot::of(slot, arity));
                 let residual = &subs[i].selection.residual;
                 if !residual.iter().all(|e| e.eval_bool_by(&fetch)) {
                     continue;
@@ -575,13 +573,7 @@ impl ScrubAgent {
                 sub.chunk.push_row(
                     request_id.0,
                     timestamp_ms,
-                    sub.plan.projection.iter().map(|slot| match slot {
-                        FieldSlot::User(i) => values
-                            .get(*i)
-                            .map_or(Cow::Owned(Value::Null), Cow::Borrowed),
-                        FieldSlot::RequestId => Cow::Owned(Value::Long(request_id.0 as i64)),
-                        FieldSlot::Timestamp => Cow::Owned(Value::DateTime(timestamp_ms)),
-                    }),
+                    sub.plan.projection.iter().map(|&slot| field(slot)),
                 );
                 tally.fields_projected += sub.plan.projection.len() as u64;
                 sub.oldest_ms = sub.oldest_ms.min(timestamp_ms);

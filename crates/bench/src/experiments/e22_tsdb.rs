@@ -22,15 +22,15 @@
 //!   meta-stream (`SUM(scrub_metric.delta)` in 20 s windows) returns, for
 //!   interior windows, exactly the sums of the raw tier's per-tick deltas
 //!   for the same metric.
-//! - **determinism**: `range`-style renders of every run-invariant
-//!   metric are byte-identical across two seeded runs.
+//! - **determinism**: `range`-style renders of every stored metric
+//!   are byte-identical across two seeded runs.
 //!
 //! Results land in `BENCH_tsdb.json` at the workspace root (CI validates
 //! the schema: three tiers, coarse coverage spanning the crash, and a
 //! compression ratio above 1).
 
 use adplatform::{scenario, PlatformMsg};
-use scrub_obs::{run_invariant, Resolution, RolledPoint};
+use scrub_obs::{Resolution, RolledPoint};
 use scrub_server::{CentralNode, QueryState, ScrubClient};
 use scrub_simnet::SimTime;
 
@@ -67,7 +67,7 @@ struct TierRow {
 
 /// Everything one run leaves behind.
 struct Observed {
-    /// `render_range` of every run-invariant metric at every resolution —
+    /// `render_range` of every stored metric at every resolution —
     /// the two-seeded-runs byte-stability probe.
     renders_all: String,
     raw_cover: (i64, i64),
@@ -170,15 +170,10 @@ fn run_once(quick: bool) -> Observed {
         .node_as::<CentralNode<PlatformMsg>>(p.scrub.central)
         .expect("central node");
     let store = central.telemetry();
-    let invariant: Vec<String> = store
-        .metric_names()
-        .into_iter()
-        .filter(|m| run_invariant(m))
-        .collect();
     let mut renders_all = String::new();
-    for m in &invariant {
+    for m in store.metric_names() {
         for res in Resolution::ALL {
-            renders_all.push_str(&store.render_range(m, res, None));
+            renders_all.push_str(&store.render_range(&m, res, None));
         }
     }
 

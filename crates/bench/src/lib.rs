@@ -3,9 +3,8 @@
 //! The experiment harness: one module per paper figure/table (see
 //! DESIGN.md's experiment index E01–E22), run all together by `run_all`
 //! (`cargo run -p scrub-bench --release --bin run_all`) or a few at a time
-//! (`-- --only e01,e16`), plus criterion microbenchmarks of the parser and
-//! the sketches. The tap and ScrubCentral layers are measured by
-//! `scrub_perf` instead.
+//! (`-- --only e01,e16`). Wall-clock timings of the parser, the tap and
+//! ScrubCentral are measured by `scrub_perf`.
 //!
 //! Experiments print the regenerated series/table and a `VERDICT` line
 //! stating whether the paper's qualitative shape held.

@@ -16,6 +16,7 @@ use std::time::Instant;
 
 use scrub_agent::EventBatch;
 use scrub_core::columnar::{ColumnChunk, ColumnarFrame};
+use scrub_core::event::FieldSlot;
 use scrub_core::expr::ResolvedExpr;
 use scrub_core::plan::{AggSpec, CentralPlan, OperatorKind, OutputCol, OutputMode};
 use scrub_core::value::{GroupKey, Value};
@@ -83,21 +84,12 @@ pub struct GroupState {
 /// One window's groups, keyed and ordered by canonical group key.
 pub type Groups = BTreeMap<Vec<GroupKey>, GroupState>;
 
-/// What one joined-row slot reads within its input's block.
-#[derive(Debug, Clone, Copy)]
-enum SlotCol {
-    /// The i-th projected user field.
-    Field(usize),
-    RequestId,
-    Timestamp,
-}
-
-/// Where a joined-row slot lives: block layout is `fields...` then
-/// `request_id` then `timestamp`, one block per input.
+/// Where a joined-row slot lives: which input's block, and which field
+/// of it ([`FieldSlot::of`] over the input's projected fields).
 #[derive(Debug, Clone, Copy)]
 struct SlotSrc {
     input: usize,
-    col: SlotCol,
+    col: FieldSlot,
 }
 
 /// The slot → source table of a plan's joined-row layout (`None` for a
@@ -106,11 +98,9 @@ fn slot_table(plan: &CentralPlan) -> Arc<[Option<SlotSrc>]> {
     let mut slots = vec![None; plan.row_width];
     for (input, spec) in plan.inputs.iter().enumerate() {
         let nfields = spec.fields.len();
-        let cols = (0..nfields)
-            .map(SlotCol::Field)
-            .chain([SlotCol::RequestId, SlotCol::Timestamp]);
-        for (pos, col) in cols.enumerate() {
+        for pos in 0..nfields + 2 {
             if let Some(slot) = slots.get_mut(spec.block_offset + pos) {
+                let col = FieldSlot::of(pos, nfields);
                 *slot = Some(SlotSrc { input, col });
             }
         }
@@ -121,14 +111,14 @@ fn slot_table(plan: &CentralPlan) -> Arc<[Option<SlotSrc>]> {
 /// One slot of a chunk row, lent where the chunk already holds a `Value`.
 /// A short chunk (arity below the plan's fields) reads `Null`; extra
 /// trailing columns are never addressed.
-fn chunk_value(chunk: &ColumnChunk, row: usize, col: SlotCol) -> Cow<'_, Value> {
+fn chunk_value(chunk: &ColumnChunk, row: usize, col: FieldSlot) -> Cow<'_, Value> {
     match col {
-        SlotCol::Field(i) => match chunk.columns.get(i) {
+        FieldSlot::User(i) => match chunk.columns.get(i) {
             Some(column) => column.value_ref(row),
             None => Cow::Owned(Value::Null),
         },
-        SlotCol::RequestId => Cow::Owned(Value::Long(chunk.request_ids[row] as i64)),
-        SlotCol::Timestamp => Cow::Owned(Value::DateTime(chunk.timestamps[row])),
+        FieldSlot::RequestId => Cow::Owned(Value::Long(chunk.request_ids[row] as i64)),
+        FieldSlot::Timestamp => Cow::Owned(Value::DateTime(chunk.timestamps[row])),
     }
 }
 

@@ -30,11 +30,12 @@
 //! a validity bitmap (bit i set = value i present) and the typed values
 //! that follow are dense over the *present* rows only. Columns that mix
 //! value variants (including `Int` vs `Long`), or contain lists/nested
-//! values, fall back to `COL_MIXED`: per-row tagged values in the event
-//! codec's encoding ([`crate::encode`]). Exact `Value` variants always
-//! round-trip — `Int` is never widened to `Long` nor `Float` to `Double` —
-//! because decoded values feed group keys and MIN/MAX aggregates whose
-//! rendered output must not depend on the transport.
+//! values, fall back to `COL_MIXED`: per-row tagged values (one tag byte
+//! per value, then its varint or length-prefixed payload). Exact `Value`
+//! variants always round-trip — `Int` is never widened to `Long` nor
+//! `Float` to `Double` — because decoded values feed group keys and
+//! MIN/MAX aggregates whose rendered output must not depend on the
+//! transport.
 //!
 //! The row format (format byte 1) and the legacy unversioned row frame
 //! before it are retired: decoding either is one `Err` that says so.
@@ -908,7 +909,6 @@ fn scan_meta(mut buf: Bytes, f: &mut dyn FnMut(u64, i64)) -> ScrubResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::encode_event;
 
     fn ev(type_id: u32, rid: u64, ts: i64, values: Vec<Value>) -> Event {
         Event::new(EventTypeId(type_id), RequestId(rid), ts, values)
@@ -1162,7 +1162,8 @@ mod tests {
         assert_eq!(seen, expect);
     }
 
-    /// Against the per-event tagged encoding the log store sizes with.
+    /// Against the per-event row footprint the logging baseline is sized
+    /// with ([`Event::approx_bytes`]).
     #[test]
     fn columnar_is_smaller_than_rows_on_typical_payloads() {
         let events: Vec<Event> = (0..1000)
@@ -1179,14 +1180,12 @@ mod tests {
                 )
             })
             .collect();
-        let mut rows = bytes::BytesMut::new();
-        events.iter().for_each(|e| encode_event(&mut rows, e));
+        let rows: usize = events.iter().map(Event::approx_bytes).sum();
         let col = ColumnarFrame::from_events(&events);
         assert!(
-            col.bytes.len() < rows.len(),
-            "columnar ({}) must beat row ({})",
-            col.bytes.len(),
-            rows.len()
+            col.bytes.len() < rows,
+            "columnar ({}) must beat row ({rows})",
+            col.bytes.len()
         );
         assert_eq!(col.to_events().unwrap(), events);
     }
@@ -1225,9 +1224,9 @@ mod tests {
     /// the full decoder and the header scan alike.
     #[test]
     fn retired_row_frames_are_one_clear_error() {
-        let mut event = bytes::BytesMut::new();
-        encode_event(&mut event, &ev(0, 1, 2, vec![Value::Long(3)]));
-        let body = [&[1u8][..], event.as_ref()].concat();
+        // one row event: type 0, rid 1, ts zigzag(2), arity 1, Long(3)
+        let event = [0u8, 1, 4, 1, 4, 6];
+        let body = [&[1u8][..], &event].concat();
         for bytes in [[&[0x00, 1][..], &body].concat(), body, vec![0x00]] {
             let frame = ColumnarFrame {
                 bytes,

@@ -1,17 +1,11 @@
-//! Compact binary encoding of single events, and the primitives the
-//! columnar batch frame ([`crate::columnar`]) is written with.
-//!
-//! Varint-encoded integers, length-prefixed strings, one tag byte per
-//! value. A columnar frame stores a column that mixes value variants in
-//! this per-value encoding, and the logging baseline sizes its store with
-//! [`encode_event`], which keeps the Scrub-vs-logging comparison
-//! apples-to-apples.
+//! The primitives the columnar batch frame ([`crate::columnar`]) is
+//! written with: varint-encoded integers, length-prefixed strings, and a
+//! one-tag-byte-per-value encoding that a column mixing value variants is
+//! stored in.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::error::{ScrubError, ScrubResult};
-use crate::event::{Event, RequestId};
-use crate::schema::EventTypeId;
 use crate::value::Value;
 
 const TAG_NULL: u8 = 0;
@@ -184,95 +178,66 @@ pub(crate) fn get_value(buf: &mut Bytes, depth: u32) -> ScrubResult<Value> {
     })
 }
 
-/// Encode a single event.
-pub fn encode_event(buf: &mut BytesMut, ev: &Event) {
-    put_varint(buf, ev.type_id.0 as u64);
-    put_varint(buf, ev.request_id.0);
-    put_varint(buf, zigzag(ev.timestamp));
-    put_varint(buf, ev.values.len() as u64);
-    for v in &ev.values {
-        put_value(buf, v);
-    }
-}
-
-/// Decode a single event.
-pub fn decode_event(buf: &mut Bytes) -> ScrubResult<Event> {
-    let type_id = EventTypeId(get_varint(buf)? as u32);
-    let request_id = RequestId(get_varint(buf)?);
-    let timestamp = unzigzag(get_varint(buf)?);
-    let arity = get_varint(buf)? as usize;
-    if arity > 1 << 16 {
-        return Err(ScrubError::Decode("implausible event arity".into()));
-    }
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        values.push(get_value(buf, 0)?);
-    }
-    Ok(Event {
-        type_id,
-        request_id,
-        timestamp,
-        values,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_event() -> Event {
-        Event::new(
-            EventTypeId(3),
-            RequestId(123456789),
-            -42,
-            vec![
-                Value::Null,
-                Value::Bool(true),
-                Value::Int(-5),
-                Value::Long(1 << 40),
-                Value::Float(1.5),
-                Value::Double(-2.25),
-                Value::DateTime(1_700_000_000_000),
-                Value::Str("héllo".into()),
-                Value::List(vec![Value::Int(1), Value::Int(2)]),
-                Value::Nested(vec![("k".into(), Value::Str("v".into()))]),
-            ],
-        )
+    fn sample_values() -> Vec<Value> {
+        vec![
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(-5),
+            Value::Long(1 << 40),
+            Value::Float(1.5),
+            Value::Double(-2.25),
+            Value::DateTime(1_700_000_000_000),
+            Value::Str("héllo".into()),
+            Value::List(vec![Value::Int(1), Value::Int(2)]),
+            Value::Nested(vec![("k".into(), Value::Str("v".into()))]),
+        ]
+    }
+
+    /// One value of every variant, back to back, as a mixed column
+    /// stores an event's cells.
+    fn encoded_sample() -> (Vec<Value>, Bytes) {
+        let values = sample_values();
+        let mut buf = Vec::new();
+        values.iter().for_each(|v| put_value(&mut buf, v));
+        (values, Bytes::from(buf))
+    }
+
+    fn decode_all(mut bytes: Bytes, n: usize) -> ScrubResult<(Vec<Value>, Bytes)> {
+        let values = (0..n)
+            .map(|_| get_value(&mut bytes, 0))
+            .collect::<ScrubResult<_>>()?;
+        Ok((values, bytes))
     }
 
     #[test]
     fn event_round_trip() {
-        let ev = sample_event();
-        let mut buf = BytesMut::new();
-        encode_event(&mut buf, &ev);
-        let mut bytes = buf.freeze();
-        let back = decode_event(&mut bytes).unwrap();
-        assert_eq!(back, ev);
-        assert!(!bytes.has_remaining());
+        let (values, full) = encoded_sample();
+        let (back, rest) = decode_all(full, values.len()).unwrap();
+        assert_eq!(back, values);
+        assert!(!rest.has_remaining());
     }
 
     #[test]
     fn truncation_is_an_error_not_a_panic() {
-        let ev = sample_event();
-        let mut buf = BytesMut::new();
-        encode_event(&mut buf, &ev);
-        let full = buf.freeze();
+        let (values, full) = encoded_sample();
         for cut in 0..full.len() {
-            let mut partial = full.slice(0..cut);
             // every prefix must fail cleanly
-            assert!(decode_event(&mut partial).is_err(), "prefix {cut} decoded");
+            let partial = full.slice(0..cut);
+            assert!(
+                decode_all(partial, values.len()).is_err(),
+                "prefix {cut} decoded"
+            );
         }
     }
 
     #[test]
     fn garbage_tag_rejected() {
-        let mut buf = BytesMut::new();
-        put_varint(&mut buf, 0); // type
-        put_varint(&mut buf, 0); // req
-        put_varint(&mut buf, 0); // ts
-        put_varint(&mut buf, 1); // arity
-        buf.put_u8(200); // bogus tag
-        assert!(decode_event(&mut buf.freeze()).is_err());
+        let bogus_tag = vec![200u8];
+        assert!(get_value(&mut Bytes::from(bogus_tag), 0).is_err());
     }
 
     #[test]
@@ -284,7 +249,7 @@ mod tests {
 
     #[test]
     fn varints_are_compact_for_small_values() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_varint(&mut buf, 5);
         assert_eq!(buf.len(), 1);
         put_varint(&mut buf, 300);

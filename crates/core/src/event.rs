@@ -120,6 +120,20 @@ pub enum FieldSlot {
     User(usize),
 }
 
+impl FieldSlot {
+    /// The field a row slot reads. A row is laid out as the `arity` user
+    /// fields, then `request_id`, then `timestamp`: the layout of every
+    /// host predicate's input and of each input block of a central plan.
+    #[inline]
+    pub fn of(slot: usize, arity: usize) -> FieldSlot {
+        match slot {
+            s if s < arity => FieldSlot::User(s),
+            s if s == arity => FieldSlot::RequestId,
+            _ => FieldSlot::Timestamp,
+        }
+    }
+}
+
 /// Trait implemented by `scrub_event!`-generated structs: turns a typed
 /// application-side record into the dynamic tuple the tap ships.
 pub trait ToEvent {
@@ -292,6 +306,33 @@ mod tests {
         assert_eq!(ev.slot(FieldSlot::Timestamp), Value::DateTime(9));
         assert_eq!(ev.slot(FieldSlot::User(0)), Value::Int(1));
         assert_eq!(ev.slot(FieldSlot::User(3)), Value::Null);
+    }
+
+    /// A row is the user fields, then `request_id`, then `timestamp`.
+    #[test]
+    fn field_slot_of_follows_the_row_layout() {
+        let ev = Event::new(
+            EventTypeId(0),
+            RequestId(5),
+            9,
+            vec![Value::Int(1), Value::Str("a".into())],
+        );
+        let row = [
+            Value::Int(1),
+            Value::Str("a".into()),
+            Value::Long(5),
+            Value::DateTime(9),
+        ];
+        for (s, want) in row.iter().enumerate() {
+            assert_eq!(
+                &ev.slot(FieldSlot::of(s, ev.values.len())),
+                want,
+                "slot {s}"
+            );
+        }
+        assert_eq!(FieldSlot::of(0, 0), FieldSlot::RequestId);
+        assert_eq!(FieldSlot::of(1, 0), FieldSlot::Timestamp);
+        assert_eq!(FieldSlot::of(2, 3), FieldSlot::User(2));
     }
 
     #[test]

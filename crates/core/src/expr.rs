@@ -532,8 +532,8 @@ impl ResolvedExpr {
                 match op {
                     UnaryOp::Not => Value::Bool(v.as_bool() == Some(false)),
                     UnaryOp::Neg => match *v {
-                        Value::Int(x) => Value::Int(-x),
-                        Value::Long(x) => Value::Long(-x),
+                        Value::Int(x) => x.checked_neg().map_or(Value::Null, Value::Int),
+                        Value::Long(x) => x.checked_neg().map_or(Value::Null, Value::Long),
                         Value::Float(x) => Value::Float(-x),
                         Value::Double(x) => Value::Double(-x),
                         _ => Value::Null,
@@ -635,28 +635,20 @@ fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Value {
     let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
         return Value::Null;
     };
-    // keep integer arithmetic exact when both sides are integral
+    // Integer arithmetic is exact when both sides are integral, and
+    // total: a result past `i64` (`i64::MIN / -1` included) or a zero
+    // divisor is Null, never a wrap or a panic; this runs in the
+    // application's thread. A remainder always fits (`i64::MIN % -1` is 0).
     if let (Some(x), Some(y)) = (l.as_i64(), r.as_i64()) {
-        match op {
-            BinOp::Add => return Value::Long(x.wrapping_add(y)),
-            BinOp::Sub => return Value::Long(x.wrapping_sub(y)),
-            BinOp::Mul => return Value::Long(x.wrapping_mul(y)),
-            BinOp::Div => {
-                return if y == 0 {
-                    Value::Null
-                } else {
-                    Value::Long(x / y)
-                };
-            }
-            BinOp::Mod => {
-                return if y == 0 {
-                    Value::Null
-                } else {
-                    Value::Long(x % y)
-                };
-            }
-            _ => {}
-        }
+        let exact = match op {
+            BinOp::Add => x.checked_add(y),
+            BinOp::Sub => x.checked_sub(y),
+            BinOp::Mul => x.checked_mul(y),
+            BinOp::Div => x.checked_div(y),
+            BinOp::Mod => (y != 0).then(|| x.wrapping_rem(y)),
+            _ => unreachable!(),
+        };
+        return exact.map_or(Value::Null, Value::Long);
     }
     Value::Double(match op {
         BinOp::Add => a + b,
@@ -833,6 +825,57 @@ mod tests {
         assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Null);
         let e = bin(BinOp::Mod, lit(1i64), lit(0i64));
         assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Null);
+    }
+
+    #[test]
+    fn integer_overflow_is_null_never_a_wrap_or_a_panic() {
+        let (min, max) = (i64::MIN, i64::MAX);
+        for (op, x, y) in [
+            (BinOp::Div, min, -1),
+            (BinOp::Add, max, 1),
+            (BinOp::Sub, min, 1),
+            (BinOp::Mul, max, 2),
+            (BinOp::Mul, min, -1),
+        ] {
+            let e = bin(op, lit(x), lit(y));
+            assert_eq!(
+                resolve_simple(&e, &[]).eval_both(&[]),
+                Value::Null,
+                "{x} {op:?} {y}"
+            );
+        }
+        let neg = |v: Value| Expr::Unary {
+            op: UnaryOp::Neg,
+            expr: Box::new(Expr::Literal(v)),
+        };
+        for v in [Value::Long(min), Value::Int(i32::MIN)] {
+            assert_eq!(resolve_simple(&neg(v), &[]).eval_both(&[]), Value::Null);
+        }
+        // in range, the integer answer is exact
+        let e = bin(BinOp::Div, lit(min + 1), lit(-1i64));
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Long(max));
+        let e = bin(BinOp::Mod, lit(min), lit(-1i64));
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Long(0));
+    }
+
+    /// `Int` operands widen to `Long`: a result past `i32` is exact, not
+    /// wrapped at 32 bits and not Null.
+    #[test]
+    fn int_arithmetic_is_exact_past_i32() {
+        let (min, max) = (i32::MIN, i32::MAX);
+        for (op, x, y, want) in [
+            (BinOp::Add, max, 1, max as i64 + 1),
+            (BinOp::Sub, min, 1, min as i64 - 1),
+            (BinOp::Mul, max, max, max as i64 * max as i64),
+            (BinOp::Div, min, -1, -(min as i64)),
+        ] {
+            let e = bin(op, lit(x), lit(y));
+            assert_eq!(
+                resolve_simple(&e, &[]).eval_both(&[]),
+                Value::Long(want),
+                "{x} {op:?} {y}"
+            );
+        }
     }
 
     #[test]

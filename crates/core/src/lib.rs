@@ -42,7 +42,7 @@
 
 pub mod columnar;
 pub mod config;
-pub mod encode;
+mod encode;
 pub mod error;
 pub mod event;
 pub mod expr;

@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 
 use scrub_core::columnar::{ChunkBuilder, ColumnarFrame, FORMAT_COLUMNAR};
-use scrub_core::encode::{decode_event, encode_event};
 use scrub_core::event::{Event, RequestId};
 use scrub_core::plan::{compile, QueryId};
 use scrub_core::prelude::*;
@@ -54,17 +53,6 @@ fn assert_same_events(a: &[Event], b: &[Event]) {
 }
 
 proptest! {
-    /// Any event survives the event codec unchanged.
-    #[test]
-    fn codec_round_trips(events in prop::collection::vec(arb_event(), 0..20)) {
-        let mut buf = bytes::BytesMut::new();
-        events.iter().for_each(|e| encode_event(&mut buf, e));
-        let mut bytes = buf.freeze();
-        let back: Vec<Event> = events.iter().map(|_| decode_event(&mut bytes).unwrap()).collect();
-        prop_assert!(bytes.is_empty());
-        assert_same_events(&back, &events);
-    }
-
     /// Decoding arbitrary bytes as a frame never panics — it returns Ok
     /// or Err.
     #[test]
@@ -630,7 +618,7 @@ fn frames_match_the_bytes_captured_before_the_builders() {
 mod reference {
     use std::collections::HashMap;
 
-    use bytes::{BufMut, BytesMut};
+    use bytes::BufMut;
     use scrub_core::columnar::FORMAT_COLUMNAR;
     use scrub_core::event::Event;
     use scrub_core::value::Value;
@@ -650,7 +638,7 @@ mod reference {
         ((v << 1) ^ (v >> 63)) as u64
     }
 
-    fn put_varint(buf: &mut BytesMut, mut v: u64) {
+    fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
         loop {
             let byte = (v & 0x7f) as u8;
             v >>= 7;
@@ -663,7 +651,7 @@ mod reference {
     }
 
     /// The event codec's tagged value encoding.
-    fn put_value(buf: &mut BytesMut, v: &Value) {
+    fn put_value(buf: &mut Vec<u8>, v: &Value) {
         match v {
             Value::Null => buf.put_u8(0),
             Value::Bool(false) => buf.put_u8(1),
@@ -712,11 +700,11 @@ mod reference {
 
     /// The whole frame: header, count, one chunk per `(type_id, arity)` run.
     pub fn frame(events: &[Event]) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(0x00);
         buf.put_u8(FORMAT_COLUMNAR);
         put_varint(&mut buf, events.len() as u64);
-        let mut scratch = BytesMut::new();
+        let mut scratch = Vec::new();
         for chunk in
             events.chunk_by(|a, b| a.type_id == b.type_id && a.values.len() == b.values.len())
         {
@@ -734,7 +722,7 @@ mod reference {
                 encode_column(&mut buf, &mut scratch, chunk, col);
             }
         }
-        buf.as_ref().to_vec()
+        buf
     }
 
     /// One base tag for the column, plus whether it needs a validity
@@ -770,7 +758,7 @@ mod reference {
         }
     }
 
-    fn put_bitmap(buf: &mut BytesMut, bits: impl ExactSizeIterator<Item = bool>) {
+    fn put_bitmap(buf: &mut Vec<u8>, bits: impl ExactSizeIterator<Item = bool>) {
         let mut bytes = vec![0u8; bits.len().div_ceil(8)];
         for (i, b) in bits.enumerate() {
             if b {
@@ -780,7 +768,7 @@ mod reference {
         buf.put_slice(&bytes);
     }
 
-    fn encode_column(buf: &mut BytesMut, scratch: &mut BytesMut, chunk: &[Event], col: usize) {
+    fn encode_column(buf: &mut Vec<u8>, scratch: &mut Vec<u8>, chunk: &[Event], col: usize) {
         let (base, has_nulls) = classify_column(chunk, col);
         scratch.clear();
         if has_nulls {

@@ -32,8 +32,8 @@
 //! over the same history, the engine emits the same events in the same
 //! order — alerts obey the same determinism contract as the loss ledger
 //! and must fire identically on every run of a seed (enforced by the
-//! golden tests). Rules should therefore only watch metrics that are
-//! themselves deterministic per tick (not `_ns` wall-clock values).
+//! golden tests). Rules watch registry metrics, which are deterministic
+//! per tick: no wall-clock figure is ever registered.
 //!
 //! The health plane has no knobs: the rules ([`default_rules`]), the
 //! anomaly watchlist, the hysteresis and the log cap are the constants
@@ -57,9 +57,7 @@ const ALERT_CLEAR_TICKS: u32 = 2;
 const ANOMALY_Z: f64 = 6.0;
 /// Anomaly warmup: a baseline with fewer observed intervals never flags.
 const ANOMALY_MIN_INTERVALS: u64 = 12;
-/// The anomaly watchlist: central ingest volume. Entries must be per-tick
-/// deterministic metrics (never `_ns` wall-clock values) or the alert
-/// log's determinism contract breaks.
+/// The anomaly watchlist: central ingest volume.
 const ANOMALY_METRICS: [&str; 1] = ["central.events_ingested"];
 
 /// How a rule condenses a metric's history into one figure per tick.
@@ -562,8 +560,7 @@ impl AlertEngine {
 }
 
 /// The built-in rules for Scrub's known failure modes. All watch
-/// node-side, per-tick deterministic metrics — never wall-clock (`_ns`)
-/// values.
+/// node-side, per-tick deterministic metrics.
 pub fn default_rules() -> Vec<AlertRule> {
     let mk = |id: &str, metric: &str, kind: RuleKind| AlertRule {
         id: id.into(),
@@ -802,11 +799,8 @@ mod tests {
                 (r.for_ticks, r.clear_ticks),
                 (ALERT_FOR_TICKS, ALERT_CLEAR_TICKS)
             );
-            // wall-clock metrics would break the alert log's determinism
-            assert!(!r.metric.ends_with("_ns"), "{}", r.metric);
         }
         assert_eq!(eng.anomaly().metrics(), ANOMALY_METRICS);
-        assert!(!eng.anomaly().metrics().iter().any(|m| m.ends_with("_ns")));
         assert_eq!(eng.log().cap, ALERT_LOG_CAP);
         assert!(eng.log().is_empty());
         assert!(eng.firing().is_empty());

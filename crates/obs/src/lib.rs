@@ -80,6 +80,4 @@ pub use timeline::{
     FlightRecorder, FLIGHT_RECORDER_CAP,
 };
 pub use trace::{should_trace, trace_threshold, SpanKind, TraceSpan, TraceStore};
-pub use tsdb::{
-    run_invariant, sparkline, MetricPoint, Resolution, RolledPoint, RollupKind, TelemetryStore,
-};
+pub use tsdb::{sparkline, MetricPoint, Resolution, RolledPoint, RollupKind, TelemetryStore};

@@ -45,8 +45,8 @@ scrub_event! {
     /// tier exposed as an event stream, so ScrubQL windowed group-by
     /// queries run over Scrub's own time series. `kind` is `counter` or
     /// `gauge`; `delta` is the change since the previous tick; `value`
-    /// is the value at the tick. Only deterministic metrics are streamed
-    /// (no `_ns` gauges), so meta-query results keep the determinism
+    /// is the value at the tick. Every registered metric is a function
+    /// of the seeded run, so meta-query results keep the determinism
     /// contract.
     pub struct ScrubMetricEvent("scrub_metric") {
         metric: string,

@@ -60,21 +60,6 @@ impl OperatorStats {
             .map(|act| (self.est_selectivity - act).abs())
             .unwrap_or(0.0)
     }
-
-    /// The label reduced to the Prometheus-safe charset (for per-operator
-    /// metric names): lowercase, runs of other characters collapsed to
-    /// `_`, e.g. `join-build(request_id)` → `join_build_request_id`.
-    pub fn metric_label(&self) -> String {
-        let mut out = String::with_capacity(self.label.len());
-        for c in self.label.chars() {
-            if c.is_ascii_alphanumeric() {
-                out.push(c.to_ascii_lowercase());
-            } else if !out.ends_with('_') {
-                out.push('_');
-            }
-        }
-        out.trim_matches('_').to_string()
-    }
 }
 
 /// An annotation line rendered under the plan tree (sampling τ̂ context,
@@ -269,13 +254,5 @@ mod tests {
         assert!(!bad.host_ops_are_select_project_sample());
         assert_eq!(good.host_ns(), 100);
         assert_eq!(good.central_ns(), 100);
-    }
-
-    #[test]
-    fn metric_label_sanitizes() {
-        let o = op(0, "join-build(request_id)", false, 0, 0);
-        assert_eq!(o.metric_label(), "join_build_request_id");
-        let o2 = op(0, "selection(bid)", true, 0, 0);
-        assert_eq!(o2.metric_label(), "selection_bid");
     }
 }

@@ -29,8 +29,9 @@
 //! counted in ticks from the first accepted snapshot, accumulation is
 //! integer-only, and iteration order is `BTreeMap` order — so store
 //! contents, [`TelemetryStore::render_range`] output and exemplar
-//! choices are byte-identical across seeded runs (for [`run_invariant`]
-//! metrics; the wall-clock exemptions are listed there).
+//! choices are byte-identical across seeded runs. No registered metric
+//! carries wall-clock time (per-operator timings live in each query's
+//! `PlanProfile`), so the contract covers every series.
 //! A snapshot that does not advance the sim clock is refused (the caller
 //! counts it) rather than silently corrupting deltas. Memory is bounded
 //! by the tier capacities, independent of run length.
@@ -534,7 +535,7 @@ impl TelemetryStore {
     /// Byte-stable text render of `metric`'s series at `res`, points at
     /// or after `since` (sim ms) only. The shared renderer behind
     /// `scrubql range`, experiment artifacts and the golden tests —
-    /// identical across seeded runs for [`run_invariant`] metrics.
+    /// identical across seeded runs.
     pub fn render_range(&self, metric: &str, res: Resolution, since: Option<i64>) -> String {
         let mut out = String::new();
         let points = self.points(metric, res);
@@ -577,15 +578,6 @@ impl TelemetryStore {
         }
         out
     }
-}
-
-/// Whether a metric is part of the determinism contract: `true` for
-/// every metric whose series must be byte-identical across seeded runs.
-/// The exemptions are the wall-clock `_ns` series. Used by the
-/// `scrub_metric` meta-stream, the golden suite and experiment artifacts
-/// so they all agree on the exempt set.
-pub fn run_invariant(metric: &str) -> bool {
-    !metric.ends_with("_ns")
 }
 
 /// Render a thousandths-scaled integer as a fixed 3-decimal number
@@ -853,15 +845,6 @@ mod tests {
         // byte-stable serialization: BTreeMap ordering makes re-encoding
         // deterministic
         assert_eq!(json, serde_json::to_string(&back).unwrap());
-    }
-
-    #[test]
-    fn run_invariance_exempts_wall_clock_metrics() {
-        assert!(run_invariant("central.events_ingested"));
-        assert!(run_invariant("ledger.batch_dropped"));
-        assert!(run_invariant("central.hosts_suspected"));
-        assert!(!run_invariant("central.assemble_ns"));
-        assert!(!run_invariant("plan.q1.decode_route.op_ns"));
     }
 
     #[test]

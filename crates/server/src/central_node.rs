@@ -182,29 +182,6 @@ impl<E: ScrubEnvelope> CentralNode<E> {
         }
     }
 
-    /// Export a finished query's per-operator counters and worst
-    /// estimate-error gauge into the node registry, so `scrubql stats` /
-    /// `render_text` surface the plan audit alongside the other metrics.
-    /// Counter values are integer-exact; the nondeterministic wall-clock
-    /// `.ns` counters carry an `_ns` suffix so deterministic consumers
-    /// (golden tests) can mask them.
-    fn export_plan_metrics(&self, profile: &PlanProfile) {
-        let q = profile.query_id;
-        let obs = self.health.registry();
-        for op in &profile.ops {
-            let label = op.metric_label();
-            obs.counter(&format!("plan.q{q}.{label}.rows_in"))
-                .add(op.rows_in);
-            obs.counter(&format!("plan.q{q}.{label}.rows_out"))
-                .add(op.rows_out);
-            obs.counter(&format!("plan.q{q}.{label}.op_ns")).add(op.ns);
-        }
-        // worst per-operator |est − actual| selectivity error, in basis
-        // points (the registry's gauges are integers)
-        obs.gauge(&format!("plan.q{q}.estimate_error_bp"))
-            .set((profile.max_estimate_error() * 10_000.0).round() as i64);
-    }
-
     /// Node-level metrics snapshot at sim time `at_ms`.
     pub fn metrics(&self, at_ms: i64) -> MetricsSnapshot {
         self.health.registry().snapshot(at_ms)
@@ -512,9 +489,7 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     /// Stream a tick's accepted snapshot as `scrub_metric` meta-events:
     /// one per metric through the embedded agent (a relaxed atomic load
     /// each while no meta query is live), carrying exactly the raw tier's
-    /// delta series. Only [`scrub_obs::run_invariant`] metrics are
-    /// streamed — `_ns` wall-clock series are skipped — so meta-query
-    /// results keep the determinism contract.
+    /// delta series.
     fn tap_metrics(&mut self, now_ms: i64, prev: &MetricsSnapshot, snap: &MetricsSnapshot) {
         let Some(harness) = &self.meta_harness else {
             return;
@@ -528,9 +503,6 @@ impl<E: ScrubEnvelope> CentralNode<E> {
             (name, "gauge", v, before)
         });
         for (name, kind, value, before) in counters.chain(gauges) {
-            if !scrub_obs::run_invariant(name) {
-                continue;
-            }
             self.meta_rid += 1;
             harness
                 .agent()
@@ -601,9 +573,7 @@ impl<E: ScrubEnvelope> Node<E> for CentralNode<E> {
                 // close/render counters are complete) and fold the last
                 // figures once
                 let exec = self.executors.remove(&query_id).expect("finished above");
-                let plan_profile = exec.plan_profile();
-                self.export_plan_metrics(&plan_profile);
-                self.plan_profiles.insert(query_id, plan_profile);
+                self.plan_profiles.insert(query_id, exec.plan_profile());
                 let trace = self.traces.get(&query_id);
                 self.health.retire(query_id, exec.profile(), trace);
                 self.profiles.insert(query_id, exec.profile().clone());

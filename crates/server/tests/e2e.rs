@@ -837,3 +837,46 @@ fn health_plane_watches_only_registered_metrics() {
         assert!(registered(m), "anomaly watchlist names unregistered {m:?}");
     }
 }
+
+/// A finished query leaves no metric series behind at central: its
+/// per-operator figures stay in its retained plan profile (`explain
+/// analyze`), so the node registry and the telemetry store, which every
+/// housekeeping tick snapshots, records and streams, hold as many series
+/// after twenty sequential queries as after the first.
+#[test]
+fn finished_queries_leave_no_metric_series_at_central() {
+    use scrub_server::CentralNode;
+
+    let (mut sim, d) = cluster(1);
+    let series = |sim: &Sim<ScrubMsg>| {
+        let node = sim.node_as::<CentralNode<ScrubMsg>>(d.central).unwrap();
+        let m = node.metrics(sim.now().as_ms());
+        let registered = m.counters.len() + m.gauges.len() + m.histograms.len();
+        (registered, node.telemetry().metric_names().len())
+    };
+    let mut after_first = None;
+    for i in 0..20 {
+        let q = ScrubClient::new(&d)
+            .submit(
+                &mut sim,
+                "select bid.user_id, COUNT(*) from bid @[all] \
+                 group by bid.user_id window 1 s duration 2 s",
+            )
+            .expect("query accepted");
+        let deadline = sim.now() + SimDuration::from_secs(30);
+        while q.state(&sim) != Some(QueryState::Done) && sim.now() < deadline {
+            let step = sim.now() + SimDuration::from_secs(1);
+            sim.run_until(step);
+        }
+        assert_eq!(q.state(&sim), Some(QueryState::Done), "query {i}");
+        // a few housekeeping ticks, so the store records the last figures
+        let settle = sim.now() + SimDuration::from_secs(3);
+        sim.run_until(settle);
+        let now = series(&sim);
+        assert!(now.0 > 0 && now.1 > 0, "{now:?}");
+        match after_first {
+            None => after_first = Some(now),
+            Some(first) => assert_eq!(now, first, "(registered, stored) after query {i}"),
+        }
+    }
+}

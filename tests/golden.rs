@@ -5,10 +5,11 @@
 //! Covered surfaces: the Prometheus-style `render_text` telemetry
 //! (metric names sorted, buckets in bound order, integer values), and
 //! the `explain` / `explain analyze` plan renderings for the paper's
-//! five use-case queries. Wall-clock ns values (the per-operator
-//! `*_op_ns` counters and the plan profile's ns column) are masked
-//! before comparing — they are real elapsed time, the one
-//! nondeterministic ingredient of an otherwise deterministic simulation.
+//! five use-case queries. The telemetry renders are compared unmasked:
+//! no registered metric carries wall-clock time. Only the plan profile's
+//! per-operator ns column is real elapsed time, the one nondeterministic
+//! ingredient of an otherwise deterministic simulation, and `explain
+//! analyze` masks it before comparing.
 
 #![allow(clippy::field_reassign_with_default)]
 
@@ -55,25 +56,6 @@ impl Node<ScrubMsg> for OneHost {
     }
 }
 
-/// Mask the sample value of every `_ns`-suffixed metric line: those
-/// counters accumulate wall-clock ns and legitimately differ between two
-/// otherwise identical runs.
-fn mask_ns_lines(rendered: &str) -> String {
-    let mut out = String::new();
-    for l in rendered.lines() {
-        let name = l.split([' ', '{']).next().unwrap_or("");
-        if !l.starts_with('#') && name.ends_with("_ns") {
-            let masked = l.rsplit_once(' ').map(|(head, _)| head).unwrap_or(l);
-            out.push_str(masked);
-            out.push_str(" -\n");
-        } else {
-            out.push_str(l);
-            out.push('\n');
-        }
-    }
-    out
-}
-
 fn run_once() -> String {
     let mut config = ScrubConfig::default();
     config.trace_sample_rate = 0.1;
@@ -108,8 +90,8 @@ fn run_once() -> String {
 
 #[test]
 fn render_text_is_byte_identical_across_seeded_runs() {
-    let a = mask_ns_lines(&run_once());
-    let b = mask_ns_lines(&run_once());
+    let a = run_once();
+    let b = run_once();
     assert_eq!(a, b, "telemetry surface must be reproducible byte-for-byte");
     // the surface carries the expected shape, not just emptiness
     assert!(a.starts_with("# scrub metrics snapshot at sim t="));
@@ -131,9 +113,8 @@ fn render_text_is_byte_identical_across_seeded_runs() {
 
 /// Seeded OneHost run with small rollup factors so every tier seals
 /// buckets within a minute of sim time; returns the full
-/// multi-resolution `render_range` surface (every run-invariant
-/// metric at raw, mid and coarse) plus the exemplar-annotated
-/// Prometheus exposition, ns lines masked.
+/// multi-resolution `render_range` surface (every stored metric at raw,
+/// mid and coarse) plus the exemplar-annotated Prometheus exposition.
 fn run_tsdb_once() -> String {
     let mut config = ScrubConfig::default();
     config.trace_sample_rate = 0.1;
@@ -168,10 +149,7 @@ fn run_tsdb_once() -> String {
         let node = sim
             .node_as::<CentralNode<ScrubMsg>>(central)
             .expect("central node");
-        mask_ns_lines(&scrub::obs::render_text_with_exemplars(
-            &node.metrics(sim.now().as_ms()),
-            node.telemetry(),
-        ))
+        scrub::obs::render_text_with_exemplars(&node.metrics(sim.now().as_ms()), node.telemetry())
     };
     sim.run_until(SimTime::from_secs(60));
     assert_eq!(q.state(&sim), Some(QueryState::Done));
@@ -181,9 +159,6 @@ fn run_tsdb_once() -> String {
     let store = node.telemetry();
     let mut out = String::new();
     for m in store.metric_names() {
-        if !scrub::obs::run_invariant(&m) {
-            continue;
-        }
         for res in [
             scrub::obs::Resolution::Raw,
             scrub::obs::Resolution::Mid,
