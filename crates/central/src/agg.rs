@@ -28,12 +28,14 @@ pub enum AggState {
     Min(Option<Value>),
     /// MAX(expr).
     Max(Option<Value>),
-    /// TOP(k, expr): SpaceSaving over canonicalized values.
+    /// TOP(k, expr): SpaceSaving over canonicalized values. Both halves
+    /// are boxed, keeping every state as small as the scalar ones: a
+    /// window holds one state per group and aggregate.
     TopK {
         k: usize,
-        sketch: SpaceSaving<GroupKey>,
+        sketch: Box<SpaceSaving<GroupKey>>,
         /// Original value per key for readable output.
-        display: std::collections::HashMap<GroupKey, Value>,
+        display: Box<std::collections::HashMap<GroupKey, Value>>,
     },
     /// COUNT_DISTINCT(expr): HyperLogLog.
     CountDistinct(HyperLogLog),
@@ -53,8 +55,8 @@ impl AggState {
             AggFn::Max => AggState::Max(None),
             AggFn::TopK(k) => AggState::TopK {
                 k: *k,
-                sketch: SpaceSaving::new(k * TOPK_CAPACITY_FACTOR),
-                display: std::collections::HashMap::new(),
+                sketch: Box::new(SpaceSaving::new(k * TOPK_CAPACITY_FACTOR)),
+                display: Box::default(),
             },
             AggFn::CountDistinct => AggState::CountDistinct(HyperLogLog::default_precision()),
         }
@@ -131,6 +133,22 @@ impl AggState {
         }
     }
 
+    /// Fold a present numeric input whose `Value::as_f64` is `x`, without
+    /// building the value. COUNT, SUM and AVG read nothing else of a
+    /// number; the other states fold nothing here and return `false`.
+    pub fn update_f64(&mut self, x: f64) -> bool {
+        match self {
+            AggState::Count(c) => *c += 1,
+            AggState::Sum { sum, any } => {
+                *sum += x;
+                *any = true;
+            }
+            AggState::Avg(w) => w.add(x),
+            _ => return false,
+        }
+        true
+    }
+
     /// Merge a partial state of the same aggregate computed elsewhere.
     pub fn merge(&mut self, other: &AggState) {
         match (self, other) {
@@ -175,7 +193,7 @@ impl AggState {
                 },
             ) => {
                 a.merge(b);
-                for (k, v) in db {
+                for (k, v) in db.iter() {
                     da.entry(k.clone()).or_insert_with(|| v.clone());
                 }
             }

@@ -7,7 +7,10 @@
 //! Every batch is consumed as column chunks: its columnar frame is decoded
 //! once, and from there selection, residual, folds, stream projection and
 //! the join all read chunk columns through a slot accessor — no row
-//! `Event` is built per input event.
+//! `Event` is built per input event. Each window's groups live in a
+//! [`GroupTable`]: rows resolve to groups by typed, hashed keys, each
+//! aggregate folds column-wise over them, and a closing window renders
+//! its groups in canonical key order.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -17,13 +20,12 @@ use std::time::Instant;
 use scrub_agent::EventBatch;
 use scrub_core::columnar::{ColumnChunk, ColumnarFrame};
 use scrub_core::event::FieldSlot;
-use scrub_core::expr::ResolvedExpr;
-use scrub_core::plan::{AggSpec, CentralPlan, OperatorKind, OutputCol, OutputMode};
-use scrub_core::value::{GroupKey, Value};
+use scrub_core::plan::{CentralPlan, OperatorKind, OutputCol, OutputMode};
+use scrub_core::value::Value;
 use scrub_obs::{OperatorStats, PlanProfile, QueryProfile, TypeCounters};
 use scrub_sketch::{estimate_total, HostSample, Welford};
 
-use crate::agg::AggState;
+use crate::groups::{FoldSource, GroupTable};
 use crate::row::{QuerySummary, ResultRow};
 use crate::totals::{self, HostId, HostTable};
 
@@ -68,21 +70,6 @@ struct CentralOpCounters {
     stream_rows_out: u64,
     stream_ns: u64,
 }
-
-/// Per-(window, group) state.
-#[derive(Debug, Clone)]
-pub struct GroupState {
-    /// Group key values as first seen (for output).
-    pub keys: Vec<Value>,
-    /// One state per aggregate in the plan.
-    pub aggs: Vec<AggState>,
-    /// Rows folded into this group (when a group is evicted by the
-    /// `max_groups` cap these rows become `groups_overflow`).
-    pub rows: u64,
-}
-
-/// One window's groups, keyed and ordered by canonical group key.
-pub type Groups = BTreeMap<Vec<GroupKey>, GroupState>;
 
 /// Where a joined-row slot lives: which input's block, and which field
 /// of it ([`FieldSlot::of`] over the input's projected fields).
@@ -156,10 +143,13 @@ struct JoinBuffer {
 
 enum WindowState {
     /// Single-input aggregate mode: aggregated eagerly, memory O(groups).
-    /// The map is bounded at `CentralPlan::max_groups` by keeping the
-    /// smallest group keys (see [`update_groups`]); `overflow_rows`
+    /// The table is bounded at `CentralPlan::max_groups` by keeping the
+    /// smallest group keys (see [`GroupTable::fold`]); `overflow_rows`
     /// counts the rows this window dropped to stay under the cap.
-    Eager { groups: Groups, overflow_rows: u64 },
+    Eager {
+        groups: GroupTable,
+        overflow_rows: u64,
+    },
     /// Join queries buffer references until the window closes.
     Buffered(JoinBuffer),
 }
@@ -261,9 +251,6 @@ pub struct QueryExecutor {
     /// Per-host value moments per aggregate (only for estimator-eligible
     /// queries: single input, ungrouped, sampled).
     host_moments: HashMap<HostId, Vec<Welford>>,
-    /// The group key of the row being folded, rebuilt in place per row
-    /// (see [`update_groups`]).
-    key_scratch: Vec<GroupKey>,
     stream_out: Vec<ResultRow>,
     /// Windows that closed holding at least one group; the group rows they
     /// rendered and the wall-clock spent rendering.
@@ -316,7 +303,6 @@ impl QueryExecutor {
             windows: BTreeMap::new(),
             hosts: HostTable::default(),
             host_moments: HashMap::new(),
-            key_scratch: Vec::new(),
             stream_out: Vec::new(),
             windows_emitted: 0,
             rendered_rows: 0,
@@ -484,9 +470,9 @@ impl QueryExecutor {
         self.opc.decode_ns += (t0.elapsed().as_nanos() as u64).saturating_sub(inner_spent);
     }
 
-    /// Ingest one column chunk as a sequence of per-column passes:
-    /// estimator moments, window selection over the timestamps, then
-    /// either the join build or residual plus the mode's fold/projection.
+    /// Ingest one column chunk as a sequence of per-column passes: window
+    /// selection over the timestamps, then either the join build, or the
+    /// residual plus the mode's projection or estimator moments and fold.
     /// Within a pass rows keep their batch order, so every integer counter
     /// and every float fold sees events in arrival order.
     fn ingest_chunk(&mut self, hid: HostId, chunk: ColumnChunk) {
@@ -494,9 +480,6 @@ impl QueryExecutor {
         let Some(input_idx) = self.plan.input_index(chunk.type_id) else {
             return; // not part of this query
         };
-        if plan_estimator_eligible(&self.plan) {
-            self.update_moments(hid, &chunk, input_idx);
-        }
         let (wins, mut sel) = self.select_rows(hid, &chunk.timestamps);
         if self.plan.is_join() {
             self.buffer_chunk(Arc::new(chunk), input_idx, &wins, &sel);
@@ -519,9 +502,9 @@ impl QueryExecutor {
             self.opc.residual_ns += t_res.elapsed().as_nanos() as u64;
         }
 
-        let t_out = Instant::now();
         match &plan.mode {
             OutputMode::Stream(exprs) => {
+                let t_out = Instant::now();
                 for &(i, _, hi) in &sel {
                     let fetch = |slot| fetch_row(i as usize, slot);
                     self.stream_out.push(ResultRow {
@@ -543,34 +526,52 @@ impl QueryExecutor {
                 aggregates,
                 ..
             } => {
-                // Fold pass: group state folds straight off the columns.
-                let cap = plan.max_groups.max(1);
-                for &(i, lo, hi) in &sel {
-                    let fetch = |slot| fetch_row(i as usize, slot);
-                    for &w in &wins[lo as usize..hi as usize] {
-                        let state = self.windows.entry(w).or_insert_with(|| WindowState::Eager {
-                            groups: BTreeMap::new(),
-                            overflow_rows: 0,
-                        });
-                        let WindowState::Eager {
-                            groups,
-                            overflow_rows,
-                        } = state
-                        else {
-                            unreachable!("single-input plans never buffer");
-                        };
-                        self.opc.group_rows_in += 1;
-                        let dropped = update_groups(
-                            groups,
-                            cap,
-                            group_by,
-                            aggregates,
-                            &|e| e.eval_by(&fetch),
-                            &mut self.key_scratch,
-                        );
-                        *overflow_rows += dropped;
+                // Keys and arguments that are plain slots read the chunk's
+                // typed columns; the estimator moments and the fold share
+                // one evaluation of every other argument.
+                let column = |slot| match slots.get(slot) {
+                    Some(&Some(SlotSrc {
+                        input,
+                        col: FieldSlot::User(i),
+                    })) if input == input_idx => chunk.columns.get(i),
+                    _ => None,
+                };
+                let mut src = FoldSource::new(group_by, aggregates, &fetch_row, column);
+                if plan_estimator_eligible(&plan) {
+                    src.evaluate_args(chunk.len());
+                    self.update_moments(hid, &src, chunk.len());
+                }
+                // Fold pass, one window at a time: a row's windows are
+                // contiguous starts, so covering `w` is a range test.
+                let t_out = Instant::now();
+                let mut starts: Vec<i64> = Vec::new();
+                for &(_, lo, hi) in &sel {
+                    for w in &wins[lo as usize..hi as usize] {
+                        if !starts.contains(w) {
+                            starts.push(*w);
+                        }
                     }
                 }
+                for w in starts {
+                    let state = self.windows.entry(w).or_insert_with(|| WindowState::Eager {
+                        groups: GroupTable::new(group_by.len()),
+                        overflow_rows: 0,
+                    });
+                    let WindowState::Eager {
+                        groups,
+                        overflow_rows,
+                    } = state
+                    else {
+                        unreachable!("single-input plans never buffer");
+                    };
+                    let rows = sel.iter().filter(|&&(_, lo, hi)| {
+                        wins[lo as usize] <= w && w <= wins[hi as usize - 1]
+                    });
+                    let rows = rows.map(|&(i, _, _)| i);
+                    *overflow_rows += groups.fold(plan.max_groups, rows, &mut src);
+                }
+                self.opc.group_rows_in +=
+                    sel.iter().map(|&(_, lo, hi)| (hi - lo) as u64).sum::<u64>();
                 self.opc.group_ns += t_out.elapsed().as_nanos() as u64;
             }
         }
@@ -582,25 +583,23 @@ impl QueryExecutor {
         self.opc.join_build_ns + self.opc.residual_ns + self.opc.group_ns + self.opc.stream_ns
     }
 
-    /// Estimator moments fold every arriving event of the input — before
-    /// late-window filtering.
-    fn update_moments(&mut self, host: HostId, chunk: &ColumnChunk, input_idx: usize) {
-        let OutputMode::Aggregate { aggregates, .. } = &self.plan.mode else {
-            return;
+    /// Estimator moments fold every arriving event of the input — late
+    /// ones and those the residual drops included.
+    fn update_moments<'c, F>(&mut self, host: HostId, src: &FoldSource<'c, F>, rows: usize)
+    where
+        F: Fn(usize, usize) -> Cow<'c, Value>,
+    {
+        let aggregates = match &self.plan.mode {
+            OutputMode::Aggregate { aggregates, .. } => aggregates.len(),
+            OutputMode::Stream(_) => return,
         };
         let moments = self
             .host_moments
             .entry(host)
-            .or_insert_with(|| vec![Welford::new(); aggregates.len()]);
-        let fetch_row = chunk_rows(&self.slots, chunk, input_idx);
-        for i in 0..chunk.len() {
-            let fetch = |slot| fetch_row(i, slot);
-            for (agg, moment) in aggregates.iter().zip(moments.iter_mut()) {
-                let v = match &agg.arg {
-                    Some(a) => a.eval_by(&fetch).as_f64(),
-                    None => Some(1.0), // COUNT(*)
-                };
-                if let Some(x) = v {
+            .or_insert_with(|| vec![Welford::new(); aggregates]);
+        for row in 0..rows {
+            for (j, moment) in moments.iter_mut().enumerate() {
+                if let Some(x) = src.arg_f64(j, row) {
                     moment.add(x);
                 }
             }
@@ -706,17 +705,13 @@ impl QueryExecutor {
         self.opc.join_build_ns += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Advance the clock: emit stream rows, then close and render every
-    /// window that ended at or before the complete-through mark or whose
-    /// grace period has elapsed. (Rows a join window streams while closing
-    /// surface on the next advance: the drain comes first.)
+    /// Advance the clock: close and render every window that ended at or
+    /// before the complete-through mark or whose grace period has elapsed,
+    /// then emit the stream rows — those that passed since the last
+    /// advance and those the join windows closing now produced.
     pub fn advance(&mut self, now_ms: i64) -> Vec<ResultRow> {
-        let mut out = std::mem::take(&mut self.stream_out);
+        let mut out = Vec::new();
         let host_dead = !self.dead_hosts.is_empty();
-        if host_dead {
-            out.iter_mut().for_each(|row| row.degraded = true);
-            self.degraded_rows += out.len() as u64;
-        }
         let scale = self.scale();
         let graced = now_ms.saturating_sub(self.grace_ms);
         let cutoff = graced
@@ -774,6 +769,13 @@ impl QueryExecutor {
                 rule,
             });
         }
+        let streamed = self.stream_out.len();
+        out.append(&mut self.stream_out);
+        if host_dead {
+            let rows = out.len() - streamed..;
+            out[rows].iter_mut().for_each(|row| row.degraded = true);
+            self.degraded_rows += streamed as u64;
+        }
         let held = self.buffered_events() + self.open_groups();
         self.profile
             .observe_state(self.windows.len() as u64, held as u64);
@@ -787,7 +789,7 @@ impl QueryExecutor {
     fn render_window(
         &mut self,
         w: i64,
-        groups: Groups,
+        groups: GroupTable,
         scale: f64,
         degraded: bool,
         out: &mut Vec<ResultRow>,
@@ -797,7 +799,7 @@ impl QueryExecutor {
         };
         let t_render = Instant::now();
         let rows = groups.len() as u64;
-        out.extend(groups.into_values().map(|g| {
+        out.extend(groups.into_sorted().into_iter().map(|g| {
             ResultRow {
                 query_id: self.plan.query_id,
                 window_start_ms: w,
@@ -823,7 +825,7 @@ impl QueryExecutor {
     /// reproducible whatever order the batches arrived in across inputs.
     /// Returns the window's groups and the rows its `max_groups` cap
     /// dropped; stream-mode rows go to `stream_out`.
-    fn probe_window(&mut self, w: i64, buf: JoinBuffer) -> (Groups, u64) {
+    fn probe_window(&mut self, w: i64, buf: JoinBuffer) -> (GroupTable, u64) {
         let t_close = Instant::now();
         let folded_before = self.opc.residual_ns + self.opc.group_ns + self.opc.stream_ns;
         let plan = Arc::clone(&self.plan);
@@ -839,7 +841,7 @@ impl QueryExecutor {
             slots: &slots,
         };
         let k = sides.len();
-        let mut folded = (Groups::new(), 0u64);
+        let mut folded = (GroupTable::new(key_width(&plan)), 0u64);
         // positions into `sides`, k per pending joined row
         let mut block: Vec<usize> = Vec::with_capacity(PROBE_BLOCK_ROWS * k);
         // each side's run of the current request id is `cur[i]..end[i]`
@@ -906,7 +908,7 @@ impl QueryExecutor {
         w: i64,
         probe: &ProbeSides<'_>,
         block: &mut Vec<usize>,
-        folded: &mut (Groups, u64),
+        folded: &mut (GroupTable, u64),
     ) {
         let k = probe.sides.len();
         if let Some(res) = &plan.residual {
@@ -950,20 +952,10 @@ impl QueryExecutor {
                 aggregates,
                 ..
             } => {
-                let cap = plan.max_groups.max(1);
                 let (groups, overflow_rows) = folded;
-                for combo in block.chunks_exact(k) {
-                    let fetch = probe.row(combo);
-                    let dropped = update_groups(
-                        groups,
-                        cap,
-                        group_by,
-                        aggregates,
-                        &|e| e.eval_by(&fetch),
-                        &mut self.key_scratch,
-                    );
-                    *overflow_rows += dropped;
-                }
+                let fetch = |row: usize, slot| probe.row(&block[row * k..(row + 1) * k])(slot);
+                let mut src = FoldSource::new(group_by, aggregates, fetch, |_| None);
+                *overflow_rows += groups.fold(plan.max_groups, 0..rows as u32, &mut src);
                 self.opc.group_rows_in += rows;
                 self.opc.group_ns += t_out.elapsed().as_nanos() as u64;
             }
@@ -1144,66 +1136,12 @@ impl QueryExecutor {
     }
 }
 
-/// Fold one row into the group map, holding it to at most `cap` groups.
-/// Returns the number of rows dropped by the bound (0 when the row was
-/// folded without evicting anything). The row is whatever `eval` reads
-/// its expressions from — a chunk row, or a joined row across chunks.
-///
-/// The overflow policy keeps the `cap` *smallest* group keys: a new key
-/// larger than the current maximum is rejected outright (its row is
-/// dropped), and a new key smaller than the maximum evicts the largest
-/// group (all rows already folded into it count as dropped). The policy
-/// is deterministic in the key values alone — arrival order never
-/// matters to the kept set or the total dropped-row count.
-///
-/// `keys` is caller-owned scratch: the group key is written over the last
-/// row's key in place (string buffers reused) from whatever `eval` lends,
-/// looked up once, and key values are cloned only when a *new* group
-/// appears — so folding into existing groups allocates nothing.
-pub fn update_groups<'e, F>(
-    groups: &mut Groups,
-    cap: usize,
-    group_by: &'e [ResolvedExpr],
-    aggregates: &'e [AggSpec],
-    eval: &F,
-    keys: &mut Vec<GroupKey>,
-) -> u64
-where
-    F: Fn(&'e ResolvedExpr) -> Cow<'e, Value>,
-{
-    keys.resize(group_by.len(), GroupKey::Null);
-    for (g, key) in group_by.iter().zip(keys.iter_mut()) {
-        eval(g).write_group_key(key);
+/// Group-by keys per row of a plan (0 in stream mode).
+fn key_width(plan: &CentralPlan) -> usize {
+    match &plan.mode {
+        OutputMode::Aggregate { group_by, .. } => group_by.len(),
+        OutputMode::Stream(_) => 0,
     }
-    let fold = |group: &mut GroupState| {
-        group.rows += 1;
-        for (state, agg) in group.aggs.iter_mut().zip(aggregates) {
-            state.update(agg.arg.as_ref().map(eval).as_deref());
-        }
-    };
-    if let Some(group) = groups.get_mut(keys.as_slice()) {
-        fold(group);
-        return 0;
-    }
-    let mut dropped = 0u64;
-    if groups.len() >= cap {
-        let new_is_largest = groups
-            .last_key_value()
-            .is_some_and(|(k, _)| k.as_slice() < keys.as_slice());
-        if new_is_largest || cap == 0 {
-            // the new key ranks past the cap — drop this row
-            return 1;
-        }
-        // the new key displaces the current largest group
-        let (_, evicted) = groups.pop_last().expect("len >= cap >= 1");
-        dropped += evicted.rows;
-    }
-    fold(groups.entry(keys.clone()).or_insert_with(|| GroupState {
-        keys: group_by.iter().map(|g| eval(g).into_owned()).collect(),
-        aggs: aggregates.iter().map(AggState::new).collect(),
-        rows: 0,
-    }));
-    dropped
 }
 
 #[cfg(test)]
@@ -1564,6 +1502,27 @@ mod tests {
         // request 100: 1 bid × 2 impressions = 2 joined rows; 101 and 999
         // have no partner
         assert_eq!(rows[0].values, vec![Value::Long(2)]);
+    }
+
+    /// A stream join's rows come out of the probe of the window closing;
+    /// those of the windows `finish` closes come back from `finish`.
+    #[test]
+    fn stream_join_rows_of_windows_closed_at_finish_are_returned() {
+        let mut ex = executor("select bid.user_id, impression.line_item_id from bid, impression");
+        let bids = (1..=2).map(|rid| ev(0, rid, 1_000, vec![Value::Long(rid as i64)]));
+        let imps = (1..=2).map(|rid| ev(1, rid, 1_500, vec![Value::Long(10 * rid as i64)]));
+        ex.ingest(batch("h1", bids.collect(), 2, 2));
+        ex.ingest(batch("h2", imps.collect(), 2, 2));
+        let (rows, _) = ex.finish();
+        let values: Vec<&[Value]> = rows.iter().map(|r| r.values.as_slice()).collect();
+        assert_eq!(
+            values,
+            [
+                [Value::Long(1), Value::Long(10)],
+                [Value::Long(2), Value::Long(20)]
+            ]
+        );
+        assert!(ex.advance(i64::MAX / 4).is_empty());
     }
 
     #[test]

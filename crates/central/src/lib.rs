@@ -19,6 +19,7 @@
 
 pub mod agg;
 pub mod executor;
+pub mod groups;
 pub mod row;
 mod totals;
 

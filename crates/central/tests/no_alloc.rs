@@ -1,20 +1,23 @@
-//! Folding a row into a group that already exists allocates nothing, even
-//! when the group key is a string: the scratch key is rewritten in place
-//! from the lent value, the group is looked up once, and key values are
-//! cloned only for a new group.
+//! Folding a row into a group that already exists allocates nothing,
+//! whatever the key: a string evaluated per joined row, a long read from
+//! a typed chunk column, or a string read through a chunk's dictionary.
+//! The row's key parts are written into the table's scratch, the group is
+//! found through the hashed index, and key values are cloned only for a
+//! new group.
 //!
 //! Its own test binary: the counting allocator is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::BTreeMap;
 
-use scrub_central::executor::update_groups;
+use scrub_central::groups::{FoldSource, GroupTable};
+use scrub_core::columnar::{ColumnChunk, ColumnarFrame};
 use scrub_core::config::ScrubConfig;
-use scrub_core::plan::{compile, OutputMode, QueryId};
+use scrub_core::event::{Event, FieldSlot, RequestId};
+use scrub_core::plan::{compile, CentralPlan, OutputMode, QueryId};
 use scrub_core::ql::parser::parse_query;
-use scrub_core::schema::{EventSchema, FieldDef, FieldType, SchemaRegistry};
+use scrub_core::schema::{EventSchema, EventTypeId, FieldDef, FieldType, SchemaRegistry};
 use scrub_core::value::Value;
 
 thread_local! {
@@ -44,25 +47,66 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-#[test]
-fn folding_into_existing_string_groups_allocates_nothing() {
+const REASONS: [&str; 5] = [
+    "budget",
+    "frequency_cap",
+    "geo",
+    "blocklisted_publisher",
+    "x",
+];
+
+fn plan(schemas: &[(&str, Vec<(&str, FieldType)>)], query: &str) -> CentralPlan {
     let reg = SchemaRegistry::new();
-    reg.register(EventSchema::new("bid", vec![FieldDef::new("price", FieldType::Double)]).unwrap())
-        .unwrap();
-    reg.register(
-        EventSchema::new("exclusion", vec![FieldDef::new("reason", FieldType::Str)]).unwrap(),
-    )
-    .unwrap();
-    let query = "select exclusion.reason, COUNT(*), AVG(bid.price), SUM(bid.price) \
-                 from bid, exclusion group by exclusion.reason window 10 s";
-    let plan = compile(
+    for (name, fields) in schemas {
+        let fields = fields
+            .iter()
+            .map(|(f, t)| FieldDef::new(*f, t.clone()))
+            .collect();
+        reg.register(EventSchema::new(*name, fields).unwrap())
+            .unwrap();
+    }
+    compile(
         &parse_query(query).unwrap(),
         &reg,
         &ScrubConfig::default(),
         QueryId(1),
     )
     .unwrap()
-    .central;
+    .central
+}
+
+/// Fold every row once to create the groups, then count the allocations
+/// of `rows` more single-row folds into them; returns the table too.
+fn count_folds<'c, F>(
+    plan: &CentralPlan,
+    src: &mut FoldSource<'c, F>,
+    width: usize,
+    rows: u32,
+) -> (u64, GroupTable)
+where
+    F: Fn(usize, usize) -> Cow<'c, Value>,
+{
+    let mut table = GroupTable::new(width);
+    let mut dropped = table.fold(plan.max_groups, 0..rows, src);
+    let before = ALLOCATIONS.with(Cell::get);
+    for row in 0..rows {
+        dropped += table.fold(plan.max_groups, [row], src);
+    }
+    let allocated = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(dropped, 0);
+    (allocated, table)
+}
+
+#[test]
+fn folding_into_existing_string_groups_allocates_nothing() {
+    let plan = plan(
+        &[
+            ("bid", vec![("price", FieldType::Double)]),
+            ("exclusion", vec![("reason", FieldType::Str)]),
+        ],
+        "select exclusion.reason, COUNT(*), AVG(bid.price), SUM(bid.price) \
+         from bid, exclusion group by exclusion.reason window 10 s",
+    );
     let OutputMode::Aggregate {
         group_by,
         aggregates,
@@ -74,50 +118,89 @@ fn folding_into_existing_string_groups_allocates_nothing() {
     let reason_slot = plan.inputs[1].block_offset;
     let price_slot = plan.inputs[0].block_offset;
 
-    // 1 000 joined rows over 5 reasons of different lengths
-    let reasons = [
-        "budget",
-        "frequency_cap",
-        "geo",
-        "blocklisted_publisher",
-        "x",
-    ];
+    // 1 000 joined rows over 5 reasons of different lengths, read the way
+    // the join probe reads them: every value lent through a slot accessor
     let rows: Vec<Vec<Value>> = (0..1_000)
         .map(|i| {
             let mut row = vec![Value::Null; plan.row_width];
-            row[reason_slot] = Value::Str(reasons[i % 5].into());
+            row[reason_slot] = Value::Str(REASONS[i % 5].into());
             row[price_slot] = Value::Double(i as f64 / 8.0);
             row
         })
         .collect();
-    let mut groups = BTreeMap::new();
-    let mut keys = Vec::new();
-    let mut fold = |row: &[Value]| {
-        let lend = |slot: usize| row.get(slot).map_or(Cow::Owned(Value::Null), Cow::Borrowed);
-        update_groups(
-            &mut groups,
-            plan.max_groups,
-            group_by,
-            aggregates,
-            &|e| e.eval_by(&lend),
-            &mut keys,
-        )
+    let fetch = |row: usize, slot: usize| {
+        rows[row]
+            .get(slot)
+            .map_or(Cow::Owned(Value::Null), Cow::Borrowed)
     };
-    // the first row of each reason creates its group, and the longest
-    // reason sizes the scratch key's buffer
-    for row in &rows[..5] {
-        fold(row);
-    }
-
-    let before = ALLOCATIONS.with(Cell::get);
-    let dropped: u64 = rows.iter().map(|row| fold(row)).sum();
-    let allocated = ALLOCATIONS.with(Cell::get) - before;
-
-    assert_eq!(dropped, 0);
-    assert_eq!(groups.len(), 5);
-    assert_eq!(groups.values().map(|g| g.rows).sum::<u64>(), 1_005);
+    let mut src = FoldSource::new(group_by, aggregates, fetch, |_| None);
+    let (allocated, table) = count_folds(&plan, &mut src, 1, 1_000);
+    assert_eq!(table.len(), 5);
+    let groups = table.into_sorted();
+    assert_eq!(groups.iter().map(|g| g.rows).sum::<u64>(), 2_000);
     assert_eq!(
         allocated, 0,
         "allocations over 1000 folds into existing groups"
     );
+}
+
+/// A decoded chunk of `bid` events: one `key` value per row, price `i/8`.
+fn chunk(keys: impl Iterator<Item = Value>) -> ColumnChunk {
+    let events: Vec<Event> = keys
+        .enumerate()
+        .map(|(i, key)| {
+            let price = Value::Double(i as f64 / 8.0);
+            Event::new(EventTypeId(0), RequestId(i as u64), 0, vec![key, price])
+        })
+        .collect();
+    let mut batch = ColumnarFrame::from_events(&events).decode().unwrap();
+    assert_eq!(batch.chunks.len(), 1);
+    batch.chunks.remove(0)
+}
+
+/// Folds of a single-input chunk whose key and arguments are plain slots,
+/// read straight from the typed columns.
+fn chunk_folds(key_type: FieldType, keys: impl Iterator<Item = Value>) -> (u64, GroupTable) {
+    let plan = plan(
+        &[("bid", vec![("key", key_type), ("price", FieldType::Double)])],
+        "select bid.key, COUNT(*), AVG(bid.price), SUM(bid.price), MAX(bid.price) \
+         from bid group by bid.key window 10 s",
+    );
+    let OutputMode::Aggregate {
+        group_by,
+        aggregates,
+        ..
+    } = &plan.mode
+    else {
+        panic!("aggregate plan expected");
+    };
+    let chunk = chunk(keys);
+    let arity = plan.inputs[0].fields.len();
+    let column = |slot| match FieldSlot::of(slot, arity) {
+        FieldSlot::User(i) => chunk.columns.get(i),
+        _ => None,
+    };
+    let fetch = |_: usize, _: usize| -> Cow<'_, Value> { panic!("every input is a column") };
+    let mut src = FoldSource::new(group_by, aggregates, fetch, column);
+    count_folds(&plan, &mut src, 1, chunk.len() as u32)
+}
+
+#[test]
+fn folding_typed_long_keys_into_existing_groups_allocates_nothing() {
+    let (allocated, table) = chunk_folds(
+        FieldType::Long,
+        (0..1_000).map(|i| Value::Long((i * 7919) % 61)),
+    );
+    assert_eq!(table.len(), 61);
+    assert_eq!(allocated, 0, "allocations over 1000 long-key folds");
+}
+
+#[test]
+fn folding_dictionary_string_keys_into_existing_groups_allocates_nothing() {
+    let (allocated, table) = chunk_folds(
+        FieldType::Str,
+        (0..1_000).map(|i| Value::Str(REASONS[i % 5].into())),
+    );
+    assert_eq!(table.len(), 5);
+    assert_eq!(allocated, 0, "allocations over 1000 dictionary-key folds");
 }

@@ -191,20 +191,6 @@ impl Value {
             }
         }
     }
-
-    /// [`Value::group_key`] written over an existing key. A string lands
-    /// in the old key's buffer when that was a string too, so a scratch
-    /// key rebuilt per row stops allocating once it has seen the longest
-    /// string.
-    pub fn write_group_key(&self, dst: &mut GroupKey) {
-        match (self, dst) {
-            (Value::Str(s), GroupKey::Str(d)) => {
-                d.clear();
-                d.push_str(s);
-            }
-            (v, d) => *d = v.group_key(),
-        }
-    }
 }
 
 /// Hashable, equatable canonical form of a [`Value`], used as a group-by or

@@ -8,6 +8,11 @@
 //! count as the new item's error bound. Guarantees: any item with true
 //! frequency `> N / capacity` is present, and each reported count
 //! overestimates the true count by at most the recorded `error`.
+//!
+//! Every choice between counters of equal count — which one to evict,
+//! which ones `top_k` and `merge` keep — falls to item order, so a summary
+//! depends on its input stream alone, never on the hash map's iteration
+//! order.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -35,7 +40,7 @@ pub struct SpaceSaving<T: Eq + Hash + Clone> {
     total: u64,
 }
 
-impl<T: Eq + Hash + Clone> SpaceSaving<T> {
+impl<T: Ord + Hash + Clone> SpaceSaving<T> {
     /// Create a summary with room for `capacity` counters. For a TOP-K
     /// query, a capacity of a few multiples of `k` gives good precision.
     pub fn new(capacity: usize) -> Self {
@@ -63,11 +68,11 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
             self.counters.insert(item, (n, 0));
             return;
         }
-        // evict the minimum counter
+        // evict the minimum counter; of equal counts, the smallest item
         let (min_item, min_count) = self
             .counters
             .iter()
-            .min_by_key(|(_, (c, _))| *c)
+            .min_by(|(a, (ca, _)), (b, (cb, _))| ca.cmp(cb).then_with(|| a.cmp(b)))
             .map(|(k, (c, _))| (k.clone(), *c))
             .expect("counters non-empty at capacity");
         self.counters.remove(&min_item);
@@ -90,7 +95,7 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
     }
 
     /// The top `k` items by estimated count, descending. Ties broken by
-    /// error (lower first) for determinism when `T: Ord` is unavailable.
+    /// error (lower first), then by item order.
     pub fn top_k(&self, k: usize) -> Vec<Counter<T>> {
         let mut all: Vec<Counter<T>> = self
             .counters
@@ -101,7 +106,12 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
                 error: *error,
             })
             .collect();
-        all.sort_by(|a, b| b.count.cmp(&a.count).then(a.error.cmp(&b.error)));
+        all.sort_by(|a, b| {
+            b.count
+                .cmp(&a.count)
+                .then(a.error.cmp(&b.error))
+                .then_with(|| a.item.cmp(&b.item))
+        });
         all.truncate(k);
         all
     }
@@ -124,7 +134,8 @@ impl<T: Eq + Hash + Clone> SpaceSaving<T> {
         }
         if merged.len() > self.capacity {
             let mut all: Vec<(T, (u64, u64))> = merged.into_iter().collect();
-            all.sort_by_key(|(_, (c, _))| std::cmp::Reverse(*c));
+            // the largest counts, of equal counts the smallest items
+            all.sort_by(|(a, (ca, _)), (b, (cb, _))| cb.cmp(ca).then_with(|| a.cmp(b)));
             all.truncate(self.capacity);
             merged = all.into_iter().collect();
         }
@@ -223,6 +234,25 @@ mod tests {
         assert_eq!(a.total(), 1530);
         assert!(a.len() <= 4);
         assert_eq!(a.top_k(1)[0].item, "big");
+    }
+
+    /// Evictions at equal counts, and `top_k` over ties: the same stream
+    /// into fresh summaries (each its own hash seed) gives the same answer.
+    #[test]
+    fn same_stream_same_top_k() {
+        let stream: Vec<u64> = (0..5_000u64).map(|i| (i * i + 7 * i) % 97).collect();
+        let top = || {
+            let mut ss = SpaceSaving::new(10);
+            stream.iter().for_each(|&x| ss.offer(x));
+            let mut other = SpaceSaving::new(10);
+            stream[..999].iter().for_each(|&x| other.offer(x));
+            ss.merge(&other);
+            ss.top_k(10)
+        };
+        let first = top();
+        for _ in 0..15 {
+            assert_eq!(top(), first);
+        }
     }
 
     #[test]
