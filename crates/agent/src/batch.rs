@@ -65,7 +65,7 @@ pub struct EventBatch {
     /// Cumulative count of events dropped by load shedding.
     pub shed: u64,
     /// Cumulative count of events dropped by the per-host CPU budget
-    /// tracker (`ScrubConfig::enforce_host_budget`): they matched and
+    /// tracker (on with admission control): they matched and
     /// passed sampling, but shipping them would have pushed the modeled
     /// host cost past `host_cpu_budget` this second. Like `seq`, rides
     /// the fixed header allowance.

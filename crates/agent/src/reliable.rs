@@ -96,10 +96,17 @@ pub struct ReliableShipper {
 }
 
 impl ReliableShipper {
-    /// Create with the given retry policy.
+    /// Create with the given retry policy, held to its floors: a first
+    /// retry of at least 1 ms, a ceiling no lower than it and room for
+    /// one batch.
     pub fn new(policy: RetryPolicy) -> Self {
+        let base_ms = policy.base_ms.max(1);
         ReliableShipper {
-            policy,
+            policy: RetryPolicy {
+                base_ms,
+                max_ms: policy.max_ms.max(base_ms),
+                buffer_cap: policy.buffer_cap.max(1),
+            },
             next_seq: BTreeMap::new(),
             pending: BTreeMap::new(),
             shipped: 0,

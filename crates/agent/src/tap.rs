@@ -20,13 +20,13 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use scrub_core::columnar::ChunkBuilder;
-use scrub_core::config::ScrubConfig;
+use scrub_core::config::{AdmissionPolicy, ScrubConfig};
 use scrub_core::error::{ScrubError, ScrubResult};
 use scrub_core::event::{FieldSlot, RequestId, ToEvent};
 use scrub_core::plan::{HostPlan, QueryId};
 use scrub_core::schema::EventTypeId;
 use scrub_core::value::Value;
-use scrub_obs::trace::{should_trace, trace_threshold, SpanKind, TraceSpan};
+use scrub_obs::trace::{should_trace, trace_threshold, SpanKind, TraceSpan, TRACE_SPAN_BUDGET};
 
 use crate::batch::EventBatch;
 use crate::cost::CostModel;
@@ -56,8 +56,8 @@ pub struct ScrubAgent {
     /// compare; the inactive fast path is untouched either way.
     trace_threshold: u64,
     /// Per-host CPU budget in modeled ns per second
-    /// (`host_cpu_budget * 1e9`), enforced only when
-    /// `ScrubConfig::enforce_host_budget` is set. Priced through the
+    /// (`host_cpu_budget * 1e9`), enforced exactly when admission control
+    /// is on (`ScrubConfig::admission` is not `Off`). Priced through the
     /// deterministic [`CostModel`], so enforcement replays exactly: the
     /// same event stream sheds the same events on every run.
     budget_ns_per_sec: f64,
@@ -71,8 +71,8 @@ struct Inner {
     /// Batches ready to ship.
     outbox: Vec<EventBatch>,
     /// Trace spans currently buffered across all subscriptions, bounded
-    /// by `ScrubConfig::trace_span_budget` (the host-impact cap; spans
-    /// over budget are dropped and counted, never allocated).
+    /// by [`TRACE_SPAN_BUDGET`] (the host-impact cap; spans over budget
+    /// are dropped and counted, never allocated).
     spans_buffered: usize,
     /// CPU-budget window shared by every subscription on this host:
     /// (second, modeled ns accrued that second). Keyed on the event
@@ -253,7 +253,7 @@ impl ScrubAgent {
     pub fn new(host: impl Into<String>, config: ScrubConfig) -> Self {
         let threshold = trace_threshold(config.trace_sample_rate);
         let budget_ns_per_sec = config.host_cpu_budget.max(0.0) * 1e9;
-        let enforce_budget = config.enforce_host_budget;
+        let enforce_budget = config.admission != AdmissionPolicy::Off;
         ScrubAgent {
             host: host.into(),
             config,
@@ -513,7 +513,7 @@ impl ScrubAgent {
                     // Honor the hard per-host span budget: over budget the
                     // span is dropped and counted, never allocated — the
                     // host-impact contract holds no matter the trace rate.
-                    if *spans_buffered >= self.config.trace_span_budget {
+                    if *spans_buffered >= TRACE_SPAN_BUDGET {
                         tally.trace_spans_shed += 1;
                         return;
                     }
@@ -920,6 +920,33 @@ mod tests {
     }
 
     #[test]
+    fn admission_control_switches_the_host_budget_on_at_the_tap() {
+        let budget_shed = |admission| {
+            let cfg = ScrubConfig {
+                // a few thousand modeled ns a second
+                host_cpu_budget: 4e-6,
+                admission,
+                ..ScrubConfig::default()
+            };
+            let a = ScrubAgent::new("h1", cfg);
+            a.install(plan_for("select COUNT(*) from bid", 1)).unwrap();
+            for i in 0..500u64 {
+                a.log(
+                    EventTypeId(0),
+                    RequestId(i),
+                    500, // one second
+                    &[Value::Long(1), Value::Double(1.0)],
+                );
+            }
+            let s = a.stats().snapshot();
+            assert!(s.events_shipped > 0);
+            s.events_budget_shed
+        };
+        assert_eq!(budget_shed(AdmissionPolicy::Off), 0);
+        assert!(budget_shed(AdmissionPolicy::Evict) > 0);
+    }
+
+    #[test]
     fn size_triggered_flush() {
         let mut cfg = ScrubConfig::default();
         cfg.agent_batch_events = 10;
@@ -1199,10 +1226,10 @@ mod tests {
     fn trace_span_budget_is_a_hard_cap() {
         let mut cfg = ScrubConfig::default();
         cfg.trace_sample_rate = 1.0;
-        cfg.trace_span_budget = 4;
         let a = ScrubAgent::new("h1", cfg);
         a.install(plan_for("select COUNT(*) from bid", 1)).unwrap();
-        for i in 0..10u64 {
+        // three spans per traced event: 300 > the cap
+        for i in 0..100u64 {
             a.log(
                 EventTypeId(0),
                 RequestId(i),
@@ -1212,18 +1239,21 @@ mod tests {
         }
         let batches = a.take_batches(10_000);
         let buffered: usize = batches.iter().map(|b| b.spans.len()).sum();
-        assert_eq!(buffered, 4, "budget caps buffered spans");
+        assert_eq!(buffered, TRACE_SPAN_BUDGET, "budget caps buffered spans");
         let s = a.stats().snapshot();
-        assert_eq!(s.trace_spans, 4);
-        assert_eq!(s.trace_spans_shed, 10 * 3 - 4);
+        assert_eq!(s.trace_spans, TRACE_SPAN_BUDGET as u64);
+        assert_eq!(s.trace_spans_shed, 100 * 3 - TRACE_SPAN_BUDGET as u64);
         // the flush freed the budget: tracing resumes
         a.log(
             EventTypeId(0),
-            RequestId(99),
+            RequestId(999),
             20_000,
             &[Value::Long(1), Value::Double(1.0)],
         );
-        assert_eq!(a.stats().snapshot().trace_spans, 7);
+        assert_eq!(
+            a.stats().snapshot().trace_spans,
+            TRACE_SPAN_BUDGET as u64 + 3
+        );
     }
 
     #[test]

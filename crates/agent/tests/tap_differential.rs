@@ -18,13 +18,13 @@ use proptest::BoxedStrategy;
 
 use scrub_agent::{CostModel, EventBatch, ScrubAgent, StatsSnapshot};
 use scrub_core::columnar::ColumnarFrame;
-use scrub_core::config::ScrubConfig;
+use scrub_core::config::{AdmissionPolicy, ScrubConfig};
 use scrub_core::event::{Event, FieldSlot, RequestId};
 use scrub_core::expr::{BinOp, ResolvedExpr, ScalarFn, UnaryOp};
 use scrub_core::plan::{HostPlan, QueryId};
 use scrub_core::schema::EventTypeId;
 use scrub_core::value::Value;
-use scrub_obs::trace::{should_trace, trace_threshold, SpanKind, TraceSpan};
+use scrub_obs::trace::{should_trace, trace_threshold, SpanKind, TraceSpan, TRACE_SPAN_BUDGET};
 
 const HOST: &str = "diff-host";
 /// User fields per event type; slots 4 and 5 (and, as the interpreter has
@@ -249,7 +249,7 @@ impl RefAgent {
     }
 
     fn span(&mut self, t: usize, i: usize, rid: u64, kind: SpanKind, ts: i64) {
-        if self.spans_buffered >= self.config.trace_span_budget {
+        if self.spans_buffered >= TRACE_SPAN_BUDGET {
             self.stats.trace_spans_shed += 1;
             return;
         }
@@ -270,7 +270,7 @@ impl RefAgent {
             self.stats.events_behind_watermark += 1;
         }
         let traced = should_trace(rid, trace_threshold(self.config.trace_sample_rate));
-        let enforce = self.config.enforce_host_budget;
+        let enforce = self.config.admission != AdmissionPolicy::Off;
         let budget_ns_per_sec = self.config.host_cpu_budget.max(0.0) * 1e9;
         let sec = ts.div_euclid(1000);
         if enforce && self.budget_window.0 != sec {
@@ -560,7 +560,8 @@ struct Scenario {
     tiny_shed_budget: bool,
     enforce_host_budget: bool,
     churn: bool,
-    trace: bool,
+    /// Lifecycle-trace sample rate (0 = off).
+    trace_rate: f64,
 }
 
 // ---------------------------------------------------------------- check
@@ -600,7 +601,9 @@ fn render(batches: &[EventBatch]) -> Vec<String> {
     batches.iter().map(|b| format!("{b:?}")).collect()
 }
 
-fn check(specs: &[SubSpec], events: &[EventSpec], scenario: Scenario) {
+/// Runs both taps over the stream, asserting they agree, and returns the
+/// agent's statistics and the reference's.
+fn check(specs: &[SubSpec], events: &[EventSpec], scenario: Scenario) -> [StatsSnapshot; 2] {
     let mut config = ScrubConfig {
         agent_batch_events: 3,
         agent_flush_interval_ms: 400,
@@ -610,15 +613,13 @@ fn check(specs: &[SubSpec], events: &[EventSpec], scenario: Scenario) {
         config.agent_events_per_sec_budget = 2;
     }
     if scenario.enforce_host_budget {
-        config.enforce_host_budget = true;
+        // admission control on: the tap enforces the host budget
+        config.admission = AdmissionPolicy::Evict;
         // a few thousand modeled ns a second: enough for some events of
         // a second to ship and the rest to be budget-shed
         config.host_cpu_budget = 4e-6;
     }
-    if scenario.trace {
-        config.trace_sample_rate = 0.5;
-        config.trace_span_budget = 12;
-    }
+    config.trace_sample_rate = scenario.trace_rate;
     let agent = ScrubAgent::new(HOST, config.clone());
     let mut reference = RefAgent::new(config);
 
@@ -664,6 +665,40 @@ fn check(specs: &[SubSpec], events: &[EventSpec], scenario: Scenario) {
         "final batches"
     );
     assert_eq!(agent.stats().snapshot(), reference.stats);
+    [agent.stats().snapshot(), reference.stats]
+}
+
+/// Every event traced on 64 unfiltered subscriptions of one type: after
+/// two events they hold 64 × 6 = 384 spans, past the per-host cap, so
+/// both taps must shed spans — and shed the same ones.
+#[test]
+fn both_taps_reach_the_trace_span_cap() {
+    let specs: Vec<SubSpec> = (0..64)
+        .map(|_| SubSpec {
+            predicate: None,
+            copy_of: None,
+            type_id: 0,
+            projection: vec![FieldSlot::User(0)],
+            fraction: 1.0,
+            install_at: 0,
+            remove_at: 3,
+        })
+        .collect();
+    let events: Vec<EventSpec> = (0..30)
+        .map(|rid| EventSpec {
+            type_id: 0,
+            rid,
+            gap_ms: 1,
+            values: vec![Value::Long(rid as i64)],
+        })
+        .collect();
+    let scenario = Scenario {
+        trace_rate: 1.0,
+        ..Default::default()
+    };
+    for stats in check(&specs, &events, scenario) {
+        assert!(stats.trace_spans_shed > 0);
+    }
 }
 
 fn subs() -> impl Strategy<Value = Vec<SubSpec>> {
@@ -703,7 +738,7 @@ proptest! {
             tiny_shed_budget: true,
             enforce_host_budget: true,
             churn: true,
-            trace: true,
+            trace_rate: 0.5,
         });
     }
 }

@@ -78,7 +78,7 @@ fn run_phase(protected: bool, n_queries: usize, quick: bool) -> PhaseOut {
         .collect();
     cfg.line_items.extend(extra);
     if protected {
-        cfg.scrub.enforce_host_budget = true;
+        // Evict admission also has every agent enforce the host budget.
         cfg.scrub.admission = AdmissionPolicy::Evict;
         // Price admissions at roughly the workload's per-host event rate;
         // the agent-side budget tracker catches whatever the estimate

@@ -176,7 +176,6 @@ fn run_overload(quick: bool) -> (Observed, ProvChecks) {
         })
         .collect();
     cfg.line_items.extend(extra);
-    cfg.scrub.enforce_host_budget = true;
     cfg.scrub.admission = AdmissionPolicy::Evict;
     cfg.scrub.admission_events_per_host_per_sec = 20_000.0;
     cfg.scrub.max_groups = 64;

@@ -16,7 +16,7 @@
 //! - **compression and bounded memory**: the coarse tier spends far more
 //!   milliseconds per retained point than the raw ring (ratio > 1 by
 //!   construction, ~26x here), and the mid tier — sized so the run seals
-//!   several times its cap — never holds more than `tsdb_tier_cap`
+//!   several times its cap — never holds more than `TIER_CAP`
 //!   points per metric.
 //! - **dogfooding equivalence**: a ScrubQL query over the `scrub_metric`
 //!   meta-stream (`SUM(scrub_metric.delta)` in 20 s windows) returns, for
@@ -30,7 +30,7 @@
 //! compression ratio above 1).
 
 use adplatform::{scenario, PlatformMsg};
-use scrub_obs::{Resolution, RolledPoint};
+use scrub_obs::{Resolution, RolledPoint, TelemetryStore};
 use scrub_server::{CentralNode, QueryState, ScrubClient};
 use scrub_simnet::SimTime;
 
@@ -102,12 +102,13 @@ fn run_once(quick: bool) -> Observed {
     let run_secs: i64 = if quick { 660 } else { 900 };
     let mut cfg = scenario::spam_under_chaos();
     cfg.scrub.trace_sample_rate = 0.05;
-    cfg.scrub.obs_history_len = RAW_RING;
-    cfg.scrub.tsdb_mid_factor = MID_FACTOR;
-    cfg.scrub.tsdb_coarse_factor = COARSE_FACTOR;
-    cfg.scrub.tsdb_tier_cap = TIER_CAP;
     let suspect_ms = scenario::CHAOS_CRASH_AT_SECS * 1000 + cfg.scrub.host_grace_ms;
     let mut p = adplatform::build_platform(cfg);
+    let store = TelemetryStore::new(RAW_RING, MID_FACTOR, COARSE_FACTOR, TIER_CAP);
+    p.sim
+        .node_as_mut::<CentralNode<PlatformMsg>>(p.scrub.central)
+        .expect("central node")
+        .set_telemetry(store);
     let client = ScrubClient::new(&p.scrub);
     let probe = client
         .submit(

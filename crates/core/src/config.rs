@@ -4,12 +4,14 @@ use serde::{Deserialize, Serialize};
 
 /// Configuration knobs shared by the query server, agents and ScrubCentral.
 ///
-/// Only what a deployment, experiment or test actually tunes is a knob.
-/// The paper's query defaults — 10-second tumbling windows, spans of
-/// minutes so a forgotten query cannot load the system forever (§3.2) —
-/// are constants beside the planner (`scrub_core::plan::DEFAULT_WINDOW_MS`
-/// and its siblings), and the health plane's tuning (alert hysteresis, the
-/// anomaly watchlist, log and journal caps) is fixed in `scrub-obs`.
+/// A knob is what a deployment or an experiment tunes; a value nothing
+/// tunes is a constant in the component that owns it. The paper's query
+/// defaults — 10-second tumbling windows, spans of minutes so a forgotten
+/// query cannot load the system forever (§3.2) — sit beside the planner
+/// (`scrub_core::plan::DEFAULT_WINDOW_MS` and its siblings); the health
+/// plane's tuning and the telemetry store's tier sizes are fixed in
+/// `scrub-obs`, the tap's trace-span cap in `scrub_obs::trace`, and the
+/// retransmit ceiling and buffer in the agent's `RetryPolicy::default()`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScrubConfig {
     /// Agent: flush a query's output batch when it reaches this many events.
@@ -35,16 +37,6 @@ pub struct ScrubConfig {
     /// shipment (ms); backoff doubles from here.
     #[serde(default = "default_agent_retry_base_ms")]
     pub agent_retry_base_ms: i64,
-    /// Agent: retransmit backoff ceiling (ms). Also how long a batch
-    /// evicted from the retransmit buffer keeps ScrubCentral waiting for
-    /// the copies already sent before the agent gives up on it.
-    #[serde(default = "default_agent_retry_max_ms")]
-    pub agent_retry_max_ms: i64,
-    /// Agent: retransmit buffer capacity in batches; beyond it the oldest
-    /// pending batch is dropped so a long partition cannot exhaust host
-    /// memory.
-    #[serde(default = "default_agent_retransmit_buffer")]
-    pub agent_retransmit_buffer: usize,
     /// Central: a host whose batches for a query have stopped for this
     /// long (ms) while a peer's kept coming is suspected dead — its
     /// windows close degraded and its samples leave the estimator.
@@ -57,44 +49,13 @@ pub struct ScrubConfig {
     /// precomputed threshold of zero.
     #[serde(default = "default_trace_sample_rate")]
     pub trace_sample_rate: f64,
-    /// Agent: hard cap on trace spans buffered per host across all
-    /// queries; once reached, further spans are dropped (and counted in
-    /// `agent.trace_spans_shed`) so tracing can never violate the
-    /// host-impact contract.
-    #[serde(default = "default_trace_span_budget")]
-    pub trace_span_budget: usize,
-    /// Central: capacity of the metrics-history ring (periodic snapshots
-    /// on the sim clock, one per watermark advance). 240 entries at the
-    /// default 2.5 s advance interval cover the last ~10 minutes.
-    #[serde(default = "default_obs_history_len")]
-    pub obs_history_len: usize,
-    /// Telemetry store: raw intervals folded into one mid-tier rolled
-    /// point (10× the snapshot interval by default — ~25 s buckets).
-    #[serde(default = "default_tsdb_mid_factor")]
-    pub tsdb_mid_factor: usize,
-    /// Telemetry store: raw intervals folded into one coarse-tier
-    /// rolled point (100× the snapshot interval by default — ~250 s
-    /// buckets, so a bounded store covers runs two orders of magnitude
-    /// longer than the raw ring).
-    #[serde(default = "default_tsdb_coarse_factor")]
-    pub tsdb_coarse_factor: usize,
-    /// Telemetry store: rolled points retained per metric per
-    /// downsampled tier (memory stays bounded by
-    /// `metrics × tiers × cap`, independent of run length).
-    #[serde(default = "default_tsdb_tier_cap")]
-    pub tsdb_tier_cap: usize,
     /// Per-host CPU envelope for Scrub tap work, as a fraction of one
     /// core (the paper's ≤2.5 % guarantee, §2). Both the agent's budget
     /// tracker and central admission control price against this figure
-    /// via the deterministic cost model.
+    /// via the deterministic cost model; both are on exactly when
+    /// `admission` is not `Off`.
     #[serde(default = "default_host_cpu_budget")]
     pub host_cpu_budget: f64,
-    /// Agent: enforce `host_cpu_budget` at the tap — once the modeled ns
-    /// spent this second exceed the budget, further per-event ship work
-    /// is shed and counted as `budget_shed` in the loss ledger. Off by
-    /// default: enforcement changes results, so it is an explicit opt-in.
-    #[serde(default = "default_enforce_host_budget")]
-    pub enforce_host_budget: bool,
     /// Central: cap on distinct group-by keys held per window. Overflow
     /// follows a deterministic keep-smallest-keys policy (the same key
     /// set survives whatever the arrival order); dropped rows are counted
@@ -104,9 +65,15 @@ pub struct ScrubConfig {
     /// tighter cap.
     #[serde(default = "default_max_groups")]
     pub max_groups: usize,
-    /// Server: admission-control policy applied when a new query's
-    /// estimated per-host cost would push the running total past
-    /// `host_cpu_budget`. `Off` (default) admits everything.
+    /// The overload switch: the admission-control policy the server
+    /// applies when a new query's estimated per-host cost would push the
+    /// running total past `host_cpu_budget`. Any policy but `Off` also
+    /// has every agent enforce `host_cpu_budget` at the tap — once the
+    /// modeled ns spent this second exceed it, further per-event ship
+    /// work is shed and counted as `budget_shed` in the loss ledger — so
+    /// the two layers hold one envelope together. `Off` (the default)
+    /// admits everything and sheds nothing for the budget: enforcement
+    /// changes results, so it is an explicit opt-in.
     #[serde(default)]
     pub admission: AdmissionPolicy,
     /// Server: assumed per-host event rate (events/s) used to price a
@@ -138,38 +105,14 @@ pub enum AdmissionPolicy {
 fn default_agent_retry_base_ms() -> i64 {
     2_000
 }
-fn default_agent_retry_max_ms() -> i64 {
-    30_000
-}
-fn default_agent_retransmit_buffer() -> usize {
-    1_024
-}
 fn default_host_grace_ms() -> i64 {
     5_000
 }
 fn default_trace_sample_rate() -> f64 {
     0.0
 }
-fn default_trace_span_budget() -> usize {
-    256
-}
-fn default_obs_history_len() -> usize {
-    240
-}
-fn default_tsdb_mid_factor() -> usize {
-    10
-}
-fn default_tsdb_coarse_factor() -> usize {
-    100
-}
-fn default_tsdb_tier_cap() -> usize {
-    240
-}
 fn default_host_cpu_budget() -> f64 {
     0.025
-}
-fn default_enforce_host_budget() -> bool {
-    false
 }
 fn default_max_groups() -> usize {
     65_536
@@ -185,17 +128,9 @@ impl Default for ScrubConfig {
             agent_events_per_sec_budget: 50_000,
             window_grace_ms: 2_000,
             agent_retry_base_ms: default_agent_retry_base_ms(),
-            agent_retry_max_ms: default_agent_retry_max_ms(),
-            agent_retransmit_buffer: default_agent_retransmit_buffer(),
             host_grace_ms: default_host_grace_ms(),
             trace_sample_rate: default_trace_sample_rate(),
-            trace_span_budget: default_trace_span_budget(),
-            obs_history_len: default_obs_history_len(),
-            tsdb_mid_factor: default_tsdb_mid_factor(),
-            tsdb_coarse_factor: default_tsdb_coarse_factor(),
-            tsdb_tier_cap: default_tsdb_tier_cap(),
             host_cpu_budget: default_host_cpu_budget(),
-            enforce_host_budget: default_enforce_host_budget(),
             max_groups: default_max_groups(),
             admission: AdmissionPolicy::default(),
             admission_events_per_host_per_sec: default_admission_events_per_host_per_sec(),
@@ -213,17 +148,10 @@ mod tests {
         assert!(c.agent_batch_events > 0);
         // Host-impact-first: tracing is opt-in, never the default.
         assert_eq!(c.trace_sample_rate, 0.0);
-        assert!(c.trace_span_budget > 0);
-        assert!(c.obs_history_len >= 2);
-        assert_eq!(c.tsdb_mid_factor, 10);
-        assert_eq!(c.tsdb_coarse_factor, 100);
-        assert!(c.tsdb_coarse_factor > c.tsdb_mid_factor);
-        assert_eq!(c.tsdb_tier_cap, 240);
         // Overload protection defaults: the paper's 2.5 % envelope, with
-        // enforcement and admission control opt-in so the reproduced
-        // figures are unchanged out of the box.
+        // admission control (and with it tap enforcement) opt-in so the
+        // reproduced figures are unchanged out of the box.
         assert_eq!(c.host_cpu_budget, 0.025);
-        assert!(!c.enforce_host_budget);
         assert_eq!(c.max_groups, 65_536);
         assert_eq!(c.admission, AdmissionPolicy::Off);
         assert_eq!(c.admission_events_per_host_per_sec, 10_000.0);
@@ -251,23 +179,15 @@ mod tests {
                 "agent_batch_events",
                 "agent_events_per_sec_budget",
                 "agent_flush_interval_ms",
-                "agent_retransmit_buffer",
                 "agent_retry_base_ms",
-                "agent_retry_max_ms",
-                "enforce_host_budget",
                 "host_cpu_budget",
                 "host_grace_ms",
                 "max_groups",
-                "obs_history_len",
                 "trace_sample_rate",
-                "trace_span_budget",
-                "tsdb_coarse_factor",
-                "tsdb_mid_factor",
-                "tsdb_tier_cap",
                 "window_grace_ms",
             ]
         );
-        let retired: [(&[&str], &str); 15] = [
+        let retired: [(&[&str], &str); 23] = [
             // intra-query partitions
             (&["central", "partitions"], "4"),
             // the row wire format
@@ -288,6 +208,19 @@ mod tests {
             (&["anomaly", "min", "intervals"], "12"),
             (&["anomaly", "metrics"], "[\"central.events_ingested\"]"),
             (&["flight", "recorder", "cap"], "4096"),
+            // one overload switch: tap enforcement follows admission
+            (&["enforce", "host", "budget"], "true"),
+            // retransmit tuning beyond the first retry, now the agent's
+            // retry policy default
+            (&["agent", "retry", "max", "ms"], "30000"),
+            (&["agent", "retransmit", "buffer"], "1024"),
+            // the tap's trace-span cap, now a constant in the obs crate
+            (&["trace", "span", "budget"], "256"),
+            // telemetry store sizes, now constants in the obs crate
+            (&["obs", "history", "len"], "240"),
+            (&["tsdb", "mid", "factor"], "10"),
+            (&["tsdb", "coarse", "factor"], "100"),
+            (&["tsdb", "tier", "cap"], "240"),
         ];
         for (parts, value) in retired {
             let key = parts.join("_");

@@ -68,14 +68,6 @@ fn eq_ci(a: &str, b: &str) -> bool {
     a.eq_ignore_ascii_case(b)
 }
 
-/// Filter an inventory down to the hosts matching `target`.
-pub fn resolve_targets<'a>(
-    hosts: impl IntoIterator<Item = &'a HostInfo>,
-    target: &TargetExpr,
-) -> Vec<&'a HostInfo> {
-    hosts.into_iter().filter(|h| h.matches(target)).collect()
-}
-
 /// Deterministically sample `fraction` of `n` indices using a seeded
 /// linear-congruential shuffle. Host sampling must be stable for a given
 /// query id so re-dispatch after a server restart picks the same hosts.
@@ -120,52 +112,49 @@ mod tests {
         ]
     }
 
+    /// Names of the inventory hosts `target` matches, in inventory order.
+    fn matching(target: &TargetExpr) -> Vec<String> {
+        inventory()
+            .into_iter()
+            .filter(|h| h.matches(target))
+            .map(|h| h.name)
+            .collect()
+    }
+
     #[test]
     fn all_matches_everything() {
-        let hosts = inventory();
-        assert_eq!(resolve_targets(&hosts, &TargetExpr::All).len(), 4);
+        assert_eq!(matching(&TargetExpr::All).len(), 4);
     }
 
     #[test]
     fn service_filter() {
-        let hosts = inventory();
         let t = TargetExpr::Service(vec!["BidServers".into()]);
-        let got = resolve_targets(&hosts, &t);
-        assert_eq!(got.len(), 2);
-        assert!(got.iter().all(|h| h.service == "BidServers"));
+        assert_eq!(matching(&t), ["bid-1", "bid-2"]);
     }
 
     #[test]
     fn service_and_dc_conjunction() {
-        let hosts = inventory();
         let t =
             TargetExpr::Service(vec!["BidServers".into()]).and(TargetExpr::Dc(vec!["DC1".into()]));
-        let got = resolve_targets(&hosts, &t);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].name, "bid-1");
+        assert_eq!(matching(&t), ["bid-1"]);
     }
 
     #[test]
     fn host_list_and_or() {
-        let hosts = inventory();
         let t = TargetExpr::Host(vec!["bid-1".into()]).or(TargetExpr::Host(vec!["ad-1".into()]));
-        assert_eq!(resolve_targets(&hosts, &t).len(), 2);
+        assert_eq!(matching(&t), ["bid-1", "ad-1"]);
     }
 
     #[test]
     fn negation() {
-        let hosts = inventory();
         let t = TargetExpr::Not(Box::new(TargetExpr::Dc(vec!["DC1".into()])));
-        let got = resolve_targets(&hosts, &t);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].name, "bid-2");
+        assert_eq!(matching(&t), ["bid-2"]);
     }
 
     #[test]
     fn matching_is_case_insensitive() {
-        let hosts = inventory();
         let t = TargetExpr::Service(vec!["bidservers".into()]);
-        assert_eq!(resolve_targets(&hosts, &t).len(), 2);
+        assert_eq!(matching(&t), ["bid-1", "bid-2"]);
     }
 
     #[test]

@@ -431,6 +431,23 @@ pub struct AlertEngine {
     last_eval_ms: Option<i64>,
 }
 
+impl Default for AlertEngine {
+    /// The health plane's engine: [`default_rules`] for the known failure
+    /// modes plus the anomaly watchlist, all fixed here.
+    fn default() -> Self {
+        let mut eng = AlertEngine::new(ALERT_LOG_CAP);
+        for rule in default_rules() {
+            eng.add_rule(rule);
+        }
+        eng.anomaly = AnomalyDetector::new(
+            ANOMALY_Z,
+            ANOMALY_MIN_INTERVALS,
+            ANOMALY_METRICS.iter().map(|m| m.to_string()).collect(),
+        );
+        eng
+    }
+}
+
 impl AlertEngine {
     /// Engine with no rules and an empty watchlist.
     fn new(log_cap: usize) -> Self {
@@ -443,20 +460,10 @@ impl AlertEngine {
         }
     }
 
-    /// The health plane's engine: [`default_rules`] for the known failure
-    /// modes plus the anomaly watchlist. Nothing in `ScrubConfig` tunes
-    /// it; the argument is accepted so every plane is built the same way.
+    /// The health plane's engine; no `ScrubConfig` field tunes it, and
+    /// the argument is ignored.
     pub fn from_config(_config: &ScrubConfig) -> Self {
-        let mut eng = AlertEngine::new(ALERT_LOG_CAP);
-        for rule in default_rules() {
-            eng.add_rule(rule);
-        }
-        eng.anomaly = AnomalyDetector::new(
-            ANOMALY_Z,
-            ANOMALY_MIN_INTERVALS,
-            ANOMALY_METRICS.iter().map(|m| m.to_string()).collect(),
-        );
-        eng
+        Self::default()
     }
 
     /// Add (or replace, by id) one rule. Evaluation order is rule id
@@ -788,8 +795,8 @@ mod tests {
     }
 
     #[test]
-    fn from_config_installs_the_fixed_tuning() {
-        let eng = AlertEngine::from_config(&ScrubConfig::default());
+    fn the_default_engine_installs_the_fixed_tuning() {
+        let eng = AlertEngine::default();
         let mut ids: Vec<String> = default_rules().into_iter().map(|r| r.id).collect();
         ids.sort();
         let installed: Vec<String> = eng.rules().iter().map(|r| r.id.clone()).collect();

@@ -22,7 +22,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use scrub_core::config::ScrubConfig;
 use scrub_core::plan::QueryId;
 
 use crate::alert::{AlertEngine, AlertEventKind, AlertProvenance};
@@ -132,9 +131,10 @@ pub struct HealthPlane {
     m_snaps_ooo: Arc<Counter>,
 }
 
-impl HealthPlane {
-    /// An empty plane with every folded and alert counter registered.
-    pub fn from_config(config: &ScrubConfig) -> Self {
+impl Default for HealthPlane {
+    /// An empty plane with every folded and alert counter registered,
+    /// recording into the default [`TelemetryStore`].
+    fn default() -> Self {
         let registry = Registry::new();
         HealthPlane {
             folded: FOLD_TABLE
@@ -143,8 +143,8 @@ impl HealthPlane {
                 .collect(),
             high_water: HashMap::new(),
             hints: BTreeMap::new(),
-            tsdb: TelemetryStore::from_config(config),
-            alerts: AlertEngine::from_config(config),
+            tsdb: TelemetryStore::default(),
+            alerts: AlertEngine::default(),
             recorders: HashMap::new(),
             m_alerts_fired: registry.counter("alert.fired"),
             m_alerts_cleared: registry.counter("alert.cleared"),
@@ -153,7 +153,9 @@ impl HealthPlane {
             registry,
         }
     }
+}
 
+impl HealthPlane {
     /// The node registry; the data plane registers its own counters here.
     pub fn registry(&self) -> &Registry {
         &self.registry
@@ -162,6 +164,12 @@ impl HealthPlane {
     /// The multi-resolution telemetry store the tick records into.
     pub fn telemetry(&self) -> &TelemetryStore {
         &self.tsdb
+    }
+
+    /// Record into `store` from now on (sized differently from the
+    /// default, say); call before the first tick.
+    pub fn set_telemetry(&mut self, store: TelemetryStore) {
+        self.tsdb = store;
     }
 
     /// Alert rules, hysteresis states, anomaly baselines and the log.
@@ -308,7 +316,7 @@ mod tests {
     use super::*;
 
     fn plane() -> HealthPlane {
-        HealthPlane::from_config(&ScrubConfig::default())
+        HealthPlane::default()
     }
 
     fn host(selected: u64, events: u64, retransmitted_batches: u64) -> HostProfile {

@@ -23,8 +23,8 @@
 //! disabled path (`trace_sample_rate == 0`, the default) is a single
 //! integer compare against a precomputed threshold of 0, and enabled
 //! tracing is bounded by a hard per-host span budget
-//! (`ScrubConfig::trace_span_budget`) — once the agent's buffered spans
-//! hit the budget, further spans are dropped and counted
+//! ([`TRACE_SPAN_BUDGET`]) — once the agent's buffered spans hit the
+//! budget, further spans are dropped and counted
 //! (`agent.trace_spans_shed`), never allocated.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -35,6 +35,11 @@ use serde::{Deserialize, Serialize};
 /// config knob) so agents and every central node agree on which requests
 /// are traced without coordination.
 pub const TRACE_SEED: u64 = 0x5c12_abd1_a902_77e5;
+
+/// Hard cap on trace spans an agent buffers across all its queries; a
+/// span past it is dropped and counted, so tracing at any rate stays
+/// inside the host-impact contract.
+pub const TRACE_SPAN_BUDGET: usize = 256;
 
 /// One hop in an event's lifecycle. The declaration order is the causal
 /// pipeline order; [`TraceStore`] sorts same-timestamp spans by it.

@@ -329,6 +329,19 @@ impl Tier {
     }
 }
 
+/// Raw ring of the default store: 240 snapshots, the last ~10 minutes at
+/// central's 2.5 s advance tick.
+pub const RAW_CAP: usize = 240;
+/// Raw intervals per mid-tier bucket in the default store (~25 s).
+pub const MID_FACTOR: usize = 10;
+/// Raw intervals per coarse-tier bucket in the default store (~250 s), so
+/// it covers runs two orders of magnitude longer than the raw ring.
+pub const COARSE_FACTOR: usize = 100;
+/// Rolled points retained per metric per tier in the default store:
+/// memory stays bounded by `metrics × tiers × cap`, whatever the run
+/// length.
+pub const TIER_CAP: usize = 240;
+
 /// The multi-resolution telemetry store: raw ring + mid + coarse tiers.
 ///
 /// See the [module docs](self) for semantics. Feed it one snapshot per
@@ -342,6 +355,14 @@ pub struct TelemetryStore {
     raw_cap: usize,
     mid: Tier,
     coarse: Tier,
+}
+
+impl Default for TelemetryStore {
+    /// ScrubCentral's store: [`RAW_CAP`], [`MID_FACTOR`],
+    /// [`COARSE_FACTOR`] and [`TIER_CAP`].
+    fn default() -> Self {
+        Self::new(RAW_CAP, MID_FACTOR, COARSE_FACTOR, TIER_CAP)
+    }
 }
 
 impl TelemetryStore {
@@ -358,15 +379,10 @@ impl TelemetryStore {
         }
     }
 
-    /// Store sized from the config knobs (`obs_history_len`,
-    /// `tsdb_mid_factor`, `tsdb_coarse_factor`, `tsdb_tier_cap`).
-    pub fn from_config(config: &ScrubConfig) -> Self {
-        Self::new(
-            config.obs_history_len,
-            config.tsdb_mid_factor,
-            config.tsdb_coarse_factor,
-            config.tsdb_tier_cap,
-        )
+    /// The default store; no `ScrubConfig` field sizes it, and the
+    /// argument is ignored.
+    pub fn from_config(_config: &ScrubConfig) -> Self {
+        Self::default()
     }
 
     /// Record a snapshot with no exemplar resolution (tests, tools).
@@ -609,6 +625,15 @@ pub fn sparkline(values: &[i64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_default_store_has_the_default_tiers() {
+        let t = TelemetryStore::default();
+        assert_eq!(t.raw_cap, 240);
+        assert_eq!(t.tier_factor(Resolution::Mid), 10);
+        assert_eq!(t.tier_factor(Resolution::Coarse), 100);
+        assert_eq!((t.mid.cap, t.coarse.cap), (240, 240));
+    }
 
     fn snap(at_ms: i64, c: u64, g: i64) -> MetricsSnapshot {
         let mut s = MetricsSnapshot {

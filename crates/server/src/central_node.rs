@@ -126,7 +126,7 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     /// validate.
     pub fn new(config: ScrubConfig, registry: Arc<SchemaRegistry>) -> Self {
         let meta = register_meta_events(&registry).expect("meta-event schemas register cleanly");
-        let health = HealthPlane::from_config(&config);
+        let health = HealthPlane::default();
         let obs = health.registry();
         CentralNode {
             server: None,
@@ -204,6 +204,12 @@ impl<E: ScrubEnvelope> CentralNode<E> {
     /// `scrubql watch`/`range`.
     pub fn telemetry(&self) -> &TelemetryStore {
         self.health.telemetry()
+    }
+
+    /// Record into `store` instead of the default store (other tier
+    /// sizes); call before the run starts.
+    pub fn set_telemetry(&mut self, store: TelemetryStore) {
+        self.health.set_telemetry(store);
     }
 
     /// Alert rules, hysteresis states, anomaly baselines and the bounded

@@ -69,15 +69,14 @@ fn annotate_wire_copy(
 }
 
 impl AgentHarness {
-    /// Create a harness shipping batches to `central`.
+    /// Create a harness shipping batches to `central`, retrying first
+    /// after `agent_retry_base_ms` and otherwise on
+    /// `RetryPolicy::default()`.
     pub fn new(host: impl Into<String>, config: ScrubConfig, central: NodeId) -> Self {
         let flush_interval = SimDuration::from_ms(config.agent_flush_interval_ms.max(1));
         let policy = RetryPolicy {
-            base_ms: config.agent_retry_base_ms.max(1),
-            max_ms: config
-                .agent_retry_max_ms
-                .max(config.agent_retry_base_ms.max(1)),
-            buffer_cap: config.agent_retransmit_buffer.max(1),
+            base_ms: config.agent_retry_base_ms,
+            ..RetryPolicy::default()
         };
         let trace_thresh = trace_threshold(config.trace_sample_rate);
         AgentHarness {
@@ -90,6 +89,12 @@ impl AgentHarness {
             flush_interval,
             trace_threshold: trace_thresh,
         }
+    }
+
+    /// Ship on `policy` instead of the one `new` derived from the config.
+    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
+        self.shipper = ReliableShipper::new(policy);
+        self
     }
 
     fn central_for(&self, qid: QueryId) -> NodeId {

@@ -12,6 +12,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use scrub_agent::RetryPolicy;
 use scrub_core::config::ScrubConfig;
 use scrub_core::event::RequestId;
 use scrub_core::plan::DEFAULT_WINDOW_MS;
@@ -122,9 +123,18 @@ fn test_config() -> ScrubConfig {
     }
 }
 
+/// The hosts' retransmit policy as `test_config` sets it.
+fn test_retry() -> RetryPolicy {
+    RetryPolicy {
+        base_ms: test_config().agent_retry_base_ms,
+        ..RetryPolicy::default()
+    }
+}
+
 /// `FRONTS` hosts logging `req` and `BACKS` logging `resp`, alternating
-/// between two data centers, around one ScrubCentral — deaf or not.
-fn cluster(config: &ScrubConfig, deaf: bool) -> (Sim<ScrubMsg>, ScrubClient) {
+/// between two data centers, around one ScrubCentral — deaf or not. The
+/// hosts retransmit on `retry`.
+fn cluster(config: &ScrubConfig, retry: RetryPolicy, deaf: bool) -> (Sim<ScrubMsg>, ScrubClient) {
     let mut sim: Sim<ScrubMsg> = Sim::new(Topology::default(), 11);
     let reg = registry();
     let node = CentralNode::<ScrubMsg>::new(config.clone(), reg.clone());
@@ -144,7 +154,7 @@ fn cluster(config: &ScrubConfig, deaf: bool) -> (Sim<ScrubMsg>, ScrubClient) {
         sim.add_node(
             NodeMeta::new(name.clone(), service, dc),
             Box::new(Emitter {
-                harness: AgentHarness::new(name, config.clone(), central),
+                harness: AgentHarness::new(name, config.clone(), central).with_retry(retry),
                 type_id,
                 lane,
             }),
@@ -252,8 +262,13 @@ fn outcome(sim: &Sim<ScrubMsg>, q: QueryHandle, duration_ms: i64) -> Outcome {
 /// Submit the four queries, run the cluster to the end and collect what
 /// each left, in submission order (the sampled one last). `faults` are
 /// installed once the queries are, so every host runs every query.
-fn run(config: &ScrubConfig, deaf: bool, faults: Option<FaultPlan>) -> Vec<Outcome> {
-    let (mut sim, client) = cluster(config, deaf);
+fn run(
+    config: &ScrubConfig,
+    retry: RetryPolicy,
+    deaf: bool,
+    faults: Option<FaultPlan>,
+) -> Vec<Outcome> {
+    let (mut sim, client) = cluster(config, retry, deaf);
     let handles: Vec<QueryHandle> = UNSAMPLED
         .iter()
         .chain([&SAMPLED])
@@ -270,8 +285,8 @@ fn run(config: &ScrubConfig, deaf: bool, faults: Option<FaultPlan>) -> Vec<Outco
 #[test]
 fn fault_free_twins_differ_only_in_when_rows_come_out() {
     let config = test_config();
-    let marked = run(&config, false, None);
-    let deaf = run(&config, true, None);
+    let marked = run(&config, test_retry(), false, None);
+    let deaf = run(&config, test_retry(), true, None);
     for (n, (m, d)) in marked.iter().zip(&deaf).enumerate() {
         assert_eq!((m.late, d.late), (0, 0), "late events, query {n}");
         assert!(m
@@ -321,13 +336,13 @@ fn fault_free_twins_differ_only_in_when_rows_come_out() {
 /// on its way.
 #[test]
 fn a_full_retransmit_buffer_on_a_healthy_network_loses_nothing() {
-    let roomy = test_config();
-    let cramped = ScrubConfig {
-        agent_retransmit_buffer: 2,
-        ..test_config()
+    let config = test_config();
+    let cramped = RetryPolicy {
+        buffer_cap: 2,
+        ..test_retry()
     };
-    let want = run(&roomy, false, None);
-    let got = run(&cramped, false, None);
+    let want = run(&config, test_retry(), false, None);
+    let got = run(&config, cramped, false, None);
     for (n, (want, got)) in want.iter().zip(&got).take(UNSAMPLED.len()).enumerate() {
         assert_eq!(got.late, 0, "query {n}");
         got.assert_same_values(want, &format!("query {n}"));
@@ -370,9 +385,9 @@ fn faulted_twins_agree_and_watermarks_lose_nothing_the_grace_keeps() {
         host_grace_ms: 2_000,
         ..test_config()
     };
-    let clean = run(&config, false, None);
-    let marked = run(&config, false, Some(chaos()));
-    let deaf = run(&config, true, Some(chaos()));
+    let clean = run(&config, test_retry(), false, None);
+    let marked = run(&config, test_retry(), false, Some(chaos()));
+    let deaf = run(&config, test_retry(), true, Some(chaos()));
     // front-1's application logs nothing while it is down, so the windows
     // from the one it dies in to the one it returns in differ from the
     // clean run whatever Scrub does
@@ -430,7 +445,7 @@ fn faulted_twins_agree_and_watermarks_lose_nothing_the_grace_keeps() {
 #[test]
 fn a_dead_host_costs_each_window_the_grace_and_no_more() {
     let config = test_config();
-    let (mut sim, client) = cluster(&config, false);
+    let (mut sim, client) = cluster(&config, test_retry(), false);
     let q = client
         .submit(
             &mut sim,
@@ -463,14 +478,17 @@ fn a_dead_host_costs_each_window_the_grace_and_no_more() {
 #[test]
 fn evicted_batches_do_not_pin_a_host_to_the_grace() {
     let config = ScrubConfig {
-        agent_retransmit_buffer: 2,
-        // how long an evicted batch holds the floor, waiting for an ack of
-        // the copies already sent
-        agent_retry_max_ms: 1_000,
         host_grace_ms: 60_000,
         ..test_config()
     };
-    let (mut sim, client) = cluster(&config, false);
+    let retry = RetryPolicy {
+        buffer_cap: 2,
+        // how long an evicted batch holds the floor, waiting for an ack of
+        // the copies already sent
+        max_ms: 1_000,
+        ..test_retry()
+    };
+    let (mut sim, client) = cluster(&config, retry, false);
     let q = client
         .submit(
             &mut sim,

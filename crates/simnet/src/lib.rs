@@ -6,12 +6,13 @@
 //! machines across data centers worldwide. This crate provides the
 //! simulated equivalent: virtual time, a message-passing node model, a
 //! topology with per-DC-pair latency and bandwidth, per-link byte
-//! accounting (the currency of the Scrub-vs-logging comparison), and a
-//! service registry for target-clause resolution. Executions are totally
-//! ordered by (time, sequence), so every run is exactly reproducible.
+//! accounting (the currency of the Scrub-vs-logging comparison), and
+//! per-node metadata (name, service, data center) that the query server
+//! reads as its host inventory for target-clause resolution. Executions
+//! are totally ordered by (time, sequence), so every run is exactly
+//! reproducible.
 
 pub mod fault;
-pub mod registry;
 pub mod sim;
 pub mod time;
 pub mod topology;
@@ -20,7 +21,6 @@ pub use fault::{
     CrashWindow, DropReason, DropRule, FaultPlan, FaultStats, JitterSpike, NodeSel, Partition,
     SendFate,
 };
-pub use registry::ServiceRegistry;
 pub use sim::{Context, Message, Node, NodeId, NodeMeta, Sim};
 pub use time::{SimDuration, SimTime};
 pub use topology::{LinkStats, Topology, TrafficAccounting};

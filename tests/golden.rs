@@ -15,6 +15,8 @@
 
 use std::sync::Arc;
 
+use scrub::obs::tsdb::{RAW_CAP, TIER_CAP};
+use scrub::obs::TelemetryStore;
 use scrub::prelude::*;
 use scrub::server::CentralNode;
 use scrub_core::event::RequestId;
@@ -118,14 +120,15 @@ fn render_text_is_byte_identical_across_seeded_runs() {
 fn run_tsdb_once() -> String {
     let mut config = ScrubConfig::default();
     config.trace_sample_rate = 0.1;
-    config.tsdb_mid_factor = 4;
-    config.tsdb_coarse_factor = 8;
     let reg = SchemaRegistry::new();
     reg.register(EventSchema::new("bid", vec![FieldDef::new("user_id", FieldType::Long)]).unwrap())
         .unwrap();
     let reg = Arc::new(reg);
     let mut sim: Sim<ScrubMsg> = Sim::new(Topology::default(), 1771);
     let central = deploy_central(&mut sim, &reg, config.clone(), "DC1");
+    sim.node_as_mut::<CentralNode<ScrubMsg>>(central)
+        .expect("central node")
+        .set_telemetry(TelemetryStore::new(RAW_CAP, 4, 8, TIER_CAP));
     sim.add_node(
         NodeMeta::new("gold-0", "GoldServers", "DC1"),
         Box::new(OneHost {
