@@ -5,9 +5,11 @@
 //! part of the query, deliberately placed off the application hosts.
 //!
 //! Every batch is consumed as column chunks: its columnar frame is decoded
-//! once, and from there selection, residual, folds, stream projection and
-//! the join all read chunk columns through a slot accessor — no row
-//! `Event` is built per input event. Each window's groups live in a
+//! once, and from there selection, folds, stream projection and the join
+//! all read chunk columns — no row `Event` is built per input event, and
+//! no joined row per join match: a closing join window gathers its joined
+//! rows into blocks of per-side references that the residual and the fold
+//! read column-wise ([`JoinedBlock`]). Each window's groups live in a
 //! [`GroupTable`]: rows resolve to groups by typed, hashed keys, each
 //! aggregate folds column-wise over them, and a closing window renders
 //! its groups in canonical key order.
@@ -25,7 +27,8 @@ use scrub_core::value::Value;
 use scrub_obs::{OperatorStats, PlanProfile, QueryProfile, TypeCounters};
 use scrub_sketch::{estimate_total, HostSample, Welford};
 
-use crate::groups::{FoldSource, GroupTable};
+use crate::groups::{FoldSource, GroupTable, SlotColumn};
+use crate::joined::{chunk_value, slot_table, At, JoinedBlock, SlotSrc};
 use crate::row::{QuerySummary, ResultRow};
 use crate::totals::{self, HostId, HostTable};
 
@@ -33,10 +36,11 @@ use crate::totals::{self, HostId, HostTable};
 /// thousands of exclusions joined to several bids could otherwise explode).
 pub const MAX_JOIN_ROWS_PER_REQUEST: usize = 100_000;
 
-/// Joined rows enumerated before the probe runs its residual and fold
-/// passes over them: large enough that the per-pass clock reads vanish,
-/// small enough that the pending combinations stay in cache.
-const PROBE_BLOCK_ROWS: usize = 1024;
+/// Joined rows gathered before the probe runs its residual and fold
+/// passes over them: large enough that the per-pass clock reads and fold
+/// set-up vanish, small enough that a block's gathers and the residual's
+/// intermediate columns stay in cache.
+const PROBE_BLOCK_ROWS: usize = 4096;
 
 /// Central-side operator counters for `EXPLAIN ANALYZE`. `ns` fields are
 /// wall-clock and nondeterministic; everything else is integer-exact
@@ -71,44 +75,6 @@ struct CentralOpCounters {
     stream_ns: u64,
 }
 
-/// Where a joined-row slot lives: which input's block, and which field
-/// of it ([`FieldSlot::of`] over the input's projected fields).
-#[derive(Debug, Clone, Copy)]
-struct SlotSrc {
-    input: usize,
-    col: FieldSlot,
-}
-
-/// The slot → source table of a plan's joined-row layout (`None` for a
-/// slot no input block covers).
-fn slot_table(plan: &CentralPlan) -> Arc<[Option<SlotSrc>]> {
-    let mut slots = vec![None; plan.row_width];
-    for (input, spec) in plan.inputs.iter().enumerate() {
-        let nfields = spec.fields.len();
-        for pos in 0..nfields + 2 {
-            if let Some(slot) = slots.get_mut(spec.block_offset + pos) {
-                let col = FieldSlot::of(pos, nfields);
-                *slot = Some(SlotSrc { input, col });
-            }
-        }
-    }
-    slots.into()
-}
-
-/// One slot of a chunk row, lent where the chunk already holds a `Value`.
-/// A short chunk (arity below the plan's fields) reads `Null`; extra
-/// trailing columns are never addressed.
-fn chunk_value(chunk: &ColumnChunk, row: usize, col: FieldSlot) -> Cow<'_, Value> {
-    match col {
-        FieldSlot::User(i) => match chunk.columns.get(i) {
-            Some(column) => column.value_ref(row),
-            None => Cow::Owned(Value::Null),
-        },
-        FieldSlot::RequestId => Cow::Owned(Value::Long(chunk.request_ids[row] as i64)),
-        FieldSlot::Timestamp => Cow::Owned(Value::DateTime(chunk.timestamps[row])),
-    }
-}
-
 /// Slot accessor over the rows of one chunk of input `input`: `(row,
 /// slot)` reads inside that input's block, `Null` everywhere else.
 fn chunk_rows<'c>(
@@ -122,14 +88,13 @@ fn chunk_rows<'c>(
     }
 }
 
-/// One buffered join event: its key and where its fields live. Sixteen
-/// bytes, so a sliding window replicates references, never events.
+/// One buffered join event: its key and where its fields live (`at.chunk`
+/// indexes the owning window's [`JoinBuffer::chunks`]). Sixteen bytes, so
+/// a sliding window replicates references, never events.
 #[derive(Debug, Clone, Copy)]
 struct JoinRef {
     request_id: u64,
-    /// Index into the owning window's [`JoinBuffer::chunks`].
-    chunk: u32,
-    row: u32,
+    at: At,
 }
 
 /// A join window's build side.
@@ -152,27 +117,6 @@ enum WindowState {
     },
     /// Join queries buffer references until the window closes.
     Buffered(JoinBuffer),
-}
-
-/// The closed window's sorted sides as the probe reads them.
-struct ProbeSides<'w> {
-    chunks: &'w [Arc<ColumnChunk>],
-    sides: &'w [Vec<JoinRef>],
-    slots: &'w [Option<SlotSrc>],
-}
-
-impl<'w> ProbeSides<'w> {
-    /// Slot accessor over one joined row; `combo[i]` is a position in
-    /// side `i`. Values are lent from the chunks, whatever `combo`'s life.
-    fn row<'c>(&'c self, combo: &'c [usize]) -> impl Fn(usize) -> Cow<'w, Value> + 'c {
-        move |slot| match self.slots.get(slot) {
-            Some(Some(src)) => {
-                let r = self.sides[src.input][combo[src.input]];
-                chunk_value(&self.chunks[r.chunk as usize], r.row as usize, src.col)
-            }
-            _ => Cow::Owned(Value::Null),
-        }
-    }
 }
 
 /// Why a window closed.
@@ -294,6 +238,10 @@ impl QueryExecutor {
     /// sooner that none is coming.
     pub fn new(plan: impl Into<Arc<CentralPlan>>, grace_ms: i64) -> Self {
         let plan = plan.into();
+        debug_assert!(
+            plan.is_join() || plan.residual.is_none(),
+            "a residual exists only after a join"
+        );
         QueryExecutor {
             slots: slot_table(&plan),
             profile: QueryProfile::new(plan.query_id.0),
@@ -472,7 +420,9 @@ impl QueryExecutor {
 
     /// Ingest one column chunk as a sequence of per-column passes: window
     /// selection over the timestamps, then either the join build, or the
-    /// residual plus the mode's projection or estimator moments and fold.
+    /// mode's projection or estimator moments and fold. A residual exists
+    /// only after a join (the planner sends a conjunct to central only
+    /// when it touches two inputs), so a single-input chunk has none.
     /// Within a pass rows keep their batch order, so every integer counter
     /// and every float fold sees events in arrival order.
     fn ingest_chunk(&mut self, hid: HostId, chunk: ColumnChunk) {
@@ -480,7 +430,7 @@ impl QueryExecutor {
         let Some(input_idx) = self.plan.input_index(chunk.type_id) else {
             return; // not part of this query
         };
-        let (wins, mut sel) = self.select_rows(hid, &chunk.timestamps);
+        let (wins, sel) = self.select_rows(hid, &chunk.timestamps);
         if self.plan.is_join() {
             self.buffer_chunk(Arc::new(chunk), input_idx, &wins, &sel);
             return;
@@ -491,16 +441,6 @@ impl QueryExecutor {
         let plan = Arc::clone(&self.plan);
         let slots = Arc::clone(&self.slots);
         let fetch_row = chunk_rows(&slots, &chunk, input_idx);
-
-        // Residual pass: one evaluation per surviving event, shrinking
-        // the selection in place.
-        if let Some(res) = &plan.residual {
-            let t_res = Instant::now();
-            self.opc.residual_rows_in += sel.len() as u64;
-            sel.retain(|&(i, _, _)| res.eval_bool_by(&|slot| fetch_row(i as usize, slot)));
-            self.opc.residual_rows_out += sel.len() as u64;
-            self.opc.residual_ns += t_res.elapsed().as_nanos() as u64;
-        }
 
         match &plan.mode {
             OutputMode::Stream(exprs) => {
@@ -533,7 +473,7 @@ impl QueryExecutor {
                     Some(&Some(SlotSrc {
                         input,
                         col: FieldSlot::User(i),
-                    })) if input == input_idx => chunk.columns.get(i),
+                    })) if input == input_idx => chunk.columns.get(i).map(SlotColumn::Chunk),
                     _ => None,
                 };
                 let mut src = FoldSource::new(group_by, aggregates, &fetch_row, column);
@@ -698,8 +638,10 @@ impl QueryExecutor {
                 .filter(|&&(_, lo, hi)| wins[lo as usize] <= w && w <= wins[hi as usize - 1]);
             buf.sides[input_idx].extend(covered.map(|&(row, _, _)| JoinRef {
                 request_id: chunk.request_ids[row as usize],
-                chunk: chunk_idx,
-                row,
+                at: At {
+                    chunk: chunk_idx,
+                    row,
+                },
             }));
         }
         self.opc.join_build_ns += t0.elapsed().as_nanos() as u64;
@@ -823,27 +765,22 @@ impl QueryExecutor {
     /// the last input varying fastest — one fixed enumeration order,
     /// which is what makes float folds and first-seen key values
     /// reproducible whatever order the batches arrived in across inputs.
-    /// Returns the window's groups and the rows its `max_groups` cap
-    /// dropped; stream-mode rows go to `stream_out`.
+    /// Joined rows are gathered into blocks, one `(chunk, row)` reference
+    /// per side, and never built. Returns the window's groups and the
+    /// rows its `max_groups` cap dropped; stream-mode rows go to
+    /// `stream_out`.
     fn probe_window(&mut self, w: i64, buf: JoinBuffer) -> (GroupTable, u64) {
         let t_close = Instant::now();
         let folded_before = self.opc.residual_ns + self.opc.group_ns + self.opc.stream_ns;
         let plan = Arc::clone(&self.plan);
-        let slots = Arc::clone(&self.slots);
         let JoinBuffer { chunks, mut sides } = buf;
         self.opc.join_probe_rows_in += sides.iter().map(Vec::len).sum::<usize>() as u64;
         for side in &mut sides {
             side.sort_by_key(|r| r.request_id);
         }
-        let probe = ProbeSides {
-            chunks: &chunks,
-            sides: &sides,
-            slots: &slots,
-        };
         let k = sides.len();
         let mut folded = (GroupTable::new(key_width(&plan)), 0u64);
-        // positions into `sides`, k per pending joined row
-        let mut block: Vec<usize> = Vec::with_capacity(PROBE_BLOCK_ROWS * k);
+        let mut block = JoinedBlock::new(&plan, &chunks);
         // each side's run of the current request id is `cur[i]..end[i]`
         let mut cur = vec![0usize; k];
         let mut end = vec![0usize; k];
@@ -877,9 +814,9 @@ impl QueryExecutor {
             self.opc.join_probe_rows_out += emit as u64;
             combo.copy_from_slice(&cur);
             for _ in 0..emit {
-                block.extend_from_slice(&combo);
-                if block.len() == PROBE_BLOCK_ROWS * k {
-                    self.fold_block(&plan, w, &probe, &mut block, &mut folded);
+                block.push(sides.iter().zip(&combo).map(|(side, &c)| side[c].at));
+                if block.len() == PROBE_BLOCK_ROWS {
+                    self.fold_block(&plan, w, &mut block, &mut folded);
                 }
                 // advance the mixed-radix combination counter
                 for i in (0..k).rev() {
@@ -892,7 +829,7 @@ impl QueryExecutor {
             }
             cur.copy_from_slice(&end);
         }
-        self.fold_block(&plan, w, &probe, &mut block, &mut folded);
+        self.fold_block(&plan, w, &mut block, &mut folded);
         let folded_ns =
             (self.opc.residual_ns + self.opc.group_ns + self.opc.stream_ns) - folded_before;
         self.opc.join_probe_ns += (t_close.elapsed().as_nanos() as u64).saturating_sub(folded_ns);
@@ -901,38 +838,31 @@ impl QueryExecutor {
 
     /// Run the residual and then the fold (or stream projection) over a
     /// block of enumerated joined rows, in enumeration order, and empty
-    /// the block. `folded` is the window's `(groups, overflow_rows)`.
+    /// the block. The residual runs column-wise and shrinks a selection
+    /// of the block's rows; the survivors are compacted before the fold.
+    /// `folded` is the window's `(groups, overflow_rows)`.
     fn fold_block(
         &mut self,
         plan: &CentralPlan,
         w: i64,
-        probe: &ProbeSides<'_>,
-        block: &mut Vec<usize>,
+        block: &mut JoinedBlock<'_>,
         folded: &mut (GroupTable, u64),
     ) {
-        let k = probe.sides.len();
         if let Some(res) = &plan.residual {
             let t_res = Instant::now();
-            let rows = block.len() / k;
-            let mut kept = 0;
-            for j in 0..rows {
-                let at = j * k..(j + 1) * k;
-                if res.eval_bool_by(&probe.row(&block[at.clone()])) {
-                    block.copy_within(at, kept * k);
-                    kept += 1;
-                }
-            }
-            block.truncate(kept * k);
-            self.opc.residual_rows_in += rows as u64;
-            self.opc.residual_rows_out += kept as u64;
+            let mut sel: Vec<u32> = (0..block.len() as u32).collect();
+            block.keep_true(res, &mut sel);
+            self.opc.residual_rows_in += block.len() as u64;
+            self.opc.residual_rows_out += sel.len() as u64;
+            block.retain_rows(&sel);
             self.opc.residual_ns += t_res.elapsed().as_nanos() as u64;
         }
         let t_out = Instant::now();
-        let rows = (block.len() / k) as u64;
+        let rows = block.len();
         match &plan.mode {
             OutputMode::Stream(exprs) => {
-                for combo in block.chunks_exact(k) {
-                    let fetch = probe.row(combo);
+                for j in 0..rows {
+                    let fetch = |slot| block.value(j, slot);
                     self.stream_out.push(ResultRow {
                         query_id: plan.query_id,
                         window_start_ms: w,
@@ -943,8 +873,8 @@ impl QueryExecutor {
                         degraded: false,
                     });
                 }
-                self.opc.stream_rows_in += rows;
-                self.opc.stream_rows_out += rows;
+                self.opc.stream_rows_in += rows as u64;
+                self.opc.stream_rows_out += rows as u64;
                 self.opc.stream_ns += t_out.elapsed().as_nanos() as u64;
             }
             OutputMode::Aggregate {
@@ -953,10 +883,12 @@ impl QueryExecutor {
                 ..
             } => {
                 let (groups, overflow_rows) = folded;
-                let fetch = |row: usize, slot| probe.row(&block[row * k..(row + 1) * k])(slot);
-                let mut src = FoldSource::new(group_by, aggregates, fetch, |_| None);
+                let view = &*block;
+                let fetch = |row, slot| view.value(row, slot);
+                let column = |slot| view.column(slot).map(SlotColumn::Joined);
+                let mut src = FoldSource::new(group_by, aggregates, fetch, column);
                 *overflow_rows += groups.fold(plan.max_groups, 0..rows as u32, &mut src);
-                self.opc.group_rows_in += rows;
+                self.opc.group_rows_in += rows as u64;
                 self.opc.group_ns += t_out.elapsed().as_nanos() as u64;
             }
         }

@@ -11,8 +11,12 @@
 //!
 //! A fold resolves its rows to group ids first, then folds each aggregate
 //! column-wise over them ([`FoldSource`]): a plain-slot key or argument
-//! over a decoded chunk reads the typed column, and a chunk's string
-//! dictionary is hashed once per entry, not once per row.
+//! reads the typed column, of a decoded chunk or gathered over a joined
+//! block's chunks, and a chunk's string dictionary is hashed once per
+//! entry, not once per row. A group remembers which joined-block chunk and
+//! dictionary entry its last row's string came from, so a row from the
+//! same entry skips the comparison that confirms a hash match, and with a
+//! one-part key the hash and the lookup too.
 //!
 //! The `max_groups` cap keeps the smallest keys: a new key past a full
 //! table's largest is dropped with its row, a smaller one evicts the
@@ -35,6 +39,7 @@ use scrub_core::plan::AggSpec;
 use scrub_core::value::Value;
 
 use crate::agg::AggState;
+use crate::joined::JoinedColumn;
 
 /// Per-(window, group) state.
 #[derive(Debug, Clone)]
@@ -51,7 +56,7 @@ pub struct GroupState {
 /// One typed part of a group key. Equal parts mean equal `GroupKey`s,
 /// except that `Str` and `Nested` carry only a hash of the value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Part {
+pub(crate) enum Part {
     /// Null.
     Null,
     /// Bool, int, long or datetime.
@@ -66,7 +71,7 @@ enum Part {
 
 impl Part {
     /// The part of a value's group key.
-    fn of(v: &Value) -> Part {
+    pub(crate) fn of(v: &Value) -> Part {
         match v {
             Value::Null => Part::Null,
             Value::Bool(b) => Part::Int(*b as i64),
@@ -207,6 +212,13 @@ fn cmp_key<'a, 'b>(
     Ordering::Equal
 }
 
+/// A key value's source when nothing names it exactly.
+const NO_SOURCE: u64 = u64::MAX;
+
+/// Entries of [`FoldSource`]'s source → group memo (a power of two: the
+/// index is the top bits of a multiplicative hash).
+const SEEN: usize = 64;
+
 /// A slot in [`GroupTable::slots`] holding no group.
 const EMPTY: u32 = u32::MAX;
 
@@ -217,6 +229,13 @@ pub struct GroupTable {
     width: usize,
     /// Key parts, `width` per group.
     parts: Vec<Part>,
+    /// Per key part, the source of the value the group's last row had
+    /// there ([`FoldSource::source`]): a row from the same source has the
+    /// same value, so its lookup skips comparing the values. Kept only
+    /// while the table folds a joined block, empty otherwise.
+    sources: Vec<u64>,
+    /// The joined block whose chunks `sources` name (0 for none).
+    scope: u64,
     hashes: Vec<u64>,
     states: Vec<GroupState>,
     /// Group ids by key hash, linear probing; a power of two in length
@@ -232,6 +251,8 @@ impl GroupTable {
         GroupTable {
             width,
             parts: Vec::new(),
+            sources: Vec::new(),
+            scope: 0,
             hashes: Vec::new(),
             states: Vec::new(),
             slots: Vec::new(),
@@ -269,15 +290,48 @@ impl GroupTable {
     {
         let cap = cap.max(1);
         let mut dropped = 0;
+        if src.scope != self.scope {
+            // sources read from other chunks name other values
+            self.scope = src.scope;
+            self.sources.clear();
+            if self.scope != 0 {
+                self.sources.resize(self.parts.len(), NO_SOURCE);
+            }
+        }
+        let memo = self.scope != 0;
         for row in rows {
             src.load_key(row as usize);
+            // a one-part key from the source a group's last row had is that
+            // group's key: no hash, no lookup
+            let seen = (!src.seen.is_empty() && self.width == 1 && src.source[0] != NO_SOURCE)
+                .then(|| {
+                    (src.source[0].wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                        >> (64 - SEEN.trailing_zeros())) as usize
+                });
+            if let Some(at) = seen {
+                let (source, g) = src.seen[at];
+                if source == src.source[0] && self.sources.get(g as usize) == Some(&source) {
+                    self.states[g as usize].rows += 1;
+                    src.pending.push((row, g));
+                    continue;
+                }
+            }
             let key = &src.key;
             let hash = hash_key(key);
             let g = match self.find(hash, key, src) {
-                Some(g) => g,
+                Some(g) => {
+                    if memo {
+                        let (w, at) = (self.width, g as usize);
+                        self.sources[at * w..(at + 1) * w].copy_from_slice(&src.source);
+                    }
+                    g
+                }
                 None if self.len() < cap => {
                     let g = self.len() as u32;
                     self.parts.extend_from_slice(key);
+                    if memo {
+                        self.sources.extend_from_slice(&src.source);
+                    }
                     self.hashes.push(hash);
                     self.states.push(src.new_group());
                     self.index(g);
@@ -303,6 +357,9 @@ impl GroupTable {
                     let w = self.width;
                     let at = top as usize;
                     self.parts[at * w..(at + 1) * w].copy_from_slice(&src.key);
+                    if memo {
+                        self.sources[at * w..(at + 1) * w].copy_from_slice(&src.source);
+                    }
                     self.hashes[at] = hash;
                     self.states[at] = src.new_group();
                     self.index(top);
@@ -310,6 +367,9 @@ impl GroupTable {
                     top
                 }
             };
+            if let Some(at) = seen {
+                src.seen[at] = (src.source[0], g);
+            }
             self.states[g as usize].rows += 1;
             src.pending.push((row, g));
         }
@@ -383,10 +443,15 @@ impl GroupTable {
             if g == EMPTY {
                 return None;
             }
+            // a row has a source only from a joined block, so `sources` is
+            // kept whenever one is compared
+            let same_source = |k: usize| src.source[k] == self.sources[g as usize * self.width + k];
             if self.hashes[g as usize] == hash
                 && self.key_of(g) == key
                 && key.iter().enumerate().all(|(k, p)| {
-                    p.exact() || key_cmp(&src.key_value(k), &self.value(g, k)).is_eq()
+                    p.exact()
+                        || src.source[k] != NO_SOURCE && same_source(k)
+                        || key_cmp(&src.key_value(k), &self.value(g, k)).is_eq()
                 })
             {
                 return Some(g);
@@ -467,11 +532,24 @@ impl GroupTable {
     }
 }
 
+/// The typed column behind a plain slot, as [`FoldSource::new`] is
+/// handed it.
+pub enum SlotColumn<'c> {
+    /// A decoded chunk's column: fold row `r` is its row `r`.
+    Chunk(&'c Column),
+    /// One side's column of a joined block, read through the side's
+    /// gather.
+    Joined(JoinedColumn<'c>),
+}
+
 /// Where one group-by key or aggregate argument is read from.
 enum Input<'c> {
     /// A plain slot over a typed chunk column, with the parts of its
     /// string dictionary (empty for other columns).
     Column(&'c Column, Vec<Part>),
+    /// A plain slot over a joined block's gathered column; as a key, with
+    /// every block row's part and source (both empty for an argument).
+    Joined(JoinedColumn<'c>, Vec<Part>, Vec<u64>),
     /// Anything else, evaluated per row.
     Expr(&'c ResolvedExpr),
     /// Evaluated once per chunk row up front.
@@ -493,6 +571,15 @@ pub struct FoldSource<'c, F> {
     row: usize,
     key: Vec<Part>,
     vals: Vec<Cow<'c, Value>>,
+    /// Where each key value of the loaded row was read from, when that
+    /// names it exactly: a joined block's chunk and dictionary entry
+    /// (`chunk << 32 | entry`), or [`NO_SOURCE`].
+    source: Vec<u64>,
+    /// The joined block the sources come from (0 for none).
+    scope: u64,
+    /// For a one-part key from a joined block: the group the last row of
+    /// a source resolved to, direct-mapped by source (empty otherwise).
+    seen: Vec<(u64, u32)>,
     /// Rows resolved to a group and not yet folded: `(row, group id)`.
     pending: Vec<(u32, u32)>,
 }
@@ -507,23 +594,31 @@ where
         group_by: &'c [ResolvedExpr],
         aggregates: &'c [AggSpec],
         fetch: F,
-        column: impl Fn(usize) -> Option<&'c Column>,
+        column: impl Fn(usize) -> Option<SlotColumn<'c>>,
     ) -> Self {
         let input = |e: &'c ResolvedExpr| match e {
             ResolvedExpr::Input(slot) => match column(*slot) {
-                Some(col) => {
-                    let dict = match &col.data {
-                        ColumnData::Str { dict, .. } => dict.iter().map(Part::of).collect(),
-                        _ => Vec::new(),
-                    };
-                    Input::Column(col, dict)
-                }
+                Some(SlotColumn::Chunk(col)) => Input::Column(col, dict_parts(col)),
+                Some(SlotColumn::Joined(col)) => Input::Joined(col, Vec::new(), Vec::new()),
                 None => Input::Expr(e),
             },
             e => Input::Expr(e),
         };
+        let key = |e| match input(e) {
+            Input::Joined(col, ..) => {
+                let (parts, sources) = col.parts();
+                Input::Joined(col, parts, sources)
+            }
+            input => input,
+        };
+        let keys: Vec<Input<'c>> = group_by.iter().map(key).collect();
+        let scope = keys.iter().find_map(|k| match k {
+            Input::Joined(col, ..) => Some(col.block()),
+            _ => None,
+        });
         FoldSource {
-            keys: group_by.iter().map(input).collect(),
+            keys,
+            scope: scope.unwrap_or(0),
             args: aggregates
                 .iter()
                 .map(|a| a.arg.as_ref().map_or(Input::Star, input))
@@ -532,6 +627,11 @@ where
             aggregates,
             row: 0,
             key: vec![Part::Null; group_by.len()],
+            source: vec![NO_SOURCE; group_by.len()],
+            seen: match (scope, group_by.len()) {
+                (Some(_), 1) => vec![(NO_SOURCE, 0); SEEN],
+                _ => Vec::new(),
+            },
             vals: vec![Cow::Owned(Value::Null); group_by.len()],
             pending: Vec::new(),
         }
@@ -554,6 +654,7 @@ where
         match &self.args[j] {
             Input::Star => Some(1.0),
             Input::Column(col, _) => col_f64(col, row),
+            Input::Joined(col, ..) => col.f64(row),
             Input::Values(vs) => vs[row].as_f64(),
             Input::Expr(e) => e.eval_by(&|s| (self.fetch)(row, s)).as_f64(),
         }
@@ -561,9 +662,18 @@ where
 
     fn load_key(&mut self, row: usize) {
         self.row = row;
-        for ((input, part), val) in self.keys.iter().zip(&mut self.key).zip(&mut self.vals) {
+        let key = self
+            .key
+            .iter_mut()
+            .zip(&mut self.vals)
+            .zip(&mut self.source);
+        for (input, ((part, val), source)) in self.keys.iter().zip(key) {
             *part = match input {
                 Input::Column(col, dict) => col_part(col, dict, row),
+                Input::Joined(_, parts, sources) => {
+                    *source = sources[row];
+                    parts[row]
+                }
                 Input::Expr(e) => {
                     *val = e.eval_by(&|s| (self.fetch)(row, s));
                     Part::of(val.as_ref())
@@ -577,6 +687,7 @@ where
     fn key_value(&self, k: usize) -> Cow<'_, Value> {
         match &self.keys[k] {
             Input::Column(col, _) => col.value_ref(self.row),
+            Input::Joined(col, ..) => col.value(self.row),
             _ => Cow::Borrowed(self.vals[k].as_ref()),
         }
     }
@@ -602,6 +713,10 @@ where
                     Some(x) if s.update_f64(x) => {}
                     _ => s.update(Some(&col.value_ref(r))),
                 }),
+                Input::Joined(col, ..) => each(rows, states, j, |r, s| match col.f64(r) {
+                    Some(x) if s.update_f64(x) => {}
+                    _ => s.update(Some(&col.value(r))),
+                }),
                 Input::Values(vs) => each(rows, states, j, |r, s| s.update(Some(&vs[r]))),
                 Input::Expr(e) => each(rows, states, j, |r, s| {
                     s.update(Some(&e.eval_by(&|slot| (self.fetch)(r, slot))));
@@ -625,7 +740,7 @@ fn each(
 }
 
 /// `col.value_ref(row).as_f64()`, without building the value.
-fn col_f64(col: &Column, row: usize) -> Option<f64> {
+pub(crate) fn col_f64(col: &Column, row: usize) -> Option<f64> {
     if col.validity.as_ref().is_some_and(|v| !v[row]) {
         return None;
     }
@@ -640,9 +755,17 @@ fn col_f64(col: &Column, row: usize) -> Option<f64> {
     }
 }
 
+/// The parts of a string column's dictionary (empty for other columns).
+pub(crate) fn dict_parts(col: &Column) -> Vec<Part> {
+    match &col.data {
+        ColumnData::Str { dict, .. } => dict.iter().map(Part::of).collect(),
+        _ => Vec::new(),
+    }
+}
+
 /// `Part::of(&col.value_ref(row))`, without building the value; `dict`
 /// holds the parts of a string column's dictionary.
-fn col_part(col: &Column, dict: &[Part], row: usize) -> Part {
+pub(crate) fn col_part(col: &Column, dict: &[Part], row: usize) -> Part {
     if col.validity.as_ref().is_some_and(|v| !v[row]) {
         return Part::Null;
     }

@@ -20,6 +20,7 @@
 pub mod agg;
 pub mod executor;
 pub mod groups;
+pub mod joined;
 pub mod row;
 mod totals;
 

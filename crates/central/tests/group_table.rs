@@ -4,22 +4,27 @@
 //! rows' `GroupKey`s, holding the `cap` smallest keys. The table must
 //! agree with it on every kept group, their order, the key values each
 //! group saw first, every aggregate's output and the rows the cap
-//! dropped — whether the rows are read by expression (as the join probe
-//! reads them) or from the typed columns of decoded chunks.
+//! dropped — whether the rows are read by expression, from the typed
+//! columns of decoded chunks, or gathered over those chunks as the join
+//! probe gathers them.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use scrub_central::groups::{FoldSource, GroupState, GroupTable};
+use scrub_central::groups::{FoldSource, GroupState, GroupTable, SlotColumn};
+use scrub_central::joined::{At, JoinedBlock};
 use scrub_central::AggState;
 use scrub_core::columnar::{ColumnChunk, ColumnarFrame};
+use scrub_core::config::ScrubConfig;
 use scrub_core::event::{Event, RequestId};
 use scrub_core::expr::{BinOp, ResolvedExpr};
-use scrub_core::plan::AggSpec;
+use scrub_core::plan::{compile, AggSpec, CentralPlan, QueryId};
 use scrub_core::ql::ast::AggFn;
-use scrub_core::schema::EventTypeId;
+use scrub_core::ql::parser::parse_query;
+use scrub_core::schema::{EventSchema, EventTypeId, FieldDef, FieldType, SchemaRegistry};
 use scrub_core::value::{GroupKey, Value};
 
 /// Rows are `[k0, k1, x]`: slots 0 and 1 are the candidate group keys.
@@ -140,6 +145,26 @@ fn chunks(rows: &[Vec<Value>], runs: &[usize]) -> Vec<ColumnChunk> {
     out
 }
 
+/// A one-input plan whose rows are laid out `[k0, k1, x, ..]`, for
+/// blocks gathered over the chunks.
+fn row_plan() -> CentralPlan {
+    let reg = SchemaRegistry::new();
+    let fields = ["k0", "k1", "x"].map(|f| FieldDef::new(f, FieldType::Str));
+    reg.register(EventSchema::new("t", fields.to_vec()).unwrap())
+        .unwrap();
+    let src = "select t.k0, t.k1, t.x from t";
+    let plan = compile(
+        &parse_query(src).unwrap(),
+        &reg,
+        &ScrubConfig::default(),
+        QueryId(1),
+    )
+    .unwrap()
+    .central;
+    assert_eq!(plan.inputs[0].fields, ["k0", "k1", "x"]);
+    plan
+}
+
 fn check(rows: &[Vec<Value>], width: usize, cap: usize, runs: &[usize], eager: bool) {
     let group_by: Vec<ResolvedExpr> = (0..width).map(ResolvedExpr::Input).collect();
     let aggs = aggregates();
@@ -174,7 +199,7 @@ fn check(rows: &[Vec<Value>], width: usize, cap: usize, runs: &[usize], eager: b
     for chunk in chunks(rows, runs) {
         assert!(chunk.columns.len() == SLOTS);
         let fetch = |row: usize, slot: usize| chunk.columns[slot].value_ref(row);
-        let column = |slot: usize| chunk.columns.get(slot);
+        let column = |slot: usize| chunk.columns.get(slot).map(SlotColumn::Chunk);
         let mut src = FoldSource::new(&group_by, &aggs, fetch, column);
         if eager {
             src.evaluate_args(chunk.len());
@@ -183,6 +208,44 @@ fn check(rows: &[Vec<Value>], width: usize, cap: usize, runs: &[usize], eager: b
     }
     assert_eq!(dropped, reference.dropped, "rows dropped, from chunks");
     assert_same(&table.into_sorted(), &want, "from chunks");
+
+    // gathered over the chunks: one block over all of them, and a block
+    // per chunk (each numbering its chunks from 0) into one table
+    let plan = row_plan();
+    let shared: Vec<Arc<ColumnChunk>> = chunks(rows, runs).into_iter().map(Arc::new).collect();
+    let gathered = |blocks: Vec<&[Arc<ColumnChunk>]>| {
+        let mut table = GroupTable::new(width);
+        let mut dropped = 0;
+        for chunks in blocks {
+            let mut block = JoinedBlock::new(&plan, chunks);
+            for (c, chunk) in chunks.iter().enumerate() {
+                let rows = 0..chunk.len() as u32;
+                rows.for_each(|row| {
+                    block.push([At {
+                        chunk: c as u32,
+                        row,
+                    }])
+                });
+            }
+            let view = &block;
+            let fetch = |row, slot| view.value(row, slot);
+            let column = |slot| view.column(slot).map(SlotColumn::Joined);
+            let mut src = FoldSource::new(&group_by, &aggs, fetch, column);
+            if eager {
+                src.evaluate_args(block.len());
+            }
+            dropped += table.fold(cap, 0..block.len() as u32, &mut src);
+        }
+        (table.into_sorted(), dropped)
+    };
+    for (what, blocks) in [
+        ("gathered, one block", vec![&shared[..]]),
+        ("gathered, a block per chunk", shared.chunks(1).collect()),
+    ] {
+        let (got, dropped) = gathered(blocks);
+        assert_eq!(dropped, reference.dropped, "rows dropped, {what}");
+        assert_same(&got, &want, what);
+    }
 }
 
 /// Keys that collide across types in `GroupKey` (equal int and long
@@ -274,5 +337,23 @@ fn descending_keys_evict_through_the_heap() {
         .collect();
     for cap in [1, 2, 5, 8, 40] {
         check(&rows, 2, cap, &[7, 64, 1], false);
+    }
+}
+
+/// A one-part string key whose group the cap evicts, coming back from the
+/// same chunk's dictionary entry: it must not fold into the group that
+/// took its slot.
+#[test]
+fn evicted_string_key_coming_back_from_its_dictionary_entry() {
+    let row = |k: &str| {
+        vec![
+            Value::Str(k.into()),
+            Value::Str("k1".into()),
+            Value::Long(1),
+        ]
+    };
+    let rows = vec![row("b"), row("a"), row("b"), row("c"), row("a"), row("b")];
+    for cap in [1, 2] {
+        check(&rows, 1, cap, &[6], false);
     }
 }

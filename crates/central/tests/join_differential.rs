@@ -402,8 +402,11 @@ fn registry() -> SchemaRegistry {
 
 /// The joins under test: 2 and 3 inputs, tumbling and sliding windows,
 /// string / integer / float keys, cross-type residuals, stream mode, and a
-/// group cap small enough to overflow.
-const QUERIES: [(&str, usize); 6] = [
+/// group cap small enough to overflow. The residuals cover what the probe
+/// runs as typed kernels (comparisons of slots across sides: strings with
+/// strings, longs with doubles; AND, OR, NOT) and what it interprets (IS
+/// NULL, IN, arithmetic).
+const QUERIES: [(&str, usize); 10] = [
     (
         "select a.k, COUNT(*), SUM(b.g), AVG(a.f), MIN(b.k), MAX(a.x) from a, b \
          where a.x = b.y or a.f > 0.5 group by a.k window 10 s",
@@ -430,6 +433,27 @@ const QUERIES: [(&str, usize); 6] = [
         "select a.x, c.z, b.g from a, b, c where a.x = c.z or b.g > 0.5 window 10 s slide 5 s",
         65_536,
     ),
+    (
+        "select b.k, COUNT(*), SUM(a.f), MIN(a.k) from a, b where a.k = b.k \
+         group by b.k window 10 s",
+        2,
+    ),
+    (
+        "select a.k, b.k, a.x, b.g from a, b where a.k < b.k or a.x < b.g window 10 s",
+        65_536,
+    ),
+    (
+        "select a.k, COUNT(*), MAX(b.y) from a, b, c \
+         where not (a.x = c.z or a.f >= b.g) \
+         and (b.g is null or a.x in (1, 2, 9007199254740993)) \
+         group by a.k window 10 s slide 5 s",
+        65_536,
+    ),
+    (
+        "select a.x, b.k, COUNT(*), AVG(b.g) from a, b where a.x + b.y > 2 \
+         group by a.x, b.k window 10 s",
+        4,
+    ),
 ];
 
 fn plan_for(query: usize) -> CentralPlan {
@@ -442,6 +466,9 @@ fn plan_for(query: usize) -> CentralPlan {
         .unwrap()
         .central
 }
+
+/// Values in a field's pool ([`field_value`]).
+const PICKS: usize = 9;
 
 /// One event before it is fitted to a plan: values are drawn per field
 /// name once the plan says which fields its input ships.
@@ -468,11 +495,16 @@ fn field_value(field: &str, pick: usize) -> Value {
     let strings = ["a", "b", "c", "dd", ""];
     let longs = [0i64, 1, 2, 3, -1];
     let doubles = [0.25, 0.75, f64::NAN, -0.0, 1e300];
-    match (field, pick % 7) {
+    // 2^53 + 1 is the first long that `as f64` rounds: to 2^53
+    let big = 1i64 << 53;
+    match (field, pick % PICKS) {
         (_, 5) => Value::Null,
         // a second variant in the column forces the per-row fallback
         ("x" | "y" | "z", 6) => Value::Int(2),
         ("f" | "g", 6) => Value::Float(0.75),
+        ("x" | "y" | "z", 7) => Value::Long(big),
+        ("x" | "y" | "z", 8) => Value::Long(big + 1),
+        ("f" | "g", 7) => Value::Double(big as f64),
         ("k", p) => Value::Str(strings[p % 5].into()),
         ("x" | "y" | "z", p) => Value::Long(longs[p % 5]),
         (_, p) => Value::Double(doubles[p % 5]),
@@ -485,7 +517,7 @@ fn arb_event() -> impl Strategy<Value = EventSpec> {
         0u32..4,
         prop_oneof![0u64..4, 0u64..4, 0u64..4, 1_000_000u64..1_000_002],
         0i64..25_000,
-        [0usize..7, 0usize..7, 0usize..7],
+        [0..PICKS, 0..PICKS, 0..PICKS],
         prop_oneof![Just(0i8), Just(0i8), Just(0i8), Just(-1i8), Just(1i8)],
     )
         .prop_map(|(type_id, request_id, ts, picks, arity_skew)| EventSpec {

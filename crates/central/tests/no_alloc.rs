@@ -1,6 +1,7 @@
 //! Folding a row into a group that already exists allocates nothing,
 //! whatever the key: a string evaluated per joined row, a long read from
-//! a typed chunk column, or a string read through a chunk's dictionary.
+//! a typed chunk column, a string read through a chunk's dictionary, or a
+//! string gathered over a join block's chunks.
 //! The row's key parts are written into the table's scratch, the group is
 //! found through the hashed index, and key values are cloned only for a
 //! new group.
@@ -10,8 +11,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;
 use std::cell::Cell;
+use std::sync::Arc;
 
-use scrub_central::groups::{FoldSource, GroupTable};
+use scrub_central::groups::{FoldSource, GroupTable, SlotColumn};
+use scrub_central::joined::{At, JoinedBlock};
 use scrub_core::columnar::{ColumnChunk, ColumnarFrame};
 use scrub_core::config::ScrubConfig;
 use scrub_core::event::{Event, FieldSlot, RequestId};
@@ -146,12 +149,18 @@ fn folding_into_existing_string_groups_allocates_nothing() {
 
 /// A decoded chunk of `bid` events: one `key` value per row, price `i/8`.
 fn chunk(keys: impl Iterator<Item = Value>) -> ColumnChunk {
-    let events: Vec<Event> = keys
+    chunk_of(
+        EventTypeId(0),
+        keys.enumerate()
+            .map(|(i, key)| vec![key, Value::Double(i as f64 / 8.0)]),
+    )
+}
+
+/// A decoded chunk of `type_id` events, one per row of values.
+fn chunk_of(type_id: EventTypeId, rows: impl Iterator<Item = Vec<Value>>) -> ColumnChunk {
+    let events: Vec<Event> = rows
         .enumerate()
-        .map(|(i, key)| {
-            let price = Value::Double(i as f64 / 8.0);
-            Event::new(EventTypeId(0), RequestId(i as u64), 0, vec![key, price])
-        })
+        .map(|(i, values)| Event::new(type_id, RequestId(i as u64), 0, values))
         .collect();
     let mut batch = ColumnarFrame::from_events(&events).decode().unwrap();
     assert_eq!(batch.chunks.len(), 1);
@@ -177,7 +186,7 @@ fn chunk_folds(key_type: FieldType, keys: impl Iterator<Item = Value>) -> (u64, 
     let chunk = chunk(keys);
     let arity = plan.inputs[0].fields.len();
     let column = |slot| match FieldSlot::of(slot, arity) {
-        FieldSlot::User(i) => chunk.columns.get(i),
+        FieldSlot::User(i) => chunk.columns.get(i).map(SlotColumn::Chunk),
         _ => None,
     };
     let fetch = |_: usize, _: usize| -> Cow<'_, Value> { panic!("every input is a column") };
@@ -203,4 +212,59 @@ fn folding_dictionary_string_keys_into_existing_groups_allocates_nothing() {
     );
     assert_eq!(table.len(), 5);
     assert_eq!(allocated, 0, "allocations over 1000 dictionary-key folds");
+}
+
+#[test]
+fn folding_a_gathered_join_block_into_existing_string_groups_allocates_nothing() {
+    let plan = plan(
+        &[
+            ("bid", vec![("price", FieldType::Double)]),
+            ("exclusion", vec![("reason", FieldType::Str)]),
+        ],
+        "select exclusion.reason, COUNT(*), AVG(bid.price), SUM(bid.price) \
+         from bid, exclusion group by exclusion.reason window 10 s",
+    );
+    let OutputMode::Aggregate {
+        group_by,
+        aggregates,
+        ..
+    } = &plan.mode
+    else {
+        panic!("aggregate plan expected");
+    };
+    // one bid chunk, then four exclusion chunks whose dictionaries list
+    // the reasons in different orders
+    let mut chunks = vec![Arc::new(chunk_of(
+        EventTypeId(0),
+        (0..250).map(|i| vec![Value::Double(i as f64 / 8.0)]),
+    ))];
+    chunks.extend((0..4).map(|c| {
+        let reasons = (0..250).map(move |i| vec![Value::Str(REASONS[(i + c) % 5].into())]);
+        Arc::new(chunk_of(EventTypeId(1), reasons))
+    }));
+    // 1 000 joined rows: each bid with its request's four exclusions
+    let mut block = JoinedBlock::new(&plan, &chunks);
+    for j in 0..1_000u32 {
+        let bid = At {
+            chunk: 0,
+            row: j / 4,
+        };
+        let exclusion = At {
+            chunk: 1 + j % 4,
+            row: j / 4,
+        };
+        block.push([bid, exclusion]);
+    }
+    let view = &block;
+    let fetch = |row, slot| view.value(row, slot);
+    let column = |slot| view.column(slot).map(SlotColumn::Joined);
+    let mut src = FoldSource::new(group_by, aggregates, fetch, column);
+    let (allocated, table) = count_folds(&plan, &mut src, 1, 1_000);
+    assert_eq!(table.len(), 5);
+    let groups = table.into_sorted();
+    assert_eq!(groups.iter().map(|g| g.rows).sum::<u64>(), 2_000);
+    assert_eq!(
+        allocated, 0,
+        "allocations over 1000 gathered joined-row folds into existing groups"
+    );
 }

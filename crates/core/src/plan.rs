@@ -163,7 +163,8 @@ pub struct CentralPlan {
     /// Input streams (one per FROM type), with joined-row layout.
     pub inputs: Vec<CentralInput>,
     /// Cross-type selection that could not be pushed to hosts; evaluated
-    /// after the join.
+    /// after the join. Join plans only: a conjunct reaches central only
+    /// when it touches two inputs, so a one-input plan has none.
     pub residual: Option<ResolvedExpr>,
     /// Stream or aggregate output.
     pub mode: OutputMode,
@@ -1079,6 +1080,18 @@ mod tests {
         assert!(cq.central.residual.is_none());
         // cost needed for AVG; line_item_id only used in host predicate
         assert_eq!(hp.projection, vec![FieldSlot::User(1)]);
+        // whatever a one-input WHERE holds, all of it runs on the hosts:
+        // a residual exists only after a join
+        for predicate in [
+            "bid.user_id < bid.exchange_id",
+            "bid.bid_price > 1.5 or bid.city = 'lisbon'",
+            "1 = 1",
+            "bid.user_id != bid.exchange_id and not (bid.city is null or 2 > 3)",
+        ] {
+            let cq = compile_src(&format!("select COUNT(*) from bid where {predicate}")).unwrap();
+            assert!(cq.host_plans[0].predicate.is_some(), "{predicate}");
+            assert!(cq.central.residual.is_none(), "{predicate}");
+        }
     }
 
     #[test]
