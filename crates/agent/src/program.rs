@@ -26,26 +26,7 @@ use std::collections::HashMap;
 
 use scrub_core::event::FieldSlot;
 use scrub_core::expr::{BinOp, ResolvedExpr};
-use scrub_core::value::Value;
-
-/// What the index needs to know of one field of the event being logged.
-pub(crate) enum Probe<'a> {
-    /// Every numeric, boolean and datetime value, as the interpreter
-    /// compares them: through `as_f64()`.
-    Num(f64),
-    Str(&'a str),
-    /// Null, missing, list or nested: no atom holds.
-    Other,
-}
-
-impl<'a> Probe<'a> {
-    pub(crate) fn of(v: &'a Value) -> Self {
-        match v {
-            Value::Str(s) => Probe::Str(s),
-            v => v.as_f64().map_or(Probe::Other, Probe::Num),
-        }
-    }
-}
+use scrub_core::value::Scalar;
 
 /// `slot <cmp> literal`, canonicalised so equal tests of different
 /// spellings (`5 < x`, `x > 5.0`) are one atom.
@@ -92,10 +73,9 @@ impl Atom {
             (ResolvedExpr::Literal(v), ResolvedExpr::Input(s)) => (*s, flip(*op)?, v),
             _ => return None,
         };
-        let test = match (op, lit) {
-            (BinOp::Eq, Value::Str(s)) => Test::StrEq(s.clone()),
-            (_, lit) => {
-                let x = lit.as_f64()?;
+        let test = match (op, lit.scalar()) {
+            (BinOp::Eq, Scalar::Str(s)) => Test::StrEq(s.to_owned()),
+            (_, Scalar::Num(x)) => {
                 let key = order_key(x);
                 match op {
                     BinOp::Eq => Test::NumEq(x.to_bits()),
@@ -106,6 +86,7 @@ impl Atom {
                     _ => return None,
                 }
             }
+            _ => return None,
         };
         Some(Atom {
             slot: FieldSlot::of(slot, arity),
@@ -248,7 +229,7 @@ impl TapProgram {
     /// through `read`, mark the atoms that hold with `tick` (non-zero,
     /// different for every event), and note the subscriptions they trigger.
     #[inline]
-    pub(crate) fn probe<'v>(&mut self, tick: u64, read: impl Fn(FieldSlot) -> Probe<'v>) {
+    pub(crate) fn probe<'v>(&mut self, tick: u64, read: impl Fn(FieldSlot) -> Scalar<'v>) {
         let TapProgram {
             slots,
             marks,
@@ -264,12 +245,12 @@ impl TapProgram {
         };
         for ix in slots.iter() {
             match read(ix.slot) {
-                Probe::Str(s) => {
+                Scalar::Str(s) => {
                     if let Some(&atom) = ix.str_eq.get(s) {
                         hold(atom);
                     }
                 }
-                Probe::Num(x) => {
+                Scalar::Num(x) => {
                     if let Some(&atom) = ix.num_eq.get(&x.to_bits()) {
                         hold(atom);
                     }
@@ -279,7 +260,7 @@ impl TapProgram {
                     let n = ix.below.partition_point(|b| (b.key, b.flag) <= field);
                     ix.below[n..].iter().for_each(|b| hold(b.atom));
                 }
-                Probe::Other => {}
+                Scalar::Null | Scalar::Other(_) => {}
             }
         }
     }
@@ -353,6 +334,7 @@ fn index_atom(slots: &mut Vec<SlotIndex>, atom: &Atom, id: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scrub_core::value::Value;
 
     fn cmp(op: BinOp, slot: usize, lit: Value) -> ResolvedExpr {
         ResolvedExpr::Binary {
@@ -441,9 +423,9 @@ mod tests {
         assert_eq!(p.words(), 1);
         let run = |p: &mut TapProgram, tick: u64, country: &str, price: f64| -> Vec<usize> {
             p.probe(tick, |slot| match slot {
-                FieldSlot::User(0) => Probe::Str(country),
-                FieldSlot::User(1) => Probe::Num(price),
-                _ => Probe::Other,
+                FieldSlot::User(0) => Scalar::Str(country),
+                FieldSlot::User(1) => Scalar::Num(price),
+                _ => Scalar::Null,
             });
             let bits = p.take_candidates(0);
             (0..4)

@@ -25,12 +25,12 @@ use scrub_core::error::{ScrubError, ScrubResult};
 use scrub_core::event::{FieldSlot, RequestId, ToEvent};
 use scrub_core::plan::{HostPlan, QueryId};
 use scrub_core::schema::EventTypeId;
-use scrub_core::value::Value;
+use scrub_core::value::{Scalar, Value};
 use scrub_obs::trace::{should_trace, trace_threshold, SpanKind, TraceSpan, TRACE_SPAN_BUDGET};
 
 use crate::batch::EventBatch;
 use crate::cost::CostModel;
-use crate::program::{Probe, Selection, TapProgram};
+use crate::program::{Selection, TapProgram};
 use crate::stats::AgentStats;
 
 /// Maximum number of event types an agent supports (flags are a fixed
@@ -458,9 +458,9 @@ impl ScrubAgent {
 
         // selection, for every subscription of the type at once
         program.probe(tick, |slot| match slot {
-            FieldSlot::User(i) => values.get(i).map_or(Probe::Other, Probe::of),
-            FieldSlot::RequestId => Probe::Num(request_id.0 as i64 as f64),
-            FieldSlot::Timestamp => Probe::Num(timestamp_ms as f64),
+            FieldSlot::User(i) => values.get(i).map_or(Scalar::Null, Value::scalar),
+            FieldSlot::RequestId => Scalar::Num(request_id.0 as i64 as f64),
+            FieldSlot::Timestamp => Scalar::Num(timestamp_ms as f64),
         });
         // one field of the event, lent where the caller's tuple holds it
         let field = |slot: FieldSlot| -> Cow<'_, Value> {

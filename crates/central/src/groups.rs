@@ -653,7 +653,7 @@ where
     pub fn arg_f64(&self, j: usize, row: usize) -> Option<f64> {
         match &self.args[j] {
             Input::Star => Some(1.0),
-            Input::Column(col, _) => col_f64(col, row),
+            Input::Column(col, _) => col.scalar(row).num(),
             Input::Joined(col, ..) => col.f64(row),
             Input::Values(vs) => vs[row].as_f64(),
             Input::Expr(e) => e.eval_by(&|s| (self.fetch)(row, s)).as_f64(),
@@ -709,7 +709,7 @@ where
         for (j, arg) in self.args.iter().enumerate() {
             match arg {
                 Input::Star => each(rows, states, j, |_, s| s.update(None)),
-                Input::Column(col, _) => each(rows, states, j, |r, s| match col_f64(col, r) {
+                Input::Column(col, _) => each(rows, states, j, |r, s| match col.scalar(r).num() {
                     Some(x) if s.update_f64(x) => {}
                     _ => s.update(Some(&col.value_ref(r))),
                 }),
@@ -736,22 +736,6 @@ fn each(
 ) {
     for &(r, g) in rows {
         f(r as usize, &mut states[g as usize].aggs[j]);
-    }
-}
-
-/// `col.value_ref(row).as_f64()`, without building the value.
-pub(crate) fn col_f64(col: &Column, row: usize) -> Option<f64> {
-    if col.validity.as_ref().is_some_and(|v| !v[row]) {
-        return None;
-    }
-    match &col.data {
-        ColumnData::Double(v) => Some(v[row]),
-        ColumnData::Long(v) | ColumnData::DateTime(v) => Some(v[row] as f64),
-        ColumnData::Int(v) => Some(v[row] as f64),
-        ColumnData::Float(v) => Some(v[row] as f64),
-        ColumnData::Bool(v) => Some(if v[row] { 1.0 } else { 0.0 }),
-        ColumnData::Null | ColumnData::Str { .. } => None,
-        ColumnData::Mixed(v) => v[row].as_f64(),
     }
 }
 

@@ -50,7 +50,7 @@ use crate::encode::{get_string, get_value, get_varint, put_value, put_varint, un
 use crate::error::{ScrubError, ScrubResult};
 use crate::event::{Event, RequestId};
 use crate::schema::EventTypeId;
-use crate::value::Value;
+use crate::value::{Scalar, Value};
 
 /// Format byte of a columnar frame, after its leading `0x00`.
 pub const FORMAT_COLUMNAR: u8 = 2;
@@ -312,6 +312,26 @@ impl Column {
             ColumnData::Str { dict, idx } => return Cow::Borrowed(&dict[idx[i] as usize]),
             ColumnData::Mixed(v) => return Cow::Borrowed(&v[i]),
         })
+    }
+
+    /// `value_ref(i).scalar()`, without building the value. Always
+    /// inlined: the aggregate fold and the join kernels read it per row,
+    /// and a call returns the `Scalar` through memory.
+    #[inline(always)]
+    pub fn scalar(&self, i: usize) -> Scalar<'_> {
+        if self.validity.as_ref().is_some_and(|v| !v[i]) {
+            return Scalar::Null;
+        }
+        match &self.data {
+            ColumnData::Null => Scalar::Null,
+            ColumnData::Bool(v) => Scalar::Num(if v[i] { 1.0 } else { 0.0 }),
+            ColumnData::Int(v) => Scalar::Num(v[i] as f64),
+            ColumnData::Long(v) | ColumnData::DateTime(v) => Scalar::Num(v[i] as f64),
+            ColumnData::Float(v) => Scalar::Num(v[i] as f64),
+            ColumnData::Double(v) => Scalar::Num(v[i]),
+            ColumnData::Str { dict, idx } => dict[idx[i] as usize].scalar(),
+            ColumnData::Mixed(v) => v[i].scalar(),
+        }
     }
 
     /// True when row `i` is null.

@@ -89,6 +89,21 @@ impl BinOp {
         )
     }
 
+    /// Whether comparison `self` holds at `Less`, `Equal` and `Greater`
+    /// (index by `ordering as i8 + 1`): the one operator table, read by
+    /// the interpreter and ScrubCentral's join kernels alike.
+    pub fn truth(self) -> [bool; 3] {
+        match self {
+            BinOp::Eq => [false, true, false],
+            BinOp::Ne => [true, false, true],
+            BinOp::Lt => [true, false, false],
+            BinOp::Le => [true, true, false],
+            BinOp::Gt => [false, false, true],
+            BinOp::Ge => [false, true, true],
+            _ => unreachable!("{} is not a comparison", self.symbol()),
+        }
+    }
+
     /// Source-level spelling.
     pub fn symbol(self) -> &'static str {
         match self {
@@ -607,29 +622,8 @@ fn max_opt(a: Option<usize>, b: Option<usize>) -> Option<usize> {
 
 fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Value {
     if op.is_comparison() {
-        if l.is_null() || r.is_null() {
-            return Value::Bool(false);
-        }
-        // String comparisons compare strings; everything else numeric where
-        // possible, falling back to total order.
-        let ord = l.total_cmp(r);
-        let eq_comparable = match (l, r) {
-            (Value::Str(_), Value::Str(_)) => true,
-            _ => l.as_f64().is_some() && r.as_f64().is_some() || l.type_name() == r.type_name(),
-        };
-        if !eq_comparable {
-            return Value::Bool(false);
-        }
-        let b = match op {
-            BinOp::Eq => ord == std::cmp::Ordering::Equal,
-            BinOp::Ne => ord != std::cmp::Ordering::Equal,
-            BinOp::Lt => ord == std::cmp::Ordering::Less,
-            BinOp::Le => ord != std::cmp::Ordering::Greater,
-            BinOp::Gt => ord == std::cmp::Ordering::Greater,
-            BinOp::Ge => ord != std::cmp::Ordering::Less,
-            _ => unreachable!(),
-        };
-        return Value::Bool(b);
+        let ord = l.scalar().compare(r.scalar());
+        return Value::Bool(ord.is_some_and(|o| op.truth()[(o as i8 + 1) as usize]));
     }
     // arithmetic
     let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
@@ -887,6 +881,27 @@ mod tests {
     }
 
     #[test]
+    fn every_comparison_operator_over_less_equal_greater() {
+        // The interpreter and the join kernels share `BinOp::truth`, so no
+        // differential test catches a wrong entry: spell out all six.
+        let cases = [
+            (BinOp::Eq, [false, true, false]),
+            (BinOp::Ne, [true, false, true]),
+            (BinOp::Lt, [true, false, false]),
+            (BinOp::Le, [true, true, false]),
+            (BinOp::Gt, [false, false, true]),
+            (BinOp::Ge, [false, true, true]),
+        ];
+        for (op, want) in cases {
+            for ((l, r), want) in [(1i64, 2i64), (2, 2), (2, 1)].into_iter().zip(want) {
+                let e = bin(op, lit(l), lit(r));
+                let got = resolve_simple(&e, &[]).eval_both(&[]);
+                assert_eq!(got, Value::Bool(want), "{l} {} {r}", op.symbol());
+            }
+        }
+    }
+
+    #[test]
     fn null_comparisons_are_false() {
         let e = Expr::Binary {
             op: BinOp::Eq,
@@ -951,6 +966,19 @@ mod tests {
             negated: true,
         };
         assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Bool(true));
+        // a null operand is false before negation: NOT IN is false too
+        let e = Expr::InList {
+            expr: Box::new(Expr::Literal(Value::Null)),
+            list: vec![Value::Long(1), Value::Long(3)],
+            negated: false,
+        };
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Bool(false));
+        let e = Expr::InList {
+            expr: Box::new(Expr::Literal(Value::Null)),
+            list: vec![Value::Long(1)],
+            negated: true,
+        };
+        assert_eq!(resolve_simple(&e, &[]).eval_both(&[]), Value::Bool(false));
     }
 
     #[test]

@@ -65,13 +65,6 @@ pub struct HostPlan {
     pub est_selectivity: f64,
 }
 
-impl HostPlan {
-    /// Slot index of the `timestamp` pseudo-field under this plan's layout.
-    pub fn timestamp_slot(&self) -> usize {
-        self.arity + 1
-    }
-}
-
 /// One input stream of the central plan and where its fields land in the
 /// joined row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1292,7 +1285,7 @@ mod tests {
         let hp = &cq.host_plans[0];
         let pred = hp.predicate.as_ref().unwrap();
         // slot index arity+1 is timestamp
-        assert_eq!(pred.max_slot(), Some(hp.timestamp_slot()));
+        assert_eq!(pred.max_slot(), Some(hp.arity + 1));
     }
 
     #[test]

@@ -43,12 +43,6 @@ impl AggFn {
             AggFn::CountDistinct => "COUNT_DISTINCT".into(),
         }
     }
-
-    /// True if the aggregate is probabilistic (sketch-backed) rather than
-    /// exact.
-    pub fn is_probabilistic(&self) -> bool {
-        matches!(self, AggFn::TopK(_) | AggFn::CountDistinct)
-    }
 }
 
 /// One item of the SELECT list.
@@ -287,9 +281,6 @@ mod tests {
     #[test]
     fn agg_fn_names_and_kinds() {
         assert_eq!(AggFn::TopK(5).name(), "TOP5");
-        assert!(AggFn::TopK(5).is_probabilistic());
-        assert!(AggFn::CountDistinct.is_probabilistic());
-        assert!(!AggFn::Sum.is_probabilistic());
     }
 
     #[test]

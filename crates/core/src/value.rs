@@ -171,6 +171,16 @@ impl Value {
         self.total_cmp(other) == Ordering::Equal
     }
 
+    /// The value as comparisons read it; numbers through [`Value::as_f64`].
+    #[inline]
+    pub fn scalar(&self) -> Scalar<'_> {
+        match self {
+            Value::Null => Scalar::Null,
+            Value::Str(s) => Scalar::Str(s),
+            v => v.as_f64().map_or(Scalar::Other(v), Scalar::Num),
+        }
+    }
+
     /// A canonical group-by key encoding for this value.
     ///
     /// Group-by and join keys need `Hash + Eq`; floats make that awkward, so
@@ -209,6 +219,52 @@ pub enum GroupKey {
     List(Vec<GroupKey>),
     /// Nested-object key (field name, value key pairs in declared order).
     Map(Vec<(String, GroupKey)>),
+}
+
+/// A value as a comparison sees it, read without building a [`Value`]
+/// ([`Value::scalar`], [`Column::scalar`](crate::columnar::Column::scalar)).
+///
+/// The interpreter, the tap's predicate index and ScrubCentral's join
+/// kernels all decide `= != < <= > >=` through [`Scalar::compare`] and
+/// [`BinOp::truth`](crate::expr::BinOp::truth), so the hosts and central
+/// agree on every comparison of a split WHERE clause.
+#[derive(Debug, Clone, Copy)]
+pub enum Scalar<'a> {
+    /// Null or missing: compares with nothing.
+    Null,
+    /// Every numeric, boolean and datetime value, as its `as_f64`.
+    Num(f64),
+    Str(&'a str),
+    /// A list or a nested object.
+    Other(&'a Value),
+}
+
+impl Scalar<'_> {
+    /// The number, if this is one.
+    #[inline]
+    pub fn num(self) -> Option<f64> {
+        match self {
+            Scalar::Num(x) => Some(x),
+            _ => None,
+        }
+    }
+
+    /// The one comparability and order rule: two numbers compare by
+    /// `f64::total_cmp`, two strings by bytes, two lists or two nested
+    /// objects by [`Value::total_cmp`]. A `Null`, or values of different
+    /// kinds, do not compare (`None`), and every comparison of them is
+    /// false.
+    #[inline]
+    pub fn compare(self, other: Scalar<'_>) -> Option<Ordering> {
+        match (self, other) {
+            (Scalar::Num(x), Scalar::Num(y)) => Some(x.total_cmp(&y)),
+            (Scalar::Str(x), Scalar::Str(y)) => Some(x.cmp(y)),
+            (Scalar::Other(x), Scalar::Other(y)) if x.type_name() == y.type_name() => {
+                Some(x.total_cmp(y))
+            }
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for Value {

@@ -1,6 +1,8 @@
 //! Property-based tests of scrub-core invariants: the wire codec, the
 //! value ordering, the lexer/parser's totality, and planner determinism.
 
+use std::cmp::Ordering;
+
 use proptest::prelude::*;
 
 use scrub_core::columnar::{ChunkBuilder, ColumnarFrame, FORMAT_COLUMNAR};
@@ -8,6 +10,7 @@ use scrub_core::event::{Event, RequestId};
 use scrub_core::plan::{compile, QueryId};
 use scrub_core::prelude::*;
 use scrub_core::ql::lexer::lex;
+use scrub_core::value::Scalar;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
@@ -49,6 +52,17 @@ fn assert_same_events(a: &[Event], b: &[Event]) {
         for (v, w) in x.values.iter().zip(&y.values) {
             assert_eq!(v.group_key(), w.group_key());
         }
+    }
+}
+
+/// The same scalar, bit for bit (NaN included).
+fn same_scalar(a: Scalar<'_>, b: Scalar<'_>) -> bool {
+    match (a, b) {
+        (Scalar::Null, Scalar::Null) => true,
+        (Scalar::Num(x), Scalar::Num(y)) => x.to_bits() == y.to_bits(),
+        (Scalar::Str(x), Scalar::Str(y)) => x == y,
+        (Scalar::Other(x), Scalar::Other(y)) => x.group_key() == y.group_key(),
+        _ => false,
     }
 }
 
@@ -101,6 +115,8 @@ proptest! {
                         col.value_at(i).group_key(),
                         ev.values[j].group_key()
                     );
+                    let v = col.value_ref(i);
+                    prop_assert!(same_scalar(col.scalar(i), v.scalar()), "{:?}", v);
                 }
                 idx += 1;
             }
@@ -177,7 +193,6 @@ proptest! {
     /// total_cmp is antisymmetric and transitive (a genuine total order).
     #[test]
     fn value_order_is_total(a in arb_value(), b in arb_value(), c in arb_value()) {
-        use std::cmp::Ordering;
         prop_assert_eq!(a.total_cmp(&b), b.total_cmp(&a).reverse());
         if a.total_cmp(&b) != Ordering::Greater && b.total_cmp(&c) != Ordering::Greater {
             prop_assert_ne!(a.total_cmp(&c), Ordering::Greater);
@@ -192,7 +207,7 @@ proptest! {
         if a.group_key() == b.group_key() {
             // NaN is the one value not loose-equal to itself by IEEE, but
             // total_cmp treats it consistently
-            prop_assert_eq!(a.total_cmp(&b), std::cmp::Ordering::Equal);
+            prop_assert_eq!(a.total_cmp(&b), Ordering::Equal);
         }
     }
 
@@ -225,6 +240,30 @@ proptest! {
                 let _ = compile(&q, &reg, &ScrubConfig::default(), QueryId(1));
             }
         }
+    }
+}
+
+proptest! {
+    // a pair of one kind is rare in arbitrary values: draw many
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `Scalar::compare`, the one comparability and order rule, is
+    /// antisymmetric, orders as the total order wherever it answers, and
+    /// answers exactly when neither value is null and both are of one
+    /// kind: numbers, strings, or lists or nested objects of one type.
+    #[test]
+    fn scalar_compare_is_the_total_order_within_a_kind(a in arb_value(), b in arb_value()) {
+        let ab = a.scalar().compare(b.scalar());
+        prop_assert_eq!(ab, b.scalar().compare(a.scalar()).map(Ordering::reverse));
+        if let Some(o) = ab {
+            prop_assert_eq!(o, a.total_cmp(&b));
+        }
+        let kind = |v: &Value| match v {
+            Value::Null => None,
+            v if v.as_f64().is_some() => Some("number"),
+            v => Some(v.type_name()),
+        };
+        prop_assert_eq!(ab.is_some(), kind(&a).is_some() && kind(&a) == kind(&b));
     }
 }
 

@@ -110,14 +110,7 @@ pub fn deploy_server<E: ScrubEnvelope>(
     central: NodeId,
     server_dc: &str,
 ) -> ScrubDeployment {
-    let inventory = inventory_from_sim(sim);
-    let mut node = QueryServerNode::<E>::new(schema_registry, config, central, inventory);
-    node.set_meta_inventory(meta_inventory_from_sim(sim));
-    let server = sim.add_node(
-        NodeMeta::new("scrub-server", SCRUB_SERVER_SERVICE, server_dc),
-        Box::new(node),
-    );
-    ScrubDeployment { server, central }
+    deploy_server_clustered(sim, schema_registry, config, vec![central], server_dc)
 }
 
 /// Add the query server over a ScrubCentral cluster. Call after the

@@ -173,17 +173,8 @@ pub struct QueryServerNode<E: ScrubEnvelope> {
 }
 
 impl<E: ScrubEnvelope> QueryServerNode<E> {
-    /// Create a server over the given application-host inventory.
-    pub fn new(
-        schema_registry: Arc<SchemaRegistry>,
-        config: ScrubConfig,
-        central: NodeId,
-        inventory: Vec<(NodeId, HostInfo)>,
-    ) -> Self {
-        Self::with_centrals(schema_registry, config, vec![central], inventory)
-    }
-
-    /// Create a server over a ScrubCentral *cluster*: each accepted query
+    /// Create a server over the given application-host inventory and
+    /// ScrubCentral *cluster* (one node or more): each accepted query
     /// is assigned one central node (round-robin by query id), keeping all
     /// of a query's join/group-by state on one node while spreading query
     /// load across the cluster.

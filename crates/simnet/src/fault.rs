@@ -263,15 +263,6 @@ impl FaultPlan {
         self
     }
 
-    /// True when the plan can never inject anything (no rules at all, or
-    /// only zero-probability drop rules).
-    pub fn is_inert(&self) -> bool {
-        self.drops.iter().all(|d| d.p == 0.0)
-            && self.partitions.is_empty()
-            && self.jitters.is_empty()
-            && self.crashes.is_empty()
-    }
-
     /// Is `host` down at `now` under this plan?
     pub fn host_down(&self, host: &str, now: SimTime) -> bool {
         self.crashes.iter().any(|c| c.host == host && c.down(now))
@@ -433,7 +424,6 @@ mod tests {
             0,
             1_000,
         );
-        assert!(!with_rule.is_inert());
         let (mut a, mut b) = (FaultState::new(with_rule), FaultState::new(bare));
         let m1 = meta("x", "S", "DC1");
         let m2 = meta("y", "S", "DC1");
@@ -489,18 +479,6 @@ mod tests {
         assert!(!plan.host_down("h1", SimTime::from_ms(300)));
         assert!(plan.host_down("h2", SimTime::from_secs(3600)));
         assert!(!plan.host_down("h3", SimTime::from_ms(100)));
-    }
-
-    #[test]
-    fn inert_plan_detection() {
-        assert!(FaultPlan::new(9).is_inert());
-        assert!(FaultPlan::new(9)
-            .drop(NodeSel::Any, NodeSel::Any, 0.0)
-            .is_inert());
-        assert!(!FaultPlan::new(9)
-            .drop(NodeSel::Any, NodeSel::Any, 0.01)
-            .is_inert());
-        assert!(!FaultPlan::new(9).crash("h", SimTime::ZERO, None).is_inert());
     }
 
     #[test]

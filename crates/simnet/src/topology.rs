@@ -4,8 +4,9 @@
 //! Scrub deployments span "thousands of machines in many data centers
 //! across the globe" (§4); what matters for the experiments is (a) how much
 //! data leaves the application hosts and (b) how long it takes to reach
-//! ScrubCentral — so the model is per-DC-pair latency plus a serialization
-//! delay from message size and link bandwidth, with byte counters per link.
+//! ScrubCentral — so the model is a latency by distance (same host, same
+//! DC, or across DCs) plus a serialization delay from message size and link
+//! bandwidth, with byte counters per link.
 
 use std::collections::HashMap;
 
@@ -20,10 +21,8 @@ pub struct Topology {
     pub loopback_us: i64,
     /// One-way latency between hosts in the same data center.
     pub intra_dc_us: i64,
-    /// Default one-way latency between different data centers.
+    /// One-way latency between different data centers.
     pub inter_dc_us: i64,
-    /// Overrides for specific (from, to) DC pairs.
-    pub pair_us: HashMap<(String, String), i64>,
     /// Bandwidth per host NIC, bytes per microsecond (e.g. 1.25 = 10 Gb/s).
     pub bandwidth_bytes_per_us: f64,
 }
@@ -33,20 +32,13 @@ impl Default for Topology {
         Topology {
             loopback_us: 10,
             intra_dc_us: 250,
-            inter_dc_us: 60_000, // cross-continental: 60 ms one-way
-            pair_us: HashMap::new(),
+            inter_dc_us: 60_000,          // cross-continental: 60 ms one-way
             bandwidth_bytes_per_us: 1.25, // 10 Gb/s
         }
     }
 }
 
 impl Topology {
-    /// Set an explicit latency for a DC pair (both directions).
-    pub fn set_pair_latency(&mut self, a: &str, b: &str, us: i64) {
-        self.pair_us.insert((a.to_string(), b.to_string()), us);
-        self.pair_us.insert((b.to_string(), a.to_string()), us);
-    }
-
     /// One-way delivery delay for a message of `bytes` from `from_dc` to
     /// `to_dc` (`same_host` short-circuits to loopback).
     pub fn delay(&self, from_dc: &str, to_dc: &str, same_host: bool, bytes: usize) -> SimDuration {
@@ -55,10 +47,7 @@ impl Topology {
         } else if from_dc == to_dc {
             self.intra_dc_us
         } else {
-            *self
-                .pair_us
-                .get(&(from_dc.to_string(), to_dc.to_string()))
-                .unwrap_or(&self.inter_dc_us)
+            self.inter_dc_us
         };
         let transmit = (bytes as f64 / self.bandwidth_bytes_per_us).ceil() as i64;
         SimDuration(base + transmit)
@@ -143,15 +132,6 @@ mod tests {
         let small = t.delay("DC1", "DC2", false, 100);
         let big = t.delay("DC1", "DC2", false, 1_250_000); // 1.25 MB at 10Gb/s = 1ms
         assert_eq!(big.as_us() - small.as_us(), 1_000_000 - 80);
-    }
-
-    #[test]
-    fn pair_override() {
-        let mut t = Topology::default();
-        t.set_pair_latency("DC1", "DC3", 5_000);
-        assert_eq!(t.delay("DC1", "DC3", false, 0).as_us(), 5_000);
-        assert_eq!(t.delay("DC3", "DC1", false, 0).as_us(), 5_000);
-        assert_eq!(t.delay("DC1", "DC2", false, 0).as_us(), 60_000);
     }
 
     #[test]
