@@ -712,26 +712,32 @@ fn stream() -> impl Strategy<Value = Vec<EventSpec>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
+    #[test]
     fn plain(specs in subs(), events in stream()) {
         check(&specs, &events, Scenario::default());
     }
 
+    #[test]
     fn with_event_sampling(specs in subs(), events in stream()) {
         check(&specs, &events, Scenario { sampling: true, ..Default::default() });
     }
 
+    #[test]
     fn with_a_tiny_shed_budget(specs in subs(), events in stream()) {
         check(&specs, &events, Scenario { tiny_shed_budget: true, ..Default::default() });
     }
 
+    #[test]
     fn with_the_host_budget_enforced(specs in subs(), events in stream()) {
         check(&specs, &events, Scenario { enforce_host_budget: true, ..Default::default() });
     }
 
+    #[test]
     fn with_installs_and_removes_mid_stream(specs in subs(), events in stream()) {
         check(&specs, &events, Scenario { churn: true, ..Default::default() });
     }
 
+    #[test]
     fn with_everything_at_once(specs in subs(), events in stream()) {
         check(&specs, &events, Scenario {
             sampling: true,

@@ -127,6 +127,7 @@ fn check(ops: &[Op]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    #[test]
     fn no_batch_holds_an_event_below_an_earlier_watermark(
         ops in prop::collection::vec(op(), 1..120)
     ) {

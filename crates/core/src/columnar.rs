@@ -43,10 +43,11 @@
 use std::borrow::{Borrow, Cow};
 use std::hash::{BuildHasher, RandomState};
 
-use bytes::{Buf, BufMut, Bytes};
 use serde::{Deserialize, Serialize};
 
-use crate::encode::{get_string, get_value, get_varint, put_value, put_varint, unzigzag, zigzag};
+use crate::encode::{
+    get_string, get_u8, get_value, get_varint, put_value, put_varint, take, unzigzag, zigzag,
+};
 use crate::error::{ScrubError, ScrubResult};
 use crate::event::{Event, RequestId};
 use crate::schema::EventTypeId;
@@ -189,7 +190,8 @@ fn put_frame_head(out: &mut Vec<u8>, total: usize) {
     put_varint(out, total as u64);
 }
 
-fn strip_header(frame: &[u8]) -> ScrubResult<Bytes> {
+/// The body of a columnar frame, borrowed from it.
+fn strip_header(frame: &[u8]) -> ScrubResult<&[u8]> {
     let retired = |what: &str| {
         ScrubError::Decode(format!(
             "{what} uses the retired row wire format; only columnar frames \
@@ -197,7 +199,7 @@ fn strip_header(frame: &[u8]) -> ScrubResult<Bytes> {
         ))
     };
     match frame {
-        [0x00, FORMAT_COLUMNAR, body @ ..] => Ok(Bytes::copy_from_slice(body)),
+        [0x00, FORMAT_COLUMNAR, body @ ..] => Ok(body),
         [0x00, RETIRED_ROW_FORMAT, ..] => Err(retired("a format-1 row frame")),
         [0x00, other, ..] => Err(ScrubError::Decode(format!("unknown wire format {other}"))),
         [] => Err(ScrubError::Decode("empty frame".into())),
@@ -564,8 +566,16 @@ impl ColumnBuilder {
                     body[start + i / 8] |= (*w as u8) << (i % 8);
                 }
             }
-            COL_FLOAT => self.words.iter().for_each(|w| body.put_u32(*w as u32)),
-            COL_DOUBLE => self.words.iter().for_each(|w| body.put_u64(*w)),
+            COL_FLOAT => {
+                for w in &self.words {
+                    body.extend_from_slice(&(*w as u32).to_be_bytes());
+                }
+            }
+            COL_DOUBLE => {
+                for w in &self.words {
+                    body.extend_from_slice(&w.to_be_bytes());
+                }
+            }
             COL_STR => {
                 put_varint(body, self.dict.len() as u64);
                 for s in self.dict.strings() {
@@ -678,14 +688,14 @@ impl StrDict {
 /// Decode a columnar frame *body* (header already stripped). Total in the
 /// face of arbitrary bytes: every length is validated against the buffer
 /// before allocation.
-fn decode_columnar_body(mut buf: Bytes) -> ScrubResult<ColumnarBatch> {
+fn decode_columnar_body(mut buf: &[u8]) -> ScrubResult<ColumnarBatch> {
     let total = get_varint(&mut buf)? as usize;
     if total > MAX_BATCH_EVENTS {
         return Err(ScrubError::Decode("implausible batch size".into()));
     }
     let mut chunks = Vec::new();
     let mut seen = 0usize;
-    while buf.has_remaining() {
+    while !buf.is_empty() {
         let type_id = EventTypeId(get_varint(&mut buf)? as u32);
         let arity = get_varint(&mut buf)? as usize;
         if arity > 1 << 16 {
@@ -695,7 +705,7 @@ fn decode_columnar_body(mut buf: Bytes) -> ScrubResult<ColumnarBatch> {
         if n == 0 || n > total - seen {
             return Err(ScrubError::Decode("bad chunk length".into()));
         }
-        if n > buf.remaining() {
+        if n > buf.len() {
             return Err(ScrubError::Decode("chunk length exceeds buffer".into()));
         }
         let mut request_ids = Vec::with_capacity(n);
@@ -726,12 +736,9 @@ fn decode_columnar_body(mut buf: Bytes) -> ScrubResult<ColumnarBatch> {
     Ok(ColumnarBatch { chunks })
 }
 
-fn get_bitmap(buf: &mut Bytes, n: usize) -> ScrubResult<Vec<bool>> {
-    let nbytes = n.div_ceil(8);
-    if buf.remaining() < nbytes {
-        return Err(ScrubError::Decode("truncated bitmap".into()));
-    }
-    let raw = buf.split_to(nbytes);
+fn get_bitmap(buf: &mut &[u8], n: usize) -> ScrubResult<Vec<bool>> {
+    let raw =
+        take(buf, n.div_ceil(8)).ok_or_else(|| ScrubError::Decode("truncated bitmap".into()))?;
     Ok((0..n).map(|i| raw[i / 8] & (1 << (i % 8)) != 0).collect())
 }
 
@@ -768,16 +775,17 @@ fn expand<T: Clone>(
     }
 }
 
-fn decode_column(buf: &mut Bytes, n: usize) -> ScrubResult<Column> {
-    if !buf.has_remaining() {
-        return Err(ScrubError::Decode("truncated column tag".into()));
-    }
-    let tag = buf.get_u8();
+/// A column's tag and its body, borrowed from `buf`.
+fn column_head<'a>(buf: &mut &'a [u8]) -> ScrubResult<(u8, &'a [u8])> {
+    let tag = get_u8(buf).ok_or_else(|| ScrubError::Decode("truncated column tag".into()))?;
     let body_len = get_varint(buf)? as usize;
-    if buf.remaining() < body_len {
-        return Err(ScrubError::Decode("truncated column body".into()));
-    }
-    let mut body = buf.split_to(body_len);
+    let body =
+        take(buf, body_len).ok_or_else(|| ScrubError::Decode("truncated column body".into()))?;
+    Ok((tag, body))
+}
+
+fn decode_column(buf: &mut &[u8], n: usize) -> ScrubResult<Column> {
+    let (tag, mut body) = column_head(buf)?;
     let base = tag & !COL_NULLABLE;
     let validity = if tag & COL_NULLABLE != 0 {
         if base == COL_NULL || base == COL_MIXED {
@@ -802,14 +810,14 @@ fn decode_column(buf: &mut Bytes, n: usize) -> ScrubResult<Column> {
             false,
         )?),
         COL_INT => {
-            let mut vs = Vec::with_capacity(m.min(body.remaining()));
+            let mut vs = Vec::with_capacity(m.min(body.len()));
             for _ in 0..m {
                 vs.push(unzigzag(get_varint(&mut body)?) as i32);
             }
             ColumnData::Int(expand(vs, validity.as_ref(), n, 0)?)
         }
         COL_LONG | COL_DATETIME => {
-            let mut vs = Vec::with_capacity(m.min(body.remaining()));
+            let mut vs = Vec::with_capacity(m.min(body.len()));
             for _ in 0..m {
                 vs.push(unzigzag(get_varint(&mut body)?));
             }
@@ -821,22 +829,22 @@ fn decode_column(buf: &mut Bytes, n: usize) -> ScrubResult<Column> {
             }
         }
         COL_FLOAT => {
-            if body.remaining() < m * 4 {
-                return Err(ScrubError::Decode("truncated float column".into()));
-            }
-            let vs = (0..m).map(|_| body.get_f32()).collect();
+            let raw = take(&mut body, m * 4)
+                .ok_or_else(|| ScrubError::Decode("truncated float column".into()))?;
+            let (words, _) = raw.as_chunks();
+            let vs = words.iter().map(|b| f32::from_be_bytes(*b)).collect();
             ColumnData::Float(expand(vs, validity.as_ref(), n, 0.0)?)
         }
         COL_DOUBLE => {
-            if body.remaining() < m * 8 {
-                return Err(ScrubError::Decode("truncated double column".into()));
-            }
-            let vs = (0..m).map(|_| body.get_f64()).collect();
+            let raw = take(&mut body, m * 8)
+                .ok_or_else(|| ScrubError::Decode("truncated double column".into()))?;
+            let (words, _) = raw.as_chunks();
+            let vs = words.iter().map(|b| f64::from_be_bytes(*b)).collect();
             ColumnData::Double(expand(vs, validity.as_ref(), n, 0.0)?)
         }
         COL_STR => {
             let dict_len = get_varint(&mut body)? as usize;
-            if dict_len > body.remaining() + 1 {
+            if dict_len > body.len() + 1 {
                 return Err(ScrubError::Decode("implausible dictionary size".into()));
             }
             if m > 0 && dict_len == 0 {
@@ -848,7 +856,7 @@ fn decode_column(buf: &mut Bytes, n: usize) -> ScrubResult<Column> {
             for _ in 0..dict_len {
                 dict.push(Value::Str(get_string(&mut body)?));
             }
-            let mut idx = Vec::with_capacity(m.min(body.remaining()));
+            let mut idx = Vec::with_capacity(m.min(body.len()));
             for _ in 0..m {
                 let id = get_varint(&mut body)?;
                 if id as usize >= dict_len {
@@ -862,7 +870,7 @@ fn decode_column(buf: &mut Bytes, n: usize) -> ScrubResult<Column> {
             }
         }
         COL_MIXED => {
-            let mut vs = Vec::with_capacity(n.min(body.remaining() + 1));
+            let mut vs = Vec::with_capacity(n.min(body.len() + 1));
             for _ in 0..n {
                 vs.push(get_value(&mut body, 0)?);
             }
@@ -872,49 +880,41 @@ fn decode_column(buf: &mut Bytes, n: usize) -> ScrubResult<Column> {
             return Err(ScrubError::Decode(format!("unknown column tag {other}")));
         }
     };
-    if body.has_remaining() {
+    if !body.is_empty() {
         return Err(ScrubError::Decode("trailing bytes in column body".into()));
     }
     Ok(Column { validity, data })
 }
 
 /// Visit `(request_id, timestamp)` per event without decoding columns
-/// (their length prefixes let us skip the bodies entirely).
-fn scan_meta(mut buf: Bytes, f: &mut dyn FnMut(u64, i64)) -> ScrubResult<()> {
+/// (their length prefixes let us skip the bodies entirely). A chunk's
+/// request-id run is read with a second cursor, in lockstep with its
+/// timestamp run, so the scan allocates nothing.
+fn scan_meta(mut buf: &[u8], f: &mut dyn FnMut(u64, i64)) -> ScrubResult<()> {
     let total = get_varint(&mut buf)? as usize;
     if total > MAX_BATCH_EVENTS {
         return Err(ScrubError::Decode("implausible batch size".into()));
     }
-    let mut rids = Vec::new();
     let mut seen = 0usize;
-    while buf.has_remaining() {
+    while !buf.is_empty() {
         let _type_id = get_varint(&mut buf)?;
         let arity = get_varint(&mut buf)? as usize;
         if arity > 1 << 16 {
             return Err(ScrubError::Decode("implausible event arity".into()));
         }
         let n = get_varint(&mut buf)? as usize;
-        if n == 0 || n > total - seen || n > buf.remaining() {
+        if n == 0 || n > total - seen || n > buf.len() {
             return Err(ScrubError::Decode("bad chunk length".into()));
         }
-        rids.clear();
-        rids.reserve(n);
+        let mut rids = buf;
         for _ in 0..n {
-            rids.push(get_varint(&mut buf)?);
+            get_varint(&mut buf)?;
         }
-        for rid in rids.iter().take(n) {
-            f(*rid, unzigzag(get_varint(&mut buf)?));
+        for _ in 0..n {
+            f(get_varint(&mut rids)?, unzigzag(get_varint(&mut buf)?));
         }
         for _ in 0..arity {
-            if !buf.has_remaining() {
-                return Err(ScrubError::Decode("truncated column tag".into()));
-            }
-            let _tag = buf.get_u8();
-            let body_len = get_varint(&mut buf)? as usize;
-            if buf.remaining() < body_len {
-                return Err(ScrubError::Decode("truncated column body".into()));
-            }
-            buf.advance(body_len);
+            column_head(&mut buf)?;
         }
         seen += n;
     }
@@ -1215,9 +1215,8 @@ mod tests {
         let events = vec![ev(0, 1, 2, vec![Value::Long(3), Value::Str("abc".into())])];
         let frame = ColumnarFrame::from_events(&events);
         for cut in 2..frame.bytes.len() {
-            let partial = Bytes::copy_from_slice(&frame.bytes[2..cut]);
             assert!(
-                decode_columnar_body(partial).is_err(),
+                decode_columnar_body(&frame.bytes[2..cut]).is_err(),
                 "prefix {cut} decoded"
             );
         }
@@ -1225,8 +1224,7 @@ mod tests {
         let mut mutated = frame.bytes.clone();
         let last = mutated.len() - 1;
         mutated[last] = 0x7f;
-        let body = Bytes::copy_from_slice(&mutated[2..]);
-        assert!(decode_columnar_body(body).is_err());
+        assert!(decode_columnar_body(&mutated[2..]).is_err());
     }
 
     #[test]
@@ -1257,5 +1255,220 @@ mod tests {
             assert!(err.to_string().contains("retired row wire format"), "{err}");
             assert!(frame.for_each_meta(|_, _| {}).is_err());
         }
+    }
+}
+
+/// One test per validation of the decoder: each hostile body below is the
+/// smallest that reaches its check, and the message it must produce.
+#[cfg(test)]
+mod hostile {
+    use super::*;
+
+    fn decode_err(body: &[u8]) -> String {
+        decode_columnar_body(body).unwrap_err().to_string()
+    }
+
+    fn scan_err(body: &[u8]) -> String {
+        scan_meta(body, &mut |_, _| {}).unwrap_err().to_string()
+    }
+
+    /// A one-chunk body of `n` rows (request id 1, timestamp 0) and a
+    /// single column with the given tag and body.
+    fn one_column(n: usize, tag: u8, col: &[u8]) -> Vec<u8> {
+        let mut body = vec![n as u8, 0, 1, n as u8];
+        body.extend(std::iter::repeat_n(1u8, n));
+        body.extend(std::iter::repeat_n(0u8, n));
+        body.push(tag);
+        put_varint(&mut body, col.len() as u64);
+        body.extend_from_slice(col);
+        body
+    }
+
+    #[test]
+    fn an_empty_frame_is_an_error() {
+        let frame = ColumnarFrame {
+            bytes: Vec::new(),
+            ..ColumnarFrame::from_events(&[])
+        };
+        assert!(frame
+            .decode()
+            .unwrap_err()
+            .to_string()
+            .contains("empty frame"));
+        let err = frame.for_each_meta(|_, _| {}).unwrap_err().to_string();
+        assert!(err.contains("empty frame"), "{err}");
+    }
+
+    #[test]
+    fn an_implausible_batch_size_is_refused_before_any_chunk() {
+        let mut body = Vec::new();
+        put_varint(&mut body, MAX_BATCH_EVENTS as u64 + 1);
+        assert!(decode_err(&body).contains("implausible batch size"));
+        assert!(scan_err(&body).contains("implausible batch size"));
+    }
+
+    #[test]
+    fn an_implausible_arity_is_refused() {
+        let mut body = vec![1, 0];
+        put_varint(&mut body, (1 << 16) + 1);
+        body.extend_from_slice(&[1, 1, 0]);
+        assert!(decode_err(&body).contains("implausible event arity"));
+        assert!(scan_err(&body).contains("implausible event arity"));
+    }
+
+    #[test]
+    fn a_chunk_of_zero_rows_is_a_bad_length() {
+        let body = [1, 0, 0, 0];
+        assert!(decode_err(&body).contains("bad chunk length"));
+        assert!(scan_err(&body).contains("bad chunk length"));
+    }
+
+    #[test]
+    fn a_chunk_past_the_frame_total_is_a_bad_length() {
+        let body = [1, 0, 0, 2, 1, 1, 0, 0];
+        assert!(decode_err(&body).contains("bad chunk length"));
+        assert!(scan_err(&body).contains("bad chunk length"));
+    }
+
+    /// A row count larger than the bytes left is refused before its id
+    /// and timestamp runs are allocated; the meta scan folds this case
+    /// into its bad-length check.
+    #[test]
+    fn a_chunk_longer_than_the_buffer_is_refused_up_front() {
+        let body = [3, 0, 0, 3, 1];
+        assert!(decode_err(&body).contains("chunk length exceeds buffer"));
+        assert!(scan_err(&body).contains("bad chunk length"));
+    }
+
+    #[test]
+    fn chunks_must_add_up_to_the_frame_total() {
+        let body = [2, 0, 0, 1, 1, 0];
+        assert!(decode_err(&body).contains("chunk counts disagree with total"));
+        assert!(scan_err(&body).contains("chunk counts disagree with total"));
+    }
+
+    #[test]
+    fn a_missing_column_is_a_truncated_tag() {
+        let body = [1, 0, 1, 1, 1, 0];
+        assert!(decode_err(&body).contains("truncated column tag"));
+        assert!(scan_err(&body).contains("truncated column tag"));
+    }
+
+    #[test]
+    fn a_column_body_past_the_buffer_is_truncated() {
+        let body = [1, 0, 1, 1, 1, 0, COL_LONG, 5, 0];
+        assert!(decode_err(&body).contains("truncated column body"));
+        assert!(scan_err(&body).contains("truncated column body"));
+    }
+
+    /// The meta scan steps over column bodies by their length prefix, so
+    /// a body the decoder refuses still yields the rows' metadata.
+    #[test]
+    fn the_meta_scan_never_reads_a_column_body() {
+        let body = one_column(2, 0x7f, &[0xde, 0xad]);
+        assert!(decode_err(&body).contains("unknown column tag 127"));
+        let mut meta = Vec::new();
+        scan_meta(&body, &mut |rid, ts| meta.push((rid, ts))).unwrap();
+        assert_eq!(meta, [(1, 0), (1, 0)]);
+    }
+
+    #[test]
+    fn null_and_mixed_columns_take_no_nullable_flag() {
+        for base in [COL_NULL, COL_MIXED] {
+            let err = decode_err(&one_column(1, base | COL_NULLABLE, &[1]));
+            assert!(err.contains("nullable flag on null/mixed column"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_missing_validity_bitmap_is_truncated() {
+        let err = decode_err(&one_column(1, COL_LONG | COL_NULLABLE, &[]));
+        assert!(err.contains("truncated bitmap"), "{err}");
+    }
+
+    #[test]
+    fn a_short_varint_column_is_a_truncated_varint() {
+        let err = decode_err(&one_column(1, COL_LONG, &[0x80]));
+        assert!(err.contains("truncated varint"), "{err}");
+        let err = decode_err(&one_column(2, COL_INT, &[0]));
+        assert!(err.contains("truncated varint"), "{err}");
+    }
+
+    #[test]
+    fn short_float_and_double_columns_are_truncated() {
+        let err = decode_err(&one_column(2, COL_FLOAT, &[0; 4]));
+        assert!(err.contains("truncated float column"), "{err}");
+        let err = decode_err(&one_column(1, COL_DOUBLE, &[0; 7]));
+        assert!(err.contains("truncated double column"), "{err}");
+    }
+
+    #[test]
+    fn a_dictionary_larger_than_its_body_is_implausible() {
+        let err = decode_err(&one_column(1, COL_STR, &[5]));
+        assert!(err.contains("implausible dictionary size"), "{err}");
+    }
+
+    #[test]
+    fn present_strings_need_a_dictionary() {
+        let err = decode_err(&one_column(1, COL_STR, &[0, 0]));
+        assert!(err.contains("empty dictionary for non-null rows"), "{err}");
+    }
+
+    #[test]
+    fn a_dictionary_index_must_be_in_range() {
+        let err = decode_err(&one_column(1, COL_STR, &[1, 1, b'a', 1]));
+        assert!(err.contains("dictionary index out of range"), "{err}");
+    }
+
+    #[test]
+    fn dictionary_strings_must_be_utf8() {
+        let err = decode_err(&one_column(1, COL_STR, &[1, 1, 0xff, 0]));
+        assert!(err.contains("invalid utf-8"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_column_tag_is_named() {
+        let err = decode_err(&one_column(1, COL_MIXED + 1, &[]));
+        assert!(err.contains("unknown column tag 9"), "{err}");
+    }
+
+    #[test]
+    fn a_column_body_must_be_consumed_exactly() {
+        let err = decode_err(&one_column(1, COL_LONG, &[0, 0]));
+        assert!(err.contains("trailing bytes in column body"), "{err}");
+        let err = decode_err(&one_column(1, COL_NULL, &[0]));
+        assert!(err.contains("trailing bytes in column body"), "{err}");
+    }
+
+    #[test]
+    fn expand_places_dense_values_at_the_present_rows_only() {
+        let valid = vec![false, true, false, true];
+        assert_eq!(
+            expand(vec![7, 9], Some(&valid), 4, 0).unwrap(),
+            [0, 7, 0, 9]
+        );
+        for dense in [vec![7], vec![7, 9, 11]] {
+            let err = expand(dense, Some(&valid), 4, 0).unwrap_err().to_string();
+            assert!(err.contains("column length mismatch"), "{err}");
+        }
+        let err = expand(vec![7], None, 2, 0).unwrap_err().to_string();
+        assert!(err.contains("column length mismatch"), "{err}");
+    }
+
+    /// The smallest bodies that pass every check decode to the rows they
+    /// describe, so the failures above are the checks, not the helper.
+    #[test]
+    fn the_minimal_bodies_decode_when_well_formed() {
+        let batch = decode_columnar_body(&one_column(2, COL_LONG, &[2, 3])).unwrap();
+        let chunk = &batch.chunks[0];
+        assert_eq!(chunk.request_ids, [1, 1]);
+        assert_eq!(chunk.timestamps, [0, 0]);
+        assert_eq!(chunk.columns[0].value_at(0), Value::Long(1));
+        assert_eq!(chunk.columns[0].value_at(1), Value::Long(-2));
+        let batch = decode_columnar_body(&one_column(1, COL_STR, &[1, 1, b'a', 0])).unwrap();
+        assert_eq!(
+            batch.chunks[0].columns[0].value_at(0),
+            Value::Str("a".into())
+        );
     }
 }

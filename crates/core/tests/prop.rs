@@ -657,7 +657,6 @@ fn frames_match_the_bytes_captured_before_the_builders() {
 mod reference {
     use std::collections::HashMap;
 
-    use bytes::BufMut;
     use scrub_core::columnar::FORMAT_COLUMNAR;
     use scrub_core::event::Event;
     use scrub_core::value::Value;
@@ -682,55 +681,55 @@ mod reference {
             let byte = (v & 0x7f) as u8;
             v >>= 7;
             if v == 0 {
-                buf.put_u8(byte);
+                buf.push(byte);
                 return;
             }
-            buf.put_u8(byte | 0x80);
+            buf.push(byte | 0x80);
         }
     }
 
     /// The event codec's tagged value encoding.
     fn put_value(buf: &mut Vec<u8>, v: &Value) {
         match v {
-            Value::Null => buf.put_u8(0),
-            Value::Bool(false) => buf.put_u8(1),
-            Value::Bool(true) => buf.put_u8(2),
+            Value::Null => buf.push(0),
+            Value::Bool(false) => buf.push(1),
+            Value::Bool(true) => buf.push(2),
             Value::Int(x) => {
-                buf.put_u8(3);
+                buf.push(3);
                 put_varint(buf, zigzag(*x as i64));
             }
             Value::Long(x) => {
-                buf.put_u8(4);
+                buf.push(4);
                 put_varint(buf, zigzag(*x));
             }
             Value::Float(x) => {
-                buf.put_u8(5);
-                buf.put_f32(*x);
+                buf.push(5);
+                buf.extend_from_slice(&x.to_be_bytes());
             }
             Value::Double(x) => {
-                buf.put_u8(6);
-                buf.put_f64(*x);
+                buf.push(6);
+                buf.extend_from_slice(&x.to_be_bytes());
             }
             Value::DateTime(x) => {
-                buf.put_u8(7);
+                buf.push(7);
                 put_varint(buf, zigzag(*x));
             }
             Value::Str(s) => {
-                buf.put_u8(8);
+                buf.push(8);
                 put_varint(buf, s.len() as u64);
-                buf.put_slice(s.as_bytes());
+                buf.extend_from_slice(s.as_bytes());
             }
             Value::List(vs) => {
-                buf.put_u8(9);
+                buf.push(9);
                 put_varint(buf, vs.len() as u64);
                 vs.iter().for_each(|v| put_value(buf, v));
             }
             Value::Nested(kv) => {
-                buf.put_u8(10);
+                buf.push(10);
                 put_varint(buf, kv.len() as u64);
                 for (k, v) in kv {
                     put_varint(buf, k.len() as u64);
-                    buf.put_slice(k.as_bytes());
+                    buf.extend_from_slice(k.as_bytes());
                     put_value(buf, v);
                 }
             }
@@ -740,8 +739,8 @@ mod reference {
     /// The whole frame: header, count, one chunk per `(type_id, arity)` run.
     pub fn frame(events: &[Event]) -> Vec<u8> {
         let mut buf = Vec::new();
-        buf.put_u8(0x00);
-        buf.put_u8(FORMAT_COLUMNAR);
+        buf.push(0x00);
+        buf.push(FORMAT_COLUMNAR);
         put_varint(&mut buf, events.len() as u64);
         let mut scratch = Vec::new();
         for chunk in
@@ -804,7 +803,7 @@ mod reference {
                 bytes[i / 8] |= 1 << (i % 8);
             }
         }
-        buf.put_slice(&bytes);
+        buf.extend_from_slice(&bytes);
     }
 
     fn encode_column(buf: &mut Vec<u8>, scratch: &mut Vec<u8>, chunk: &[Event], col: usize) {
@@ -840,7 +839,7 @@ mod reference {
                 put_varint(scratch, dict.len() as u64);
                 for s in &dict {
                     put_varint(scratch, s.len() as u64);
-                    scratch.put_slice(s.as_bytes());
+                    scratch.extend_from_slice(s.as_bytes());
                 }
                 idx.into_iter()
                     .for_each(|id| put_varint(scratch, id as u64));
@@ -850,15 +849,15 @@ mod reference {
                     match v {
                         Value::Int(x) => put_varint(scratch, zigzag(*x as i64)),
                         Value::Long(x) | Value::DateTime(x) => put_varint(scratch, zigzag(*x)),
-                        Value::Float(x) => scratch.put_f32(*x),
-                        Value::Double(x) => scratch.put_f64(*x),
+                        Value::Float(x) => scratch.extend_from_slice(&x.to_be_bytes()),
+                        Value::Double(x) => scratch.extend_from_slice(&x.to_be_bytes()),
                         _ => {}
                     }
                 }
             }
         }
-        buf.put_u8(base | if has_nulls { COL_NULLABLE } else { 0 });
+        buf.push(base | if has_nulls { COL_NULLABLE } else { 0 });
         put_varint(buf, scratch.len() as u64);
-        buf.put_slice(scratch.as_ref());
+        buf.extend_from_slice(scratch.as_ref());
     }
 }
